@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import corpus, dsl, kleisli, quotient
+from . import corpus, dsl, kleisli
 from .consequence import Budget, derives
 from .formulas import fmt, parse
 from .kleisli import is_regular, lift_strict

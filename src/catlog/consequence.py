@@ -10,7 +10,7 @@ providers without ever inventing an uncertified No.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formulas import (
     App, Formula, Substitution, Var, check_formula, complexity,
@@ -948,13 +948,6 @@ class Saturation:
 
         emit(phi)
         return Proof(steps)
-
-
-def saturate(calculus: Calculus, hypotheses, seed_pool: list[Formula],
-             conclusion_cap: int = 12) -> Saturation:
-    sat = Saturation(calculus, seed_pool, conclusion_cap)
-    sat.extend(hypotheses)
-    return sat
 
 
 # ---------------------------------------------------------------------------

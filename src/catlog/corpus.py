@@ -159,23 +159,3 @@ def standard_env() -> dsl.Environment:
 
 def fresh_env() -> dsl.Environment:
     return dsl.loads(STANDARD_DSL)
-
-
-def cpl1():
-    return standard_env().logic("CPL1")
-
-
-def cpl2():
-    return standard_env().logic("CPL2")
-
-
-def l3():
-    return standard_env().logic("L3")
-
-
-def morphism_h():
-    return standard_env().morphism("h")
-
-
-def morphism_k():
-    return standard_env().morphism("k")

@@ -4,11 +4,23 @@ Formulas are built from variables x0, x1, ... and prefix applications of
 named connectives.  The slice of all formulas whose variable set is exactly
 {x0, ..., x_{n-1}} plays the role of an arity-n "derived connective" and is
 the raw material for flexible signature morphisms.
+
+Formulas are hash-consed (Filliatre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006): `Var` and `App` look each new node up in a
+module-level table, keyed by its index or by its connective and argument
+tuple, so two equal formulas are the same object and `==` is identity.
+Translations and law checks rebuild the same subterms many times over;
+interning turns each rebuild into a table lookup, stores each distinct
+formula once, and lets memos keyed by formulas compare keys by identity.
+The `App` table holds its nodes weakly, as in the paper, so a formula that
+nothing else refers to is freed and leaves the table; variables stay.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+import weakref
 from functools import lru_cache
 from typing import Iterator
 
@@ -26,65 +38,121 @@ class StructuralError(ValueError):
 
 
 class Formula:
-    """Immutable tree; hash, complexity and variable set are cached."""
+    """Immutable, hash-consed tree: equal formulas are identical objects.
+
+    Each node stores its hash, complexity and variable set when built, and
+    its `str` and `sort_key` the first time they are asked for.  Variable
+    sets are shared: a unary node reuses its argument's set, and every other
+    set comes from one table of interned frozensets.  Hash values are fixed
+    on purpose to `hash((1, index))` for a variable and
+    `hash((connective, args))` for an application: proof search iterates
+    sets of formulas, so its search order depends on them.
+    """
 
     __slots__ = ()
-
-
-class Var(Formula):
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
 
     def __setattr__(self, *_):
         raise AttributeError("formulas are immutable")
 
-    def __eq__(self, other):
-        return type(other) is Var and other.index == self.index
-
     def __hash__(self):
-        return hash((1, self.index))
+        return self._hash
+
+
+_VARS: dict[int, "Var"] = {}
+_APPS: dict[str, dict[tuple, "_Entry"]] = {}
+_VARSETS: dict[frozenset[int], frozenset[int]] = {}
+_EMPTY_VARS: frozenset[int] = _VARSETS.setdefault(frozenset(), frozenset())
+_init = object.__setattr__
+
+
+class Var(Formula):
+    __slots__ = ("index", "_hash", "_compl", "_vars", "_str", "_key")
+
+    def __new__(cls, index: int):
+        node = _VARS.get(index)
+        if node is None:
+            node = object.__new__(cls)
+            _init(node, "index", index)
+            _init(node, "_hash", hash((1, index)))
+            _init(node, "_compl", 0)
+            vs = frozenset((index,))
+            _init(node, "_vars", _VARSETS.setdefault(vs, vs))
+            _init(node, "_str", f"x{index}")
+            _init(node, "_key", (0, 0, index, ()))
+            _VARS[index] = node
+        return node
 
     def __repr__(self):
         return f"Var({self.index})"
 
     def __str__(self):
-        return f"x{self.index}"
+        return self._str
+
+
+class _Entry(weakref.ref):
+    """Weak table entry for one App; it leaves its table when the App dies."""
+
+    __slots__ = ("table", "args")
+
+
+def _drop(entry: _Entry) -> None:
+    if entry.table.get(entry.args) is entry:
+        del entry.table[entry.args]
 
 
 class App(Formula):
-    __slots__ = ("connective", "args", "_hash", "_compl", "_vars")
+    __slots__ = ("connective", "args", "_hash", "_compl", "_vars", "_str", "_key",
+                 "__weakref__")
 
-    def __init__(self, connective: str, args: tuple[Formula, ...]):
-        object.__setattr__(self, "connective", connective)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash((connective, args)))
-        object.__setattr__(self, "_compl", 1 + sum(complexity(a) for a in args))
-        vs: frozenset[int] = frozenset()
-        for a in args:
-            vs |= variables(a)
-        object.__setattr__(self, "_vars", vs)
-
-    def __setattr__(self, *_):
-        raise AttributeError("formulas are immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(other) is App and other._hash == self._hash
-                and other.connective == self.connective and other.args == self.args)
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, connective: str, args: tuple[Formula, ...]):
+        table = _APPS.get(connective)
+        if table is None:
+            table = _APPS[connective] = {}
+        entry = table.get(args)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _init(node, "connective", connective)
+        _init(node, "args", args)
+        _init(node, "_hash", hash((connective, args)))
+        _init(node, "_compl", 1 + sum(a._compl for a in args))
+        if not args:
+            vs = _EMPTY_VARS
+        elif len(args) == 1:
+            vs = args[0]._vars
+        else:
+            vs = args[0]._vars.union(*[a._vars for a in args[1:]])
+            vs = _VARSETS.setdefault(vs, vs)
+        _init(node, "_vars", vs)
+        _init(node, "_str", None)
+        _init(node, "_key", None)
+        entry = _Entry(node, _drop)
+        entry.table = table
+        entry.args = args
+        table[args] = entry
+        return node
 
     def __repr__(self):
         return f"App({self.connective!r}, {self.args!r})"
 
     def __str__(self):
-        if not self.args:
-            return self.connective
-        return f"{self.connective}({', '.join(map(str, self.args))})"
+        text = self._str
+        if text is None:
+            text = _text(self)
+            _init(self, "_str", text)
+        return text
+
+
+def _text(phi: Formula) -> str:
+    """Printed form of phi, reusing cached texts but caching none below phi."""
+    text = phi._str
+    if text is None:
+        text = phi.connective
+        if phi.args:
+            text = f"{text}({', '.join(map(_text, phi.args))})"
+    return text
 
 
 def var(index: int) -> Var:
@@ -95,20 +163,13 @@ def app(connective: str, *args: Formula) -> App:
     return App(connective, tuple(args))
 
 
-_EMPTY_VARS: frozenset[int] = frozenset()
-
-
 def complexity(phi: Formula) -> int:
     """Number of connective occurrences in phi."""
-    if type(phi) is Var:
-        return 0
     return phi._compl
 
 
 def variables(phi: Formula) -> frozenset[int]:
     """Set of variable indices occurring in phi."""
-    if type(phi) is Var:
-        return frozenset((phi.index,))
     return phi._vars
 
 
@@ -122,9 +183,11 @@ def subformulas(phi: Formula) -> set[Formula]:
 
 def sort_key(phi: Formula):
     """Canonical order: complexity first, then head/argument lexicographic."""
-    if isinstance(phi, Var):
-        return (0, 0, phi.index, ())
-    return (complexity(phi), 1, phi.connective, tuple(sort_key(a) for a in phi.args))
+    key = phi._key
+    if key is None:
+        key = (phi._compl, 1, phi.connective, tuple(sort_key(a) for a in phi.args))
+        _init(phi, "_key", key)
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +201,8 @@ class Substitution:
         self.mapping = dict(mapping or {})
 
     def __call__(self, index: int) -> Formula:
-        return self.mapping.get(index, Var(index))
+        phi = self.mapping.get(index)
+        return Var(index) if phi is None else phi
 
     def __eq__(self, other):
         if not isinstance(other, Substitution):
@@ -161,14 +225,11 @@ class Substitution:
         return {f"x{k}": str(v) for k, v in sorted(self.mapping.items()) if v != Var(k)}
 
 
-IDENTITY_SUBSTITUTION = Substitution()
-
-
 def substitute(sigma: Substitution, phi: Formula) -> Formula:
     """Homomorphic extension of sigma applied to phi."""
-    if isinstance(phi, Var):
+    if type(phi) is Var:
         return sigma(phi.index)
-    return App(phi.connective, tuple(substitute(sigma, a) for a in phi.args))
+    return App(phi.connective, tuple([substitute(sigma, a) for a in phi.args]))
 
 
 def compose_substitutions(sigma2: Substitution, sigma1: Substitution) -> Substitution:
@@ -303,14 +364,19 @@ def check_formula(sig, phi: Formula) -> None:
     """Raise StructuralError unless phi is well-formed over sig."""
     if isinstance(phi, Var):
         return
+    check_head(sig, phi)
+    for a in phi.args:
+        check_formula(sig, a)
+
+
+def check_head(sig, phi: App) -> None:
+    """Raise StructuralError unless sig has phi's head with phi's arity."""
     arity = sig.connectives.get(phi.connective)
     if arity is None:
         raise StructuralError(f"unknown connective {phi.connective!r} in {phi}")
     if arity != len(phi.args):
         raise StructuralError(
             f"connective {phi.connective!r} has arity {arity}, applied to {len(phi.args)} in {phi}")
-    for a in phi.args:
-        check_formula(sig, a)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +394,8 @@ def _enumerate_cached(sig, n: int, max_compl: int) -> tuple[Formula, ...]:
                     layer.append(App(c, ()))
                 continue
             for split in _compositions(level - 1, arity):
-                for combo in _product([by_level[s] for s in split]):
-                    layer.append(App(c, tuple(combo)))
+                for combo in itertools.product(*[by_level[s] for s in split]):
+                    layer.append(App(c, combo))
         by_level.append(layer)
     out = [phi for level in by_level for phi in level]
     out.sort(key=sort_key)
@@ -355,12 +421,3 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _product(pools: list[list[Formula]]) -> Iterator[tuple[Formula, ...]]:
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _product(pools[1:]):
-            yield (head,) + tail

@@ -10,21 +10,24 @@ bound, which is enough to check every law pointwise.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from .formulas import (
     App, Formula, Substitution, Var, check_formula, complexity, enumerate_slice,
-    fmt, sort_key, substitute, variables,
+    fmt, substitute, variables,
 )
-from .signatures import (
-    Signature, StrictMorphism, compose_strict, identity_morphism, signature_coproduct,
-    strict_extension,
-)
+from .signatures import Signature, StrictMorphism, strict_extension
 
 
 class FlexibleMorphism:
-    """Assignment of a target slice formula to each source connective."""
+    """Assignment of a target slice formula to each source connective.
+
+    `_memo` maps each formula already translated by `flexible_extension` to
+    its image; it lives and dies with the morphism and takes no part in
+    equality or hashing.
+    """
 
     def __init__(self, source: Signature, target: Signature,
                  assignment: dict[str, Formula], name: str = ""):
@@ -41,6 +44,7 @@ class FlexibleMorphism:
         self.target = target
         self.assignment = {c: assignment[c] for c in source.connectives}
         self.name = name
+        self._memo: dict[Formula, Formula] = {}
 
     def __call__(self, connective: str) -> Formula:
         return self.assignment[connective]
@@ -89,13 +93,15 @@ def lift_strict(f: StrictMorphism) -> FlexibleMorphism:
 
 def flexible_extension(h: FlexibleMorphism, phi: Formula) -> Formula:
     """Translate phi by substituting translated arguments into assignments."""
-    if isinstance(phi, Var):
+    if type(phi) is Var:
         return phi
-    body = h(phi.connective)
-    sigma = Substitution({
-        i: flexible_extension(h, arg) for i, arg in enumerate(phi.args)
-    })
-    return substitute(sigma, body)
+    image = h._memo.get(phi)
+    if image is None:
+        sigma = Substitution({
+            i: flexible_extension(h, arg) for i, arg in enumerate(phi.args)
+        })
+        image = h._memo[phi] = substitute(sigma, h(phi.connective))
+    return image
 
 
 def kleisli_compose(h2: FlexibleMorphism, h1: FlexibleMorphism) -> FlexibleMorphism:
@@ -244,11 +250,6 @@ def flatten(phi: Formula, decode: dict[str, Formula]) -> Formula:
     body = decode[phi.connective]
     sigma = Substitution({i: flatten(a, decode) for i, a in enumerate(phi.args)})
     return substitute(sigma, body)
-
-
-def mu_apply(trunc: SliceTruncation, phi2: Formula) -> Formula:
-    """Multiplication, pointwise: flatten a formula over the slice signature."""
-    return flatten(phi2, trunc.decode)
 
 
 def check_kleisli_theorem(pairs: list[tuple[FlexibleMorphism, FlexibleMorphism]],
@@ -495,7 +496,7 @@ def all_flexible_morphisms(source: Signature, target: Signature, max_compl: int
             return []
         pools.append(pool)
     out = []
-    for combo in _cartesian(pools):
+    for combo in itertools.product(*pools):
         out.append(FlexibleMorphism(
             source, target, {c: phi for (c, _), phi in zip(items, combo)}))
     return out
@@ -510,19 +511,10 @@ def all_strict_morphisms(source: Signature, target: Signature) -> list[StrictMor
             return []
         pools.append(pool)
     out = []
-    for combo in _cartesian(pools):
+    for combo in itertools.product(*pools):
         out.append(StrictMorphism(
             source, target, {c: d for (c, _), d in zip(items, combo)}))
     return out
-
-
-def _cartesian(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _cartesian(pools[1:]):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +642,3 @@ def _flatten_outer_first(psi: Formula, t2_decode: dict[str, Formula],
         i: _flatten_outer_first(a, t2_decode, t1) for i, a in enumerate(psi.args)
     })
     return substitute(sigma, head_in_base)
-
-
-SLICE_KEY = sort_key

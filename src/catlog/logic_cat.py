@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from .consequence import (
     AxiomInstance, Budget, Calculus, DEFAULT_BUDGET, Hypothesis, Logic, Proof,
     Rule, RuleInstance, SignatureMismatch, Step, Verdict, derives,
-    transform_proof, verify_proof,
+    transform_proof,
 )
-from .formulas import Formula, Substitution, Var, fmt, substitute, variables
+from .formulas import Formula, Substitution, fmt, substitute
 from .kleisli import FlexibleMorphism, flexible_extension, kleisli_compose, lift_strict
 from .signatures import (
     Signature, StrictMorphism, UnsupportedConstruction, compose_strict,

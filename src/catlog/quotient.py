@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 from .consequence import (
     Budget, Calculus, DEFAULT_BUDGET, Logic, Rule, Saturation, Verdict,
-    derives, designation_function, interderivable, matrix_interderivable,
-    truth_function,
+    derives, designation_function, interderivable, truth_function,
 )
 from .formulas import (
     App, Formula, Substitution, Var, complexity, enumerate_formulas,
@@ -27,7 +26,7 @@ from .kleisli import (
     kleisli_compose, kleisli_identity,
 )
 from .logic_cat import (
-    Translation, VERIFIED, as_flexible, check_translation, translate_formula,
+    Translation, VERIFIED, as_flexible, check_translation,
 )
 from .signatures import Signature, signature_coproduct
 

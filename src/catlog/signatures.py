@@ -8,7 +8,9 @@ pushouts are computed levelwise on arities.
 
 from __future__ import annotations
 
-from .formulas import App, Formula, Var, check_formula
+import itertools
+
+from .formulas import App, Formula, Var, check_head
 
 
 class UnsupportedConstruction(Exception):
@@ -61,7 +63,12 @@ EMPTY = Signature("empty", {})
 
 
 class StrictMorphism:
-    """Connective map preserving arities between two signatures."""
+    """Connective map preserving arities between two signatures.
+
+    `_memo` maps each formula already translated by `strict_extension` to its
+    image; it lives and dies with the morphism and takes no part in equality
+    or hashing.
+    """
 
     def __init__(self, source: Signature, target: Signature, mapping: dict[str, str],
                  name: str = ""):
@@ -79,6 +86,7 @@ class StrictMorphism:
         self.target = target
         self.mapping = {c: mapping[c] for c in source.connectives}
         self.name = name
+        self._memo: dict[Formula, Formula] = {}
 
     def __call__(self, connective: str) -> str:
         return self.mapping[connective]
@@ -117,15 +125,23 @@ def compose_strict(g: StrictMorphism, f: StrictMorphism) -> StrictMorphism:
 
 
 def strict_extension(f: StrictMorphism, phi: Formula) -> Formula:
-    """Apply f to every connective occurrence of phi; variables are fixed."""
-    check_formula(f.source, phi)
+    """Apply f to every connective occurrence of phi; variables are fixed.
+
+    Raises StructuralError unless phi is well-formed over f's source.
+    """
     return _extend(f, phi)
 
 
 def _extend(f: StrictMorphism, phi: Formula) -> Formula:
-    if isinstance(phi, Var):
+    # Each node is checked when first translated; a memoized node was checked
+    # then, and well-formedness over f.source cannot change.
+    if type(phi) is Var:
         return phi
-    return App(f(phi.connective), tuple(_extend(f, a) for a in phi.args))
+    image = f._memo.get(phi)
+    if image is None:
+        check_head(f.source, phi)
+        image = f._memo[phi] = App(f(phi.connective), tuple(_extend(f, a) for a in phi.args))
+    return image
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +201,7 @@ def signature_product(factors: list[Signature], name: str = ""
         pools = [sig.level(arity) for sig in factors]
         if any(not pool for pool in pools):
             continue
-        for combo in _tuples(pools):
+        for combo in itertools.product(*pools):
             ident = "__".join(combo)
             connectives[ident] = arity
             components[ident] = combo
@@ -257,12 +273,3 @@ def signature_pushout(f: StrictMorphism, g: StrictMorphism, name: str = ""
     right_map = StrictMorphism(
         right, result, {c: find(_tag(c, 1)) for c in right.connectives}, name="po_right")
     return result, left_map, right_map
-
-
-def _tuples(pools: list[list[str]]):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for tail in _tuples(pools[1:]):
-            yield (head,) + tail

@@ -1,11 +1,14 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from catlog.formulas import (
-    App, ParseError, StructuralError, Substitution, Var, check_formula,
+    App, ParseError, StructuralError, Substitution, Var, app, check_formula,
     complexity, compose_substitutions, enumerate_formulas, enumerate_slice,
-    fmt, parse, sort_key, substitute, variables,
+    fmt, parse, sort_key, substitute, var, variables,
 )
 from catlog.signatures import Signature
 
@@ -164,3 +167,91 @@ def test_enumeration_is_sorted_and_duplicate_free():
     out = enumerate_formulas(sig, 2, 3)
     assert out == sorted(out, key=sort_key)
     assert len(out) == len(set(out))
+
+
+# --- hash-consed kernel ------------------------------------------------------
+
+
+def _rebuild(phi):
+    """A structurally equal copy built bottom-up through `var` and `app`."""
+    if isinstance(phi, Var):
+        return var(phi.index)
+    return app(phi.connective, *map(_rebuild, phi.args))
+
+
+def _str_from_scratch(phi):
+    if isinstance(phi, Var):
+        return f"x{phi.index}"
+    if not phi.args:
+        return phi.connective
+    return f"{phi.connective}({', '.join(map(_str_from_scratch, phi.args))})"
+
+
+def _sort_key_from_scratch(phi):
+    if isinstance(phi, Var):
+        return (0, 0, phi.index, ())
+    return (complexity(phi), 1, phi.connective,
+            tuple(_sort_key_from_scratch(a) for a in phi.args))
+
+
+@given(formulas(MIXED_SIG))
+def test_equal_formulas_are_identical(phi):
+    assert parse(fmt(phi), MIXED_SIG) is phi
+    assert _rebuild(phi) is phi
+    assert substitute(Substitution(), phi) is phi
+    assert substitute(Substitution({0: Var(0), 1: Var(1)}), phi) is phi
+
+
+def test_equal_variables_are_identical():
+    assert Var(4) is Var(4) is var(4) is parse("x4")
+    assert Var(4) is not Var(5)
+    sigma = Substitution({0: parse("neg(x1)", CPL1_SIG)})
+    assert substitute(sigma, parse("imp(x0, x2)", CPL1_SIG)) is \
+        app("imp", app("neg", Var(1)), Var(2))
+
+
+@given(formulas(MIXED_SIG))
+def test_hash_values_are_pinned(phi):
+    if isinstance(phi, Var):
+        assert hash(phi) == hash((1, phi.index))
+    else:
+        assert hash(phi) == hash((phi.connective, phi.args))
+    assert hash(App("b", (Var(0), Var(1)))) == hash(("b", (Var(0), Var(1))))
+    assert hash(Var(3)) == hash((1, 3))
+
+
+@given(formulas(MIXED_SIG))
+def test_cached_str_and_sort_key_match_recomputation(phi):
+    assert str(phi) == _str_from_scratch(phi)
+    assert sort_key(phi) == _sort_key_from_scratch(phi)
+    # a second call answers from the cache with the same value
+    assert str(phi) == _str_from_scratch(phi)
+    assert sort_key(phi) == _sort_key_from_scratch(phi)
+
+
+def test_formulas_reject_attribute_assignment():
+    phi = parse("imp(x0, neg(x1))", CPL1_SIG)
+    for node, attr in ((phi, "connective"), (phi, "_str"), (phi, "other"),
+                       (Var(0), "index"), (Var(0), "_key")):
+        with pytest.raises(AttributeError):
+            setattr(node, attr, None)
+    assert str(phi) == "imp(x0, neg(x1))" and Var(0).index == 0
+
+
+def test_unreferenced_formulas_are_freed():
+    phi = parse("imp(neg(x40), imp(x41, neg(neg(x40))))", CPL1_SIG)
+    ref = weakref.ref(phi)
+    text = fmt(phi)
+    del phi
+    gc.collect()
+    assert ref() is None
+    again = parse(text, CPL1_SIG)
+    assert fmt(again) == text and again is parse(text, CPL1_SIG)
+
+
+def test_variable_sets_are_shared():
+    x0, x1 = Var(0), Var(1)
+    neg = App("neg", (x0,))
+    assert variables(neg) is variables(x0)
+    assert variables(App("e", ())) is variables(App("f", ()))
+    assert variables(App("imp", (x0, x1))) is variables(App("imp", (x1, neg)))

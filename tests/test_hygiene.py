@@ -1,0 +1,59 @@
+"""Source hygiene checks that need only the standard library."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "catlog"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with the line that binds it."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, including inside quoted annotations."""
+    trees = [tree]
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                trees.append(ast.parse(node.value, mode="eval"))
+    return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = sorted((line, name) for name, line in _imported_names(tree).items()
+                    if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: " + ", ".join(
+        f"{name} (line {line})" for line, name in unused)
+
+
+def test_hygiene_check_sees_unused_imports():
+    tree = ast.parse("import os\nfrom json import dumps, loads\nloads('1')\n")
+    assert set(_imported_names(tree)) - _used_names(tree) == {"os", "dumps"}
+    quoted = ast.parse("from typing import List\ndef f(x: 'List[int]'): pass\n")
+    assert set(_imported_names(quoted)) <= _used_names(quoted)

@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
 from catlog.formulas import (
-    App, Var, complexity, enumerate_slice, fmt, parse, variables,
+    App, Substitution, Var, complexity, enumerate_slice, fmt, parse, substitute,
+    variables,
 )
 from catlog.kleisli import (
     FlexibleMorphism, all_flexible_morphisms, all_strict_morphisms,
@@ -21,7 +24,7 @@ from catlog.signatures import (
     strict_extension,
 )
 
-from strategies import CPL1_SIG, CPL2_SIG
+from strategies import CPL1_SIG, CPL2_SIG, formulas
 
 H = FlexibleMorphism(CPL1_SIG, CPL2_SIG, {
     "neg": parse("negp(x0)", CPL2_SIG),
@@ -87,6 +90,35 @@ def test_extension_determines_morphism():
             flexible_extension(g, App(c, tuple(Var(i) for i in range(a))))
             for c, a in src.connectives.items())
         assert agree == (f == g)
+
+
+def _extension_reference(h, phi):
+    """Memo-free flexible extension, straight from the definition."""
+    if isinstance(phi, Var):
+        return phi
+    sigma = Substitution({i: _extension_reference(h, a) for i, a in enumerate(phi.args)})
+    return substitute(sigma, h.assignment[phi.connective])
+
+
+@given(st.lists(formulas(CPL1_SIG), min_size=1, max_size=6))
+def test_memoized_extension_matches_reference(phis):
+    fresh = FlexibleMorphism(CPL1_SIG, CPL2_SIG, dict(H.assignment))
+    round_trip = kleisli_compose(K, fresh)
+    for phi in phis + phis:
+        for h in (fresh, H, round_trip):
+            assert flexible_extension(h, phi) is _extension_reference(h, phi)
+        assert flexible_extension(round_trip, phi) is \
+            flexible_extension(K, flexible_extension(fresh, phi))
+
+
+def test_flexible_morphism_equality_ignores_memo():
+    warm = FlexibleMorphism(CPL1_SIG, CPL2_SIG, dict(H.assignment))
+    cold = FlexibleMorphism(CPL1_SIG, CPL2_SIG, dict(H.assignment))
+    for n in range(3):
+        for phi in enumerate_slice(CPL1_SIG, n, 3):
+            flexible_extension(warm, phi)
+    assert warm == cold == H and hash(warm) == hash(cold) == hash(H)
+    assert len({warm, cold}) == 1
 
 
 def test_kleisli_compose_frozen_example():

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given
+import hypothesis.strategies as st
 
 from catlog.formulas import (
-    Substitution, Var, complexity, enumerate_formulas, parse, substitute,
-    variables,
+    App, StructuralError, Substitution, Var, check_formula, complexity,
+    enumerate_formulas, parse, substitute, variables,
 )
 from catlog.signatures import (
     Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
@@ -72,6 +73,57 @@ def test_substitution_application_orders_agree():
                            1: strict_extension(F, psi[1])})
     rhs = substitute(pushed, strict_extension(F, theta))
     assert lhs == rhs == parse("orp(negp(x0), orp(x0, x0))", CPL2_SIG)
+
+
+# --- the extension memo -----------------------------------------------------
+
+
+def _strict_reference(f, phi):
+    """Memo-free extension: check the whole formula, then rename heads."""
+    check_formula(f.source, phi)
+
+    def walk(p):
+        if isinstance(p, Var):
+            return p
+        return App(f(p.connective), tuple(walk(a) for a in p.args))
+    return walk(phi)
+
+
+@given(st.lists(formulas(CPL1_SIG), min_size=1, max_size=6))
+def test_memoized_extension_matches_reference(phis):
+    fresh = StrictMorphism(CPL1_SIG, CPL2_SIG, {"neg": "negp", "imp": "orp"})
+    for phi in phis + phis:
+        assert strict_extension(fresh, phi) is _strict_reference(fresh, phi)
+        assert strict_extension(F, phi) is _strict_reference(F, phi)
+
+
+def test_warm_memo_still_rejects_bad_formulas():
+    f = StrictMorphism(CPL1_SIG, CPL2_SIG, {"neg": "negp", "imp": "orp"})
+    good = parse("imp(x0, neg(x1))", CPL1_SIG)
+    assert strict_extension(f, good) == parse("orp(x0, negp(x1))", CPL2_SIG)
+    bad_formulas = [
+        App("conj", (good, Var(0))),             # unknown head over a good subterm
+        App("neg", (good, good)),                # wrong arity over good subterms
+        App("imp", (good,)),
+        App("imp", (good, App("neg", (good, Var(1))))),  # bad node below the root
+    ]
+    for bad in bad_formulas:
+        with pytest.raises(StructuralError) as expected:
+            _strict_reference(f, bad)
+        with pytest.raises(StructuralError) as got:
+            strict_extension(f, bad)
+        assert str(got.value) == str(expected.value)
+    # the failures left the memo consistent
+    assert strict_extension(f, good) == parse("orp(x0, negp(x1))", CPL2_SIG)
+
+
+def test_strict_morphism_equality_ignores_memo():
+    warm = StrictMorphism(CPL1_SIG, CPL2_SIG, {"neg": "negp", "imp": "orp"})
+    cold = StrictMorphism(CPL1_SIG, CPL2_SIG, {"neg": "negp", "imp": "orp"})
+    for phi in enumerate_formulas(CPL1_SIG, 2, 2):
+        strict_extension(warm, phi)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert len({warm, cold}) == 1
 
 
 # --- coproducts -------------------------------------------------------------
