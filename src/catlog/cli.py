@@ -15,9 +15,9 @@ import sys
 from . import corpus, dsl, kleisli
 from .consequence import Budget, derives
 from .formulas import fmt, parse
-from .kleisli import is_regular, lift_strict
+from .kleisli import is_regular, kleisli_compose, kleisli_identity
 from .logic_cat import (
-    Translation, VERIFIED, check_translation, directed_colimit_logics,
+    Translation, VERIFIED, as_flexible, check_translation, directed_colimit_logics,
     fibring_constrained, fibring_unconstrained, product_logic,
 )
 from .quotient import (
@@ -25,6 +25,7 @@ from .quotient import (
     lindenbaum_delta_check, morphisms_equivalent, rigidity_probe,
     weak_equivalence,
 )
+from .signatures import UnsupportedConstruction
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -56,8 +57,16 @@ def status_exit(status: str) -> int:
     return EXIT_UNKNOWN
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors reach `main` as exceptions, so that
+    they exit with EXIT_USAGE like every other input error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catlog",
         description="categorical toolkit for propositional logics")
     parser.add_argument("--spec", default="standard",
@@ -147,15 +156,11 @@ def main(argv: list[str] | None = None) -> int:
                             "regularity"])
     p.add_argument("--cases", type=int, default=200)
 
-    args = parser.parse_args(argv)
     try:
-        budget = Budget.parse(args.budget)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return run(args, budget)
-    except (dsl.SpecError, FileNotFoundError, KeyError, ValueError) as exc:
+        args = parser.parse_args(argv)
+        return run(args, Budget.parse(args.budget))
+    except (dsl.SpecError, FileNotFoundError, KeyError, ValueError,
+            UnsupportedConstruction) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -196,7 +201,7 @@ def run(args, budget: Budget) -> int:
 
     if cmd == "check-regular":
         m = env.morphism(args.name)
-        flex = m if not hasattr(m, "mapping") else lift_strict(m)
+        flex = as_flexible(m)
         regular, witness = is_regular(flex)
         report = {"command": "check-regular", "morphism": flex.to_json(),
                   "regular": regular}
@@ -328,8 +333,6 @@ def run(args, budget: Budget) -> int:
                                    target_compl=args.bound, budget=budget)
         backward = weak_equivalence(back, target, source, n_max=args.nvars,
                                     target_compl=args.bound, budget=budget)
-        from .kleisli import kleisli_compose, kleisli_identity
-        from .logic_cat import as_flexible
         round_src = morphisms_equivalent(
             kleisli_compose(as_flexible(back), as_flexible(via)),
             kleisli_identity(source.signature), source, source, budget)

@@ -976,7 +976,7 @@ def meet(l1: Logic, l2: Logic, name: str = "") -> Logic:
                  oracle=oracle, decides=l1.decides and l2.decides)
 
 
-def generated_join(presentations: list[Calculus], name: str = "") -> Calculus:
+def generated_join(presentations: list[Calculus]) -> Calculus:
     """Supremum of presented relations: union of the presentations."""
     if not presentations:
         raise ValueError("empty join")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 
 from .consequence import Calculus, Logic, Matrix, Rule
-from .formulas import Formula, ParseError, parse
+from .formulas import Formula, ParseError, fmt, parse
 from .kleisli import FlexibleMorphism
 from .logic_cat import bottom, top
 from .signatures import Signature, StrictMorphism
@@ -335,7 +335,6 @@ def signature_to_dsl(sig: Signature) -> str:
 
 
 def logic_to_dsl(logic: Logic) -> str:
-    from .formulas import fmt
     out = [f"logic {logic.name} {{", f"  signature {logic.signature.name}"]
     if logic.calculus is not None:
         for a in logic.calculus.axioms:
@@ -361,7 +360,6 @@ def logic_to_dsl(logic: Logic) -> str:
 
 
 def morphism_to_dsl(m) -> str:
-    from .formulas import fmt
     kind = "strict" if isinstance(m, StrictMorphism) else "flexible"
     out = [f"morphism {kind} {m.name or 'unnamed'} : "
            f"{m.source.name} -> {m.target.name} {{"]

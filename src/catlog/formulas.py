@@ -226,10 +226,40 @@ class Substitution:
 
 
 def substitute(sigma: Substitution, phi: Formula) -> Formula:
-    """Homomorphic extension of sigma applied to phi."""
+    """Homomorphic extension of sigma applied to phi.
+
+    `sigma` may be any callable from variable indices to formulas.
+    """
     if type(phi) is Var:
         return sigma(phi.index)
     return App(phi.connective, tuple([substitute(sigma, a) for a in phi.args]))
+
+
+def extend(heads: dict[str, Formula], phi: Formula, memo: dict[Formula, Formula]
+           ) -> Formula:
+    """Homomorphic extension of a head assignment applied to phi.
+
+    Each connective c is sent to the template `heads[c]`, a slice formula:
+    phi's arguments are translated, then put for x0..x_{n-1} in the template
+    of phi's head.  Variables are fixed.  Strict morphisms, flexible
+    morphisms, flattening and chain stages all translate through here.
+
+    `memo` keeps the image of every node translated so far.  A node is
+    checked when first translated: an unknown head, or an argument count
+    other than the template's number of variables, raises StructuralError
+    with `check_formula`'s messages.
+    """
+    if type(phi) is Var:
+        return phi
+    image = memo.get(phi)
+    if image is None:
+        template = heads.get(phi.connective)
+        arity = None if template is None else len(template._vars)
+        if arity != len(phi.args):
+            raise _head_error(phi, arity)
+        args = [extend(heads, a, memo) for a in phi.args]
+        image = memo[phi] = substitute(args.__getitem__, template)
+    return image
 
 
 def compose_substitutions(sigma2: Substitution, sigma1: Substitution) -> Substitution:
@@ -364,19 +394,19 @@ def check_formula(sig, phi: Formula) -> None:
     """Raise StructuralError unless phi is well-formed over sig."""
     if isinstance(phi, Var):
         return
-    check_head(sig, phi)
+    arity = sig.connectives.get(phi.connective)
+    if arity != len(phi.args):
+        raise _head_error(phi, arity)
     for a in phi.args:
         check_formula(sig, a)
 
 
-def check_head(sig, phi: App) -> None:
-    """Raise StructuralError unless sig has phi's head with phi's arity."""
-    arity = sig.connectives.get(phi.connective)
+def _head_error(phi: App, arity: int | None) -> StructuralError:
+    """The error for a node whose head is unknown (arity None) or misapplied."""
     if arity is None:
-        raise StructuralError(f"unknown connective {phi.connective!r} in {phi}")
-    if arity != len(phi.args):
-        raise StructuralError(
-            f"connective {phi.connective!r} has arity {arity}, applied to {len(phi.args)} in {phi}")
+        return StructuralError(f"unknown connective {phi.connective!r} in {phi}")
+    return StructuralError(
+        f"connective {phi.connective!r} has arity {arity}, applied to {len(phi.args)} in {phi}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ assignment into the other (Kleisli composition for the monad that sends a
 signature to its family of formula slices).  The monad itself is handled
 through finite truncations: slices are materialized only up to a complexity
 bound, which is enough to check every law pointwise.
+
+Every translation here -- the extension of a flexible morphism, flattening
+through a truncation's decoding, the staged flattenings of the law suites --
+is `formulas.extend` with the right head assignment and memo.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ import random
 from dataclasses import dataclass
 
 from .formulas import (
-    App, Formula, Substitution, Var, check_formula, complexity, enumerate_slice,
-    fmt, substitute, variables,
+    App, Formula, Var, check_formula, complexity, enumerate_slice, extend, fmt,
+    variables,
 )
-from .signatures import Signature, StrictMorphism, strict_extension
+from .signatures import Signature, StrictMorphism, identity_morphism, strict_extension
 
 
 class FlexibleMorphism:
@@ -75,33 +79,21 @@ class FlexibleMorphism:
 
 def kleisli_identity(sig: Signature) -> FlexibleMorphism:
     """c maps to c(x0..x_{n-1}); neutral for Kleisli composition."""
-    assignment = {
-        c: App(c, tuple(Var(i) for i in range(arity)))
-        for c, arity in sig.connectives.items()
-    }
-    return FlexibleMorphism(sig, sig, assignment, name=f"id_{sig.name}")
+    return FlexibleMorphism(sig, sig, identity_morphism(sig).assignment,
+                            name=f"id_{sig.name}")
 
 
 def lift_strict(f: StrictMorphism) -> FlexibleMorphism:
     """View a strict morphism as a flexible one via c -> f(c)(x0..x_{n-1})."""
-    assignment = {
-        c: App(f(c), tuple(Var(i) for i in range(arity)))
-        for c, arity in f.source.connectives.items()
-    }
-    return FlexibleMorphism(f.source, f.target, assignment, name=f"{f.name}+")
+    return FlexibleMorphism(f.source, f.target, f.assignment, name=f"{f.name}+")
 
 
 def flexible_extension(h: FlexibleMorphism, phi: Formula) -> Formula:
-    """Translate phi by substituting translated arguments into assignments."""
-    if type(phi) is Var:
-        return phi
-    image = h._memo.get(phi)
-    if image is None:
-        sigma = Substitution({
-            i: flexible_extension(h, arg) for i, arg in enumerate(phi.args)
-        })
-        image = h._memo[phi] = substitute(sigma, h(phi.connective))
-    return image
+    """Translate phi by substituting translated arguments into assignments.
+
+    Raises StructuralError unless phi is well-formed over h's source.
+    """
+    return extend(h.assignment, phi, h._memo)
 
 
 def kleisli_compose(h2: FlexibleMorphism, h1: FlexibleMorphism) -> FlexibleMorphism:
@@ -176,9 +168,6 @@ class SliceTruncation:
     signature: Signature
     decode: dict[str, Formula]
 
-    def encode(self, phi: Formula) -> str:
-        return fmt(phi)
-
 
 def truncate_slices(base: Signature, compl_bound: int, var_bound: int,
                     extra: list[Formula] | None = None) -> SliceTruncation:
@@ -231,10 +220,7 @@ def unit(sig: Signature) -> tuple[StrictMorphism, SliceTruncation]:
     """Strict morphism into the truncated slice signature: c -> c(x0..)."""
     var_bound = max(sig.arities(), default=0)
     trunc = truncate_slices(sig, 1, var_bound)
-    mapping = {
-        c: fmt(App(c, tuple(Var(i) for i in range(arity))))
-        for c, arity in sig.connectives.items()
-    }
+    mapping = {c: fmt(phi) for c, phi in identity_morphism(sig).assignment.items()}
     return StrictMorphism(sig, trunc.signature, mapping, name="unit"), trunc
 
 
@@ -245,11 +231,7 @@ def counit(trunc: SliceTruncation) -> FlexibleMorphism:
 
 def flatten(phi: Formula, decode: dict[str, Formula]) -> Formula:
     """Substitute decoded slice formulas for slice-signature connectives."""
-    if isinstance(phi, Var):
-        return phi
-    body = decode[phi.connective]
-    sigma = Substitution({i: flatten(a, decode) for i, a in enumerate(phi.args)})
-    return substitute(sigma, body)
+    return extend(decode, phi, {})
 
 
 def check_kleisli_theorem(pairs: list[tuple[FlexibleMorphism, FlexibleMorphism]],
@@ -263,10 +245,13 @@ def check_kleisli_theorem(pairs: list[tuple[FlexibleMorphism, FlexibleMorphism]]
     failures = []
     for case, (h1, h2) in enumerate(pairs):
         composite = kleisli_compose(h2, h1)
+        # strict extension of c -> fmt(h2(c)), landing in encoded slice heads
+        encode = {c: App(fmt(phi), tuple(Var(i) for i in range(len(variables(phi)))))
+                  for c, phi in h2.assignment.items()}
+        decode = {fmt(phi): phi for phi in h2.assignment.values()}
         for c in h1.source.connectives:
             lhs = composite(c)
-            staged = _encode_through(h2, h1(c))
-            rhs = flatten(staged, {fmt(phi): phi for phi in h2.assignment.values()})
+            rhs = flatten(extend(encode, h1(c), {}), decode)
             if lhs != rhs:
                 failures.append({
                     "case": case,
@@ -278,14 +263,6 @@ def check_kleisli_theorem(pairs: list[tuple[FlexibleMorphism, FlexibleMorphism]]
     if seed is not None:
         report["seed"] = seed
     return report
-
-
-def _encode_through(h: FlexibleMorphism, phi: Formula) -> Formula:
-    """Strict extension of the assignment map, landing in encoded slice heads."""
-    if isinstance(phi, Var):
-        return phi
-    return App(fmt(h(phi.connective)),
-               tuple(_encode_through(h, a) for a in phi.args))
 
 
 def sharp(h: FlexibleMorphism) -> tuple[StrictMorphism, SliceTruncation]:
@@ -562,9 +539,11 @@ def suite_monad_laws(cases: int, seed: int, compl_bound: int = 2) -> dict:
         Signature("m5", {"e": 0, "u": 1, "b": 2}),
     ]
     truncs = [truncate_slices(base, compl_bound, 2) for base in bases]
+    units = [unit(base)[0] for base in bases]
     done = 0
     while done < cases:
-        t1 = truncs[rng.randrange(len(truncs))]
+        k = rng.randrange(len(truncs))
+        t1 = truncs[k]
         idents = sorted(t1.decode)
         phi = t1.decode[idents[rng.randrange(len(idents))]]
         done += 1
@@ -576,7 +555,7 @@ def suite_monad_laws(cases: int, seed: int, compl_bound: int = 2) -> dict:
             failures.append({"case": done, "inputs": {"formula": fmt(phi)},
                              "lhs": fmt(left), "rhs": fmt(phi)})
         # right unit: re-encode every base head c as the slice head c(x0..)
-        right = flatten(_unit_reencode(phi), t1.decode)
+        right = flatten(strict_extension(units[k], phi), t1.decode)
         if right != phi:
             failures.append({"case": done, "inputs": {"formula": fmt(phi)},
                              "lhs": fmt(right), "rhs": fmt(phi)})
@@ -594,19 +573,13 @@ def suite_monad_laws(cases: int, seed: int, compl_bound: int = 2) -> dict:
                 args.append(Var(i))
         psi = App(fmt(phi_outer), tuple(args))
         path_b = flatten(flatten(psi, t2_decode), t1.decode)
-        path_a = _flatten_outer_first(psi, t2_decode, t1)
+        # outer first: flatten each head down to the base, then substitute
+        path_a = flatten(psi, {ident: flatten(over_t1, t1.decode)
+                               for ident, over_t1 in t2_decode.items()})
         if path_a != path_b:
             failures.append({"case": done, "inputs": {"formula": fmt(psi)},
                              "lhs": fmt(path_a), "rhs": fmt(path_b)})
     return {"suite": "monad", "seed": seed, "cases": cases, "failures": failures}
-
-
-def _unit_reencode(phi: Formula) -> Formula:
-    """Replace each head c by the head 'c(x0..x_{n-1})' of the same arity."""
-    if isinstance(phi, Var):
-        return phi
-    head = fmt(App(phi.connective, tuple(Var(i) for i in range(len(phi.args)))))
-    return App(head, tuple(_unit_reencode(a) for a in phi.args))
 
 
 def _sample_over_slices(rng: random.Random, t1: SliceTruncation) -> Formula:
@@ -629,16 +602,3 @@ def _sample_over_slices(rng: random.Random, t1: SliceTruncation) -> Formula:
         args.append(Var(next_var))
         next_var += 1
     return App(outer, tuple(args))
-
-
-def _flatten_outer_first(psi: Formula, t2_decode: dict[str, Formula],
-                         t1: SliceTruncation) -> Formula:
-    """Flatten each head down to the base first, then substitute arguments."""
-    if isinstance(psi, Var):
-        return psi
-    over_t1 = t2_decode[psi.connective]
-    head_in_base = flatten(over_t1, t1.decode)
-    sigma = Substitution({
-        i: _flatten_outer_first(a, t2_decode, t1) for i, a in enumerate(psi.args)
-    })
-    return substitute(sigma, head_in_base)

@@ -5,6 +5,11 @@ happens on the generating presentation: every axiom image must be derivable
 and every rule image admissible in the target.  Combinations (fibring,
 constrained fibring, products, directed colimits) build the signature part
 first and then equip it with a presented calculus or a delegating oracle.
+
+Strict and flexible morphisms both act on formulas through their head
+assignment (`translate_formula`), and every presented combination is the
+generated join of its components' presentations pushed forward along the
+cocone legs (`push_calculus`).
 """
 
 from __future__ import annotations
@@ -14,13 +19,16 @@ from dataclasses import dataclass, field
 from .consequence import (
     AxiomInstance, Budget, Calculus, DEFAULT_BUDGET, Hypothesis, Logic, Proof,
     Rule, RuleInstance, SignatureMismatch, Step, Verdict, derives,
-    transform_proof,
+    generated_join, matrix_consequence, transform_proof,
 )
-from .formulas import Formula, Substitution, fmt, substitute
-from .kleisli import FlexibleMorphism, flexible_extension, kleisli_compose, lift_strict
+from .formulas import Formula, Substitution, extend, fmt, substitute
+from .kleisli import (
+    FlexibleMorphism, directed_colimit_signatures, kleisli_compose, lift_strict,
+)
 from .signatures import (
     Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
-    signature_coproduct, signature_product, signature_pushout, strict_extension,
+    identity_morphism, signature_coproduct, signature_product, signature_pushout,
+    strict_extension,
 )
 
 
@@ -31,9 +39,20 @@ def as_flexible(morphism) -> FlexibleMorphism:
 
 
 def translate_formula(morphism, phi: Formula) -> Formula:
-    if isinstance(morphism, StrictMorphism):
-        return strict_extension(morphism, phi)
-    return flexible_extension(morphism, phi)
+    """Extension of a strict or flexible morphism applied to phi."""
+    return extend(morphism.assignment, phi, morphism._memo)
+
+
+def push_calculus(morphism, calculus: Calculus) -> Calculus:
+    """Every axiom and rule of a presentation translated, in order.
+
+    Proofs cite axioms and rules by index, so the order is kept.
+    """
+    axioms = [translate_formula(morphism, a) for a in calculus.axioms]
+    rules = [Rule(tuple(translate_formula(morphism, p) for p in r.premises),
+                  translate_formula(morphism, r.conclusion))
+             for r in calculus.rules]
+    return Calculus(morphism.target, axioms, rules)
 
 
 VERIFIED = "verified"
@@ -92,12 +111,11 @@ def check_translation(morphism, source: Logic, target: Logic,
     if source.calculus is None:
         raise ValueError("translation checking needs a presented source")
     h = morphism
-    if _morphism_source(h) != source.signature or _morphism_target(h) != target.signature:
+    if h.source != source.signature or h.target != target.signature:
         raise SignatureMismatch("morphism endpoints do not match the logics")
 
     def target_derives(gamma, phi):
         if semantic and target.matrix is not None:
-            from .consequence import matrix_consequence
             holds, counter = matrix_consequence(target.matrix, gamma, phi)
             if holds:
                 return Verdict.yes(reason="matrix decision")
@@ -135,14 +153,6 @@ def check_translation(morphism, source: Logic, target: Logic,
     return Translation(h, source, target, status, evidence=evidence)
 
 
-def _morphism_source(m) -> Signature:
-    return m.source
-
-
-def _morphism_target(m) -> Signature:
-    return m.target
-
-
 # ---------------------------------------------------------------------------
 # Inverse and direct image
 
@@ -155,7 +165,7 @@ def inverse_image(morphism, target: Logic, name: str = "") -> Logic:
         image_phi = translate_formula(morphism, phi)
         return derives(target, image_gamma, image_phi, budget)
 
-    return Logic(name or f"{target.name}^*", _morphism_source(morphism),
+    return Logic(name or f"{target.name}^*", morphism.source,
                  oracle=oracle, decides=target.decides)
 
 
@@ -163,15 +173,8 @@ def direct_image(morphism, source: Logic, name: str = "") -> Logic:
     """Push a presented consequence forward along the morphism."""
     if source.calculus is None:
         raise ValueError("direct image needs a presented source")
-    sig = _morphism_target(morphism)
-    axioms = [translate_formula(morphism, a) for a in source.calculus.axioms]
-    rules = [
-        Rule(tuple(translate_formula(morphism, p) for p in r.premises),
-             translate_formula(morphism, r.conclusion))
-        for r in source.calculus.rules
-    ]
-    return Logic(name or f"{source.name}_*", sig,
-                 calculus=Calculus(sig, axioms, rules))
+    return Logic(name or f"{source.name}_*", morphism.target,
+                 calculus=push_calculus(morphism, source.calculus))
 
 
 def bottom(sig: Signature, name: str = "") -> Logic:
@@ -179,7 +182,6 @@ def bottom(sig: Signature, name: str = "") -> Logic:
 
     def oracle(gamma, phi, budget):
         if phi in gamma:
-            proof = Proof([Step(phi, Hypothesis())])
             return Verdict.yes(proof=None, reason="membership",
                                used=frozenset((phi,)), detail={"member": fmt(phi)})
         return Verdict.no(reason="not a member; the least logic proves nothing else")
@@ -308,21 +310,18 @@ def verbatim_translation(morphism, source: Logic, target: Logic) -> Translation:
     instead of searching.
     """
     calc = target.calculus
+    pushed = push_calculus(morphism, source.calculus)
     evidence = []
-    for i, axiom in enumerate(source.calculus.axioms):
-        image = translate_formula(morphism, axiom)
+    for i, image in enumerate(pushed.axioms):
         idx = calc.axioms.index(image)
         proof = Proof([Step(image, AxiomInstance(idx, Substitution()))])
         evidence.append({"axiom": i, "image": fmt(image), "verdict": "yes",
                          "proof": proof})
-    for i, rule in enumerate(source.calculus.rules):
-        premises = [translate_formula(morphism, p) for p in rule.premises]
-        conclusion = translate_formula(morphism, rule.conclusion)
-        target_idx = calc.rules.index(Rule(tuple(premises), conclusion))
-        steps = [Step(p, Hypothesis()) for p in premises]
-        steps.append(Step(conclusion, RuleInstance(
-            target_idx, Substitution(), tuple(range(len(premises))))))
-        evidence.append({"rule": i, "conclusion_image": fmt(conclusion),
+    for i, rule in enumerate(pushed.rules):
+        steps = [Step(p, Hypothesis()) for p in rule.premises]
+        steps.append(Step(rule.conclusion, RuleInstance(
+            calc.rules.index(rule), Substitution(), tuple(range(len(rule.premises))))))
+        evidence.append({"rule": i, "conclusion_image": fmt(rule.conclusion),
                          "verdict": "yes", "proof": Proof(steps)})
     return Translation(morphism, source, target, VERIFIED, evidence=evidence)
 
@@ -334,17 +333,9 @@ def fibring_unconstrained(l1: Logic, l2: Logic, name: str = ""
         raise ValueError("fibring needs presented components")
     sig, (in1, in2) = signature_coproduct([l1.signature, l2.signature],
                                           name=name or f"{l1.name}+{l2.name}")
-    axioms = []
-    rules = []
-    for inj, logic in ((in1, l1), (in2, l2)):
-        axioms.extend(strict_extension(inj, a) for a in logic.calculus.axioms)
-        rules.extend(
-            Rule(tuple(strict_extension(inj, p) for p in r.premises),
-                 strict_extension(inj, r.conclusion))
-            for r in logic.calculus.rules
-        )
-    combined = Logic(name or f"fibring({l1.name},{l2.name})", sig,
-                     calculus=Calculus(sig, axioms, rules))
+    calculus = generated_join([push_calculus(in1, l1.calculus),
+                               push_calculus(in2, l2.calculus)])
+    combined = Logic(name or f"fibring({l1.name},{l2.name})", sig, calculus=calculus)
     t1 = verbatim_translation(in1, l1, combined)
     t2 = verbatim_translation(in2, l2, combined)
     return combined, t1, t2
@@ -363,27 +354,12 @@ def fibring_constrained(left_leg: Translation, right_leg: Translation,
     if l1.calculus is None or l2.calculus is None:
         raise ValueError("constrained fibring needs presented components")
     sig, po_left, po_right = signature_pushout(f, g, name=name)
-    axioms = []
-    rules = []
     shared = left_leg.source
-    pushed_shared = compose_strict(po_left, f)
-    for leg, logic in ((po_left, l1), (po_right, l2)):
-        axioms.extend(strict_extension(leg, a) for a in logic.calculus.axioms)
-        rules.extend(
-            Rule(tuple(strict_extension(leg, p) for p in r.premises),
-                 strict_extension(leg, r.conclusion))
-            for r in logic.calculus.rules
-        )
+    pushed = [push_calculus(po_left, l1.calculus), push_calculus(po_right, l2.calculus)]
     if shared.calculus is not None:
-        axioms.extend(strict_extension(pushed_shared, a)
-                      for a in shared.calculus.axioms)
-        rules.extend(
-            Rule(tuple(strict_extension(pushed_shared, p) for p in r.premises),
-                 strict_extension(pushed_shared, r.conclusion))
-            for r in shared.calculus.rules
-        )
+        pushed.append(push_calculus(compose_strict(po_left, f), shared.calculus))
     combined = Logic(name or f"pushout({l1.name},{l2.name})", sig,
-                     calculus=Calculus(sig, axioms, rules))
+                     calculus=generated_join(pushed))
     t1 = verbatim_translation(po_left, l1, combined)
     t2 = verbatim_translation(po_right, l2, combined)
     return combined, t1, t2
@@ -425,27 +401,18 @@ def directed_colimit_logics(stages: list[Logic], maps: list[Translation],
         if t.source.signature != stages[i].signature \
                 or t.target.signature != stages[i + 1].signature:
             raise SignatureMismatch("chain maps do not line up with the stages")
-    from .kleisli import directed_colimit_signatures
     chain = [t.morphism for t in maps]
     if chain:
         vertex_sig, cocone = directed_colimit_signatures(chain, name=name)
     else:
         vertex_sig = stages[0].signature
-        from .signatures import identity_morphism
         cocone = [identity_morphism(vertex_sig)]
-    axioms = []
-    rules = []
-    for leg, logic in zip(cocone, stages):
-        if logic.calculus is None:
-            raise ValueError("colimit stages need presentations")
-        axioms.extend(strict_extension(leg, a) for a in logic.calculus.axioms)
-        rules.extend(
-            Rule(tuple(strict_extension(leg, p) for p in r.premises),
-                 strict_extension(leg, r.conclusion))
-            for r in logic.calculus.rules
-        )
+    if any(logic.calculus is None for logic in stages):
+        raise ValueError("colimit stages need presentations")
+    calculus = generated_join([push_calculus(leg, logic.calculus)
+                               for leg, logic in zip(cocone, stages)])
     combined = Logic(name or "colim(" + ",".join(l.name for l in stages) + ")",
-                     vertex_sig, calculus=Calculus(vertex_sig, axioms, rules))
+                     vertex_sig, calculus=calculus)
     translations = [
         verbatim_translation(leg, logic, combined)
         for leg, logic in zip(cocone, stages)

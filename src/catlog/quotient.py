@@ -14,19 +14,20 @@ import random
 from dataclasses import dataclass, field
 
 from .consequence import (
-    Budget, Calculus, DEFAULT_BUDGET, Logic, Rule, Saturation, Verdict,
-    derives, designation_function, interderivable, truth_function,
+    Budget, DEFAULT_BUDGET, Logic, Rule, Saturation, Verdict, derives,
+    designation_function, generated_join, interderivable, matrix_consequence,
+    truth_function,
 )
 from .formulas import (
     App, Formula, Substitution, Var, complexity, enumerate_formulas,
-    enumerate_slice, fmt, substitute, variables,
+    enumerate_slice, extend, fmt, sort_key, substitute, variables,
 )
 from .kleisli import (
     FlexibleMorphism, all_flexible_morphisms, flexible_extension,
     kleisli_compose, kleisli_identity,
 )
 from .logic_cat import (
-    Translation, VERIFIED, as_flexible, check_translation,
+    Translation, VERIFIED, as_flexible, check_translation, push_calculus,
 )
 from .signatures import Signature, signature_coproduct
 
@@ -45,7 +46,6 @@ def semantic_derives(logic: Logic, gamma, phi: Formula,
     instead of steering a bounded proof search per query.
     """
     if logic.matrix is not None:
-        from .consequence import matrix_consequence
         holds, counter = matrix_consequence(logic.matrix, gamma, phi)
         if holds:
             return Verdict.yes(reason="matrix decision")
@@ -179,8 +179,6 @@ def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
         if bad is not None:
             return CongruentialityVerdict(REFUTED, bounds, witness=bad,
                                           pairs_checked=pairs)
-        if bad is None and unknown:
-            pass
     status = UNKNOWN if unknown else CONFIRMED
     return CongruentialityVerdict(status, bounds, pairs_checked=pairs)
 
@@ -208,28 +206,29 @@ def _matrix_congruential(logic: Logic, pool: list[Formula],
 def _replacement_counterexample(logic: Logic, a: Formula, b: Formula, n: int,
                                 budget: Budget) -> dict | None:
     """Try every connective and argument position with fresh side variables."""
-    for c, arity in sorted(logic.signature.connectives.items()):
-        for position in range(arity):
-            fresh = iter(range(n, n + arity))
-            args_a = []
-            args_b = []
-            for j in range(arity):
-                if j == position:
-                    args_a.append(a)
-                    args_b.append(b)
-                else:
-                    v = Var(next(fresh))
-                    args_a.append(v)
-                    args_b.append(v)
-            ctx_a = App(c, tuple(args_a))
-            ctx_b = App(c, tuple(args_b))
-            v = interderivable(logic, ctx_a, ctx_b, budget)
-            if v.is_no:
-                return {"connective": c, "position": position,
-                        "left": fmt(a), "right": fmt(b),
-                        "context_left": fmt(ctx_a), "context_right": fmt(ctx_b),
-                        "counter": v.to_json().get("counter")}
+    for c, position, ctx_a, ctx_b in _contexts(logic.signature, a, b, n):
+        v = interderivable(logic, ctx_a, ctx_b, budget)
+        if v.is_no:
+            return {"connective": c, "position": position,
+                    "left": fmt(a), "right": fmt(b),
+                    "context_left": fmt(ctx_a), "context_right": fmt(ctx_b),
+                    "counter": v.to_json().get("counter")}
     return None
+
+
+def _contexts(sig: Signature, a: Formula, b: Formula, n: int):
+    """One-connective contexts around a pair: for every connective c and
+    argument position, (c, position, c(.., a, ..), c(.., b, ..)), with the
+    same fresh variables in the other positions.  The fresh variables count
+    up from x_n, or from just above the pair's variables if that is higher.
+    """
+    n = max([n] + [i + 1 for i in variables(a) | variables(b)])
+    for c, arity in sorted(sig.connectives.items()):
+        fresh = [Var(i) for i in range(n, n + arity - 1)]
+        for position in range(arity):
+            before, after = fresh[:position], fresh[position:]
+            yield (c, position, App(c, (*before, a, *after)),
+                   App(c, (*before, b, *after)))
 
 
 def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
@@ -256,7 +255,6 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
     pool = enumerate_formulas(sig, var_bound, compl_bound)
     pool_set = set(pool)
     seed_pool = enumerate_formulas(sig, var_bound, 2)
-    from .formulas import sort_key
     parent: dict[Formula, Formula] = {phi: phi for phi in pool}
 
     def find(phi: Formula) -> Formula:
@@ -274,11 +272,13 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
         return True
 
     base = Saturation(logic.calculus, seed_pool)
-    reach: dict[Formula, Saturation] = {}
+    # reach[phi]: the pool formulas derivable from phi; each fork is
+    # dropped once read, so only one is alive at a time
+    reach: dict[Formula, set[Formula]] = {}
     for phi in pool:
         fork = base.fork()
         fork.extend([phi])
-        reach[phi] = fork
+        reach[phi] = pool_set & fork.derived.keys()
     for a, b in itertools.combinations(pool, 2):
         if b in reach[a] and a in reach[b]:
             union(a, b)
@@ -291,7 +291,7 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
             r = find(a)
             if r == a:
                 continue
-            for ca, cb in _context_pairs(sig, a, r, compl_bound + 1):
+            for _, _, ca, cb in _contexts(sig, a, r, 0):
                 if ca in pool_set and cb in pool_set:
                     if union(ca, cb):
                         changed = True
@@ -310,7 +310,7 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
         if r == a:
             continue
         emit(a, r)
-        for ca, cb in _context_pairs(sig, a, r, compl_bound + 1):
+        for _, _, ca, cb in _contexts(sig, a, r, 0):
             if ca in pool_set and cb in pool_set:
                 continue  # already identified inside the pool
             emit(ca, cb)
@@ -318,26 +318,6 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
         return logic
     calc = logic.calculus.extended(rules=rules)
     return Logic(name or f"closure({logic.name})", sig, calculus=calc)
-
-
-def _context_pairs(sig: Signature, a: Formula, b: Formula, cap: int):
-    """One-connective contexts around a pair, fresh variables elsewhere."""
-    n = max([i + 1 for i in variables(a) | variables(b)] or [0])
-    for c, arity in sorted(sig.connectives.items()):
-        for position in range(arity):
-            args_a, args_b = [], []
-            fresh = iter(range(n, n + arity))
-            for j in range(arity):
-                if j == position:
-                    args_a.append(a)
-                    args_b.append(b)
-                else:
-                    v = Var(next(fresh))
-                    args_a.append(v)
-                    args_b.append(v)
-            ca, cb = App(c, tuple(args_a)), App(c, tuple(args_b))
-            if complexity(ca) <= cap and complexity(cb) <= cap:
-                yield ca, cb
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +400,6 @@ def weak_equivalence(h, source: Logic, target: Logic,
                 hf, REFUTED, conservativity="connective-tables", witness=witness,
                 bounds=(n_max, target_compl, source_compl))
         conservativity = "bounded-audit"
-        audited = audited
     else:
         audited = 0
     denseness: dict[int, dict] = {}
@@ -621,14 +600,15 @@ def _sampled_translation_status(h, logic: Logic, budget: Budget,
     pool = enumerate_formulas(logic.signature, 2, 2)
     if not pool:
         return VERIFIED
+    hf = as_flexible(h)
     for _ in range(samples):
         gamma = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(0, 2))]
         phi = pool[rng.randrange(len(pool))]
         v = derives(logic, gamma, phi, budget)
         if not v.is_yes:
             continue
-        image = derives(logic, [flexible_extension(as_flexible(h), g) for g in gamma],
-                        flexible_extension(as_flexible(h), phi), budget)
+        image = derives(logic, [flexible_extension(hf, g) for g in gamma],
+                        flexible_extension(hf, phi), budget)
         if image.is_no:
             return REFUTED
         if image.is_unknown:
@@ -770,44 +750,30 @@ def qfc_directed_colimit(stages: list[Logic], maps: list[Translation],
         composite[i][i] = kleisli_identity(sigs[i])
         for j in range(i + 1, n):
             composite[i][j] = kleisli_compose(flex[j - 1], composite[i][j - 1])
-    decode = {}
-    for i, inj in enumerate(injections):
-        for c in sigs[i].connectives:
-            decode[inj(c)] = (i, c)
+    stage_of = {inj(c): i for i, inj in enumerate(injections)
+                for c in sigs[i].connectives}
+    # stage j reads a tagged connective of stage i <= j as its assignment
+    # pushed along the chain to j; one head map and one memo per stage
+    stage_heads = [{inj(c): composite[i][j](c)
+                    for i, inj in enumerate(injections[:j + 1])
+                    for c in sigs[i].connectives} for j in range(n)]
+    stage_memos: list[dict[Formula, Formula]] = [{} for _ in range(n)]
     closed = None
     if all(l.calculus is not None for l in stages):
         # the vertex also carries the congruential closure of the pushed
         # presentations, used when no stage settles a query
-        from .signatures import strict_extension
-        axioms = []
-        rules = []
-        for inj, stage in zip(injections, stages):
-            axioms.extend(strict_extension(inj, a) for a in stage.calculus.axioms)
-            rules.extend(
-                Rule(tuple(strict_extension(inj, q) for q in r.premises),
-                     strict_extension(inj, r.conclusion))
-                for r in stage.calculus.rules
-            )
-        union_logic = Logic("union", vertex_sig,
-                            calculus=Calculus(vertex_sig, axioms, rules))
+        union_logic = Logic("union", vertex_sig, calculus=generated_join(
+            [push_calculus(inj, stage.calculus) for inj, stage in zip(injections, stages)]))
         closed = congruential_closure(union_logic, bounds, budget,
                                       name="closed_union")
 
     def to_stage(phi: Formula, j: int) -> Formula:
-        if isinstance(phi, Var):
-            return phi
-        stage, c = decode[phi.connective]
-        if stage > j:
-            raise ValueError("formula mentions a stage beyond the requested one")
-        body = composite[stage][j](c)
-        sigma = Substitution({k: to_stage(a, j) for k, a in enumerate(phi.args)})
-        return substitute(sigma, body)
+        return extend(stage_heads[j], phi, stage_memos[j])
 
     def min_stage(phi: Formula) -> int:
         if isinstance(phi, Var):
             return 0
-        own = decode[phi.connective][0]
-        return max([own] + [min_stage(a) for a in phi.args])
+        return max([stage_of[phi.connective]] + [min_stage(a) for a in phi.args])
 
     def oracle(gamma, phi, budget):
         start = max([min_stage(phi)] + [min_stage(g) for g in gamma])

@@ -9,8 +9,9 @@ pushouts are computed levelwise on arities.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
-from .formulas import App, Formula, Var, check_head
+from .formulas import App, Formula, Var, extend
 
 
 class UnsupportedConstruction(Exception):
@@ -91,6 +92,17 @@ class StrictMorphism:
     def __call__(self, connective: str) -> str:
         return self.mapping[connective]
 
+    @cached_property
+    def assignment(self) -> dict[str, Formula]:
+        """The flexible view c -> f(c)(x0..x_{n-1}), built on first use.
+
+        Slice truncations give strict morphisms thousands of connectives
+        that are never extended along, so the templates are not built
+        eagerly.
+        """
+        return {c: App(d, tuple(Var(i) for i in range(self.source.connectives[c])))
+                for c, d in self.mapping.items()}
+
     def __eq__(self, other):
         if not isinstance(other, StrictMorphism):
             return NotImplemented
@@ -129,19 +141,7 @@ def strict_extension(f: StrictMorphism, phi: Formula) -> Formula:
 
     Raises StructuralError unless phi is well-formed over f's source.
     """
-    return _extend(f, phi)
-
-
-def _extend(f: StrictMorphism, phi: Formula) -> Formula:
-    # Each node is checked when first translated; a memoized node was checked
-    # then, and well-formedness over f.source cannot change.
-    if type(phi) is Var:
-        return phi
-    image = f._memo.get(phi)
-    if image is None:
-        check_head(f.source, phi)
-        image = f._memo[phi] = App(f(phi.connective), tuple(_extend(f, a) for a in phi.args))
-    return image
+    return extend(f.assignment, phi, f._memo)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +188,11 @@ def coproduct_mediator(injections: list[StrictMorphism],
 
 def signature_product(factors: list[Signature], name: str = ""
                       ) -> tuple[Signature, list[StrictMorphism]]:
-    """Levelwise cartesian product; a connective is a tuple of same-arity ones."""
+    """Levelwise cartesian product; a connective is a tuple of same-arity ones.
+
+    The tuple (c1, ..., ck) is named c1__...__ck.  Raises ValueError when
+    two tuples get the same name, which would merge two connectives.
+    """
     if not factors:
         raise UnsupportedConstruction(
             "empty product is the terminal signature, which has infinite support")
@@ -203,6 +207,9 @@ def signature_product(factors: list[Signature], name: str = ""
             continue
         for combo in itertools.product(*pools):
             ident = "__".join(combo)
+            if ident in components:
+                raise ValueError(f"product connectives {components[ident]} and {combo} "
+                                 f"would both be named {ident!r}")
             connectives[ident] = arity
             components[ident] = combo
     result = Signature(name or "x".join(s.name for s in factors), connectives)

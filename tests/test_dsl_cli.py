@@ -119,6 +119,28 @@ def test_cli_prove_usage_error():
     assert cli.main(["prove", "--logic", "CPL1", "--goal", "bad(("]) == 3
 
 
+def test_cli_argparse_errors_exit_usage(capsys):
+    assert cli.main(["prove", "--logic"]) == 3
+    assert cli.main(["no-such-command"]) == 3
+    assert capsys.readouterr().err.count("\n") == 2  # one line each
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+
+
+def test_cli_flexible_chain_or_span_exits_usage(tmp_path, capsys):
+    assert cli.main(["colimit-chain", "--stages", "IMP,CPL1", "--maps", "inclImp"]) == 3
+    assert "strict" in capsys.readouterr().err
+    spec = tmp_path / "flex.logic"
+    spec.write_text(corpus.STANDARD_DSL + """
+morphism flexible shareNegFlex : SigNeg -> SigNegImp { neg -> neg(x0) }
+""")
+    assert cli.main(["--spec", str(spec), "fibre-shared", "--shared", "BotNeg",
+                     "--left", "IMPFRAGN", "--right", "NEGFRAG",
+                     "--left-map", "shareNegFlex", "--right-map", "shareNegRight"]) == 3
+    assert "strict" in capsys.readouterr().err
+
+
 def test_cli_translate():
     assert cli.main(["translate", "--via", "h", "--from", "CPL1",
                      "--to", "CPL2"]) == 0

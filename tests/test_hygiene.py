@@ -7,6 +7,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "catlog"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -57,3 +58,38 @@ def test_hygiene_check_sees_unused_imports():
     assert set(_imported_names(tree)) - _used_names(tree) == {"os", "dumps"}
     quoted = ast.parse("from typing import List\ndef f(x: 'List[int]'): pass\n")
     assert set(_imported_names(quoted)) <= _used_names(quoted)
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level `_private` functions and classes, with their lines."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _references(trees) -> set[str]:
+    """Names loaded, and attributes read, anywhere in the given trees."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_no_unreferenced_private_helpers():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    referenced = _references(trees.values())
+    unused = sorted((name, line, module) for module, tree in trees.items()
+                    for name, line in _private_definitions(tree).items()
+                    if name not in referenced)
+    assert not unused, "private helpers nothing in src/catlog refers to: " + ", ".join(
+        f"{module}:{line} {name}" for name, line, module in unused)
+
+
+def test_hygiene_check_sees_unreferenced_private_helpers():
+    tree = ast.parse(
+        "def _used(): pass\n"
+        "def _unused(): _used()\n"
+        "class _Kept: pass\n"
+        "class _Dropped: pass\n"
+        "def __dunder__(): pass\n"
+        "x = obj._Kept\n")
+    assert set(_private_definitions(tree)) - _references([tree]) == {"_unused", "_Dropped"}

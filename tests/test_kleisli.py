@@ -6,8 +6,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from catlog.formulas import (
-    App, Substitution, Var, complexity, enumerate_slice, fmt, parse, substitute,
-    variables,
+    App, StructuralError, Substitution, Var, check_formula, complexity,
+    enumerate_slice, fmt, parse, substitute, variables,
 )
 from catlog.kleisli import (
     FlexibleMorphism, all_flexible_morphisms, all_strict_morphisms,
@@ -109,6 +109,29 @@ def test_memoized_extension_matches_reference(phis):
             assert flexible_extension(h, phi) is _extension_reference(h, phi)
         assert flexible_extension(round_trip, phi) is \
             flexible_extension(K, flexible_extension(fresh, phi))
+
+
+def test_warm_memo_still_rejects_bad_formulas():
+    h = FlexibleMorphism(CPL1_SIG, CPL2_SIG, dict(H.assignment))
+    good = parse("imp(x0, neg(x1))", CPL1_SIG)
+    image = parse("orp(negp(x0), negp(x1))", CPL2_SIG)
+    assert flexible_extension(h, good) == image
+    bad_formulas = [
+        App("conj", (Var(0),)),                  # unknown head
+        App("conj", (good, Var(0))),             # unknown head over a good subterm
+        App("neg", (Var(0), Var(1))),            # wrong arity
+        App("neg", (good, good)),                # wrong arity over good subterms
+        App("imp", (good,)),
+        App("imp", (good, App("neg", (good, Var(1))))),  # bad node below the root
+    ]
+    for bad in bad_formulas:
+        with pytest.raises(StructuralError) as expected:
+            check_formula(CPL1_SIG, bad)
+        with pytest.raises(StructuralError) as got:
+            flexible_extension(h, bad)
+        assert str(got.value) == str(expected.value)
+    # the failures left the memo consistent
+    assert flexible_extension(h, good) == image
 
 
 def test_flexible_morphism_equality_ignores_memo():

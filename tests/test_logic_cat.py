@@ -17,8 +17,8 @@ from catlog.logic_cat import (
     push_proof, top, translate_formula,
 )
 from catlog.signatures import (
-    Signature, StrictMorphism, UnsupportedConstruction, signature_product,
-    strict_extension,
+    Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
+    signature_product, strict_extension,
 )
 
 ENV = corpus.standard_env()
@@ -331,6 +331,46 @@ def test_fibring_constrained_requires_strict_span():
         shared, la, VERIFIED)
     with pytest.raises(UnsupportedConstruction):
         fibring_constrained(flex_leg, flex_leg)
+
+
+def _pushed(morphism, calculus):
+    """Each axiom and rule of a presentation translated, in order."""
+    return ([strict_extension(morphism, a) for a in calculus.axioms],
+            [Rule(tuple(strict_extension(morphism, q) for q in r.premises),
+                  strict_extension(morphism, r.conclusion)) for r in calculus.rules])
+
+
+def _concatenated(parts):
+    return ([a for axioms, _ in parts for a in axioms],
+            [r for _, rules in parts for r in rules])
+
+
+def test_combinations_push_presentations_forward_in_order():
+    impfrag, impfragn, negfrag = (ENV.logic(n) for n in ("IMPFRAG", "IMPFRAGN", "NEGFRAG"))
+
+    def presentation(logic):
+        return logic.calculus.axioms, logic.calculus.rules
+
+    combined, t1, t2 = fibring_unconstrained(impfrag, negfrag)
+    assert presentation(combined) == _concatenated([
+        _pushed(t1.morphism, impfrag.calculus), _pushed(t2.morphism, negfrag.calculus)])
+
+    sig_neg = ENV.signature("SigNeg")
+    shared = Logic("sharedNeg", sig_neg, calculus=Calculus(
+        sig_neg, [p("neg(neg(x0))", sig_neg)],
+        [Rule((p("neg(neg(x0))", sig_neg),), p("x0", sig_neg))]))
+    f, g = ENV.morphism("shareNegLeft"), ENV.morphism("shareNegRight")
+    combined, t1, t2 = fibring_constrained(Translation(f, shared, impfragn, VERIFIED),
+                                           Translation(g, shared, negfrag, VERIFIED))
+    assert presentation(combined) == _concatenated([
+        _pushed(t1.morphism, impfragn.calculus), _pushed(t2.morphism, negfrag.calculus),
+        _pushed(compose_strict(t1.morphism, f), shared.calculus)])
+
+    incl = Translation(ENV.morphism("inclImpStrict"), impfrag, CPL1, VERIFIED)
+    combined, cocone = directed_colimit_logics([impfrag, CPL1], [incl])
+    assert presentation(combined) == _concatenated([
+        _pushed(cocone[0].morphism, impfrag.calculus),
+        _pushed(cocone[1].morphism, CPL1.calculus)])
 
 
 def test_product_logic_behaves_componentwise():

@@ -187,6 +187,15 @@ def test_product_example():
     assert result.connectives == {"neg__sim": 1}
 
 
+def test_product_rejects_colliding_names():
+    # (a__b, c) and (a, b__c) would both be named a__b__c
+    left = Signature("L", {"a__b": 0, "a": 0})
+    right = Signature("R", {"c": 0, "b__c": 0})
+    with pytest.raises(ValueError) as err:
+        signature_product([left, right])
+    assert "('a__b', 'c')" in str(err.value) and "('a', 'b__c')" in str(err.value)
+
+
 def test_empty_product_is_unsupported():
     with pytest.raises(UnsupportedConstruction):
         signature_product([])
