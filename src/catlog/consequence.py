@@ -9,7 +9,9 @@ providers without ever inventing an uncertified No.
 
 from __future__ import annotations
 
+import copy
 import itertools
+from collections import ChainMap
 from dataclasses import dataclass
 
 from .formulas import (
@@ -207,7 +209,12 @@ def transform_proof(proof: Proof, sigma: Substitution) -> Proof:
 
 
 class Matrix:
-    """Finite set of truth values with designated subset and total tables."""
+    """Finite set of truth values with designated subset and total tables.
+
+    `evaluate` is the reference evaluator: one formula at one valuation.
+    The queries below use `columns` instead, which evaluates a list of
+    formulas at every valuation at once and must agree with `evaluate`.
+    """
 
     def __init__(self, values: list, designated: list, tables: dict[str, dict[tuple, object]]):
         if not values:
@@ -219,6 +226,10 @@ class Matrix:
         if not self.designated <= set(self.values):
             raise ValueError("designated values must be values")
         self.tables = {c: dict(t) for c, t in tables.items()}
+        # by value index: designation, flattened tables, variable columns
+        self._designated_at = tuple(v in self.designated for v in self.values)
+        self._flat: dict[str, list[int]] = {}
+        self._var_columns: dict[int, list[tuple[int, ...]]] = {}
 
     def validate_for(self, sig: Signature) -> None:
         for c, arity in sig.connectives.items():
@@ -240,6 +251,65 @@ class Matrix:
         args = tuple(self.evaluate(a, valuation) for a in phi.args)
         return self.tables[phi.connective][args]
 
+    def columns(self, formulas, occurring) -> list[list[int]]:
+        """The value of each formula at every valuation of `occurring`.
+
+        Valuations run in `itertools.product(self.values, repeat=k)` order
+        (`valuation(occurring, t)` is the t-th); values are given by their
+        index in `self.values`.  Each distinct subterm is computed once per
+        call, a column at a time, through its connective's flattened table.
+        """
+        n = len(self.values)
+        memo: dict[Formula, list[int]] = dict(
+            zip(map(Var, occurring), self._columns_of_variables(len(occurring))))
+
+        def column(phi: Formula) -> list[int]:
+            col = memo.get(phi)
+            if col is None:
+                if type(phi) is Var:
+                    raise KeyError(phi.index)
+                args = [column(a) for a in phi.args]
+                table = self._flat.get(phi.connective) or self._flatten(phi)
+                if len(args) == 1:
+                    col = [table[v] for v in args[0]]
+                elif len(args) == 2:
+                    col = [table[v * n + w] for v, w in zip(*args)]
+                else:
+                    keys = [0] * n ** len(occurring)
+                    for arg in args:
+                        keys = [key * n + v for key, v in zip(keys, arg)]
+                    col = [table[key] for key in keys]
+                memo[phi] = col
+            return col
+
+        return [column(phi) for phi in formulas]
+
+    def valuation(self, occurring, t: int) -> dict:
+        """The t-th valuation of `occurring` in `columns` order."""
+        cols = self._columns_of_variables(len(occurring))
+        return {v: self.values[col[t]] for v, col in zip(occurring, cols)}
+
+    def _columns_of_variables(self, k: int) -> list[tuple[int, ...]]:
+        cols = self._var_columns.get(k)
+        if cols is None:
+            n = len(self.values)
+            cols = self._var_columns[k] = [
+                tuple(t // n ** (k - 1 - p) % n for t in range(n ** k))
+                for p in range(k)]
+        return cols
+
+    def _flatten(self, phi: App) -> list[int]:
+        """phi's connective table as value indices, argument indices read
+        as a base-n numeral; built once per connective."""
+        index: dict = {}
+        for i, v in enumerate(self.values):
+            index.setdefault(v, i)
+        table = self.tables[phi.connective]
+        flat = self._flat[phi.connective] = [
+            index[table[combo]]
+            for combo in itertools.product(self.values, repeat=len(phi.args))]
+        return flat
+
     def is_designated(self, value) -> bool:
         return value in self.designated
 
@@ -260,20 +330,18 @@ def matrix_consequence(matrix: Matrix, gamma, phi: Formula
     """Designation-preserving entailment; countervaluation on failure."""
     gamma = list(gamma)
     occurring = sorted(set().union(variables(phi), *[variables(g) for g in gamma]))
-    for combo in itertools.product(matrix.values, repeat=len(occurring)):
-        valuation = dict(zip(occurring, combo))
-        if all(matrix.is_designated(matrix.evaluate(g, valuation)) for g in gamma):
-            if not matrix.is_designated(matrix.evaluate(phi, valuation)):
-                return False, valuation
+    *premises, conclusion = matrix.columns([*gamma, phi], occurring)
+    designated = matrix._designated_at
+    for t, value in enumerate(conclusion):
+        if not designated[value] and all(designated[col[t]] for col in premises):
+            return False, matrix.valuation(occurring, t)
     return True, None
 
 
 def truth_function(matrix: Matrix, phi: Formula, n: int) -> tuple:
     """Value tuple of phi over all valuations of x0..x_{n-1}, in a fixed order."""
-    out = []
-    for combo in itertools.product(matrix.values, repeat=n):
-        out.append(matrix.evaluate(phi, dict(zip(range(n), combo))))
-    return tuple(out)
+    [col] = matrix.columns([phi], range(n))
+    return tuple(map(matrix.values.__getitem__, col))
 
 
 def designation_function(matrix: Matrix, phi: Formula, n: int) -> tuple[bool, ...]:
@@ -284,12 +352,11 @@ def matrix_interderivable(matrix: Matrix, phi: Formula, psi: Formula
                           ) -> tuple[bool, dict[int, object] | None]:
     """Mutual designation-entailment, with a separating valuation when false."""
     occurring = sorted(variables(phi) | variables(psi))
-    for combo in itertools.product(matrix.values, repeat=len(occurring)):
-        valuation = dict(zip(occurring, combo))
-        left = matrix.is_designated(matrix.evaluate(phi, valuation))
-        right = matrix.is_designated(matrix.evaluate(psi, valuation))
-        if left != right:
-            return False, valuation
+    left, right = matrix.columns([phi, psi], occurring)
+    designated = matrix._designated_at
+    for t, (a, b) in enumerate(zip(left, right)):
+        if designated[a] != designated[b]:
+            return False, matrix.valuation(occurring, t)
     return True, None
 
 
@@ -802,32 +869,36 @@ class Saturation:
     Axiom schemes are instantiated with images drawn from a finite pool;
     rules fire whenever all premises are already derived and the conclusion
     complexity stays within `conclusion_cap`.  Two-premise rules join through
-    an index on their shared variables; `fork` makes a cheap copy so many
-    hypothesis sets can be explored against one base saturation.
+    an index on their shared variables.
+
+    `fork` explores one more hypothesis set against this saturation without
+    copying it: `derived` and each join index are `ChainMap`s whose first
+    map is the fork's own layer and whose other maps are the base's, read
+    by reference.  A fork copies a join bucket before its first append to
+    it, so the base never changes, and iterates base entries first, then
+    its own, in the order a full copy would have.
     """
 
     def __init__(self, calculus: Calculus, seed_pool: list[Formula],
-                 conclusion_cap: int = 12, _blank: bool = False):
+                 conclusion_cap: int = 12):
         self.calculus = calculus
         self.cap = conclusion_cap
-        self.derived: dict[Formula, tuple] = {}
+        self.derived: ChainMap[Formula, tuple] = ChainMap()
         self.queue: list[Formula] = []
         # per rule: premise variable sets and, for 2-premise rules, the join
         # variables plus an index per position keyed by the join images
         self.rule_vars = []
         self.join_vars = []
-        self.join_index: list[list[dict[tuple, list[Substitution]]]] = []
+        self.join_index: list[list[ChainMap[tuple, list[Substitution]]]] = []
         for rule in calculus.rules:
             pvars = [variables(p) for p in rule.premises]
             self.rule_vars.append(pvars)
             if len(rule.premises) == 2:
                 self.join_vars.append(tuple(sorted(pvars[0] & pvars[1])))
-                self.join_index.append([{}, {}])
+                self.join_index.append([ChainMap(), ChainMap()])
             else:
                 self.join_vars.append(())
                 self.join_index.append([])
-        if _blank:
-            return
         for aidx, axiom in enumerate(calculus.axioms):
             free = sorted(variables(axiom))
             for combo in itertools.product(seed_pool, repeat=len(free)):
@@ -836,14 +907,17 @@ class Saturation:
         self._run()
 
     def fork(self) -> "Saturation":
-        other = Saturation(self.calculus, [], self.cap, _blank=True)
-        other.derived = dict(self.derived)
+        other = copy.copy(self)
+        other.derived = self.derived.new_child()
         other.queue = []
-        other.join_index = [
-            [{k: list(v) for k, v in idx.items()} for idx in per_rule]
-            for per_rule in self.join_index
-        ]
+        other.join_index = [[idx.new_child() for idx in per_rule]
+                            for per_rule in self.join_index]
         return other
+
+    @property
+    def added(self) -> dict[Formula, tuple]:
+        """What this saturation derived itself; for a fork, beyond its base."""
+        return self.derived.maps[0]
 
     def _add(self, phi: Formula, why: tuple) -> None:
         if phi in self.derived or complexity(phi) > self.cap:
@@ -876,7 +950,12 @@ class Saturation:
                d: Formula) -> None:
         join = self.join_vars[ridx]
         key = tuple(sigma(v) for v in join)
-        self.join_index[ridx][j].setdefault(key, []).append(sigma)
+        index = self.join_index[ridx][j]
+        own = index.maps[0]
+        bucket = own.get(key)
+        if bucket is None:
+            bucket = own[key] = list(index.get(key, ()))
+        bucket.append(sigma)
         other = 1 - j
         other_vars = self.rule_vars[ridx][other]
         if other_vars <= set(sigma.mapping):

@@ -44,6 +44,17 @@ class FlexibleMorphism:
                 raise ValueError(
                     f"{c!r}/{arity} must map into the arity-{arity} slice, "
                     f"got {fmt(phi)} with variables {sorted(variables(phi))}")
+        self._set(source, target, assignment, name)
+
+    @classmethod
+    def _unchecked(cls, source: Signature, target: Signature,
+                   assignment: dict[str, Formula]) -> "FlexibleMorphism":
+        """Build without checking an assignment known to be well formed."""
+        h = cls.__new__(cls)
+        h._set(source, target, assignment, "")
+        return h
+
+    def _set(self, source, target, assignment, name) -> None:
         self.source = source
         self.target = target
         self.assignment = {c: assignment[c] for c in source.connectives}
@@ -101,7 +112,9 @@ def kleisli_compose(h2: FlexibleMorphism, h1: FlexibleMorphism) -> FlexibleMorph
     if h1.target != h2.source:
         raise ValueError("flexible morphisms not composable")
     assignment = {c: flexible_extension(h2, h1(c)) for c in h1.source.connectives}
-    return FlexibleMorphism(h1.source, h2.target, assignment)
+    # every template of h2 is a slice formula over h2's target, so each image
+    # is well formed there and keeps exactly h1(c)'s variables: no re-check
+    return FlexibleMorphism._unchecked(h1.source, h2.target, assignment)
 
 
 def is_regular(h: FlexibleMorphism) -> tuple[bool, Formula | None]:

@@ -108,9 +108,7 @@ def morphisms_equivalent(f, g, source: Logic, target: Logic,
         if v.is_unknown:
             unknown = True
     if target_congruential is None:
-        target_congruential = (
-            is_congruential(target, bounds, budget).status == CONFIRMED
-            if target.matrix is not None or target.decides else False)
+        target_congruential = _known_congruential(target, bounds, budget)
     if target_congruential:
         status = UNKNOWN if unknown else CONFIRMED
         return EquivalenceCertificate(hf, hg, status, scope="generator-sufficient",
@@ -181,6 +179,14 @@ def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
                                           pairs_checked=pairs)
     status = UNKNOWN if unknown else CONFIRMED
     return CongruentialityVerdict(status, bounds, pairs_checked=pairs)
+
+
+def _known_congruential(logic: Logic, bounds: tuple[int, int], budget: Budget) -> bool:
+    """Whether the generator check settles equivalence into `logic`: only
+    exactly decided logics are tested, and only a confirmed test counts."""
+    if logic.matrix is None and not logic.decides:
+        return False
+    return is_congruential(logic, bounds, budget).status == CONFIRMED
 
 
 def _matrix_congruential(logic: Logic, pool: list[Formula],
@@ -272,16 +278,25 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
         return True
 
     base = Saturation(logic.calculus, seed_pool)
-    # reach[phi]: the pool formulas derivable from phi; each fork is
+    # the pool formulas derivable from phi are the base theorems in the pool
+    # plus reach[phi], those its fork derived beyond the base; each fork is
     # dropped once read, so only one is alive at a time
+    theorems = [phi for phi in pool if phi in base]
     reach: dict[Formula, set[Formula]] = {}
     for phi in pool:
         fork = base.fork()
         fork.extend([phi])
-        reach[phi] = pool_set & fork.derived.keys()
-    for a, b in itertools.combinations(pool, 2):
-        if b in reach[a] and a in reach[b]:
-            union(a, b)
+        reach[phi] = pool_set.intersection(fork.added)
+    # two base theorems are interderivable, a base theorem and another
+    # formula never, two other formulas when each is in the other's reach;
+    # the root of a class is its sort_key minimum, so the order of the
+    # unions is immaterial
+    for a, b in zip(theorems, theorems[1:]):
+        union(a, b)
+    for a in pool:
+        for b in reach[a]:
+            if a in reach[b]:
+                union(a, b)
     # context fixpoint inside the pool: equivalent arguments make contexts
     # equivalent, which can merge further classes
     changed = True
@@ -495,10 +510,8 @@ def _denseness_by_functions(hf, target: Logic, n: int, targets, source_compl: in
     ops = {}
     for c, arity in sorted(src_sig.connectives.items()):
         if arity > 0:
-            table = {}
-            for combo in itertools.product(matrix.values, repeat=arity):
-                table[combo] = matrix.evaluate(
-                    hf(c), dict(zip(range(arity), combo)))
+            table = dict(zip(itertools.product(matrix.values, repeat=arity),
+                             truth_function(matrix, hf(c), arity)))
             ops[c] = (arity, table)
     states = list(best.items())
     for _ in range(source_compl):
@@ -561,13 +574,19 @@ def compose_weak_equivalences(outer: WeakEquivalenceCertificate,
 
 def rigidity_probe(logic: Logic, bound: int = 3,
                    budget: Budget = DEFAULT_BUDGET) -> dict:
-    """Enumerate verified endo-translations and test each against identity."""
+    """Enumerate verified endo-translations and test each against identity.
+
+    Every comparison has the logic itself as target, so whether it is
+    congruential is tested once, at the first verified endo-translation.
+    """
     sig = logic.signature
     ident = kleisli_identity(sig)
     endos = all_flexible_morphisms(sig, sig, bound)
     verified = 0
     non_rigid = []
     identity_found = False
+    bounds = (3, 2)  # morphisms_equivalent's default
+    congruential = None
     for h in endos:
         if h == ident:
             identity_found = True
@@ -581,7 +600,10 @@ def rigidity_probe(logic: Logic, bound: int = 3,
         if status != VERIFIED:
             continue
         verified += 1
-        cert = morphisms_equivalent(h, ident, logic, logic, budget)
+        if congruential is None:
+            congruential = _known_congruential(logic, bounds, budget)
+        cert = morphisms_equivalent(h, ident, logic, logic, budget, bounds,
+                                    target_congruential=congruential)
         if cert.status == REFUTED:
             non_rigid.append({"morphism": h.to_json(), "witness": cert.witness})
     return {

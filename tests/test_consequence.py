@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from catlog import corpus
 from catlog.consequence import (
@@ -11,8 +13,10 @@ from catlog.consequence import (
     matrix_interderivable, meet, search_proof, transform_proof, truth_function,
     verify_proof,
 )
-from catlog.formulas import Substitution, Var, fmt, parse, substitute
+from catlog.formulas import Substitution, Var, fmt, parse, substitute, variables
 from catlog.signatures import Signature
+
+from strategies import formulas
 
 ENV = corpus.standard_env()
 CPL1 = ENV.logic("CPL1")
@@ -60,6 +64,71 @@ def test_matrix_consequence_l3_excluded_middle():
 def test_matrix_consequence_empty_gamma():
     holds, counter = matrix_consequence(CPL1.matrix, [], p("x0"))
     assert not holds and counter == {0: "0"}
+
+
+# a matrix with a nullary and a ternary connective, next to the corpus ones
+MIXED3_SIG = Signature("Mixed3", {"e": 0, "u": 1, "b": 2, "t": 3})
+MIXED3 = Matrix(["a", "b", "c"], ["c"], {
+    "e": {(): "b"},
+    "u": {("a",): "c", ("b",): "a", ("c",): "b"},
+    "b": {(x, y): max(x, y) for x in "abc" for y in "abc"},
+    "t": {(x, y, z): (y if x == "c" else z) for x in "abc" for y in "abc"
+          for z in "abc"},
+})
+MATRIX_CASES = [(ENV.logic(name).matrix, ENV.logic(name).signature)
+                for name in ("CPL1", "CPL2", "L3", "NC3", "IMP")]
+MATRIX_CASES.append((MIXED3, MIXED3_SIG))
+
+
+def _valuations(matrix, occurring):
+    for combo in itertools.product(matrix.values, repeat=len(occurring)):
+        yield dict(zip(occurring, combo))
+
+
+def _holds(matrix, phi, valuation):
+    return matrix.is_designated(matrix.evaluate(phi, valuation))
+
+
+def _reference_consequence(matrix, gamma, phi):
+    occurring = sorted(set().union(variables(phi), *[variables(g) for g in gamma]))
+    for valuation in _valuations(matrix, occurring):
+        if all(_holds(matrix, g, valuation) for g in gamma) \
+                and not _holds(matrix, phi, valuation):
+            return False, valuation
+    return True, None
+
+
+def _reference_interderivable(matrix, phi, psi):
+    for valuation in _valuations(matrix, sorted(variables(phi) | variables(psi))):
+        if _holds(matrix, phi, valuation) != _holds(matrix, psi, valuation):
+            return False, valuation
+    return True, None
+
+
+@st.composite
+def matrix_queries(draw):
+    matrix, sig = draw(st.sampled_from(MATRIX_CASES))
+    gamma = draw(st.lists(formulas(sig), max_size=3))
+    return matrix, gamma, draw(formulas(sig)), draw(formulas(sig))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_queries())
+def test_matrix_kernel_matches_per_valuation_reference(query):
+    matrix, gamma, phi, psi = query
+    for got, want in [
+            (matrix_consequence(matrix, gamma, phi),
+             _reference_consequence(matrix, gamma, phi)),
+            (matrix_interderivable(matrix, phi, psi),
+             _reference_interderivable(matrix, phi, psi))]:
+        # the same first valuation, keys in the same order
+        assert got == want
+        assert want[1] is None or list(got[1]) == list(want[1])
+    n = max(variables(phi), default=-1) + 1
+    for width in (n, n + 1):
+        assert truth_function(matrix, phi, width) == tuple(
+            matrix.evaluate(phi, valuation)
+            for valuation in _valuations(matrix, range(width)))
 
 
 def test_matrix_rejects_partial_tables():
@@ -290,6 +359,46 @@ def test_saturation_proofs_verify():
     fork.extend([p("neg(x0)")])
     assert p("neg(x0)") in fork
     assert goal in sat  # the fork does not leak back
+
+
+def _join_snapshot(sat):
+    return [[{key: list(bucket) for key, bucket in index.items()} for index in per_rule]
+            for per_rule in sat.join_index]
+
+
+def test_fork_leaves_its_base_unchanged():
+    from catlog.formulas import enumerate_formulas
+    base = Saturation(CPL1.calculus, enumerate_formulas(SIG, 1, 2))
+    derived, joins = list(base.derived.items()), _join_snapshot(base)
+    fork = base.fork()
+    x0 = p("x0")
+    fork.extend([x0])
+    assert list(base.derived.items()) == derived
+    assert _join_snapshot(base) == joins
+    assert x0 in fork and x0 not in base
+    # the fork appended to buckets the base has too, and the base kept its own
+    grown = [(key, r, j) for r, per_rule in enumerate(joins)
+             for j, index in enumerate(per_rule) for key in index
+             if len(fork.join_index[r][j][key]) > len(index[key])]
+    assert grown
+    for key, r, j in grown:
+        assert fork.join_index[r][j][key][:len(joins[r][j][key])] == joins[r][j][key]
+    # base entries first, then the fork's own, as a full copy would have them
+    assert list(fork.derived)[:len(derived)] == [phi for phi, _ in derived]
+    for phi in fork.added:
+        assert verify_proof(CPL1, {x0}, phi, fork.proof_of(phi))
+
+
+def test_sibling_forks_are_isolated():
+    from catlog.formulas import enumerate_formulas
+    base = Saturation(CPL1.calculus, enumerate_formulas(SIG, 1, 2))
+    left, right = base.fork(), base.fork()
+    left.extend([p("x0")])
+    assert left.added and not any(phi in right for phi in left.added)
+    right.extend([p("neg(x0)")])
+    assert p("neg(x0)") in right and p("neg(x0)") not in left
+    assert p("x0") not in right
+    assert not any(phi in base for phi in [*left.added, *right.added])
 
 
 def test_saturation_agrees_with_search_on_samples():

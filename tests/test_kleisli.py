@@ -150,6 +150,20 @@ def test_kleisli_compose_frozen_example():
     assert composed("imp") == parse("imp(neg(neg(x0)), x1)", CPL1_SIG)
 
 
+def test_composites_pass_the_check_that_compose_skips():
+    # kleisli_compose builds its result without FlexibleMorphism's check
+    mixed = Signature("M", {"e": 0, "u": 1, "b": 2})
+    other = Signature("N", {"z": 0, "i": 2})
+    checked = 0
+    for a, b, c in [(CPL1_SIG, mixed, other), (mixed, other, mixed)]:
+        for h1 in all_flexible_morphisms(a, b, 2)[:25]:
+            for h2 in all_flexible_morphisms(b, c, 2)[:25]:
+                composite = kleisli_compose(h2, h1)
+                assert FlexibleMorphism(a, c, composite.assignment) == composite
+                checked += 1
+    assert checked == 2 * 25 * 25
+
+
 def test_unit_laws_small_exhaustive():
     for src in (Signature("N", {"n": 1}), Signature("B", {"b": 2})):
         for tgt in (CPL1_SIG, CPL2_SIG):

@@ -1,8 +1,14 @@
+import copy
+import itertools
+from collections import ChainMap
+
 import pytest
 
-from catlog import corpus
-from catlog.consequence import Budget, derives, matrix_interderivable
-from catlog.formulas import enumerate_formulas, fmt, parse
+from catlog import corpus, quotient
+from catlog.consequence import (
+    Budget, Rule, Saturation, derives, matrix_interderivable,
+)
+from catlog.formulas import enumerate_formulas, fmt, parse, sort_key
 from catlog.kleisli import (
     FlexibleMorphism, flexible_extension, kleisli_compose, kleisli_identity,
 )
@@ -162,6 +168,81 @@ def test_closure_is_monotone_on_queries(fibred_and_closure):
             assert derives(closed, [], goal, FAST).is_yes
 
 
+def _copying_fork(sat):
+    """A fork that copies `derived` and every join bucket in full."""
+    other = copy.copy(sat)
+    other.derived = ChainMap(dict(sat.derived))
+    other.queue = []
+    other.join_index = [
+        [ChainMap({key: list(bucket) for key, bucket in index.items()})
+         for index in per_rule]
+        for per_rule in sat.join_index]
+    return other
+
+
+def _reference_closure_rules(logic, bounds):
+    """congruential_closure's rules computed with copying forks and a test
+    of every pool pair."""
+    compl_bound, var_bound = bounds
+    sig = logic.signature
+    pool = enumerate_formulas(sig, var_bound, compl_bound)
+    pool_set = set(pool)
+    parent = {phi: phi for phi in pool}
+
+    def find(phi):
+        while parent[phi] != phi:
+            phi = parent[phi]
+        return phi
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        lo, hi = sorted((ra, rb), key=sort_key)
+        parent[hi] = lo
+        return True
+
+    base = Saturation(logic.calculus, enumerate_formulas(sig, var_bound, 2))
+    reach = {}
+    for phi in pool:
+        fork = _copying_fork(base)
+        fork.extend([phi])
+        reach[phi] = pool_set & fork.derived.keys()
+    for a, b in itertools.combinations(pool, 2):
+        if b in reach[a] and a in reach[b]:
+            union(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for a in pool:
+            r = find(a)
+            if r != a:
+                for _, _, ca, cb in quotient._contexts(sig, a, r, 0):
+                    if ca in pool_set and cb in pool_set and union(ca, cb):
+                        changed = True
+    rules, seen = [], set()
+    for a in pool:
+        r = find(a)
+        if r == a:
+            continue
+        pairs = [(a, r)] + [(ca, cb) for _, _, ca, cb in quotient._contexts(sig, a, r, 0)
+                            if not (ca in pool_set and cb in pool_set)]
+        for x, y in pairs:
+            if (x, y) not in seen and x != y:
+                seen.add((x, y))
+                rules += [Rule((x,), y), Rule((y,), x)]
+    return logic.calculus.rules + rules
+
+
+# NEGFRAG at the command line's default bounds adds no rule; IMPFRAG has
+# theorems and interderivable pairs in its pool and adds 370
+@pytest.mark.parametrize("name, bounds", [("NEGFRAG", (4, 2)), ("IMPFRAG", (3, 2))])
+def test_closure_matches_copying_all_pairs_reference(name, bounds):
+    logic = ENV.logic(name)
+    closed = congruential_closure(logic, bounds)
+    assert closed.calculus.rules == _reference_closure_rules(logic, bounds)
+
+
 # --- weak equivalence -----------------------------------------------------------
 
 
@@ -228,6 +309,36 @@ def test_classical_logic_is_rigid_at_bound_two():
     assert report["identity_enumerated"]
     assert report["verified_translations"] >= 1
     assert report["rigid"], report["non_rigid_witnesses"]
+
+
+def test_rigidity_probe_tests_congruentiality_once(monkeypatch):
+    calls = []
+    real = quotient.is_congruential
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quotient, "is_congruential", counting)
+    report = rigidity_probe(CPL1, bound=2)
+    assert len(calls) <= 1
+    # the same report as comparing each endomorphism on its own, which
+    # tests the target's congruentiality every time
+    endos = quotient.all_flexible_morphisms(SIG, SIG, 2)
+    ident = kleisli_identity(SIG)
+    verified, non_rigid = 0, []
+    for h in endos:
+        if check_translation(h, CPL1, CPL1, semantic=True).status != VERIFIED:
+            continue
+        verified += 1
+        cert = morphisms_equivalent(h, ident, CPL1, CPL1)
+        if cert.status == REFUTED:
+            non_rigid.append({"morphism": h.to_json(), "witness": cert.witness})
+    assert len(calls) == 1 + verified
+    assert report == {
+        "endomorphisms": len(endos), "verified_translations": verified,
+        "identity_enumerated": ident in endos, "rigid": not non_rigid,
+        "non_rigid_witnesses": non_rigid, "bound": 2}
 
 
 def test_bottom_logic_is_not_rigid():
