@@ -13,17 +13,19 @@ import json
 import sys
 
 from . import corpus, dsl, kleisli
-from .consequence import Budget, derives
+from .consequence import (
+    Budget, CONFIRMED, NEGATIVE, POSITIVE, REFUTED, UNKNOWN, VERIFIED, YES,
+    derives,
+)
 from .formulas import fmt, parse
 from .kleisli import is_regular, kleisli_compose, kleisli_identity
 from .logic_cat import (
-    Translation, VERIFIED, as_flexible, check_translation, directed_colimit_logics,
+    Translation, as_flexible, check_translation, directed_colimit_logics,
     fibring_constrained, fibring_unconstrained, product_logic,
 )
 from .quotient import (
-    CONFIRMED, REFUTED, congruential_closure, is_congruential,
-    lindenbaum_delta_check, morphisms_equivalent, rigidity_probe,
-    weak_equivalence,
+    congruential_closure, is_congruential, lindenbaum_delta_check,
+    morphisms_equivalent, rigidity_probe, weak_equivalence,
 )
 from .signatures import UnsupportedConstruction
 
@@ -50,9 +52,10 @@ def emit(report: dict, json_path: str | None, summary: str) -> None:
 
 
 def status_exit(status: str) -> int:
-    if status in ("yes", "verified", CONFIRMED, "pass"):
+    """The one map from a status word to an exit code."""
+    if status in POSITIVE:
         return EXIT_OK
-    if status in ("no", "refuted", REFUTED):
+    if status in NEGATIVE:
         return EXIT_REFUTED
     return EXIT_UNKNOWN
 
@@ -166,212 +169,215 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(args, budget: Budget) -> int:
-    env = load_env(args.spec)
-    cmd = args.command
+    """Run one command: emit its report once, exit by its status."""
+    report, summary, status = COMMANDS[args.command](load_env(args.spec), args, budget)
+    emit(report, args.json, summary)
+    return status_exit(status)
 
-    if cmd in ("validate", "load"):
-        emit({"command": "validate", "environment": env.summary()},
-             args.json, "spec is well formed")
-        return EXIT_OK
 
-    if cmd == "prove":
-        logic = env.logic(args.logic)
+# Each command handler takes (env, args, budget) and returns
+# (report, summary line, status word).
+
+
+def _validate(env, args, budget):
+    return ({"command": "validate", "environment": env.summary()},
+            "spec is well formed", YES)
+
+
+def _prove(env, args, budget):
+    logic = env.logic(args.logic)
+    goal = parse(args.goal, logic.signature)
+    hyps = [parse(h, logic.signature) for h in args.hyp]
+    verdict = derives(logic, hyps, goal, budget)
+    report = {"command": "prove", "logic": args.logic, "goal": fmt(goal),
+              "hypotheses": [fmt(h) for h in hyps],
+              "budget": budget.to_json(), **verdict.to_json()}
+    return report, f"{args.logic}: {verdict.status}", verdict.status
+
+
+def _translate(env, args, budget):
+    morphism = env.morphism(args.via)
+    source, target = env.logic(args.source), env.logic(args.target)
+    t = check_translation(morphism, source, target, budget)
+    return {"command": "translate", **t.to_json()}, f"{args.via}: {t.status}", t.status
+
+
+def _check_morphism(env, args, budget):
+    m = env.morphism(args.name)
+    return ({"command": "check-morphism", "morphism": m.to_json(), "well_formed": True},
+            f"{args.name}: well formed", YES)
+
+
+def _check_regular(env, args, budget):
+    flex = as_flexible(env.morphism(args.name))
+    regular, witness = is_regular(flex)
+    report = {"command": "check-regular", "morphism": flex.to_json(),
+              "regular": regular}
+    if witness is not None:
+        report["witness"] = fmt(witness)
+    return (report, f"{args.name}: {'regular' if regular else 'not regular'}",
+            CONFIRMED if regular else REFUTED)
+
+
+def _goal(report: dict, logic, args, budget) -> str:
+    """Decide `--goal` (under `--hyp`, where the command takes it) in a
+    built logic, into the report's "goal"; the status of the command."""
+    if not args.goal:
+        return YES
+    goal = parse(args.goal, logic.signature)
+    hyps = [parse(h, logic.signature) for h in getattr(args, "hyp", [])]
+    verdict = derives(logic, hyps, goal, budget)
+    report["goal"] = {"formula": fmt(goal), **verdict.to_json()}
+    return verdict.status
+
+
+def _with_dsl(logic) -> str:
+    """A built logic as spec text that loads back: its signature, then it."""
+    return dsl.signature_to_dsl(logic.signature) + dsl.logic_to_dsl(logic)
+
+
+def _fibre(env, args, budget):
+    combined, t1, t2 = fibring_unconstrained(env.logic(args.left), env.logic(args.right))
+    report = {"command": "fibre", "logic": combined.to_json(),
+              "dsl": _with_dsl(combined), "injections": [t1.to_json(), t2.to_json()]}
+    status = _goal(report, combined, args, budget)
+    return report, f"fibring of {args.left} and {args.right} built", status
+
+
+def _fibre_shared(env, args, budget):
+    shared = env.logic(args.shared)
+    left, right = env.logic(args.left), env.logic(args.right)
+    left_leg = _span_leg(env.morphism(args.left_map), shared, left, budget)
+    right_leg = _span_leg(env.morphism(args.right_map), shared, right, budget)
+    combined, t1, t2 = fibring_constrained(left_leg, right_leg)
+    report = {"command": "fibre-shared", "logic": combined.to_json(),
+              "dsl": _with_dsl(combined), "cocone": [t1.to_json(), t2.to_json()]}
+    return report, "constrained fibring built", _goal(report, combined, args, budget)
+
+
+def _product(env, args, budget):
+    combined, t1, t2 = product_logic(env.logic(args.left), env.logic(args.right))
+    report = {"command": "product", "signature": combined.signature.to_json(),
+              "projections": [t1.to_json(), t2.to_json()]}
+    return report, "product built", _goal(report, combined, args, budget)
+
+
+def _colimit_chain(env, args, budget):
+    stages = [env.logic(nm) for nm in args.stages.split(",")]
+    names = [nm for nm in args.maps.split(",") if nm]
+    maps = [_span_leg(env.morphism(nm), stages[i], stages[i + 1], budget)
+            for i, nm in enumerate(names)]
+    combined, cocone = directed_colimit_logics(stages, maps)
+    report = {"command": "colimit-chain", "logic": combined.to_json(),
+              "dsl": _with_dsl(combined), "cocone": [t.to_json() for t in cocone]}
+    return report, "chain colimit built", _goal(report, combined, args, budget)
+
+
+def _quotient_equal(env, args, budget):
+    cert = morphisms_equivalent(
+        env.morphism(args.left), env.morphism(args.right),
+        env.logic(args.source), env.logic(args.target), budget,
+        bounds=(args.bound, args.nvars))
+    return ({"command": "quotient-equal", **cert.to_json()},
+            f"[{args.left}] = [{args.right}]: {cert.status} ({cert.scope})", cert.status)
+
+
+def _congruential(env, args, budget):
+    verdict = is_congruential(env.logic(args.logic), (args.bound, args.nvars), budget)
+    return ({"command": "congruential", "logic": args.logic, **verdict.to_json()},
+            f"{args.logic}: {verdict.status}", verdict.status)
+
+
+def _closure(env, args, budget):
+    logic = env.logic(args.logic)
+    closed = congruential_closure(logic, (args.bound, args.nvars), budget)
+    added = 0
+    if closed.calculus is not None and logic.calculus is not None:
+        added = len(closed.calculus.rules) - len(logic.calculus.rules)
+    report = {"command": "closure", "logic": args.logic,
+              "rules_added": added, "unchanged": closed is logic}
+    status = YES
+    if args.goal:
         goal = parse(args.goal, logic.signature)
         hyps = [parse(h, logic.signature) for h in args.hyp]
-        verdict = derives(logic, hyps, goal, budget)
-        report = {"command": "prove", "logic": args.logic, "goal": fmt(goal),
-                  "hypotheses": [fmt(h) for h in hyps],
-                  "budget": budget.to_json(), **verdict.to_json()}
-        emit(report, args.json, f"{args.logic}: {verdict.status}")
-        return status_exit(verdict.status)
+        report["before"] = derives(logic, hyps, goal, budget).status
+        after = derives(closed, hyps, goal, budget)
+        report["after"] = after.to_json()
+        status = after.status
+    return report, f"closure of {args.logic}: {added} replacement rules added", status
 
-    if cmd == "translate":
-        morphism = env.morphism(args.via)
-        source, target = env.logic(args.source), env.logic(args.target)
-        t = check_translation(morphism, source, target, budget)
-        emit({"command": "translate", **t.to_json()}, args.json,
-             f"{args.via}: {t.status}")
-        return status_exit(t.status)
 
-    if cmd == "check-morphism":
-        m = env.morphism(args.name)
-        emit({"command": "check-morphism", "morphism": m.to_json(),
-              "well_formed": True}, args.json, f"{args.name}: well formed")
-        return EXIT_OK
+def _lindenbaum(env, args, budget):
+    logic = env.logic(args.logic)
+    delta = [parse(t, logic.signature) for t in args.delta.split(";") if t.strip()]
+    report = lindenbaum_delta_check(logic, delta, budget,
+                                    bounds=(min(args.bound, 2), args.nvars))
+    statuses = [v["status"] for v in report["conditions"].values()]
+    return ({"command": "lindenbaum", "logic": args.logic, **report},
+            f"{args.logic}: {'pass' if report['passed'] else 'fail'}",
+            _overall(statuses))
 
-    if cmd == "check-regular":
-        m = env.morphism(args.name)
-        flex = as_flexible(m)
-        regular, witness = is_regular(flex)
-        report = {"command": "check-regular", "morphism": flex.to_json(),
-                  "regular": regular}
-        if witness is not None:
-            report["witness"] = fmt(witness)
-        emit(report, args.json, f"{args.name}: {'regular' if regular else 'not regular'}")
-        return EXIT_OK if regular else EXIT_REFUTED
 
-    if cmd == "fibre":
-        combined, t1, t2 = fibring_unconstrained(
-            env.logic(args.left), env.logic(args.right))
-        report = {"command": "fibre", "logic": combined.to_json(),
-                  "dsl": dsl.logic_to_dsl(combined),
-                  "injections": [t1.to_json(), t2.to_json()]}
-        code = EXIT_OK
-        if args.goal:
-            goal = parse(args.goal, combined.signature)
-            verdict = derives(combined, [], goal, budget)
-            report["goal"] = {"formula": fmt(goal), **verdict.to_json()}
-            code = status_exit(verdict.status)
-        emit(report, args.json, f"fibring of {args.left} and {args.right} built")
-        return code
+def _overall(statuses) -> str:
+    """Confirmed when every part is, refuted when some part is, else unknown."""
+    if all(s == CONFIRMED for s in statuses):
+        return CONFIRMED
+    return REFUTED if REFUTED in statuses else UNKNOWN
 
-    if cmd == "fibre-shared":
-        shared = env.logic(args.shared)
-        left, right = env.logic(args.left), env.logic(args.right)
-        left_leg = _span_leg(env.morphism(args.left_map), shared, left, budget)
-        right_leg = _span_leg(env.morphism(args.right_map), shared, right, budget)
-        combined, t1, t2 = fibring_constrained(left_leg, right_leg)
-        report = {"command": "fibre-shared", "logic": combined.to_json(),
-                  "dsl": dsl.logic_to_dsl(combined),
-                  "cocone": [t1.to_json(), t2.to_json()]}
-        code = EXIT_OK
-        if args.goal:
-            goal = parse(args.goal, combined.signature)
-            verdict = derives(combined, [], goal, budget)
-            report["goal"] = {"formula": fmt(goal), **verdict.to_json()}
-            code = status_exit(verdict.status)
-        emit(report, args.json, "constrained fibring built")
-        return code
 
-    if cmd == "product":
-        combined, t1, t2 = product_logic(env.logic(args.left), env.logic(args.right))
-        report = {"command": "product", "signature": combined.signature.to_json(),
-                  "projections": [t1.to_json(), t2.to_json()]}
-        code = EXIT_OK
-        if args.goal:
-            goal = parse(args.goal, combined.signature)
-            hyps = [parse(h, combined.signature) for h in args.hyp]
-            verdict = derives(combined, hyps, goal, budget)
-            report["goal"] = {"formula": fmt(goal), **verdict.to_json()}
-            code = status_exit(verdict.status)
-        emit(report, args.json, "product built")
-        return code
+def _equipollent(env, args, budget):
+    source, target = env.logic(args.source), env.logic(args.target)
+    via, back = env.morphism(args.via), env.morphism(args.back)
+    forward = weak_equivalence(via, source, target, n_max=args.nvars,
+                               target_compl=args.bound, budget=budget)
+    backward = weak_equivalence(back, target, source, n_max=args.nvars,
+                                target_compl=args.bound, budget=budget)
+    round_src = morphisms_equivalent(
+        kleisli_compose(as_flexible(back), as_flexible(via)),
+        kleisli_identity(source.signature), source, source, budget)
+    round_tgt = morphisms_equivalent(
+        kleisli_compose(as_flexible(via), as_flexible(back)),
+        kleisli_identity(target.signature), target, target, budget)
+    overall = _overall([forward.status, backward.status,
+                        round_src.status, round_tgt.status])
+    report = {"command": "equipollent", "status": overall,
+              "forward": forward.to_json(), "backward": backward.to_json(),
+              "back_after_via": round_src.to_json(),
+              "via_after_back": round_tgt.to_json()}
+    return report, f"equipollence: {overall}", overall
 
-    if cmd == "colimit-chain":
-        stages = [env.logic(nm) for nm in args.stages.split(",")]
-        maps = []
-        names = [nm for nm in args.maps.split(",") if nm]
-        for i, nm in enumerate(names):
-            maps.append(_span_leg(env.morphism(nm), stages[i], stages[i + 1], budget))
-        combined, cocone = directed_colimit_logics(stages, maps)
-        report = {"command": "colimit-chain", "logic": combined.to_json(),
-                  "dsl": dsl.logic_to_dsl(combined),
-                  "cocone": [t.to_json() for t in cocone]}
-        code = EXIT_OK
-        if args.goal:
-            goal = parse(args.goal, combined.signature)
-            verdict = derives(combined, [], goal, budget)
-            report["goal"] = {"formula": fmt(goal), **verdict.to_json()}
-            code = status_exit(verdict.status)
-        emit(report, args.json, "chain colimit built")
-        return code
 
-    if cmd == "quotient-equal":
-        cert = morphisms_equivalent(
-            env.morphism(args.left), env.morphism(args.right),
-            env.logic(args.source), env.logic(args.target), budget,
-            bounds=(args.bound, args.nvars))
-        emit({"command": "quotient-equal", **cert.to_json()}, args.json,
-             f"[{args.left}] = [{args.right}]: {cert.status} ({cert.scope})")
-        return status_exit(cert.status)
+def _rigidity(env, args, budget):
+    report = rigidity_probe(env.logic(args.logic), bound=min(args.bound, 3),
+                            budget=budget)
+    return ({"command": "rigidity", "logic": args.logic, **report},
+            f"{args.logic}: {'rigid' if report['rigid'] else 'not rigid'}",
+            CONFIRMED if report["rigid"] else REFUTED)
 
-    if cmd == "congruential":
-        verdict = is_congruential(env.logic(args.logic),
-                                  (args.bound, args.nvars), budget)
-        emit({"command": "congruential", "logic": args.logic,
-              **verdict.to_json()}, args.json,
-             f"{args.logic}: {verdict.status}")
-        return status_exit(verdict.status)
 
-    if cmd == "closure":
-        logic = env.logic(args.logic)
-        closed = congruential_closure(logic, (args.bound, args.nvars), budget)
-        added = 0
-        if closed.calculus is not None and logic.calculus is not None:
-            added = len(closed.calculus.rules) - len(logic.calculus.rules)
-        report = {"command": "closure", "logic": args.logic,
-                  "rules_added": added, "unchanged": closed is logic}
-        code = EXIT_OK
-        if args.goal:
-            goal = parse(args.goal, logic.signature)
-            hyps = [parse(h, logic.signature) for h in args.hyp]
-            before = derives(logic, hyps, goal, budget)
-            after = derives(closed, hyps, goal, budget)
-            report["before"] = before.status
-            report["after"] = after.to_json()
-            code = status_exit(after.status)
-        emit(report, args.json,
-             f"closure of {args.logic}: {added} replacement rules added")
-        return code
+def _laws(env, args, budget):
+    suites = {
+        "category": kleisli.suite_category_laws,
+        "kleisli": kleisli.suite_kleisli_theorem,
+        "monad": kleisli.suite_monad_laws,
+        "adjunction": kleisli.suite_adjunction,
+        "regularity": kleisli.suite_regularity,
+    }
+    report = suites[args.suite](args.cases, args.seed)
+    return ({"command": "laws", **report},
+            f"{args.suite}: {len(report['failures'])} failure(s) in {report['cases']} cases",
+            REFUTED if report["failures"] else CONFIRMED)
 
-    if cmd == "lindenbaum":
-        logic = env.logic(args.logic)
-        delta = [parse(t, logic.signature) for t in args.delta.split(";") if t.strip()]
-        report = lindenbaum_delta_check(logic, delta, budget,
-                                        bounds=(min(args.bound, 2), args.nvars))
-        emit({"command": "lindenbaum", "logic": args.logic, **report},
-             args.json, f"{args.logic}: {'pass' if report['passed'] else 'fail'}")
-        if report["passed"]:
-            return EXIT_OK
-        statuses = [v["status"] for v in report["conditions"].values()]
-        return EXIT_REFUTED if REFUTED in statuses else EXIT_UNKNOWN
 
-    if cmd == "equipollent":
-        source, target = env.logic(args.source), env.logic(args.target)
-        via, back = env.morphism(args.via), env.morphism(args.back)
-        forward = weak_equivalence(via, source, target, n_max=args.nvars,
-                                   target_compl=args.bound, budget=budget)
-        backward = weak_equivalence(back, target, source, n_max=args.nvars,
-                                    target_compl=args.bound, budget=budget)
-        round_src = morphisms_equivalent(
-            kleisli_compose(as_flexible(back), as_flexible(via)),
-            kleisli_identity(source.signature), source, source, budget)
-        round_tgt = morphisms_equivalent(
-            kleisli_compose(as_flexible(via), as_flexible(back)),
-            kleisli_identity(target.signature), target, target, budget)
-        statuses = [forward.status, backward.status,
-                    round_src.status, round_tgt.status]
-        overall = (CONFIRMED if all(s == CONFIRMED for s in statuses)
-                   else REFUTED if REFUTED in statuses else "unknown")
-        report = {"command": "equipollent", "status": overall,
-                  "forward": forward.to_json(), "backward": backward.to_json(),
-                  "back_after_via": round_src.to_json(),
-                  "via_after_back": round_tgt.to_json()}
-        emit(report, args.json, f"equipollence: {overall}")
-        return status_exit(overall)
-
-    if cmd == "rigidity":
-        report = rigidity_probe(env.logic(args.logic), bound=min(args.bound, 3),
-                                budget=budget)
-        emit({"command": "rigidity", "logic": args.logic, **report}, args.json,
-             f"{args.logic}: {'rigid' if report['rigid'] else 'not rigid'}")
-        return EXIT_OK if report["rigid"] else EXIT_REFUTED
-
-    if cmd == "laws":
-        suites = {
-            "category": kleisli.suite_category_laws,
-            "kleisli": kleisli.suite_kleisli_theorem,
-            "monad": kleisli.suite_monad_laws,
-            "adjunction": kleisli.suite_adjunction,
-            "regularity": kleisli.suite_regularity,
-        }
-        report = suites[args.suite](args.cases, args.seed)
-        emit({"command": "laws", **report}, args.json,
-             f"{args.suite}: {len(report['failures'])} failure(s) in "
-             f"{report['cases']} cases")
-        return EXIT_OK if not report["failures"] else EXIT_REFUTED
-
-    raise ValueError(f"unhandled command {cmd!r}")
+COMMANDS = {
+    "validate": _validate, "load": _validate, "prove": _prove,
+    "translate": _translate, "check-morphism": _check_morphism,
+    "check-regular": _check_regular, "fibre": _fibre, "fibre-shared": _fibre_shared,
+    "product": _product, "colimit-chain": _colimit_chain,
+    "quotient-equal": _quotient_equal, "congruential": _congruential,
+    "closure": _closure, "lindenbaum": _lindenbaum, "equipollent": _equipollent,
+    "rigidity": _rigidity, "laws": _laws,
+}
 
 
 def _span_leg(morphism, source, target, budget) -> Translation:
@@ -382,7 +388,7 @@ def _span_leg(morphism, source, target, budget) -> Translation:
         # least logics translate along every signature morphism
         return Translation(morphism, source, target, VERIFIED,
                            evidence=["membership is preserved by extensions"])
-    return Translation(morphism, source, target, "unknown")
+    return Translation(morphism, source, target, UNKNOWN)
 
 
 if __name__ == "__main__":

@@ -293,9 +293,8 @@ class Matrix:
         cols = self._var_columns.get(k)
         if cols is None:
             n = len(self.values)
-            cols = self._var_columns[k] = [
-                tuple(t // n ** (k - 1 - p) % n for t in range(n ** k))
-                for p in range(k)]
+            cols = self._var_columns[k] = list(
+                zip(*itertools.product(range(n), repeat=k)))
         return cols
 
     def _flatten(self, phi: App) -> list[int]:
@@ -348,6 +347,16 @@ def designation_function(matrix: Matrix, phi: Formula, n: int) -> tuple[bool, ..
     return tuple(matrix.is_designated(v) for v in truth_function(matrix, phi, n))
 
 
+def matrix_verdict(matrix: Matrix, gamma, phi: Formula) -> "Verdict":
+    """A matrix's answer to gamma |- phi as a verdict: yes, or no with the
+    countervaluation."""
+    holds, counter = matrix_consequence(matrix, gamma, phi)
+    if holds:
+        return Verdict.yes(reason="matrix decision", used=frozenset(gamma))
+    return Verdict.no(counter={f"x{k}": v for k, v in counter.items()},
+                      reason="matrix countervaluation")
+
+
 def matrix_interderivable(matrix: Matrix, phi: Formula, psi: Formula
                           ) -> tuple[bool, dict[int, object] | None]:
     """Mutual designation-entailment, with a separating valuation when false."""
@@ -361,12 +370,24 @@ def matrix_interderivable(matrix: Matrix, phi: Formula, psi: Formula
 
 
 # ---------------------------------------------------------------------------
-# Verdicts and logics
+# Status words, verdicts and logics
+
+# The one status vocabulary: a query answers yes, no or unknown; a check
+# made of queries is verified (translations) or confirmed, refuted, or
+# unknown.
+YES = "yes"
+NO = "no"
+UNKNOWN = "unknown"
+VERIFIED = "verified"
+CONFIRMED = "confirmed"
+REFUTED = "refuted"
+POSITIVE = frozenset((YES, VERIFIED, CONFIRMED))
+NEGATIVE = frozenset((NO, REFUTED))
 
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # "yes" | "no" | "unknown"
+    status: str  # YES | NO | UNKNOWN
     proof: Proof | None = None
     counter: dict | None = None
     reason: str = ""
@@ -376,38 +397,49 @@ class Verdict:
 
     @property
     def is_yes(self) -> bool:
-        return self.status == "yes"
+        return self.status == YES
 
     @property
     def is_no(self) -> bool:
-        return self.status == "no"
+        return self.status == NO
 
     @property
     def is_unknown(self) -> bool:
-        return self.status == "unknown"
+        return self.status == UNKNOWN
+
+    def outcome(self, positive: str) -> str:
+        """This verdict in a check's words: `positive` (VERIFIED or
+        CONFIRMED) for yes, REFUTED for no, UNKNOWN otherwise."""
+        return positive if self.is_yes else REFUTED if self.is_no else UNKNOWN
+
+    def counter_json(self) -> dict | None:
+        """The countervaluation as it appears in reports, or None."""
+        if self.counter is None:
+            return None
+        return {str(k): str(v) for k, v in sorted(
+            self.counter.items(), key=lambda kv: str(kv[0]))}
 
     @staticmethod
     def yes(proof: Proof | None = None, reason: str = "", stage: int | None = None,
             used: frozenset | None = None, detail: dict | None = None) -> "Verdict":
-        return Verdict("yes", proof=proof, reason=reason, stage=stage,
+        return Verdict(YES, proof=proof, reason=reason, stage=stage,
                        used=used, detail=detail)
 
     @staticmethod
     def no(counter: dict | None = None, reason: str = "",
            detail: dict | None = None) -> "Verdict":
-        return Verdict("no", counter=counter, reason=reason, detail=detail)
+        return Verdict(NO, counter=counter, reason=reason, detail=detail)
 
     @staticmethod
     def unknown(reason: str = "", detail: dict | None = None) -> "Verdict":
-        return Verdict("unknown", reason=reason, detail=detail)
+        return Verdict(UNKNOWN, reason=reason, detail=detail)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.status}
         if self.proof is not None:
             out["proof"] = self.proof.to_json()
         if self.counter is not None:
-            out["counter"] = {str(k): str(v) for k, v in sorted(
-                self.counter.items(), key=lambda kv: str(kv[0]))}
+            out["counter"] = self.counter_json()
         if self.reason:
             out["reason"] = self.reason
         if self.stage is not None:
@@ -476,12 +508,9 @@ def derives(logic: Logic, gamma, phi: Formula,
     if logic.oracle is not None:
         return logic.oracle(gamma, phi, budget)
     if logic.matrix is not None:
-        holds, counter = matrix_consequence(logic.matrix, gamma, phi)
-        if not holds:
-            return Verdict.no(counter={f"x{k}": v for k, v in counter.items()},
-                              reason="matrix countervaluation")
-        if logic.calculus is None:
-            return Verdict.yes(reason="matrix decision", used=gamma)
+        verdict = matrix_verdict(logic.matrix, gamma, phi)
+        if verdict.is_no or logic.calculus is None:
+            return verdict
     proof = search_proof(logic.calculus, gamma, phi, budget)
     if proof is not None:
         return Verdict.yes(proof=proof, used=proof.used_hypotheses())
@@ -508,17 +537,37 @@ def interderivable(logic: Logic, phi: Formula, psi: Formula,
     return Verdict.unknown(reason="interderivability not settled within budget")
 
 
+def semantic_derives(logic: Logic, gamma, phi: Formula,
+                     budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    """Derivability with a matrix provider treated as the decision oracle,
+    for sweeps over many sequents (quotient analyses, semantic translation
+    checks), instead of a bounded proof search per query."""
+    if logic.matrix is not None:
+        return matrix_verdict(logic.matrix, gamma, phi)
+    return derives(logic, gamma, phi, budget)
+
+
+def refutation_sweep(checks) -> tuple[object, Verdict]:
+    """The conjunction of `(item, verdict)` pairs, drawn lazily in order.
+
+    The first no ends the sweep and is returned with its item; nothing after
+    it is computed.  Otherwise: `(None, unknown)` if some verdict was
+    unknown, else `(None, yes)`.
+    """
+    settled = True
+    for item, verdict in checks:
+        if verdict.is_no:
+            return item, verdict
+        if verdict.is_unknown:
+            settled = False
+    return None, Verdict.yes() if settled else Verdict.unknown()
+
+
 # ---------------------------------------------------------------------------
 # Backward-chaining proof search with iterative deepening
 
 
 _RENAME_OFFSET = 10_000
-
-
-def _shift(phi: Formula, offset: int) -> Formula:
-    if isinstance(phi, Var):
-        return Var(phi.index + offset)
-    return App(phi.connective, tuple(_shift(a, offset) for a in phi.args))
 
 
 def unify(a: Formula, b: Formula, binding: dict[int, Formula]) -> dict[int, Formula] | None:
@@ -618,7 +667,8 @@ class _Searcher:
         self.pool = self._candidate_pool(goal)
         self.shallow_pool = [f for f in self.pool if complexity(f) <= 2]
         self.max_depth = min(16, budget.proof_length)
-        self.shifted_axioms = [_shift(a, _RENAME_OFFSET) for a in calculus.axioms]
+        self.shifted_axioms = [substitute(lambda i: Var(i + _RENAME_OFFSET), a)
+                               for a in calculus.axioms]
         self.harvest_cache: dict[tuple[int, Formula], list[Substitution]] = {}
         self.nodes = 0
         # keep the total work roughly constant: rich rule sets get fewer nodes
@@ -1089,8 +1139,8 @@ def directed_sup(chain: list[Logic], name: str = "") -> Logic:
                 unknown = True
         if unknown:
             return Verdict.unknown(reason="no stage settled the query")
-        last = derives(chain[-1], gamma, phi, budget)
-        return Verdict.no(counter=last.counter, reason="refuted at every stage")
+        # v is the top stage's refutation
+        return Verdict.no(counter=v.counter, reason="refuted at every stage")
 
     return Logic(name or "sup(" + ",".join(l.name for l in chain) + ")", sig,
                  oracle=oracle, decides=all(l.decides for l in chain))

@@ -113,9 +113,6 @@ class _Stream:
     def done(self) -> bool:
         return self.pos >= len(self.items)
 
-    def peek(self) -> tuple[str, int]:
-        return self.items[self.pos]
-
     def next(self) -> tuple[str, int]:
         item = self.items[self.pos]
         self.pos += 1
@@ -224,12 +221,19 @@ def _read_logic(env: Environment, name: str, stream: _Stream, at: int) -> None:
                 raise SpecError("rules need at least one premise", lineno)
             rules.append(Rule(premises, _parse_formula(right, sig, lineno)))
         elif line == "matrix":
+            if matrix is not None:
+                raise SpecError(f"logic {name!r} declares a second matrix", lineno)
             stream.expect("{")
             matrix = _read_matrix(stream, lineno)
         elif line in ("bottom", "top"):
+            if marker is not None:
+                raise SpecError(f"logic {name!r} is already {marker}", lineno)
             marker = line
         else:
             raise SpecError(f"unrecognized logic entry {line!r}", lineno)
+        if marker is not None and (axioms or rules or matrix is not None):
+            raise SpecError(f"logic {name!r} is {marker}; it takes no axiom, "
+                            "rule or matrix", lineno)
     raise SpecError(f"unterminated logic {name!r}", at)
 
 
@@ -329,13 +333,21 @@ def _read_morphism(env: Environment, head, stream: _Stream, at: int) -> None:
 # Writers (used by the CLI to emit combined objects)
 
 
+def dsl_name(name: str) -> str:
+    """A name as a DSL identifier: its runs of word characters joined by
+    underscores, so `fibring(IMPFRAG,NEGFRAG)` is written
+    `fibring_IMPFRAG_NEGFRAG` and an identifier stays as it is."""
+    return "_".join(re.findall(r"\w+", name))
+
+
 def signature_to_dsl(sig: Signature) -> str:
     body = "\n".join(f"  {c}/{a}" for c, a in sorted(sig.connectives.items()))
-    return f"signature {sig.name} {{\n{body}\n}}\n"
+    return f"signature {dsl_name(sig.name)} {{\n{body}\n}}\n"
 
 
 def logic_to_dsl(logic: Logic) -> str:
-    out = [f"logic {logic.name} {{", f"  signature {logic.signature.name}"]
+    out = [f"logic {dsl_name(logic.name)} {{",
+           f"  signature {dsl_name(logic.signature.name)}"]
     if logic.calculus is not None:
         for a in logic.calculus.axioms:
             out.append(f"  axiom {fmt(a)}")

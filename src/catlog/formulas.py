@@ -218,9 +218,6 @@ class Substitution:
         inner = ", ".join(f"x{k} -> {v}" for k, v in sorted(self.mapping.items()))
         return f"Substitution({inner})"
 
-    def support(self) -> frozenset[int]:
-        return frozenset(k for k, v in self.mapping.items() if v != Var(k))
-
     def to_json(self) -> dict:
         return {f"x{k}": str(v) for k, v in sorted(self.mapping.items()) if v != Var(k)}
 

@@ -9,7 +9,10 @@ first and then equip it with a presented calculus or a delegating oracle.
 Strict and flexible morphisms both act on formulas through their head
 assignment (`translate_formula`), and every presented combination is the
 generated join of its components' presentations pushed forward along the
-cocone legs (`push_calculus`).
+cocone legs (`push_calculus`).  A translation check is one
+`consequence.refutation_sweep` over the translated axioms and rules, and
+its status words (verified, refuted, unknown) are `consequence`'s; a
+combination refuses to build along a refuted leg.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from dataclasses import dataclass, field
 
 from .consequence import (
     AxiomInstance, Budget, Calculus, DEFAULT_BUDGET, Hypothesis, Logic, Proof,
-    Rule, RuleInstance, SignatureMismatch, Step, Verdict, derives,
-    generated_join, matrix_consequence, transform_proof,
+    REFUTED, Rule, RuleInstance, SignatureMismatch, Step, UNKNOWN, VERIFIED,
+    Verdict, YES, derives, generated_join, refutation_sweep, semantic_derives,
+    transform_proof,
 )
 from .formulas import Formula, Substitution, extend, fmt, substitute
 from .kleisli import (
@@ -53,11 +57,6 @@ def push_calculus(morphism, calculus: Calculus) -> Calculus:
                   translate_formula(morphism, r.conclusion))
              for r in calculus.rules]
     return Calculus(morphism.target, axioms, rules)
-
-
-VERIFIED = "verified"
-REFUTED = "refuted"
-UNKNOWN = "unknown"
 
 
 @dataclass
@@ -106,51 +105,45 @@ def check_translation(morphism, source: Logic, target: Logic,
     translated rule is target-admissible as a derivable rule.  A target
     refutation of any image refutes the whole morphism, with the offending
     scheme as witness.  With `semantic=True` a target matrix decides the
-    image checks outright instead of steering a proof search.
+    image checks outright instead of steering a proof search
+    (`semantic_derives`).
     """
     if source.calculus is None:
         raise ValueError("translation checking needs a presented source")
     h = morphism
     if h.source != source.signature or h.target != target.signature:
         raise SignatureMismatch("morphism endpoints do not match the logics")
-
-    def target_derives(gamma, phi):
-        if semantic and target.matrix is not None:
-            holds, counter = matrix_consequence(target.matrix, gamma, phi)
-            if holds:
-                return Verdict.yes(reason="matrix decision")
-            return Verdict.no(counter={f"x{k}": v for k, v in counter.items()})
-        return derives(target, gamma, phi, budget)
-
+    ask = semantic_derives if semantic else derives
+    calc = source.calculus
     evidence = []
-    unknown = False
-    for i, axiom in enumerate(source.calculus.axioms):
-        image = translate_formula(h, axiom)
-        v = target_derives([], image)
-        if v.is_no:
-            return Translation(h, source, target, REFUTED,
-                               witness={"axiom": fmt(axiom), "image": fmt(image),
-                                        "counter": v.to_json().get("counter")})
-        if v.is_unknown:
-            unknown = True
-        evidence.append({"axiom": i, "image": fmt(image), "verdict": v.status,
-                         "proof": v.proof})
-    for i, rule in enumerate(source.calculus.rules):
-        premises = [translate_formula(h, p) for p in rule.premises]
-        conclusion = translate_formula(h, rule.conclusion)
-        v = target_derives(premises, conclusion)
-        if v.is_no:
-            return Translation(h, source, target, REFUTED,
-                               witness={"rule": i,
-                                        "premise_images": [fmt(p) for p in premises],
-                                        "conclusion_image": fmt(conclusion),
-                                        "counter": v.to_json().get("counter")})
-        if v.is_unknown:
-            unknown = True
-        evidence.append({"rule": i, "conclusion_image": fmt(conclusion),
-                         "verdict": v.status, "proof": v.proof})
-    status = UNKNOWN if unknown else VERIFIED
-    return Translation(h, source, target, status, evidence=evidence)
+
+    def checks():
+        # the axioms, then the rules, as one sequence of sequents
+        sequents = [(i, (), a, None) for i, a in enumerate(calc.axioms)]
+        sequents += [(i, r.premises, r.conclusion, r) for i, r in enumerate(calc.rules)]
+        for i, premises, conclusion, rule in sequents:
+            gamma = [translate_formula(h, p) for p in premises]
+            image = translate_formula(h, conclusion)
+            v = ask(target, gamma, image, budget)
+            if rule is None:
+                evidence.append({"axiom": i, "image": fmt(image),
+                                 "verdict": v.status, "proof": v.proof})
+            else:
+                evidence.append({"rule": i, "conclusion_image": fmt(image),
+                                 "verdict": v.status, "proof": v.proof})
+            yield (i, gamma, conclusion, image, rule), v
+
+    refuting, v = refutation_sweep(checks())
+    if v.is_no:
+        i, gamma, conclusion, image, rule = refuting
+        if rule is None:
+            witness = {"axiom": fmt(conclusion), "image": fmt(image)}
+        else:
+            witness = {"rule": i, "premise_images": [fmt(p) for p in gamma],
+                       "conclusion_image": fmt(image)}
+        witness["counter"] = v.counter_json()
+        return Translation(h, source, target, REFUTED, witness=witness)
+    return Translation(h, source, target, v.outcome(VERIFIED), evidence=evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +308,24 @@ def verbatim_translation(morphism, source: Logic, target: Logic) -> Translation:
     for i, image in enumerate(pushed.axioms):
         idx = calc.axioms.index(image)
         proof = Proof([Step(image, AxiomInstance(idx, Substitution()))])
-        evidence.append({"axiom": i, "image": fmt(image), "verdict": "yes",
+        evidence.append({"axiom": i, "image": fmt(image), "verdict": YES,
                          "proof": proof})
     for i, rule in enumerate(pushed.rules):
         steps = [Step(p, Hypothesis()) for p in rule.premises]
         steps.append(Step(rule.conclusion, RuleInstance(
             calc.rules.index(rule), Substitution(), tuple(range(len(rule.premises))))))
         evidence.append({"rule": i, "conclusion_image": fmt(rule.conclusion),
-                         "verdict": "yes", "proof": Proof(steps)})
+                         "verdict": YES, "proof": Proof(steps)})
     return Translation(morphism, source, target, VERIFIED, evidence=evidence)
+
+
+def _refuse_refuted(legs) -> None:
+    """Nothing is built along a refuted translation; unknown legs pass."""
+    for role, t in legs:
+        if t.status == REFUTED:
+            raise ValueError(
+                f"{role} {t.morphism.name or 'unnamed'} ({t.source.name} -> "
+                f"{t.target.name}) is refuted; nothing is built along it")
 
 
 def fibring_unconstrained(l1: Logic, l2: Logic, name: str = ""
@@ -350,6 +352,7 @@ def fibring_constrained(left_leg: Translation, right_leg: Translation,
             "constrained fibring is only available over strict spans")
     if left_leg.source.signature != right_leg.source.signature:
         raise SignatureMismatch("span legs must share their source logic")
+    _refuse_refuted([("left leg", left_leg), ("right leg", right_leg)])
     l1, l2 = left_leg.target, right_leg.target
     if l1.calculus is None or l2.calculus is None:
         raise ValueError("constrained fibring needs presented components")
@@ -401,6 +404,7 @@ def directed_colimit_logics(stages: list[Logic], maps: list[Translation],
         if t.source.signature != stages[i].signature \
                 or t.target.signature != stages[i + 1].signature:
             raise SignatureMismatch("chain maps do not line up with the stages")
+    _refuse_refuted([(f"chain map {i}", t) for i, t in enumerate(maps)])
     chain = [t.morphism for t in maps]
     if chain:
         vertex_sig, cocone = directed_colimit_signatures(chain, name=name)

@@ -5,18 +5,23 @@ Two parallel translations are identified when their extensions agree up to
 mutual derivability.  For congruential targets the check at connective
 generators settles the whole quotient map; otherwise verdicts are bounded
 and say so.
+
+Every check here that is a conjunction of derivability queries (morphism
+equivalence, replacement, the Lindenbaum conditions) is one
+`consequence.refutation_sweep`, and reports in `consequence`'s status words:
+confirmed, refuted or unknown.  The certificates share one JSON writer.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .consequence import (
-    Budget, DEFAULT_BUDGET, Logic, Rule, Saturation, Verdict, derives,
-    designation_function, generated_join, interderivable, matrix_consequence,
-    truth_function,
+    Budget, CONFIRMED, DEFAULT_BUDGET, Logic, REFUTED, Rule, Saturation,
+    UNKNOWN, VERIFIED, Verdict, derives, designation_function, generated_join,
+    interderivable, refutation_sweep, semantic_derives, truth_function,
 )
 from .formulas import (
     App, Formula, Substitution, Var, complexity, enumerate_formulas,
@@ -26,36 +31,32 @@ from .kleisli import (
     FlexibleMorphism, all_flexible_morphisms, flexible_extension,
     kleisli_compose, kleisli_identity,
 )
-from .logic_cat import (
-    Translation, VERIFIED, as_flexible, check_translation, push_calculus,
-)
+from .logic_cat import Translation, as_flexible, check_translation, push_calculus
 from .signatures import Signature, signature_coproduct
 
 
-CONFIRMED = "confirmed"
-REFUTED = "refuted"
-UNKNOWN = "unknown"
+class _Certificate:
+    """JSON for the certificate dataclasses: fields that are None are left
+    out, tuples become lists, objects write their own JSON, and dict keys
+    become strings."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
 
-def semantic_derives(logic: Logic, gamma, phi: Formula,
-                     budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """Derivability with a matrix provider treated as the decision oracle.
-
-    Quotient analyses quantify over many sequents at once; when the logic
-    carries a matrix it stands in for the consequence relation exactly,
-    instead of steering a bounded proof search per query.
-    """
-    if logic.matrix is not None:
-        holds, counter = matrix_consequence(logic.matrix, gamma, phi)
-        if holds:
-            return Verdict.yes(reason="matrix decision")
-        return Verdict.no(counter={f"x{k}": v for k, v in counter.items()},
-                          reason="matrix countervaluation")
-    return derives(logic, gamma, phi, budget)
+def _json_value(value):
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in value.items()}
+    return value
 
 
 @dataclass
-class EquivalenceCertificate:
+class EquivalenceCertificate(_Certificate):
     """Interderivability of two parallel morphisms, connective by connective."""
 
     left: FlexibleMorphism
@@ -70,20 +71,6 @@ class EquivalenceCertificate:
     def equivalent(self) -> bool:
         return self.status == CONFIRMED
 
-    def to_json(self) -> dict:
-        out = {
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-            "status": self.status,
-            "scope": self.scope,
-            "per_connective": self.per_connective,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.bounds is not None:
-            out["bounds"] = list(self.bounds)
-        return out
-
 
 def morphisms_equivalent(f, g, source: Logic, target: Logic,
                          budget: Budget = DEFAULT_BUDGET,
@@ -95,38 +82,37 @@ def morphisms_equivalent(f, g, source: Logic, target: Logic,
     if hf.source != hg.source or hf.target != hg.target:
         raise ValueError("morphisms are not parallel")
     per_connective = {}
-    unknown = False
-    for c in sorted(hf.source.connectives):
-        v = interderivable(target, hf(c), hg(c), budget)
-        per_connective[c] = v.status
-        if v.is_no:
-            return EquivalenceCertificate(
-                hf, hg, REFUTED, scope="generator",
-                per_connective=per_connective,
-                witness={"connective": c, "left": fmt(hf(c)), "right": fmt(hg(c)),
-                         "counter": v.to_json().get("counter")})
-        if v.is_unknown:
-            unknown = True
+
+    def generators():
+        for c in sorted(hf.source.connectives):
+            v = interderivable(target, hf(c), hg(c), budget)
+            per_connective[c] = v.status
+            yield c, v
+
+    c, at_generators = refutation_sweep(generators())
+    if at_generators.is_no:
+        return EquivalenceCertificate(
+            hf, hg, REFUTED, scope="generator", per_connective=per_connective,
+            witness={"connective": c, "left": fmt(hf(c)), "right": fmt(hg(c)),
+                     "counter": at_generators.counter_json()})
     if target_congruential is None:
         target_congruential = _known_congruential(target, bounds, budget)
     if target_congruential:
-        status = UNKNOWN if unknown else CONFIRMED
-        return EquivalenceCertificate(hf, hg, status, scope="generator-sufficient",
+        return EquivalenceCertificate(hf, hg, at_generators.outcome(CONFIRMED),
+                                      scope="generator-sufficient",
                                       per_connective=per_connective)
     # codomain not known congruential: sweep whole formulas up to the bound
     compl_bound, var_bound = bounds
-    for theta in enumerate_formulas(hf.source, var_bound, compl_bound):
-        v = interderivable(target, flexible_extension(hf, theta),
-                           flexible_extension(hg, theta), budget)
-        if v.is_no:
-            return EquivalenceCertificate(
-                hf, hg, REFUTED, scope="bounded-enumeration",
-                per_connective=per_connective, bounds=bounds,
-                witness={"formula": fmt(theta),
-                         "counter": v.to_json().get("counter")})
-        if v.is_unknown:
-            unknown = True
-    status = UNKNOWN if unknown else CONFIRMED
+    theta, v = refutation_sweep(
+        (theta, interderivable(target, flexible_extension(hf, theta),
+                               flexible_extension(hg, theta), budget))
+        for theta in enumerate_formulas(hf.source, var_bound, compl_bound))
+    if v.is_no:
+        return EquivalenceCertificate(
+            hf, hg, REFUTED, scope="bounded-enumeration",
+            per_connective=per_connective, bounds=bounds,
+            witness={"formula": fmt(theta), "counter": v.counter_json()})
+    status = UNKNOWN if at_generators.is_unknown else v.outcome(CONFIRMED)
     return EquivalenceCertificate(hf, hg, status, scope="bounded-enumeration",
                                   per_connective=per_connective, bounds=bounds)
 
@@ -136,18 +122,11 @@ def morphisms_equivalent(f, g, source: Logic, target: Logic,
 
 
 @dataclass
-class CongruentialityVerdict:
+class CongruentialityVerdict(_Certificate):
     status: str
     bounds: tuple[int, int]
     witness: dict | None = None
     pairs_checked: int = 0
-
-    def to_json(self) -> dict:
-        out = {"status": self.status, "bounds": list(self.bounds),
-               "pairs_checked": self.pairs_checked}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
@@ -212,14 +191,16 @@ def _matrix_congruential(logic: Logic, pool: list[Formula],
 def _replacement_counterexample(logic: Logic, a: Formula, b: Formula, n: int,
                                 budget: Budget) -> dict | None:
     """Try every connective and argument position with fresh side variables."""
-    for c, position, ctx_a, ctx_b in _contexts(logic.signature, a, b, n):
-        v = interderivable(logic, ctx_a, ctx_b, budget)
-        if v.is_no:
-            return {"connective": c, "position": position,
-                    "left": fmt(a), "right": fmt(b),
-                    "context_left": fmt(ctx_a), "context_right": fmt(ctx_b),
-                    "counter": v.to_json().get("counter")}
-    return None
+    context, v = refutation_sweep(
+        (context, interderivable(logic, context[2], context[3], budget))
+        for context in _contexts(logic.signature, a, b, n))
+    if not v.is_no:
+        return None
+    c, position, ctx_a, ctx_b = context
+    return {"connective": c, "position": position,
+            "left": fmt(a), "right": fmt(b),
+            "context_left": fmt(ctx_a), "context_right": fmt(ctx_b),
+            "counter": v.counter_json()}
 
 
 def _contexts(sig: Signature, a: Formula, b: Formula, n: int):
@@ -340,7 +321,7 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
 
 
 @dataclass
-class WeakEquivalenceCertificate:
+class WeakEquivalenceCertificate(_Certificate):
     morphism: FlexibleMorphism
     status: str
     conservativity: str = ""   # "connective-tables" | "bounded-audit"
@@ -352,23 +333,6 @@ class WeakEquivalenceCertificate:
     @property
     def holds(self) -> bool:
         return self.status == CONFIRMED
-
-    def to_json(self) -> dict:
-        out = {
-            "morphism": self.morphism.to_json(),
-            "status": self.status,
-            "conservativity": self.conservativity,
-            "denseness": {
-                str(n): {str(k): v for k, v in per_n.items()}
-                for n, per_n in self.denseness.items()
-            },
-            "audited_sequents": self.audited_sequents,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.bounds is not None:
-            out["bounds"] = list(self.bounds)
-        return out
 
 
 def weak_equivalence(h, source: Logic, target: Logic,
@@ -653,97 +617,65 @@ def lindenbaum_delta_check(logic: Logic, delta: list[Formula],
     def inst(d: Formula, left: Formula, right: Formula) -> Formula:
         return substitute(Substitution({0: left, 1: right}), d)
 
-    verdicts: dict[str, dict] = {}
-
-    def record(key: str, ok: bool | None, witness=None):
-        verdicts[key] = {"status": CONFIRMED if ok else (UNKNOWN if ok is None else REFUTED)}
-        if witness is not None:
-            verdicts[key]["witness"] = witness
-
-    x0, x1, x2 = Var(0), Var(1), Var(2)
-
     def run(premises, conclusion):
         return semantic_derives(logic, premises, conclusion, budget)
 
+    verdicts: dict[str, dict] = {}
+
+    def condition(key: str, checks) -> None:
+        """Record one condition: a sweep of (witness, verdict) pairs."""
+        witness, v = refutation_sweep(checks)
+        verdicts[key] = {"status": v.outcome(CONFIRMED)}
+        if v.is_no:
+            verdicts[key]["witness"] = {**witness, "counter": v.counter_json()}
+
+    x0, x1, x2 = Var(0), Var(1), Var(2)
     # (a) reflexivity
-    ok: bool | None = True
-    witness = None
-    for d in delta:
-        v = run([], inst(d, x0, x0))
-        if v.is_no:
-            ok, witness = False, {"formula": fmt(inst(d, x0, x0)),
-                                  "counter": v.to_json().get("counter")}
-            break
-        if v.is_unknown:
-            ok = None
-    record("a_reflexive", ok, witness)
+    condition("a_reflexive", (({"formula": fmt(inst(d, x0, x0))}, run([], inst(d, x0, x0)))
+                              for d in delta))
     # (b) symmetry
-    ok, witness = True, None
     premises = [inst(d, x0, x1) for d in delta]
-    for d in delta:
-        v = run(premises, inst(d, x1, x0))
-        if v.is_no:
-            ok, witness = False, {"conclusion": fmt(inst(d, x1, x0)),
-                                  "counter": v.to_json().get("counter")}
-            break
-        if v.is_unknown:
-            ok = None
-    record("b_symmetric", ok, witness)
+    condition("b_symmetric", (({"conclusion": fmt(inst(d, x1, x0))},
+                               run(premises, inst(d, x1, x0))) for d in delta))
     # (c) transitivity
-    ok, witness = True, None
-    premises = [inst(d, x0, x1) for d in delta] + [inst(d, x1, x2) for d in delta]
-    for d in delta:
-        v = run(premises, inst(d, x0, x2))
-        if v.is_no:
-            ok, witness = False, {"conclusion": fmt(inst(d, x0, x2)),
-                                  "counter": v.to_json().get("counter")}
-            break
-        if v.is_unknown:
-            ok = None
-    record("c_transitive", ok, witness)
+    chained = [inst(d, x0, x1) for d in delta] + [inst(d, x1, x2) for d in delta]
+    condition("c_transitive", (({"conclusion": fmt(inst(d, x0, x2))},
+                                run(chained, inst(d, x0, x2))) for d in delta))
+
     # (d) replacement under every connective
-    ok, witness = True, None
-    for c, arity in sorted(sig.connectives.items()):
-        if not ok or arity == 0:
-            continue
-        premises = [inst(d, Var(i), Var(arity + i))
-                    for i in range(arity) for d in delta]
-        left = App(c, tuple(Var(i) for i in range(arity)))
-        right = App(c, tuple(Var(arity + i) for i in range(arity)))
-        for d in delta:
-            v = run(premises, inst(d, left, right))
-            if v.is_no:
-                ok, witness = False, {"connective": c,
-                                      "counter": v.to_json().get("counter")}
-                break
-            if v.is_unknown:
-                ok = None
-    record("d_replacement", ok, witness)
+    def replacements():
+        for c, arity in sorted(sig.connectives.items()):
+            if arity == 0:
+                continue
+            hyps = [inst(d, Var(i), Var(arity + i)) for i in range(arity) for d in delta]
+            left = App(c, tuple(Var(i) for i in range(arity)))
+            right = App(c, tuple(Var(arity + i) for i in range(arity)))
+            for d in delta:
+                yield {"connective": c}, run(hyps, inst(d, left, right))
+
+    condition("d_replacement", replacements())
     # (e) interderivable iff the equivalence set is provable, on a bounded sweep
     compl_bound, var_bound = bounds
     pool = enumerate_formulas(sig, var_bound, compl_bound)
-    ok, witness = True, None
+    ok: bool | None = True
+    witness = None
     for phi, psi in itertools.combinations(pool, 2):
         inter = interderivable(logic, phi, psi, budget)
-        provable: bool | None = True
-        for d in delta:
-            v = run([], inst(d, phi, psi))
-            if v.is_no:
-                provable = False
-                break
-            if v.is_unknown:
-                provable = None
-        if inter.is_yes and provable is False:
+        _, provable = refutation_sweep((None, run([], inst(d, phi, psi))) for d in delta)
+        if inter.is_yes and provable.is_no:
             ok = False
             witness = {"pair": [fmt(phi), fmt(psi)], "direction": "inter->delta"}
             break
-        if inter.is_no and provable is True:
+        if inter.is_no and provable.is_yes:
             ok = False
             witness = {"pair": [fmt(phi), fmt(psi)], "direction": "delta->inter"}
             break
-        if inter.is_unknown or provable is None:
+        if inter.is_unknown or provable.is_unknown:
             ok = None
-    record("e_lindenbaum", ok, witness)
+    verdicts["e_lindenbaum"] = {
+        "status": CONFIRMED if ok else (UNKNOWN if ok is None else REFUTED)}
+    if witness is not None:
+        verdicts["e_lindenbaum"]["witness"] = witness
     passed = all(v["status"] == CONFIRMED for v in verdicts.values())
     return {"delta": [fmt(d) for d in delta], "conditions": verdicts,
             "passed": passed}
@@ -809,9 +741,8 @@ def qfc_directed_colimit(stages: list[Logic], maps: list[Translation],
             if v.is_unknown:
                 unknown = True
         if not unknown and stages[-1].decides:
-            last = derives(stages[-1], [to_stage(g, n - 1) for g in gamma],
-                           to_stage(phi, n - 1), budget)
-            return Verdict.no(counter=last.counter,
+            # v is the top stage's refutation
+            return Verdict.no(counter=v.counter,
                               reason="refuted at the top stage")
         if closed is not None:
             v = derives(closed, gamma, phi, budget)

@@ -30,9 +30,6 @@ class Signature:
         self.name = name
         self.connectives = dict(connectives)
 
-    def arity(self, ident: str) -> int:
-        return self.connectives[ident]
-
     def level(self, n: int) -> list[str]:
         return sorted(c for c, a in self.connectives.items() if a == n)
 
@@ -58,9 +55,6 @@ class Signature:
                 {"id": c, "arity": a} for c, a in sorted(self.connectives.items())
             ],
         }
-
-
-EMPTY = Signature("empty", {})
 
 
 class StrictMorphism:

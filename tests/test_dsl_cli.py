@@ -87,6 +87,58 @@ def test_morphism_round_trips_through_writer():
     assert again.morphism("h").assignment == env.morphism("h").assignment
 
 
+_MATRIX = """  matrix {
+    values 0 1
+    designated 1
+    table neg (0)=1 (1)=0
+  }
+"""
+
+
+@pytest.mark.parametrize("body, line, words", [
+    ("  bottom\n  axiom neg(x0)\n", 5, "is bottom"),
+    ("  axiom neg(x0)\n  top\n", 5, "is top"),
+    ("  top\n  rule x0 => neg(neg(x0))\n", 5, "is top"),
+    ("  bottom\n" + _MATRIX, 5, "is bottom"),
+    ("  bottom\n  top\n", 5, "already bottom"),
+    (_MATRIX + _MATRIX, 9, "second matrix"),
+], ids=["bottom-axiom", "axiom-top", "top-rule", "bottom-matrix", "bottom-top",
+        "two-matrices"])
+def test_logic_block_never_drops_what_it_declares(body, line, words):
+    text = f"signature S {{ neg/1 }}\nlogic L {{\n  signature S\n{body}}}\n"
+    with pytest.raises(dsl.SpecError) as err:
+        dsl.loads(text)
+    assert err.value.line == line
+    assert words in str(err.value)
+    # the corpus, with its bottom and top logics, still loads
+    assert {"BotNeg", "TopNeg", "BotCPL1", "CPL1"} <= set(corpus.fresh_env().logics)
+
+
+def test_dsl_names_become_identifiers():
+    assert dsl.dsl_name("fibring(IMPFRAG,NEGFRAG)") == "fibring_IMPFRAG_NEGFRAG"
+    assert dsl.dsl_name("IMPFRAG+NEGFRAG") == "IMPFRAG_NEGFRAG"
+    for name in ("CPL1", "SigNegImp", "_x", "a__b"):
+        assert dsl.dsl_name(name) == name
+
+
+@pytest.mark.parametrize("argv", [
+    ["fibre", "--left", "IMPFRAG", "--right", "NEGFRAG"],
+    ["fibre-shared", "--shared", "BotNeg", "--left", "IMPFRAGN", "--right", "NEGFRAG",
+     "--left-map", "shareNegLeft", "--right-map", "shareNegRight"],
+    ["colimit-chain", "--stages", "IMP,CPL1", "--maps", "inclImpStrict"],
+], ids=lambda argv: argv[0])
+def test_cli_dsl_output_loads_back(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert cli.main(["--json", str(out)] + argv) == 0
+    report = json.loads(out.read_text())
+    env = dsl.loads(report["dsl"])
+    [logic] = env.logics.values()
+    built = report["logic"]
+    assert logic.signature.connectives == {
+        c["id"]: c["arity"] for c in built["signature"]["connectives"]}
+    assert logic.calculus.to_json() == built["calculus"]
+
+
 # --- command line ---------------------------------------------------------
 
 
@@ -244,3 +296,28 @@ def test_cli_laws_deterministic(tmp_path):
 
 def test_cli_unknown_spec_file():
     assert cli.main(["--spec", "/nonexistent/file.logic", "validate"]) == 3
+
+
+_REFUTED_LEG = """
+logic S {
+  signature SigNeg
+  axiom neg(x0)
+}
+
+morphism strict m : SigNeg -> SigCPL1 { neg -> neg }
+"""
+
+
+def test_cli_refuses_to_build_along_a_refuted_leg(tmp_path, capsys):
+    spec = tmp_path / "refuted.logic"
+    spec.write_text(corpus.STANDARD_DSL + _REFUTED_LEG)
+    base = ["--spec", str(spec), "--budget", "4,4,2,1"]
+    assert cli.main(base + ["translate", "--via", "m", "--source", "S",
+                            "--target", "CPL1"]) == 1
+    capsys.readouterr()
+    assert cli.main(base + ["colimit-chain", "--stages", "S,CPL1", "--maps", "m"]) == 3
+    assert "chain map 0 m (S -> CPL1) is refuted" in capsys.readouterr().err
+    assert cli.main(base + ["fibre-shared", "--shared", "S", "--left", "CPL1",
+                            "--right", "NEGFRAG", "--left-map", "m",
+                            "--right-map", "shareNegRight"]) == 3
+    assert "left leg m (S -> CPL1) is refuted" in capsys.readouterr().err

@@ -93,3 +93,26 @@ def test_hygiene_check_sees_unreferenced_private_helpers():
         "def __dunder__(): pass\n"
         "x = obj._Kept\n")
     assert set(_private_definitions(tree)) - _references([tree]) == {"_unused", "_Dropped"}
+
+
+STATUS_WORDS = {"yes", "no", "unknown", "verified", "confirmed", "refuted"}
+
+
+def _status_words(tree: ast.Module) -> list[tuple[int, str]]:
+    """String constants that spell a status word, with their lines."""
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in STATUS_WORDS)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "consequence.py"],
+                         ids=lambda p: p.stem)
+def test_status_words_only_in_consequence(path):
+    found = _status_words(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} spells status words itself; import them from " \
+        "consequence: " + ", ".join(f"{word!r} (line {line})" for line, word in found)
+
+
+def test_hygiene_check_sees_status_words():
+    tree = ast.parse('x = "yes"\nif s == "refuted": pass\ny = "yes, sir"\nz = f"{x} no"\n')
+    assert _status_words(tree) == [(1, "yes"), (2, "refuted")]

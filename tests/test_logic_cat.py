@@ -333,6 +333,22 @@ def test_fibring_constrained_requires_strict_span():
         fibring_constrained(flex_leg, flex_leg)
 
 
+def test_constructions_refuse_refuted_legs():
+    shared = bottom(ENV.signature("SigNeg"), name="sharedNeg")
+    la, lb = ENV.logic("IMPFRAGN"), ENV.logic("NEGFRAG")
+    left = Translation(ENV.morphism("shareNegLeft"), shared, la, VERIFIED)
+    right = Translation(ENV.morphism("shareNegRight"), shared, lb, REFUTED)
+    with pytest.raises(ValueError, match="right leg shareNegRight .* is refuted"):
+        fibring_constrained(left, right)
+    imp = ENV.logic("IMP")
+    incl = ENV.morphism("inclImpStrict")
+    with pytest.raises(ValueError, match="chain map 0 inclImpStrict .* is refuted"):
+        directed_colimit_logics([imp, CPL1], [Translation(incl, imp, CPL1, REFUTED)])
+    # undecided legs still build
+    fibring_constrained(left, Translation(right.morphism, shared, lb, UNKNOWN))
+    directed_colimit_logics([imp, CPL1], [Translation(incl, imp, CPL1, UNKNOWN)])
+
+
 def _pushed(morphism, calculus):
     """Each axiom and rule of a presentation translated, in order."""
     return ([strict_extension(morphism, a) for a in calculus.axioms],

@@ -6,7 +6,7 @@ import pytest
 
 from catlog import corpus, quotient
 from catlog.consequence import (
-    Budget, Rule, Saturation, derives, matrix_interderivable,
+    Budget, Logic, Rule, Saturation, Verdict, derives, matrix_interderivable,
 )
 from catlog.formulas import enumerate_formulas, fmt, parse, sort_key
 from catlog.kleisli import (
@@ -366,6 +366,24 @@ def test_lindenbaum_half_pair_fails_symmetry():
     sym = report["conditions"]["b_symmetric"]
     assert sym["status"] == REFUTED
     assert sym["witness"]["counter"] == {"x0": "0", "x1": "1"}
+
+
+def test_lindenbaum_replacement_reads_past_an_undecided_connective():
+    sig = Signature("AB", {"a": 1, "b": 1, "e": 2})
+
+    def oracle(gamma, phi, budget):
+        heads = {getattr(arg, "connective", None) for arg in getattr(phi, "args", ())}
+        if getattr(phi, "connective", None) == "e" and heads == {"a"}:
+            return Verdict.unknown()
+        if getattr(phi, "connective", None) == "e" and heads == {"b"}:
+            return Verdict.no()
+        return Verdict.yes()
+
+    logic = Logic("AB", sig, oracle=oracle)
+    report = lindenbaum_delta_check(logic, [p("e(x0, x1)", sig)])
+    # replacement under a is undecided, under b refuted
+    assert report["conditions"]["d_replacement"] == {
+        "status": REFUTED, "witness": {"connective": "b", "counter": None}}
 
 
 def test_lindenbaum_fails_on_bottom():
