@@ -3,7 +3,8 @@ quotient-check, and run the law suites.
 
 Exit codes: 0 all checks passed / derivable, 1 refuted, 2 undecided within
 budget, 3 usage or input error.  Reports are JSON with sorted keys; given
-the same inputs and seed the bytes are identical.
+the same inputs the bytes are identical.  `--seed` steers only the random
+cases of `laws`; every other command is deterministic without it.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ import sys
 
 from . import corpus, dsl, kleisli
 from .consequence import (
-    Budget, CONFIRMED, NEGATIVE, POSITIVE, REFUTED, UNKNOWN, VERIFIED, YES,
-    derives,
+    Budget, CONFIRMED, NEGATIVE, POSITIVE, REFUTED, UNKNOWN, YES, derives,
 )
 from .formulas import fmt, parse
 from .kleisli import is_regular, kleisli_compose, kleisli_identity
 from .logic_cat import (
-    Translation, as_flexible, check_translation, directed_colimit_logics,
-    fibring_constrained, fibring_unconstrained, product_logic,
+    as_flexible, check_translation, directed_colimit_logics, fibring_constrained,
+    fibring_unconstrained, product_logic,
 )
 from .quotient import (
     congruential_closure, is_congruential, lindenbaum_delta_check,
@@ -247,8 +247,8 @@ def _fibre(env, args, budget):
 def _fibre_shared(env, args, budget):
     shared = env.logic(args.shared)
     left, right = env.logic(args.left), env.logic(args.right)
-    left_leg = _span_leg(env.morphism(args.left_map), shared, left, budget)
-    right_leg = _span_leg(env.morphism(args.right_map), shared, right, budget)
+    left_leg = check_translation(env.morphism(args.left_map), shared, left, budget)
+    right_leg = check_translation(env.morphism(args.right_map), shared, right, budget)
     combined, t1, t2 = fibring_constrained(left_leg, right_leg)
     report = {"command": "fibre-shared", "logic": combined.to_json(),
               "dsl": _with_dsl(combined), "cocone": [t1.to_json(), t2.to_json()]}
@@ -265,7 +265,7 @@ def _product(env, args, budget):
 def _colimit_chain(env, args, budget):
     stages = [env.logic(nm) for nm in args.stages.split(",")]
     names = [nm for nm in args.maps.split(",") if nm]
-    maps = [_span_leg(env.morphism(nm), stages[i], stages[i + 1], budget)
+    maps = [check_translation(env.morphism(nm), stages[i], stages[i + 1], budget)
             for i, nm in enumerate(names)]
     combined, cocone = directed_colimit_logics(stages, maps)
     report = {"command": "colimit-chain", "logic": combined.to_json(),
@@ -350,9 +350,10 @@ def _equipollent(env, args, budget):
 def _rigidity(env, args, budget):
     report = rigidity_probe(env.logic(args.logic), bound=min(args.bound, 3),
                             budget=budget)
+    word, status = {True: ("rigid", CONFIRMED), False: ("not rigid", REFUTED),
+                    None: ("undecided", UNKNOWN)}[report["rigid"]]
     return ({"command": "rigidity", "logic": args.logic, **report},
-            f"{args.logic}: {'rigid' if report['rigid'] else 'not rigid'}",
-            CONFIRMED if report["rigid"] else REFUTED)
+            f"{args.logic}: {word}", status)
 
 
 def _laws(env, args, budget):
@@ -378,17 +379,6 @@ COMMANDS = {
     "closure": _closure, "lindenbaum": _lindenbaum, "equipollent": _equipollent,
     "rigidity": _rigidity, "laws": _laws,
 }
-
-
-def _span_leg(morphism, source, target, budget) -> Translation:
-    """Build a Translation for a span leg, checking when checkable."""
-    if source.calculus is not None:
-        return check_translation(morphism, source, target, budget)
-    if source.oracle is not None and source.decides:
-        # least logics translate along every signature morphism
-        return Translation(morphism, source, target, VERIFIED,
-                           evidence=["membership is preserved by extensions"])
-    return Translation(morphism, source, target, UNKNOWN)
 
 
 if __name__ == "__main__":

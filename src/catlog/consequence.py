@@ -13,6 +13,7 @@ import copy
 import itertools
 from collections import ChainMap
 from dataclasses import dataclass
+from functools import reduce
 
 from .formulas import (
     App, Formula, Substitution, Var, check_formula, complexity,
@@ -269,7 +270,8 @@ class Matrix:
                 if type(phi) is Var:
                     raise KeyError(phi.index)
                 args = [column(a) for a in phi.args]
-                table = self._flat.get(phi.connective) or self._flatten(phi)
+                table = (self._flat.get(phi.connective)
+                         or self._flatten(phi.connective, len(args)))
                 if len(args) == 1:
                     col = [table[v] for v in args[0]]
                 elif len(args) == 2:
@@ -297,16 +299,16 @@ class Matrix:
                 zip(*itertools.product(range(n), repeat=k)))
         return cols
 
-    def _flatten(self, phi: App) -> list[int]:
-        """phi's connective table as value indices, argument indices read
-        as a base-n numeral; built once per connective."""
+    def _flatten(self, connective: str, arity: int) -> list[int]:
+        """A connective's table as value indices, argument indices read as
+        a base-n numeral; built once per connective."""
         index: dict = {}
         for i, v in enumerate(self.values):
             index.setdefault(v, i)
-        table = self.tables[phi.connective]
-        flat = self._flat[phi.connective] = [
+        table = self.tables[connective]
+        flat = self._flat[connective] = [
             index[table[combo]]
-            for combo in itertools.product(self.values, repeat=len(phi.args))]
+            for combo in itertools.product(self.values, repeat=arity)]
         return flat
 
     def is_designated(self, value) -> bool:
@@ -343,10 +345,6 @@ def truth_function(matrix: Matrix, phi: Formula, n: int) -> tuple:
     return tuple(map(matrix.values.__getitem__, col))
 
 
-def designation_function(matrix: Matrix, phi: Formula, n: int) -> tuple[bool, ...]:
-    return tuple(matrix.is_designated(v) for v in truth_function(matrix, phi, n))
-
-
 def matrix_verdict(matrix: Matrix, gamma, phi: Formula) -> "Verdict":
     """A matrix's answer to gamma |- phi as a verdict: yes, or no with the
     countervaluation."""
@@ -367,6 +365,94 @@ def matrix_interderivable(matrix: Matrix, phi: Formula, psi: Formula
         if designated[a] != designated[b]:
             return False, matrix.valuation(occurring, t)
     return True, None
+
+
+# The most elements, and rows per column, `model_of` takes before it
+# answers unknown.
+_MODEL_CAP = 500
+
+
+def model_of(sig, a: Matrix, b: Matrix) -> tuple[Verdict, tuple | None]:
+    """Does every sequent valid in matrix a over sig hold in matrix b?  Yes;
+    no with a sequent (premises, conclusion) valid in a that the verdict's
+    counter refutes in b; unknown once the closure passes `_MODEL_CAP`.
+
+    Any failure in b renames to one at x_i -> b's i-th value.  So close the
+    generators (column of x_i over all a-valuations of x_0..x_{|b|-1}, i)
+    under the connectives, a's tables acting on columns and b's on values.
+    With T the elements of designated b-value and R the rows designating
+    all of T's columns, b fails exactly when an element of undesignated
+    b-value is designated throughout R.  T only grows and R only shrinks,
+    so a refutation on a partial closure stands.
+    """
+    connectives = sorted(sig.connectives.items())
+    if a.values == b.values and a.designated == b.designated and all(
+            a.tables[c] == b.tables[c] for c, _ in connectives):
+        return Verdict.yes(reason="equal matrices"), None
+    n, k = len(a.values), len(b.values)
+    if n ** k > _MODEL_CAP:  # one column alone would pass the cap
+        return Verdict.unknown(reason=f"{n ** k} rows passed {_MODEL_CAP}"), None
+    # each connective with its flattened tables in a and in b
+    tables = [(c, arity, a._flat.get(c) or a._flatten(c, arity),
+               b._flat.get(c) or b._flatten(c, arity)) for c, arity in connectives]
+    everywhere = (1 << n ** k) - 1
+    elements: dict[tuple, Formula] = {}  # (column, b-value) -> term, in order
+    masks, premises, refuters = [], [], []
+
+    def add(column: tuple, out: int, term: Formula) -> None:
+        if (column, out) not in elements:
+            (premises if b._designated_at[out] else refuters).append(len(elements))
+            elements[column, out] = term
+            masks.append(sum(1 << t for t, v in enumerate(column) if a._designated_at[v]))
+
+    def refutation():
+        reach = reduce(int.__and__, map(masks.__getitem__, premises), everywhere)
+        return next((j for j in refuters if not reach & ~masks[j]), None)
+
+    for i, column in enumerate(zip(*itertools.product(range(n), repeat=k))):
+        add(column, i, Var(i))
+    for c, arity, a_table, b_table in tables:
+        if arity == 0:
+            add(tuple(a_table) * n ** k, b_table[0], App(c, ()))
+    lo = 0
+    while lo < len(elements) <= _MODEL_CAP and refutation() is None:
+        pairs, terms, hi = list(elements), list(elements.values()), len(elements)
+        # argument tuples over [0, hi) with a first new element at `new`
+        for c, arity, a_table, b_table in tables:
+            for new in range(arity):
+                for args in itertools.product(*[range(lo) if q < new else range(
+                        lo, hi) if q == new else range(hi) for q in range(arity)]):
+                    add(_apply(a_table, n, [pairs[i][0] for i in args]),
+                        _apply(b_table, k, [(pairs[i][1],) for i in args])[0],
+                        App(c, tuple(terms[i] for i in args)))
+                    if len(elements) > _MODEL_CAP:
+                        break
+        lo = hi
+    j, terms = refutation(), list(elements.values())
+    if j is None and len(terms) > _MODEL_CAP:
+        return Verdict.unknown(reason=f"closure passed {_MODEL_CAP} elements"), None
+    if j is None:
+        return Verdict.yes(reason=f"closure of {len(terms)} elements"), None
+    # drop premises, last first, while the rest still confine R to j's rows
+    before = list(itertools.accumulate(map(masks.__getitem__, premises),
+                                       int.__and__, initial=everywhere))
+    kept, reach = [], everywhere
+    for pos in reversed(range(len(premises))):
+        if before[pos] & reach & ~masks[j]:
+            kept.append(premises[pos])
+            reach &= masks[premises[pos]]
+    sequent = (tuple(terms[i] for i in reversed(kept)), terms[j])
+    occurring = sorted(set().union(variables(sequent[1]), *map(variables, sequent[0])))
+    return Verdict.no(counter={f"x{i}": b.values[i] for i in occurring},
+                      reason="a sequent valid in a fails in b"), sequent
+
+
+def _apply(table: list, width: int, args: list) -> tuple:
+    """A flattened table applied row by row to argument columns."""
+    keys = args[0]
+    for arg in args[1:]:
+        keys = [key * width + v for key, v in zip(keys, arg)]
+    return tuple(map(table.__getitem__, keys))
 
 
 # ---------------------------------------------------------------------------

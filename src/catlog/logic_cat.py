@@ -1,31 +1,30 @@
 """Translations between logics and their combination constructions.
 
-A translation is a signature morphism that preserves derivability.  Checking
-happens on the generating presentation: every axiom image must be derivable
-and every rule image admissible in the target.  Combinations (fibring,
-constrained fibring, products, directed colimits) build the signature part
-first and then equip it with a presented calculus or a delegating oracle.
-
-Strict and flexible morphisms both act on formulas through their head
-assignment (`translate_formula`), and every presented combination is the
-generated join of its components' presentations pushed forward along the
-cocone legs (`push_calculus`).  A translation check is one
-`consequence.refutation_sweep` over the translated axioms and rules, and
-its status words (verified, refuted, unknown) are `consequence`'s; a
-combination refuses to build along a refuted leg.
+A translation is a signature morphism that preserves consequence, and
+`check_translation` alone decides it: on the generating presentation of a
+presented source (one `consequence.refutation_sweep` over the translated
+axioms and rules), by `matrix_inclusion` (`consequence.model_of` read
+under the provider rule) for a source given by a matrix alone.  Its
+status words (verified, refuted, unknown) are `consequence`'s.  Strict and
+flexible morphisms both act on formulas through their head assignment
+(`translate_formula`).  Combinations build the signature part first and
+then equip it with a delegating oracle or with the generated join of the
+components' presentations pushed forward along the cocone legs
+(`push_calculus`); none builds along a refuted leg.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .consequence import (
-    AxiomInstance, Budget, Calculus, DEFAULT_BUDGET, Hypothesis, Logic, Proof,
-    REFUTED, Rule, RuleInstance, SignatureMismatch, Step, UNKNOWN, VERIFIED,
-    Verdict, YES, derives, generated_join, refutation_sweep, semantic_derives,
-    transform_proof,
+    AxiomInstance, Budget, Calculus, DEFAULT_BUDGET, Hypothesis, Logic, Matrix,
+    Proof, REFUTED, Rule, RuleInstance, SignatureMismatch, Step, UNKNOWN,
+    VERIFIED, Verdict, YES, derives, generated_join, model_of, refutation_sweep,
+    semantic_derives, transform_proof, truth_function,
 )
-from .formulas import Formula, Substitution, extend, fmt, substitute
+from .formulas import Formula, Substitution, Var, extend, fmt, substitute
 from .kleisli import (
     FlexibleMorphism, directed_colimit_signatures, kleisli_compose, lift_strict,
 )
@@ -85,7 +84,8 @@ class Translation:
             serialized = []
             for e in self.evidence:
                 if isinstance(e, dict):
-                    e = {k: (v.to_json() if isinstance(v, Proof) else v)
+                    e = {k: (v.to_json() if isinstance(v, Proof)
+                             else fmt(v) if isinstance(v, Formula) else v)
                          for k, v in e.items()}
                     serialized.append(e)
                 else:
@@ -99,20 +99,36 @@ class Translation:
 def check_translation(morphism, source: Logic, target: Logic,
                       budget: Budget = DEFAULT_BUDGET,
                       semantic: bool = False) -> Translation:
-    """Decide translation-hood on the generating presentation of the source.
+    """Decide whether the morphism preserves consequence, by source kind.
 
-    Verified when every translated axiom is target-derivable and every
-    translated rule is target-admissible as a derivable rule.  A target
-    refutation of any image refutes the whole morphism, with the offending
-    scheme as witness.  With `semantic=True` a target matrix decides the
-    image checks outright instead of steering a proof search
-    (`semantic_derives`).
+    - Presented: verified when every translated axiom is target-derivable
+      and every translated rule target-admissible; refuted, with the scheme
+      as witness, when the target refutes an image.  With `semantic=True` a
+      target matrix decides each image (`semantic_derives`).
+    - A matrix alone, into a target with a matrix: `matrix_inclusion`,
+      whose failing sequent (valid in the source, its image refuted by the
+      counter) refutes and whose pass verifies.  It answers unknown where
+      a matrix beside another provider would have to be its whole logic,
+      unless `semantic=True` reads it so.
+    - Anything else: unknown.
     """
-    if source.calculus is None:
-        raise ValueError("translation checking needs a presented source")
     h = morphism
     if h.source != source.signature or h.target != target.signature:
         raise SignatureMismatch("morphism endpoints do not match the logics")
+    if source.calculus is None:
+        if source.matrix is None or target.matrix is None:
+            return Translation(h, source, target, UNKNOWN,
+                               evidence=["neither a presentation nor two matrices"])
+        v, sequent = matrix_inclusion(h, source, target, semantic)
+        if v.is_no:
+            premises, conclusion = sequent
+            witness = {"premises": [*map(fmt, premises)], "conclusion": fmt(conclusion),
+                       "premise_images": [fmt(translate_formula(h, p)) for p in premises],
+                       "conclusion_image": fmt(translate_formula(h, conclusion)),
+                       "counter": v.counter_json()}
+            return Translation(h, source, target, REFUTED, witness=witness)
+        return Translation(h, source, target, v.outcome(VERIFIED),
+                           evidence=[{"model_check": v.status, "reason": v.reason}])
     ask = semantic_derives if semantic else derives
     calc = source.calculus
     evidence = []
@@ -126,10 +142,10 @@ def check_translation(morphism, source: Logic, target: Logic,
             image = translate_formula(h, conclusion)
             v = ask(target, gamma, image, budget)
             if rule is None:
-                evidence.append({"axiom": i, "image": fmt(image),
+                evidence.append({"axiom": i, "image": image,
                                  "verdict": v.status, "proof": v.proof})
             else:
-                evidence.append({"rule": i, "conclusion_image": fmt(image),
+                evidence.append({"rule": i, "conclusion_image": image,
                                  "verdict": v.status, "proof": v.proof})
             yield (i, gamma, conclusion, image, rule), v
 
@@ -144,6 +160,37 @@ def check_translation(morphism, source: Logic, target: Logic,
         witness["counter"] = v.counter_json()
         return Translation(h, source, target, REFUTED, witness=witness)
     return Translation(h, source, target, v.outcome(VERIFIED), evidence=evidence)
+
+
+def matrix_inclusion(h, source: Logic, target: Logic, semantic: bool = False,
+                     converse: bool = False) -> tuple[Verdict, tuple | None]:
+    """Is source's consequence included in the preimage of target's along h
+    (h is a translation), or with `converse` the other way round (h is
+    conservative)?  `model_of` on source's matrix and target's `reduct`.
+
+    Every matrix is taken to be sound for its logic, and to be all of it
+    when it is the logic's only provider or `semantic` reads it so.  A
+    failing sequent counts only when the included side's matrix is all of
+    its logic (else the sequent need not be a consequence), a pass only
+    when the including side's is; otherwise the answer is unknown.
+    """
+    sides = [(source.matrix, source), (reduct(target.matrix, h), target)]
+    (a, a_logic), (b, b_logic) = sides[::-1] if converse else sides
+    v, sequent = model_of(h.source, a, b)
+    needed = a_logic if v.is_no else b_logic
+    if v.is_unknown or semantic or (needed.calculus is None and needed.oracle is None):
+        return v, sequent
+    return Verdict.unknown(reason=f"{v.reason}, but {needed.name}'s matrix is not "
+                                  "its only provider"), None
+
+
+def reduct(matrix: Matrix, morphism) -> Matrix:
+    """M^h: the matrix's values and designated set, with each source
+    connective c read as the truth function of h(c) in the matrix."""
+    return Matrix(matrix.values, matrix.designated, {
+        c: dict(zip(itertools.product(matrix.values, repeat=arity),
+                    truth_function(matrix, morphism.assignment[c], arity)))
+        for c, arity in morphism.source.connectives.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +218,7 @@ def direct_image(morphism, source: Logic, name: str = "") -> Logic:
 
 
 def bottom(sig: Signature, name: str = "") -> Logic:
-    """Least consequence relation: membership only."""
+    """Least consequence relation: membership only, presented by nothing."""
 
     def oracle(gamma, phi, budget):
         if phi in gamma:
@@ -179,16 +226,18 @@ def bottom(sig: Signature, name: str = "") -> Logic:
                                used=frozenset((phi,)), detail={"member": fmt(phi)})
         return Verdict.no(reason="not a member; the least logic proves nothing else")
 
-    return Logic(name or f"bottom({sig.name})", sig, oracle=oracle, decides=True)
+    return Logic(name or f"bottom({sig.name})", sig, calculus=Calculus(sig, [], []),
+                 oracle=oracle, decides=True)
 
 
 def top(sig: Signature, name: str = "") -> Logic:
-    """Greatest consequence relation: everything follows."""
+    """Greatest consequence relation: everything follows from the axiom x0."""
 
     def oracle(gamma, phi, budget):
         return Verdict.yes(reason="top logic", used=frozenset())
 
-    return Logic(name or f"top({sig.name})", sig, oracle=oracle, decides=True)
+    return Logic(name or f"top({sig.name})", sig, calculus=Calculus(sig, [Var(0)], []),
+                 oracle=oracle, decides=True)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +298,12 @@ def push_proof(translation: Translation, proof: Proof) -> Proof:
         if isinstance(j, Hypothesis):
             append(image, Hypothesis())
         elif isinstance(j, AxiomInstance):
-            base = _raw_proof(axiom_proofs[j.axiom])
+            base = axiom_proofs[j.axiom]
             pushed_sigma = _push_substitution(h, j.substitution)
             splice(transform_proof(base, pushed_sigma), {})
         else:
             rule = src_calc.rules[j.rule]
-            base = _raw_proof(rule_proofs[j.rule])
+            base = rule_proofs[j.rule]
             pushed_sigma = _push_substitution(h, j.substitution)
             transformed = transform_proof(base, pushed_sigma)
             premise_map = {}
@@ -263,12 +312,6 @@ def push_proof(translation: Translation, proof: Proof) -> Proof:
                 premise_map[prem_image] = index[prem_image]
             splice(transformed, premise_map)
     return Proof(steps)
-
-
-def _raw_proof(p) -> Proof:
-    if isinstance(p, Proof):
-        return p
-    raise TypeError("evidence entry does not carry a proof object")
 
 
 def _push_substitution(h, sigma: Substitution) -> Substitution:
@@ -308,13 +351,13 @@ def verbatim_translation(morphism, source: Logic, target: Logic) -> Translation:
     for i, image in enumerate(pushed.axioms):
         idx = calc.axioms.index(image)
         proof = Proof([Step(image, AxiomInstance(idx, Substitution()))])
-        evidence.append({"axiom": i, "image": fmt(image), "verdict": YES,
+        evidence.append({"axiom": i, "image": image, "verdict": YES,
                          "proof": proof})
     for i, rule in enumerate(pushed.rules):
         steps = [Step(p, Hypothesis()) for p in rule.premises]
         steps.append(Step(rule.conclusion, RuleInstance(
             calc.rules.index(rule), Substitution(), tuple(range(len(rule.premises))))))
-        evidence.append({"rule": i, "conclusion_image": fmt(rule.conclusion),
+        evidence.append({"rule": i, "conclusion_image": rule.conclusion,
                          "verdict": YES, "proof": Proof(steps)})
     return Translation(morphism, source, target, VERIFIED, evidence=evidence)
 

@@ -15,13 +15,12 @@ confirmed, refuted or unknown.  The certificates share one JSON writer.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field, fields
 
 from .consequence import (
     Budget, CONFIRMED, DEFAULT_BUDGET, Logic, REFUTED, Rule, Saturation,
-    UNKNOWN, VERIFIED, Verdict, derives, designation_function, generated_join,
-    interderivable, refutation_sweep, semantic_derives, truth_function,
+    UNKNOWN, VERIFIED, Verdict, derives, generated_join, interderivable,
+    refutation_sweep, semantic_derives, truth_function,
 )
 from .formulas import (
     App, Formula, Substitution, Var, complexity, enumerate_formulas,
@@ -31,7 +30,10 @@ from .kleisli import (
     FlexibleMorphism, all_flexible_morphisms, flexible_extension,
     kleisli_compose, kleisli_identity,
 )
-from .logic_cat import Translation, as_flexible, check_translation, push_calculus
+from .logic_cat import (
+    Translation, as_flexible, check_translation, matrix_inclusion, push_calculus,
+    reduct,
+)
 from .signatures import Signature, signature_coproduct
 
 
@@ -324,9 +326,8 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
 class WeakEquivalenceCertificate(_Certificate):
     morphism: FlexibleMorphism
     status: str
-    conservativity: str = ""   # "connective-tables" | "bounded-audit"
+    conservativity: str = ""   # "connective-tables" | "unchecked"
     denseness: dict = field(default_factory=dict)  # n -> {class: witness}
-    audited_sequents: int = 0
     witness: dict | None = None
     bounds: tuple | None = None
 
@@ -337,50 +338,37 @@ class WeakEquivalenceCertificate(_Certificate):
 
 def weak_equivalence(h, source: Logic, target: Logic,
                      n_max: int = 2, target_compl: int = 4,
-                     source_compl: int = 10, audit: int = 60, seed: int = 0,
+                     source_compl: int = 10,
                      budget: Budget = DEFAULT_BUDGET) -> WeakEquivalenceCertificate:
-    """Certify that h is conservative and dense, or refute it.
+    """Certify that h is a conservative and dense translation, or refute it.
 
-    Conservativity is exact at the level of connective truth tables when both
-    logics carry matrices over the same values; denseness searches source
-    formulas by image truth function (breadth-first over functions, so every
-    realizable class is found regardless of formula size).
+    With a matrix on both sides, translation-hood is `check_translation`
+    and conservativity the converse `matrix_inclusion`, both with
+    `semantic=True` ("connective-tables").  That reads each matrix as its
+    logic's whole consequence: an assumption, not a check, and false for a
+    matrix that is only sound, such as IMP's.  Without two matrices both
+    are "unchecked" and the certificate is at best unknown.  Denseness
+    searches source formulas by image truth function (breadth-first over
+    functions, so every realizable class is found regardless of formula
+    size).
     """
     hf = as_flexible(h)
-    exact_tables = (
-        source.matrix is not None and target.matrix is not None
-        and tuple(source.matrix.values) == tuple(target.matrix.values)
-        and source.matrix.designated == target.matrix.designated
-    )
-    conservativity = ""
-    witness = None
-    if exact_tables:
-        for c, arity in sorted(hf.source.connectives.items()):
-            image_tf = truth_function(target.matrix, hf(c), arity)
-            table = source.matrix.tables[c]
-            own_tf = tuple(table[combo] for combo in
-                           itertools.product(source.matrix.values, repeat=arity))
-            if image_tf != own_tf:
-                witness = {"connective": c, "source_table": [str(v) for v in own_tf],
-                           "image_table": [str(v) for v in image_tf]}
-                break
-        if witness is None:
-            conservativity = "connective-tables"
-    if not conservativity:
-        ok, audit_witness, audited = _conservativity_audit(
-            hf, source, target, n_max, seed, audit, budget)
-        if ok is False:
+    bounds = (n_max, target_compl, source_compl)
+    status, conservativity = UNKNOWN, "unchecked"
+    if source.matrix is not None and target.matrix is not None:
+        conservativity = "connective-tables"
+        forward = check_translation(hf, source, target, budget, semantic=True)
+        if forward.status == REFUTED:
             return WeakEquivalenceCertificate(
-                hf, REFUTED, conservativity="bounded-audit",
-                witness=witness or audit_witness,
-                bounds=(n_max, target_compl, source_compl))
-        if witness is not None:
+                hf, REFUTED, conservativity=conservativity, bounds=bounds,
+                witness={"direction": "forward", **forward.witness})
+        v, sequent = matrix_inclusion(hf, source, target, semantic=True, converse=True)
+        if v.is_no:
             return WeakEquivalenceCertificate(
-                hf, REFUTED, conservativity="connective-tables", witness=witness,
-                bounds=(n_max, target_compl, source_compl))
-        conservativity = "bounded-audit"
-    else:
-        audited = 0
+                hf, REFUTED, conservativity=conservativity, bounds=bounds,
+                witness={"direction": "backward", "counter": v.counter_json(),
+                         "sequent": [*map(fmt, sequent[0]), "|-", fmt(sequent[1])]})
+        status = CONFIRMED if forward.verified and v.is_yes else UNKNOWN
     denseness: dict[int, dict] = {}
     for n in range(n_max + 1):
         found, missing, classes = _denseness_search(
@@ -388,38 +376,11 @@ def weak_equivalence(h, source: Logic, target: Logic,
         if missing is not None:
             return WeakEquivalenceCertificate(
                 hf, REFUTED, conservativity=conservativity,
-                denseness=denseness, witness=missing,
-                bounds=(n_max, target_compl, source_compl))
+                denseness=denseness, witness=missing, bounds=bounds)
         denseness[n] = {"targets": found, "classes": classes}
     return WeakEquivalenceCertificate(
-        hf, CONFIRMED, conservativity=conservativity, denseness=denseness,
-        audited_sequents=audited, bounds=(n_max, target_compl, source_compl))
-
-
-def _conservativity_audit(hf, source, target, n_max, seed, audit, budget):
-    rng = random.Random(seed)
-    pool = enumerate_formulas(hf.source, n_max, 3)
-    if not pool:
-        return True, None, 0
-    audited = 0
-    undecided = False
-    for _ in range(audit):
-        gamma = [pool[rng.randrange(len(pool))]
-                 for _ in range(rng.randint(0, 2))]
-        phi = pool[rng.randrange(len(pool))]
-        v_src = derives(source, gamma, phi, budget)
-        v_tgt = derives(target, [flexible_extension(hf, g) for g in gamma],
-                        flexible_extension(hf, phi), budget)
-        audited += 1
-        if v_src.is_yes and v_tgt.is_no:
-            return False, {"sequent": [fmt(g) for g in gamma] + ["|-", fmt(phi)],
-                           "direction": "forward"}, audited
-        if v_src.is_no and v_tgt.is_yes:
-            return False, {"sequent": [fmt(g) for g in gamma] + ["|-", fmt(phi)],
-                           "direction": "backward"}, audited
-        if v_src.is_unknown or v_tgt.is_unknown:
-            undecided = True
-    return (None if undecided else True), None, audited
+        hf, status, conservativity=conservativity, denseness=denseness,
+        bounds=bounds)
 
 
 def _denseness_search(hf, source: Logic, target: Logic, n: int,
@@ -450,39 +411,21 @@ def _denseness_search(hf, source: Logic, target: Logic, n: int,
 
 
 def _denseness_by_functions(hf, target: Logic, n: int, targets, source_compl: int):
-    """Breadth-first over image truth functions of source slice formulas."""
+    """Breadth-first over image truth functions of source slice formulas,
+    their truth functions in the target matrix's reduct along h."""
     matrix = target.matrix
-    src_sig = hf.source
-    # state: (frozen varset, image truth function over n variables)
+    pulled = reduct(matrix, hf)
     n_val = len(matrix.values) ** n
+    # state: (frozen varset, image truth function over n variables)
     best: dict[tuple, Formula] = {}
-    frontier: list[tuple[tuple, Formula]] = []
-
-    def push(state, formula):
-        if state not in best:
-            best[state] = formula
-            frontier.append((state, formula))
-
-    for i in range(n):
-        func = truth_function(matrix, Var(i), n)
-        push((frozenset((i,)), func), Var(i))
-    for c, arity in sorted(src_sig.connectives.items()):
-        if arity == 0:
-            func = truth_function(matrix, hf(c), n)
-            push((frozenset(), func), App(c, ()))
-    # image functions compose through the translated connective tables
-    ops = {}
-    for c, arity in sorted(src_sig.connectives.items()):
-        if arity > 0:
-            table = dict(zip(itertools.product(matrix.values, repeat=arity),
-                             truth_function(matrix, hf(c), arity)))
-            ops[c] = (arity, table)
-    states = list(best.items())
+    for phi in [Var(i) for i in range(n)] + [
+            App(c, ()) for c, arity in sorted(hf.source.connectives.items()) if arity == 0]:
+        best.setdefault((variables(phi), truth_function(pulled, phi, n)), phi)
     for _ in range(source_compl):
-        new_items = []
-        for c, (arity, table) in sorted(ops.items()):
-            pools = [states] * arity
-            for combo in itertools.product(*pools):
+        states = list(best.items())
+        for c, arity in sorted(hf.source.connectives.items()):
+            table = pulled.tables[c]
+            for combo in itertools.product(states, repeat=arity) if arity else ():
                 varset = frozenset().union(*[s[0][0] for s in combo])
                 func = tuple(table[tuple(s[0][1][t] for s in combo)]
                              for t in range(n_val))
@@ -491,10 +434,8 @@ def _denseness_by_functions(hf, target: Logic, n: int, targets, source_compl: in
                     formula = App(c, tuple(s[1] for s in combo))
                     if complexity(formula) <= source_compl:
                         best[state] = formula
-                        new_items.append((state, formula))
-        if not new_items:
+        if len(best) == len(states):
             break
-        states = list(best.items())
     full = frozenset(range(n))
     by_designation: dict[tuple, Formula] = {}
     for (varset, func), formula in best.items():
@@ -507,7 +448,7 @@ def _denseness_by_functions(hf, target: Logic, n: int, targets, source_compl: in
     }
     found = {}
     for tprime in targets:
-        des = designation_function(matrix, tprime, n)
+        des = tuple(map(matrix.is_designated, truth_function(matrix, tprime, n)))
         theta = by_designation.get(des)
         if theta is None:
             return found, {"missing": fmt(tprime),
@@ -540,66 +481,40 @@ def rigidity_probe(logic: Logic, bound: int = 3,
                    budget: Budget = DEFAULT_BUDGET) -> dict:
     """Enumerate verified endo-translations and test each against identity.
 
-    Every comparison has the logic itself as target, so whether it is
-    congruential is tested once, at the first verified endo-translation.
+    Not rigid on a refutation; otherwise rigid, or None (undecided) when a
+    translation or equivalence check stayed unknown.  Every comparison has
+    the logic itself as target, so whether it is congruential is tested
+    once, at the first verified endo-translation.
     """
     sig = logic.signature
     ident = kleisli_identity(sig)
     endos = all_flexible_morphisms(sig, sig, bound)
     verified = 0
+    undecided = False
     non_rigid = []
-    identity_found = False
     bounds = (3, 2)  # morphisms_equivalent's default
     congruential = None
     for h in endos:
-        if h == ident:
-            identity_found = True
-        if logic.calculus is not None:
-            status = check_translation(h, logic, logic, budget,
-                                       semantic=logic.matrix is not None).status
-        elif logic.decides:
-            status = _sampled_translation_status(h, logic, budget)
-        else:
-            status = UNKNOWN
-        if status != VERIFIED:
-            continue
-        verified += 1
-        if congruential is None:
-            congruential = _known_congruential(logic, bounds, budget)
-        cert = morphisms_equivalent(h, ident, logic, logic, budget, bounds,
-                                    target_congruential=congruential)
-        if cert.status == REFUTED:
-            non_rigid.append({"morphism": h.to_json(), "witness": cert.witness})
+        status = check_translation(h, logic, logic, budget,
+                                   semantic=logic.matrix is not None).status
+        if status == VERIFIED:
+            verified += 1
+            if congruential is None:
+                congruential = _known_congruential(logic, bounds, budget)
+            cert = morphisms_equivalent(h, ident, logic, logic, budget, bounds,
+                                        target_congruential=congruential)
+            status = cert.status
+            if status == REFUTED:
+                non_rigid.append({"morphism": h.to_json(), "witness": cert.witness})
+        undecided = undecided or status == UNKNOWN
     return {
         "endomorphisms": len(endos),
         "verified_translations": verified,
-        "identity_enumerated": identity_found,
-        "rigid": not non_rigid,
+        "identity_enumerated": ident in endos,
+        "rigid": False if non_rigid else None if undecided else True,
         "non_rigid_witnesses": non_rigid,
         "bound": bound,
     }
-
-
-def _sampled_translation_status(h, logic: Logic, budget: Budget,
-                                samples: int = 40, seed: int = 11) -> str:
-    rng = random.Random(seed)
-    pool = enumerate_formulas(logic.signature, 2, 2)
-    if not pool:
-        return VERIFIED
-    hf = as_flexible(h)
-    for _ in range(samples):
-        gamma = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(0, 2))]
-        phi = pool[rng.randrange(len(pool))]
-        v = derives(logic, gamma, phi, budget)
-        if not v.is_yes:
-            continue
-        image = derives(logic, [flexible_extension(hf, g) for g in gamma],
-                        flexible_extension(hf, phi), budget)
-        if image.is_no:
-            return REFUTED
-        if image.is_unknown:
-            return UNKNOWN
-    return VERIFIED
 
 
 def lindenbaum_delta_check(logic: Logic, delta: list[Formula],

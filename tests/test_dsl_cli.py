@@ -321,3 +321,33 @@ def test_cli_refuses_to_build_along_a_refuted_leg(tmp_path, capsys):
                             "--right", "NEGFRAG", "--left-map", "m",
                             "--right-map", "shareNegRight"]) == 3
     assert "left leg m (S -> CPL1) is refuted" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_span_out_of_top_that_the_legs_do_not_preserve(tmp_path, capsys):
+    # TopNeg is presented by the axiom x0; CPL1 does not derive x0, so the
+    # leg is refuted and nothing is built along it
+    spec = tmp_path / "top.logic"
+    spec.write_text(corpus.STANDARD_DSL + """
+morphism strict negIntoCPL1 : SigNeg -> SigCPL1 { neg -> neg }
+""")
+    assert cli.main(["--spec", str(spec), "fibre-shared", "--shared", "TopNeg",
+                     "--left", "CPL1", "--right", "CPL1",
+                     "--left-map", "negIntoCPL1", "--right-map", "negIntoCPL1"]) == 3
+    assert "left leg negIntoCPL1 (TopNeg -> CPL1) is refuted" in capsys.readouterr().err
+
+
+def test_cli_translate_from_a_matrix_only_source(tmp_path):
+    out = tmp_path / "k.json"
+    code = cli.main(["--json", str(out), "translate", "--via", "k",
+                     "--from", "CPL2", "--to", "CPL1"])
+    assert code in (0, 2)
+    assert json.loads(out.read_text())["status"] != "refuted"
+
+
+def test_cli_rigidity_with_undecided_endomorphisms(capsys):
+    # some L3 endomorphisms pass the model check's cap undecided and none is
+    # refuted equivalent to the identity, so rigidity is undecided
+    assert cli.main(["rigidity", "--logic", "L3"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("L3: undecided")
+    assert '"rigid": null' in out

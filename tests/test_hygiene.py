@@ -116,3 +116,24 @@ def test_status_words_only_in_consequence(path):
 def test_hygiene_check_sees_status_words():
     tree = ast.parse('x = "yes"\nif s == "refuted": pass\ny = "yes, sir"\nz = f"{x} no"\n')
     assert _status_words(tree) == [(1, "yes"), (2, "refuted")]
+
+
+def _imports_random(tree: ast.Module) -> bool:
+    return any(isinstance(node, ast.Import) and any(a.name == "random" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "random"
+               for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "kleisli.py"],
+                         ids=lambda p: p.stem)
+def test_only_kleisli_imports_random(path):
+    # the law suites in kleisli draw cases from an explicit seed; every
+    # other check is exact or bounded, never sampled
+    assert not _imports_random(ast.parse(path.read_text(), filename=str(path))), \
+        f"{path.name} imports random"
+
+
+def test_hygiene_check_sees_random_imports():
+    assert _imports_random(ast.parse("import os, random\n"))
+    assert _imports_random(ast.parse("def f():\n    from random import Random\n"))
+    assert not _imports_random(ast.parse("import randomness\nx = random\n"))

@@ -1,12 +1,17 @@
+import functools
+import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from catlog import corpus
 from catlog.consequence import (
-    Budget, Calculus, Logic, Rule, derives, matrix_consequence, verify_proof,
+    Budget, Calculus, Logic, Matrix, Rule, derives, matrix_consequence, model_of,
+    verify_proof,
 )
-from catlog.formulas import fmt, parse
+from catlog.formulas import enumerate_formulas, enumerate_slice, fmt, parse
 from catlog.kleisli import (
     FlexibleMorphism, kleisli_identity, lift_strict, random_flexible,
 )
@@ -14,7 +19,7 @@ from catlog.logic_cat import (
     REFUTED, Translation, UNKNOWN, VERIFIED, bottom, check_translation,
     compose_translations, direct_image, directed_colimit_logics,
     fibring_constrained, fibring_unconstrained, inverse_image, product_logic,
-    push_proof, top, translate_formula,
+    push_proof, reduct, top, translate_formula,
 )
 from catlog.signatures import (
     Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
@@ -453,3 +458,133 @@ def test_underlying_signatures_match_signature_module():
     prod, _, _ = product_logic(CPL1, CPL2)
     expected_prod, _ = signature_product([SIG, CPL2.signature])
     assert prod.signature == expected_prod
+
+
+# --- the matrix model check -----------------------------------------------------
+
+
+def test_matrix_only_endomorphism_is_refuted_with_a_checkable_sequent():
+    # negp -> x0, orp -> orp(x1, negp(x0)) sends the valid x0, negp(x0) |- x1
+    # to the invalid x0 |- x1; a sample of sequents can miss that
+    sig = CPL2.signature
+    h = FlexibleMorphism(sig, sig, {"negp": p("x0", sig),
+                                    "orp": p("orp(x1, negp(x0))", sig)})
+    t = check_translation(h, CPL2, CPL2)
+    assert t.status == REFUTED
+    w = t.witness
+    premises = [p(f, sig) for f in w["premises"]]
+    conclusion = p(w["conclusion"], sig)
+    assert matrix_consequence(CPL2.matrix, premises, conclusion)[0]
+    assert w["premise_images"] == [fmt(translate_formula(h, f)) for f in premises]
+    assert w["conclusion_image"] == fmt(translate_formula(h, conclusion))
+    counter = {int(x[1:]): v for x, v in w["counter"].items()}
+    m = CPL2.matrix
+    assert all(m.is_designated(m.evaluate(p(f, sig), counter))
+               for f in w["premise_images"])
+    assert not m.is_designated(m.evaluate(p(w["conclusion_image"], sig), counter))
+
+
+def test_matrix_only_source_verified_only_into_a_sole_matrix():
+    # k: CPL2 -> CPL1 passes the model check; CPL1's matrix sits beside a
+    # calculus, so the pass stays unknown unless the matrix decides
+    assert check_translation(K, CPL2, CPL1).status == UNKNOWN
+    assert check_translation(K, CPL2, CPL1, semantic=True).status == VERIFIED
+    l3 = ENV.logic("L3")
+    assert check_translation(kleisli_identity(SIG), l3, l3).status == VERIFIED
+    # without a matrix on the target there is nothing to check against
+    impfrag = ENV.logic("IMPFRAG")
+    to_frag = FlexibleMorphism(CPL2.signature, impfrag.signature, {
+        "negp": p("imp(x0, x0)", impfrag.signature),
+        "orp": p("imp(x0, x1)", impfrag.signature)})
+    assert check_translation(to_frag, CPL2, impfrag).status == UNKNOWN
+
+
+def test_a_source_matrix_beside_another_provider_does_not_refute():
+    # the least logic on CPL2's signature, with CPL2's matrix sound for it:
+    # every morphism translates it, so the matrix's failing sequent (valid
+    # in the matrix, not derivable in the logic) refutes nothing
+    sig = CPL2.signature
+    least = Logic("least", sig, matrix=CPL2.matrix, oracle=bottom(sig).oracle,
+                  decides=True)
+    h = FlexibleMorphism(sig, sig, {"negp": p("x0", sig),
+                                    "orp": p("orp(x1, negp(x0))", sig)})
+    assert check_translation(h, least, CPL2).status == UNKNOWN
+    # read as the logic's whole consequence, the matrix refutes
+    assert check_translation(h, least, CPL2, semantic=True).status == REFUTED
+
+def test_bottom_and_top_are_presented():
+    assert bottom(SIG).calculus.axioms == [] and bottom(SIG).calculus.rules == []
+    assert top(SIG).calculus.axioms == [p("x0")]
+    # every morphism out of bottom passes the empty presentation; out of
+    # top it must make x0 derivable, which CPL1 refutes
+    assert check_translation(kleisli_identity(SIG), bottom(SIG), CPL1).verified
+    assert check_translation(kleisli_identity(SIG), top(SIG), CPL1).status == REFUTED
+
+
+_UB = Signature("UB", {"u": 1, "b": 2})
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(min_value=2, max_value=3))
+    values = [str(v) for v in range(n)]
+    designated = draw(st.lists(st.sampled_from(values), min_size=1, unique=True))
+    tables = {c: {combo: draw(st.sampled_from(values))
+                  for combo in itertools.product(values, repeat=arity)}
+              for c, arity in sorted(_UB.connectives.items())}
+    return Matrix(values, designated, tables)
+
+
+def _endomorphisms():
+    images = {c: st.sampled_from(enumerate_slice(_UB, arity, 2))
+              for c, arity in _UB.connectives.items()}
+    return st.fixed_dictionaries(images).map(lambda a: FlexibleMorphism(_UB, _UB, a))
+
+
+def _designation_masks(matrix, formulas):
+    return [sum(1 << t for t, v in enumerate(col)
+                if matrix.is_designated(matrix.values[v]))
+            for col in matrix.columns(formulas, [0, 1])]
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_matrices(), _matrices(), _endomorphisms())
+def test_model_check_agrees_with_bounded_sequents(a, b, h):
+    pulled = reduct(b, h)
+    verdict, sequent = model_of(_UB, a, pulled)
+    if verdict.is_no:
+        # the witness is valid in a, and its image fails in b at the counter
+        premises, conclusion = sequent
+        assert matrix_consequence(a, premises, conclusion)[0]
+        counter = {int(x[1:]): v for x, v in verdict.counter.items()}
+        assert all(b.is_designated(b.evaluate(translate_formula(h, g), counter))
+                   for g in premises)
+        assert not b.is_designated(b.evaluate(translate_formula(h, conclusion), counter))
+    elif verdict.is_yes:
+        # no sequent with at most two premises, complexity two and two
+        # variables is valid in a and fails in b read through h
+        pool = enumerate_formulas(_UB, 2, 2)
+        in_a, in_b = _designation_masks(a, pool), _designation_masks(pulled, pool)
+        everywhere_a, everywhere_b = (1 << len(a.values) ** 2) - 1, (1 << len(b.values) ** 2) - 1
+        for gamma in itertools.chain.from_iterable(
+                itertools.combinations(range(len(pool)), r) for r in range(3)):
+            reach_a = functools.reduce(int.__and__, (in_a[i] for i in gamma), everywhere_a)
+            reach_b = functools.reduce(int.__and__, (in_b[i] for i in gamma), everywhere_b)
+            for j in range(len(pool)):
+                if not reach_a & ~in_a[j]:
+                    assert not reach_b & ~in_b[j], (
+                        [fmt(pool[i]) for i in gamma], fmt(pool[j]))
+
+
+def test_model_check_gives_up_on_columns_longer_than_its_cap():
+    # eight values need 8**8 rows per column; the check answers unknown
+    # before building any, except for equal matrices, which pass at once
+    values = [str(v) for v in range(8)]
+
+    def matrix(shift):
+        return Matrix(values, ["0"], {c: {combo: values[(sum(map(int, combo)) + shift) % 8]
+                                          for combo in itertools.product(values, repeat=arity)}
+                                      for c, arity in _UB.connectives.items()})
+
+    assert model_of(_UB, matrix(0), matrix(1))[0].is_unknown
+    assert model_of(_UB, matrix(0), matrix(0))[0].is_yes

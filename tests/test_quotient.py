@@ -6,7 +6,8 @@ import pytest
 
 from catlog import corpus, quotient
 from catlog.consequence import (
-    Budget, Logic, Rule, Saturation, Verdict, derives, matrix_interderivable,
+    Budget, Calculus, Logic, Matrix, Rule, Saturation, Verdict, derives, matrix_consequence,
+    matrix_interderivable,
 )
 from catlog.formulas import enumerate_formulas, fmt, parse, sort_key
 from catlog.kleisli import (
@@ -458,3 +459,61 @@ def test_qfc_colimit_agrees_with_top_stage_on_translated_goals(
         if v.is_yes and v.stage is not None:
             # the witnessing stage really derives the translation
             assert v.stage in (0, 1)
+
+
+# --- exact conservativity -------------------------------------------------------
+
+
+def test_weak_equivalence_between_total_relations_is_confirmed():
+    # with both values designated each matrix validates every sequent, so
+    # the identity is a conservative translation although the tables differ
+    sig = Signature("C", {"c": 1})
+    a = Logic("A", sig, matrix=Matrix(["0", "1"], ["0", "1"],
+                                      {"c": {("0",): "0", ("1",): "1"}}))
+    b = Logic("B", sig, matrix=Matrix(["0", "1"], ["0", "1"],
+                                      {"c": {("0",): "1", ("1",): "0"}}))
+    cert = weak_equivalence(kleisli_identity(sig), a, b)
+    assert cert.status == CONFIRMED
+    assert cert.conservativity == "connective-tables"
+
+
+def test_weak_equivalence_refutes_a_non_conservative_translation():
+    # every L3 consequence is classical, but not conversely
+    l3 = corpus.standard_env().logic("L3")
+    cert = weak_equivalence(kleisli_identity(SIG), l3, CPL1)
+    assert cert.status == REFUTED
+    assert cert.witness["direction"] == "backward"
+    sequent = cert.witness["sequent"]
+    assert sequent[-2] == "|-"
+    premises, conclusion = [p(f) for f in sequent[:-2]], p(sequent[-1])
+    assert matrix_consequence(CPL1.matrix, premises, conclusion)[0]
+    assert not matrix_consequence(l3.matrix, premises, conclusion)[0]
+
+
+def test_weak_equivalence_without_two_matrices_is_unchecked():
+    impfrag = corpus.standard_env().logic("IMPFRAG")
+    cert = weak_equivalence(kleisli_identity(impfrag.signature), impfrag, impfrag,
+                            n_max=1, target_compl=2, budget=FAST)
+    assert cert.conservativity == "unchecked"
+    assert cert.status != CONFIRMED
+
+
+def test_weak_equivalence_checks_a_presented_source_on_its_presentation():
+    # S presents the least logic over {u}; its identity matrix is sound for
+    # it and validates u(x0) |- x0, which T's negation matrix refutes.  The
+    # identity still translates S (nothing to preserve), so only the
+    # converse fails: T validates x0, u(x0) |- x1 and S does not derive it
+    sig = Signature("U", {"u": 1})
+    s = Logic("S", sig, calculus=Calculus(sig, [], []), matrix=Matrix(
+        ["0", "1"], ["1"], {"u": {("0",): "0", ("1",): "1"}}))
+    t = Logic("T", sig, matrix=Matrix(["0", "1"], ["1"],
+                                      {"u": {("0",): "1", ("1",): "0"}}))
+    ident = kleisli_identity(sig)
+    assert check_translation(ident, s, t).verified
+    cert = weak_equivalence(ident, s, t, n_max=1)
+    assert cert.status == REFUTED
+    assert cert.witness["direction"] == "backward"
+    premises = [parse(f, sig) for f in cert.witness["sequent"][:-2]]
+    conclusion = parse(cert.witness["sequent"][-1], sig)
+    assert matrix_consequence(t.matrix, premises, conclusion)[0]
+    assert not matrix_consequence(s.matrix, premises, conclusion)[0]
