@@ -5,6 +5,10 @@ are searched (bounded, three-valued answers); finite matrices decide.  When
 both are present the matrix acts as a sound refutation oracle for the
 calculus.  Lattice operations (meet, generated join, directed sup) combine
 providers without ever inventing an uncertified No.
+
+`Matrix.apply` is the only code that applies a matrix table, and
+`ProofWriter` the only code that writes proof steps, for search, saturation
+and the proofs `logic_cat` moves or builds.
 """
 
 from __future__ import annotations
@@ -153,6 +157,26 @@ class Proof:
         return {"steps": out, "length": len(self.steps)}
 
 
+class ProofWriter:
+    """Builds a proof one formula at a time: a formula gets one step, with
+    the first justification given for it, and `index` maps each written
+    formula to its step."""
+
+    def __init__(self):
+        self.steps: list[Step] = []
+        self.index: dict[Formula, int] = {}
+
+    def write(self, formula: Formula, justification) -> int:
+        """The index of formula's step, written now if it has none."""
+        if formula not in self.index:
+            self.index[formula] = len(self.steps)
+            self.steps.append(Step(formula, justification))
+        return self.index[formula]
+
+    def proof(self) -> Proof:
+        return Proof(self.steps)
+
+
 def verify_proof(logic: "Logic", gamma, phi: Formula, proof: Proof) -> bool:
     """Re-check every justification; the last step must be phi."""
     calculus = logic.calculus
@@ -215,6 +239,8 @@ class Matrix:
     `evaluate` is the reference evaluator: one formula at one valuation.
     The queries below use `columns` instead, which evaluates a list of
     formulas at every valuation at once and must agree with `evaluate`.
+    Columns hold value indices, and `apply`, the table kernel, is the only
+    code that applies a table to them; `designation` reads them.
     """
 
     def __init__(self, values: list, designated: list, tables: dict[str, dict[tuple, object]]):
@@ -258,9 +284,9 @@ class Matrix:
         Valuations run in `itertools.product(self.values, repeat=k)` order
         (`valuation(occurring, t)` is the t-th); values are given by their
         index in `self.values`.  Each distinct subterm is computed once per
-        call, a column at a time, through its connective's flattened table.
+        call, a column at a time, through `apply`.
         """
-        n = len(self.values)
+        rows = len(self.values) ** len(occurring)
         memo: dict[Formula, list[int]] = dict(
             zip(map(Var, occurring), self._columns_of_variables(len(occurring))))
 
@@ -269,22 +295,30 @@ class Matrix:
             if col is None:
                 if type(phi) is Var:
                     raise KeyError(phi.index)
-                args = [column(a) for a in phi.args]
-                table = (self._flat.get(phi.connective)
-                         or self._flatten(phi.connective, len(args)))
-                if len(args) == 1:
-                    col = [table[v] for v in args[0]]
-                elif len(args) == 2:
-                    col = [table[v * n + w] for v, w in zip(*args)]
-                else:
-                    keys = [0] * n ** len(occurring)
-                    for arg in args:
-                        keys = [key * n + v for key, v in zip(keys, arg)]
-                    col = [table[key] for key in keys]
-                memo[phi] = col
+                col = memo[phi] = self.apply(
+                    phi.connective, [column(a) for a in phi.args], rows)
             return col
 
         return [column(phi) for phi in formulas]
+
+    def apply(self, connective: str, args: list, rows: int) -> list[int]:
+        """The table kernel: the connective's table applied row by row to
+        argument columns of value indices, `rows` rows long (a nullary
+        table gives its one value on every row)."""
+        table = self._table(connective)
+        if len(args) == 1:
+            return [table[v] for v in args[0]]
+        n = len(self.values)
+        if len(args) == 2:
+            return [table[v * n + w] for v, w in zip(*args)]
+        keys = [0] * rows
+        for arg in args:
+            keys = [key * n + v for key, v in zip(keys, arg)]
+        return [table[key] for key in keys]
+
+    def designation(self, column) -> tuple[bool, ...]:
+        """Whether each value index of a column is designated."""
+        return tuple(map(self._designated_at.__getitem__, column))
 
     def valuation(self, occurring, t: int) -> dict:
         """The t-th valuation of `occurring` in `columns` order."""
@@ -299,16 +333,16 @@ class Matrix:
                 zip(*itertools.product(range(n), repeat=k)))
         return cols
 
-    def _flatten(self, connective: str, arity: int) -> list[int]:
+    def _table(self, connective: str) -> list[int]:
         """A connective's table as value indices, argument indices read as
         a base-n numeral; built once per connective."""
-        index: dict = {}
-        for i, v in enumerate(self.values):
-            index.setdefault(v, i)
-        table = self.tables[connective]
-        flat = self._flat[connective] = [
-            index[table[combo]]
-            for combo in itertools.product(self.values, repeat=arity)]
+        flat = self._flat.get(connective)
+        if flat is None:
+            table = self.tables[connective]
+            arity = len(next(iter(table)))
+            flat = self._flat[connective] = [
+                self.values.index(table[combo])
+                for combo in itertools.product(self.values, repeat=arity)]
         return flat
 
     def is_designated(self, value) -> bool:
@@ -390,12 +424,10 @@ def model_of(sig, a: Matrix, b: Matrix) -> tuple[Verdict, tuple | None]:
             a.tables[c] == b.tables[c] for c, _ in connectives):
         return Verdict.yes(reason="equal matrices"), None
     n, k = len(a.values), len(b.values)
-    if n ** k > _MODEL_CAP:  # one column alone would pass the cap
-        return Verdict.unknown(reason=f"{n ** k} rows passed {_MODEL_CAP}"), None
-    # each connective with its flattened tables in a and in b
-    tables = [(c, arity, a._flat.get(c) or a._flatten(c, arity),
-               b._flat.get(c) or b._flatten(c, arity)) for c, arity in connectives]
-    everywhere = (1 << n ** k) - 1
+    rows = n ** k
+    if rows > _MODEL_CAP:  # one column alone would pass the cap
+        return Verdict.unknown(reason=f"{rows} rows passed {_MODEL_CAP}"), None
+    everywhere = (1 << rows) - 1
     elements: dict[tuple, Formula] = {}  # (column, b-value) -> term, in order
     masks, premises, refuters = [], [], []
 
@@ -409,21 +441,21 @@ def model_of(sig, a: Matrix, b: Matrix) -> tuple[Verdict, tuple | None]:
         reach = reduce(int.__and__, map(masks.__getitem__, premises), everywhere)
         return next((j for j in refuters if not reach & ~masks[j]), None)
 
-    for i, column in enumerate(zip(*itertools.product(range(n), repeat=k))):
+    for i, column in enumerate(a._columns_of_variables(k)):
         add(column, i, Var(i))
-    for c, arity, a_table, b_table in tables:
+    for c, arity in connectives:
         if arity == 0:
-            add(tuple(a_table) * n ** k, b_table[0], App(c, ()))
+            add(tuple(a.apply(c, [], rows)), b.apply(c, [], 1)[0], App(c, ()))
     lo = 0
     while lo < len(elements) <= _MODEL_CAP and refutation() is None:
         pairs, terms, hi = list(elements), list(elements.values()), len(elements)
         # argument tuples over [0, hi) with a first new element at `new`
-        for c, arity, a_table, b_table in tables:
+        for c, arity in connectives:
             for new in range(arity):
                 for args in itertools.product(*[range(lo) if q < new else range(
                         lo, hi) if q == new else range(hi) for q in range(arity)]):
-                    add(_apply(a_table, n, [pairs[i][0] for i in args]),
-                        _apply(b_table, k, [(pairs[i][1],) for i in args])[0],
+                    add(tuple(a.apply(c, [pairs[i][0] for i in args], rows)),
+                        b.apply(c, [(pairs[i][1],) for i in args], 1)[0],
                         App(c, tuple(terms[i] for i in args)))
                     if len(elements) > _MODEL_CAP:
                         break
@@ -445,14 +477,6 @@ def model_of(sig, a: Matrix, b: Matrix) -> tuple[Verdict, tuple | None]:
     occurring = sorted(set().union(variables(sequent[1]), *map(variables, sequent[0])))
     return Verdict.no(counter={f"x{i}": b.values[i] for i in occurring},
                       reason="a sequent valid in a fails in b"), sequent
-
-
-def _apply(table: list, width: int, args: list) -> tuple:
-    """A flattened table applied row by row to argument columns."""
-    keys = args[0]
-    for arg in args[1:]:
-        keys = [key * width + v for key, v in zip(keys, arg)]
-    return tuple(map(table.__getitem__, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -975,22 +999,18 @@ def search_proof(calculus: Calculus | None, hypotheses: frozenset[Formula],
 
 
 def _linearize(root: _Node) -> Proof:
-    steps: list[Step] = []
-    index: dict[Formula, int] = {}
+    writer = ProofWriter()
 
     def emit(node: _Node) -> int:
-        if node.formula in index:
-            return index[node.formula]
-        child_indices = tuple(emit(c) for c in node.children)
+        if node.formula in writer.index:
+            return writer.index[node.formula]
         j = node.justification
         if isinstance(j, RuleInstance):
-            j = RuleInstance(j.rule, j.substitution, child_indices)
-        steps.append(Step(node.formula, j))
-        index[node.formula] = len(steps) - 1
-        return index[node.formula]
+            j = RuleInstance(j.rule, j.substitution, tuple(map(emit, node.children)))
+        return writer.write(node.formula, j)
 
     emit(root)
-    return Proof(steps)
+    return writer.proof()
 
 
 # ---------------------------------------------------------------------------
@@ -998,14 +1018,17 @@ def _linearize(root: _Node) -> Proof:
 # construction (every element carries its justification); used where many
 # related queries over one hypothesis set must be answered at once.
 
+# the most complex conclusion a saturation derives
+_CONCLUSION_CAP = 12
+
 
 class Saturation:
     """Derivations reachable from seed axiom instances by forward joins.
 
     Axiom schemes are instantiated with images drawn from a finite pool;
     rules fire whenever all premises are already derived and the conclusion
-    complexity stays within `conclusion_cap`.  Two-premise rules join through
-    an index on their shared variables.
+    complexity stays within `_CONCLUSION_CAP`.  Two-premise rules join
+    through an index on their shared variables; longer rules scan.
 
     `fork` explores one more hypothesis set against this saturation without
     copying it: `derived` and each join index are `ChainMap`s whose first
@@ -1015,10 +1038,8 @@ class Saturation:
     its own, in the order a full copy would have.
     """
 
-    def __init__(self, calculus: Calculus, seed_pool: list[Formula],
-                 conclusion_cap: int = 12):
+    def __init__(self, calculus: Calculus, seed_pool: list[Formula]):
         self.calculus = calculus
-        self.cap = conclusion_cap
         self.derived: ChainMap[Formula, tuple] = ChainMap()
         self.queue: list[Formula] = []
         # per rule: premise variable sets and, for 2-premise rules, the join
@@ -1056,7 +1077,7 @@ class Saturation:
         return self.derived.maps[0]
 
     def _add(self, phi: Formula, why: tuple) -> None:
-        if phi in self.derived or complexity(phi) > self.cap:
+        if phi in self.derived or complexity(phi) > _CONCLUSION_CAP:
             return
         self.derived[phi] = why
         self.queue.append(phi)
@@ -1143,26 +1164,22 @@ class Saturation:
         """Rebuild a checkable proof from the recorded justifications."""
         if phi not in self.derived:
             return None
-        steps: list[Step] = []
-        index: dict[Formula, int] = {}
+        writer = ProofWriter()
 
         def emit(f: Formula) -> int:
-            if f in index:
-                return index[f]
+            if f in writer.index:
+                return writer.index[f]
             why = self.derived[f]
             if why[0] == "hypothesis":
                 j: Hypothesis | AxiomInstance | RuleInstance = Hypothesis()
             elif why[0] == "axiom":
                 j = AxiomInstance(why[1], why[2])
             else:
-                prem_idx = tuple(emit(p) for p in why[3])
-                j = RuleInstance(why[1], why[2], prem_idx)
-            steps.append(Step(f, j))
-            index[f] = len(steps) - 1
-            return index[f]
+                j = RuleInstance(why[1], why[2], tuple(map(emit, why[3])))
+            return writer.write(f, j)
 
         emit(phi)
-        return Proof(steps)
+        return writer.proof()
 
 
 # ---------------------------------------------------------------------------

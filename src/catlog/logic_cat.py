@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 from .consequence import (
     AxiomInstance, Budget, Calculus, DEFAULT_BUDGET, Hypothesis, Logic, Matrix,
-    Proof, REFUTED, Rule, RuleInstance, SignatureMismatch, Step, UNKNOWN,
+    Proof, ProofWriter, REFUTED, Rule, RuleInstance, SignatureMismatch, UNKNOWN,
     VERIFIED, Verdict, YES, derives, generated_join, model_of, refutation_sweep,
     semantic_derives, transform_proof, truth_function,
 )
-from .formulas import Formula, Substitution, Var, extend, fmt, substitute
+from .formulas import Formula, Substitution, Var, extend, fmt
 from .kleisli import (
     FlexibleMorphism, directed_colimit_signatures, kleisli_compose, lift_strict,
 )
@@ -249,76 +249,47 @@ def push_proof(translation: Translation, proof: Proof) -> Proof:
 
     Axiom steps are replaced by the recorded target proofs of the axiom
     images; rule steps by the recorded admissibility proofs, with their
-    hypothesis steps wired to the already-built premise images.
+    hypothesis steps wired to the already-built premise images.  Refuses a
+    translation that is not verified, and one whose evidence records no
+    proof of the image of an axiom or rule the proof uses: a composite, a
+    matrix check, or a yes that came without a proof.
     """
     if not translation.verified:
         raise ValueError("can only push proofs along verified translations")
-    src_calc = translation.source.calculus
     h = translation.morphism
-    axiom_proofs: dict[int, Proof] = {}
-    rule_proofs: dict[int, Proof] = {}
+    recorded: dict[tuple[str, int], Proof] = {}
     for entry in translation.evidence:
-        if entry.get("proof") is None:
-            continue
-        if "axiom" in entry:
-            axiom_proofs[entry["axiom"]] = entry["proof"]
-        else:
-            rule_proofs[entry["rule"]] = entry["proof"]
+        if isinstance(entry, dict) and entry.get("proof") is not None:
+            kind = "axiom" if "axiom" in entry else "rule"
+            recorded[kind, entry[kind]] = entry["proof"]
 
-    steps: list[Step] = []
-    index: dict[Formula, int] = {}
+    writer = ProofWriter()
 
-    def append(formula: Formula, justification) -> int:
-        if formula in index:
-            return index[formula]
-        steps.append(Step(formula, justification))
-        index[formula] = len(steps) - 1
-        return index[formula]
-
-    def splice(sub: Proof, premise_map: dict[Formula, int]) -> int:
+    def splice(kind: str, i: int, sigma: Substitution) -> None:
+        """Write the recorded proof for axiom or rule i, at sigma pushed
+        along h; its hypothesis steps that are already-built premise
+        images get their indices from the writer."""
+        if (kind, i) not in recorded:
+            raise ValueError(f"{h.name or 'unnamed'} records no proof of the "
+                             f"image of {kind} {i}")
+        sub = transform_proof(recorded[kind, i], Substitution(
+            {v: translate_formula(h, sigma(v)) for v in sigma.mapping}))
         local: dict[int, int] = {}
-        for i, step in enumerate(sub.steps):
+        for k, step in enumerate(sub.steps):
             j = step.justification
-            if isinstance(j, Hypothesis):
-                if step.formula in premise_map:
-                    local[i] = premise_map[step.formula]
-                    continue
-                local[i] = append(step.formula, j)
-            elif isinstance(j, AxiomInstance):
-                local[i] = append(step.formula, j)
-            else:
-                remapped = tuple(local[p] for p in j.premises)
-                local[i] = append(step.formula,
-                                  RuleInstance(j.rule, j.substitution, remapped))
-        return local[len(sub.steps) - 1]
+            if isinstance(j, RuleInstance):
+                j = RuleInstance(j.rule, j.substitution, tuple(local[p] for p in j.premises))
+            local[k] = writer.write(step.formula, j)
 
     for step in proof.steps:
-        image = translate_formula(h, step.formula)
         j = step.justification
         if isinstance(j, Hypothesis):
-            append(image, Hypothesis())
+            writer.write(translate_formula(h, step.formula), Hypothesis())
         elif isinstance(j, AxiomInstance):
-            base = axiom_proofs[j.axiom]
-            pushed_sigma = _push_substitution(h, j.substitution)
-            splice(transform_proof(base, pushed_sigma), {})
+            splice("axiom", j.axiom, j.substitution)
         else:
-            rule = src_calc.rules[j.rule]
-            base = rule_proofs[j.rule]
-            pushed_sigma = _push_substitution(h, j.substitution)
-            transformed = transform_proof(base, pushed_sigma)
-            premise_map = {}
-            for prem_idx, pattern in zip(j.premises, rule.premises):
-                prem_image = translate_formula(h, substitute(j.substitution, pattern))
-                premise_map[prem_image] = index[prem_image]
-            splice(transformed, premise_map)
-    return Proof(steps)
-
-
-def _push_substitution(h, sigma: Substitution) -> Substitution:
-    """Translate every image of a substitution (extension-compatibility)."""
-    return Substitution({
-        v: translate_formula(h, sigma(v)) for v in sigma.mapping
-    })
+            splice("rule", j.rule, j.substitution)
+    return writer.proof()
 
 
 def compose_translations(outer: Translation, inner: Translation) -> Translation:
@@ -349,16 +320,17 @@ def verbatim_translation(morphism, source: Logic, target: Logic) -> Translation:
     pushed = push_calculus(morphism, source.calculus)
     evidence = []
     for i, image in enumerate(pushed.axioms):
-        idx = calc.axioms.index(image)
-        proof = Proof([Step(image, AxiomInstance(idx, Substitution()))])
+        writer = ProofWriter()
+        writer.write(image, AxiomInstance(calc.axioms.index(image), Substitution()))
         evidence.append({"axiom": i, "image": image, "verdict": YES,
-                         "proof": proof})
+                         "proof": writer.proof()})
     for i, rule in enumerate(pushed.rules):
-        steps = [Step(p, Hypothesis()) for p in rule.premises]
-        steps.append(Step(rule.conclusion, RuleInstance(
-            calc.rules.index(rule), Substitution(), tuple(range(len(rule.premises))))))
+        writer = ProofWriter()
+        premises = tuple(writer.write(p, Hypothesis()) for p in rule.premises)
+        writer.write(rule.conclusion, RuleInstance(
+            calc.rules.index(rule), Substitution(), premises))
         evidence.append({"rule": i, "conclusion_image": rule.conclusion,
-                         "verdict": YES, "proof": Proof(steps)})
+                         "verdict": YES, "proof": writer.proof()})
     return Translation(morphism, source, target, VERIFIED, evidence=evidence)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from .consequence import (
     Budget, CONFIRMED, DEFAULT_BUDGET, Logic, REFUTED, Rule, Saturation,
     UNKNOWN, VERIFIED, Verdict, derives, generated_join, interderivable,
-    refutation_sweep, semantic_derives, truth_function,
+    refutation_sweep, semantic_derives,
 )
 from .formulas import (
     App, Formula, Substitution, Var, complexity, enumerate_formulas,
@@ -174,10 +174,8 @@ def _matrix_congruential(logic: Logic, pool: list[Formula],
                          bounds: tuple[int, int], n: int) -> CongruentialityVerdict:
     matrix = logic.matrix
     by_designation: dict[tuple, dict[tuple, Formula]] = {}
-    for phi in pool:
-        tf = truth_function(matrix, phi, n)
-        des = tuple(matrix.is_designated(v) for v in tf)
-        by_designation.setdefault(des, {}).setdefault(tf, phi)
+    for phi, col in zip(pool, matrix.columns(pool, range(n))):
+        by_designation.setdefault(matrix.designation(col), {}).setdefault(tuple(col), phi)
     pairs = 0
     for des_class in by_designation.values():
         reps = sorted(des_class.values(), key=fmt)
@@ -336,9 +334,12 @@ class WeakEquivalenceCertificate(_Certificate):
         return self.status == CONFIRMED
 
 
+# the most complex source formula the denseness search builds
+_SOURCE_COMPLEXITY = 10
+
+
 def weak_equivalence(h, source: Logic, target: Logic,
                      n_max: int = 2, target_compl: int = 4,
-                     source_compl: int = 10,
                      budget: Budget = DEFAULT_BUDGET) -> WeakEquivalenceCertificate:
     """Certify that h is a conservative and dense translation, or refute it.
 
@@ -353,7 +354,7 @@ def weak_equivalence(h, source: Logic, target: Logic,
     size).
     """
     hf = as_flexible(h)
-    bounds = (n_max, target_compl, source_compl)
+    bounds = (n_max, target_compl, _SOURCE_COMPLEXITY)
     status, conservativity = UNKNOWN, "unchecked"
     if source.matrix is not None and target.matrix is not None:
         conservativity = "connective-tables"
@@ -372,7 +373,7 @@ def weak_equivalence(h, source: Logic, target: Logic,
     denseness: dict[int, dict] = {}
     for n in range(n_max + 1):
         found, missing, classes = _denseness_search(
-            hf, source, target, n, target_compl, source_compl, budget)
+            hf, source, target, n, target_compl, budget)
         if missing is not None:
             return WeakEquivalenceCertificate(
                 hf, REFUTED, conservativity=conservativity,
@@ -384,18 +385,18 @@ def weak_equivalence(h, source: Logic, target: Logic,
 
 
 def _denseness_search(hf, source: Logic, target: Logic, n: int,
-                      target_compl: int, source_compl: int, budget: Budget):
+                      target_compl: int, budget: Budget):
     """Find a source preimage (up to interderivability) for every bounded
     target slice formula; also report every interderivability class the
     images realize."""
     targets = enumerate_slice(target.signature, n, target_compl)
     if target.matrix is not None:
-        return _denseness_by_functions(hf, target, n, targets, source_compl)
+        return _denseness_by_functions(hf, target, n, targets)
     if not targets:
         return {}, None, {}
     # fall back to direct bounded search with derivability queries
     found: dict[str, str] = {}
-    candidates = enumerate_slice(hf.source, n, min(source_compl, 4))
+    candidates = enumerate_slice(hf.source, n, min(_SOURCE_COMPLEXITY, 4))
     images = [(theta, flexible_extension(hf, theta)) for theta in candidates]
     for tprime in targets:
         hit = None
@@ -410,29 +411,28 @@ def _denseness_search(hf, source: Logic, target: Logic, n: int,
     return found, None, {}
 
 
-def _denseness_by_functions(hf, target: Logic, n: int, targets, source_compl: int):
+def _denseness_by_functions(hf, target: Logic, n: int, targets):
     """Breadth-first over image truth functions of source slice formulas,
-    their truth functions in the target matrix's reduct along h."""
+    their columns in the target matrix's reduct along h."""
     matrix = target.matrix
     pulled = reduct(matrix, hf)
-    n_val = len(matrix.values) ** n
-    # state: (frozen varset, image truth function over n variables)
+    rows = len(matrix.values) ** n
+    # state: (frozen varset, image column over n variables)
     best: dict[tuple, Formula] = {}
-    for phi in [Var(i) for i in range(n)] + [
-            App(c, ()) for c, arity in sorted(hf.source.connectives.items()) if arity == 0]:
-        best.setdefault((variables(phi), truth_function(pulled, phi, n)), phi)
-    for _ in range(source_compl):
+    seeds = [Var(i) for i in range(n)] + [
+        App(c, ()) for c, arity in sorted(hf.source.connectives.items()) if arity == 0]
+    for phi, col in zip(seeds, pulled.columns(seeds, range(n))):
+        best.setdefault((variables(phi), tuple(col)), phi)
+    for _ in range(_SOURCE_COMPLEXITY):
         states = list(best.items())
         for c, arity in sorted(hf.source.connectives.items()):
-            table = pulled.tables[c]
             for combo in itertools.product(states, repeat=arity) if arity else ():
                 varset = frozenset().union(*[s[0][0] for s in combo])
-                func = tuple(table[tuple(s[0][1][t] for s in combo)]
-                             for t in range(n_val))
+                func = tuple(pulled.apply(c, [s[0][1] for s in combo], rows))
                 state = (varset, func)
                 if state not in best:
                     formula = App(c, tuple(s[1] for s in combo))
-                    if complexity(formula) <= source_compl:
+                    if complexity(formula) <= _SOURCE_COMPLEXITY:
                         best[state] = formula
         if len(best) == len(states):
             break
@@ -440,15 +440,14 @@ def _denseness_by_functions(hf, target: Logic, n: int, targets, source_compl: in
     by_designation: dict[tuple, Formula] = {}
     for (varset, func), formula in best.items():
         if varset == full:
-            des = tuple(matrix.is_designated(v) for v in func)
-            by_designation.setdefault(des, formula)
+            by_designation.setdefault(matrix.designation(func), formula)
     classes = {
         "".join("1" if d else "0" for d in des): fmt(theta)
         for des, theta in sorted(by_designation.items())
     }
     found = {}
-    for tprime in targets:
-        des = tuple(map(matrix.is_designated, truth_function(matrix, tprime, n)))
+    for tprime, col in zip(targets, matrix.columns(targets, range(n))):
+        des = matrix.designation(col)
         theta = by_designation.get(des)
         if theta is None:
             return found, {"missing": fmt(tprime),
@@ -569,27 +568,26 @@ def lindenbaum_delta_check(logic: Logic, delta: list[Formula],
                 yield {"connective": c}, run(hyps, inst(d, left, right))
 
     condition("d_replacement", replacements())
-    # (e) interderivable iff the equivalence set is provable, on a bounded sweep
+    # (e) interderivable iff the equivalence set is provable, on a bounded
+    # sweep; a pair refutes when the two disagree, with no one counter
     compl_bound, var_bound = bounds
     pool = enumerate_formulas(sig, var_bound, compl_bound)
-    ok: bool | None = True
-    witness = None
-    for phi, psi in itertools.combinations(pool, 2):
-        inter = interderivable(logic, phi, psi, budget)
-        _, provable = refutation_sweep((None, run([], inst(d, phi, psi))) for d in delta)
-        if inter.is_yes and provable.is_no:
-            ok = False
-            witness = {"pair": [fmt(phi), fmt(psi)], "direction": "inter->delta"}
-            break
-        if inter.is_no and provable.is_yes:
-            ok = False
-            witness = {"pair": [fmt(phi), fmt(psi)], "direction": "delta->inter"}
-            break
-        if inter.is_unknown or provable.is_unknown:
-            ok = None
-    verdicts["e_lindenbaum"] = {
-        "status": CONFIRMED if ok else (UNKNOWN if ok is None else REFUTED)}
-    if witness is not None:
+
+    def agreements():
+        for phi, psi in itertools.combinations(pool, 2):
+            inter = interderivable(logic, phi, psi, budget)
+            _, provable = refutation_sweep((None, run([], inst(d, phi, psi))) for d in delta)
+            if inter.is_unknown or provable.is_unknown:
+                yield None, Verdict.unknown()
+            elif inter.is_yes != provable.is_yes:
+                yield {"pair": [fmt(phi), fmt(psi)], "direction": "inter->delta"
+                       if inter.is_yes else "delta->inter"}, Verdict.no()
+            else:
+                yield None, Verdict.yes()
+
+    witness, v = refutation_sweep(agreements())
+    verdicts["e_lindenbaum"] = {"status": v.outcome(CONFIRMED)}
+    if v.is_no:
         verdicts["e_lindenbaum"]["witness"] = witness
     passed = all(v["status"] == CONFIRMED for v in verdicts.values())
     return {"delta": [fmt(d) for d in delta], "conditions": verdicts,

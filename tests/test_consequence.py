@@ -413,3 +413,24 @@ def test_saturation_agrees_with_search_on_samples():
         if phi in sat:
             holds, _ = matrix_consequence(CPL1.matrix, [], phi)
             assert holds  # saturation is sound
+
+
+def test_saturation_joins_rules_with_three_premises():
+    sig = Signature("UT", {"u": 1, "t": 3})
+    logic = Logic("UT", sig, calculus=Calculus(
+        sig, [p("u(x0)", sig)],
+        [Rule((p("u(x0)", sig), p("u(x1)", sig), p("u(x2)", sig)),
+              p("t(x0, x1, x2)", sig))]))
+    base = Saturation(logic.calculus, [Var(0), Var(1)])
+    goal = p("t(x0, x1, x0)", sig)
+    assert goal in base
+    proof = base.proof_of(goal)
+    assert len(proof) == 3 and verify_proof(logic, set(), goal, proof)
+    derived = list(base.derived.items())
+    fork = base.fork()
+    hyp = p("u(t(x0, x0, x0))", sig)
+    fork.extend([hyp])
+    joined = p("t(x1, t(x0, x0, x0), x0)", sig)
+    assert joined in fork and joined not in base
+    assert verify_proof(logic, {hyp}, joined, fork.proof_of(joined))
+    assert list(base.derived.items()) == derived

@@ -137,3 +137,49 @@ def test_hygiene_check_sees_random_imports():
     assert _imports_random(ast.parse("import os, random\n"))
     assert _imports_random(ast.parse("def f():\n    from random import Random\n"))
     assert not _imports_random(ast.parse("import randomness\nx = random\n"))
+
+
+MATRIX_INTERNALS = {"_flat", "_flatten", "_designated_at"}
+
+
+def _format_leaks(tree: ast.Module, tables_reader: str = "") -> list[tuple[int, str]]:
+    """Lines that build a proof `Step`, touch a matrix's flattened tables or
+    designation, or read `.tables` outside the function `tables_reader`."""
+    allowed = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef)
+               and f.name == tables_reader for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "Step" in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            found.append((node.lineno, "Step"))
+        elif isinstance(node, ast.Attribute) and (
+                node.attr in MATRIX_INTERNALS or node.attr == "tables" and id(node) not in allowed):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "consequence.py"],
+                         ids=lambda p: p.stem)
+def test_matrix_tables_and_proof_steps_only_in_consequence(path):
+    # matrix tables are applied by Matrix.apply and proof steps written by
+    # ProofWriter; only the DSL writer prints tables
+    found = _format_leaks(ast.parse(path.read_text(), filename=str(path)),
+                          "logic_to_dsl" if path.name == "dsl.py" else "")
+    assert not found, f"{path.name} handles formats that belong to consequence: " + \
+        ", ".join(f"{name} (line {line})" for line, name in found)
+
+
+def test_hygiene_check_sees_format_leaks():
+    tree = ast.parse(
+        "s = Step(f, j)\n"
+        "t = consequence.Step(f, j)\n"
+        "flat = m._flat.get(c) or m._flatten(c, 2)\n"
+        "d = m._designated_at[v]\n"
+        "row = pulled.tables[c]\n"
+        "def logic_to_dsl(m):\n"
+        "    return m.tables\n"
+        "Steps, x = Step, m.table(c)\n")
+    assert _format_leaks(tree, "logic_to_dsl") == [
+        (1, "Step"), (2, "Step"), (3, "_flat"), (3, "_flatten"),
+        (4, "_designated_at"), (5, "tables")]
+    assert (7, "tables") in _format_leaks(tree)

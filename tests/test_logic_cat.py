@@ -267,6 +267,17 @@ def test_push_proof_with_hypotheses_and_rules():
     assert verify_proof(combined, gamma, goal, pushed)
 
 
+def test_push_proof_refuses_a_composite_without_recorded_proofs():
+    t = check_translation(kleisli_identity(SIG), CPL1, CPL1, FAST)
+    v = derives(CPL1, [], p("imp(x0, x0)"))
+    assert t.verified and v.is_yes
+    assert verify_proof(CPL1, set(), p("imp(x0, x0)"), push_proof(t, v.proof))
+    composite = compose_translations(t, t)
+    assert composite.verified
+    with pytest.raises(ValueError, match="no proof of the image of axiom 0"):
+        push_proof(composite, v.proof)
+
+
 def test_compose_translations_stays_verified():
     impfrag = ENV.logic("IMPFRAG")
     negfrag = ENV.logic("NEGFRAG")
