@@ -68,6 +68,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _count(text: str) -> int:
+    """A non-negative integer argument."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(
         prog="catlog",
@@ -78,8 +89,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--budget", default="40,6,4,2",
                         help="proof-length,instance-compl,enum-compl,variables")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--bound", type=int, default=4)
-    parser.add_argument("--n", type=int, default=2, dest="nvars")
+    parser.add_argument("--bound", type=_count, default=4)
+    parser.add_argument("--n", type=_count, default=2, dest="nvars")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="load and validate a spec file")
@@ -157,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--suite", required=True,
                    choices=["category", "kleisli", "monad", "adjunction",
                             "regularity"])
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--cases", type=_count, default=200)
 
     try:
         args = parser.parse_args(argv)

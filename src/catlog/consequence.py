@@ -1,10 +1,11 @@
 """Tarskian consequence: Hilbert calculi, finite matrices, and the lattice.
 
-A logic pairs a signature with a derivability provider.  Presented calculi
-are searched (bounded, three-valued answers); finite matrices decide.  When
-both are present the matrix acts as a sound refutation oracle for the
-calculus.  Lattice operations (meet, generated join, directed sup) combine
-providers without ever inventing an uncertified No.
+A logic pairs a signature with derivability providers: calculi are searched
+(bounded, three-valued answers), finite matrices evaluated.  One rule,
+`exact_matrix`, says when a matrix decides and when it only refutes, and
+`derives` is the one dispatch that applies it.  Lattice operations (meet,
+generated join, directed sup) combine providers without ever inventing an
+uncertified No.
 
 `Matrix.apply` is the only code that applies a matrix table, and
 `ProofWriter` the only code that writes proof steps, for search, saturation
@@ -44,6 +45,8 @@ class Budget:
     @staticmethod
     def parse(text: str) -> "Budget":
         parts = [int(p) for p in text.split(",")]
+        if any(p < 0 for p in parts):
+            raise ValueError("budget parts must be non-negative")
         if len(parts) == 1:
             return Budget(proof_length=parts[0])
         if len(parts) != 4:
@@ -564,10 +567,11 @@ class Verdict:
 class Logic:
     """Signature plus derivability provider(s).
 
-    Providers: a presented calculus (searched), a finite matrix (decides when
-    it is the only provider, refutes otherwise), or an oracle closure used by
-    the combination constructors.  `decides` records whether answers are
-    exact rather than budget-limited.
+    Providers: a presented calculus (searched), a finite matrix (exact when
+    it is the only provider or the caller needs no proof, refuting
+    otherwise: `exact_matrix`), or an oracle closure used by the combination
+    constructors.  A matrix beside a calculus must validate its axioms and
+    rules.  `decides` records whether answers are exact, not budget-limited.
     """
 
     def __init__(self, name: str, signature: Signature, calculus: Calculus | None = None,
@@ -578,6 +582,14 @@ class Logic:
             matrix.validate_for(signature)
         if calculus is None and matrix is None and oracle is None:
             raise ValueError("logic needs at least one provider")
+        if calculus is not None and matrix is not None:
+            for gamma, phi in [((), a) for a in calculus.axioms] + [
+                    (r.premises, r.conclusion) for r in calculus.rules]:
+                holds, counter = matrix_consequence(matrix, gamma, phi)
+                if not holds:
+                    what = f"rule {', '.join(map(fmt, gamma))} => " if gamma else "axiom "
+                    raise ValueError(f"the matrix refutes {what}{fmt(phi)} at " + ", ".join(
+                        f"x{k}={v}" for k, v in sorted(counter.items())))
         self.name = name
         self.signature = signature
         self.calculus = calculus
@@ -604,34 +616,49 @@ class Logic:
         return out
 
 
+def exact_matrix(logic: Logic, proof: bool = False) -> Matrix | None:
+    """The provider rule: the logic's matrix when it answers yes and no
+    exactly, that is when it is the only provider or the caller needs no
+    proof; else None.  Known defect 1, left for ROADMAP item 2 with item 4:
+    IMP's matrix is only sound, yet exact here when no proof is needed."""
+    sole = logic.calculus is None and logic.oracle is None
+    return logic.matrix if sole or not proof else None
+
+
 def derives(logic: Logic, gamma, phi: Formula,
-            budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """Three-valued derivability with certificates.
+            budget: Budget = DEFAULT_BUDGET, proof: bool = True) -> Verdict:
+    """Three-valued derivability with certificates, from an exact matrix,
+    else the oracle, else the matrix as refuter, else proof search.
 
     Yes from a calculus carries a proof; No carries a countervaluation (or a
     membership certificate from decidable oracles); Unknown means the budget
     ran out without a refutation.
     """
     gamma = frozenset(gamma)
-    for f in itertools.chain(gamma, (phi,)):
-        check_formula(logic.signature, f)
+    matrix = exact_matrix(logic, proof)
+    if matrix is None or proof:  # no-proof sweeps skip the validation walk
+        for f in itertools.chain(gamma, (phi,)):
+            check_formula(logic.signature, f)
+    if matrix is not None:
+        return matrix_verdict(matrix, gamma, phi)
     if logic.oracle is not None:
         return logic.oracle(gamma, phi, budget)
     if logic.matrix is not None:
         verdict = matrix_verdict(logic.matrix, gamma, phi)
-        if verdict.is_no or logic.calculus is None:
+        if verdict.is_no:
             return verdict
-    proof = search_proof(logic.calculus, gamma, phi, budget)
-    if proof is not None:
-        return Verdict.yes(proof=proof, used=proof.used_hypotheses())
+    found = search_proof(logic.calculus, gamma, phi, budget)
+    if found is not None:
+        return Verdict.yes(proof=found, used=found.used_hypotheses())
     return Verdict.unknown(reason="proof search budget exhausted")
 
 
 def interderivable(logic: Logic, phi: Formula, psi: Formula,
                    budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Mutual derivability; exact through a matrix, else searched."""
-    if logic.matrix is not None:
-        ok, witness = matrix_interderivable(logic.matrix, phi, psi)
+    matrix = exact_matrix(logic)
+    if matrix is not None:
+        ok, witness = matrix_interderivable(matrix, phi, psi)
         if ok:
             return Verdict.yes(reason="matrix interderivability")
         return Verdict.no(counter={f"x{k}": v for k, v in witness.items()},
@@ -645,16 +672,6 @@ def interderivable(logic: Logic, phi: Formula, psi: Formula,
         bad = forward if forward.is_no else backward
         return Verdict.no(counter=bad.counter, reason=bad.reason)
     return Verdict.unknown(reason="interderivability not settled within budget")
-
-
-def semantic_derives(logic: Logic, gamma, phi: Formula,
-                     budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """Derivability with a matrix provider treated as the decision oracle,
-    for sweeps over many sequents (quotient analyses, semantic translation
-    checks), instead of a bounded proof search per query."""
-    if logic.matrix is not None:
-        return matrix_verdict(logic.matrix, gamma, phi)
-    return derives(logic, gamma, phi, budget)
 
 
 def refutation_sweep(checks) -> tuple[object, Verdict]:

@@ -365,7 +365,10 @@ def logic_to_dsl(logic: Logic) -> str:
                 for k, v in sorted(table.items(), key=lambda kv: tuple(map(str, kv[0]))))
             out.append(f"    table {c} {entries}")
         out.append("  }")
-    if logic.oracle is not None:
+    if logic.calculus is not None and not logic.calculus.axioms \
+            and not logic.calculus.rules and logic.matrix is None:
+        out.append("  bottom")
+    elif logic.oracle is not None:
         out.append("  # oracle-backed logic; presentation not expressible")
     out.append("}")
     return "\n".join(out) + "\n"

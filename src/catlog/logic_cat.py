@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from .consequence import (
     AxiomInstance, Budget, Calculus, DEFAULT_BUDGET, Hypothesis, Logic, Matrix,
     Proof, ProofWriter, REFUTED, Rule, RuleInstance, SignatureMismatch, UNKNOWN,
-    VERIFIED, Verdict, YES, derives, generated_join, model_of, refutation_sweep,
-    semantic_derives, transform_proof, truth_function,
+    VERIFIED, Verdict, YES, derives, exact_matrix, generated_join, model_of,
+    refutation_sweep, transform_proof, truth_function,
 )
 from .formulas import Formula, Substitution, Var, extend, fmt
 from .kleisli import (
@@ -103,8 +103,8 @@ def check_translation(morphism, source: Logic, target: Logic,
 
     - Presented: verified when every translated axiom is target-derivable
       and every translated rule target-admissible; refuted, with the scheme
-      as witness, when the target refutes an image.  With `semantic=True` a
-      target matrix decides each image (`semantic_derives`).
+      as witness, when the target refutes an image.  `semantic=True` asks
+      for no proofs, so a target matrix decides (`exact_matrix`).
     - A matrix alone, into a target with a matrix: `matrix_inclusion`,
       whose failing sequent (valid in the source, its image refuted by the
       counter) refutes and whose pass verifies.  It answers unknown where
@@ -129,7 +129,6 @@ def check_translation(morphism, source: Logic, target: Logic,
             return Translation(h, source, target, REFUTED, witness=witness)
         return Translation(h, source, target, v.outcome(VERIFIED),
                            evidence=[{"model_check": v.status, "reason": v.reason}])
-    ask = semantic_derives if semantic else derives
     calc = source.calculus
     evidence = []
 
@@ -140,7 +139,7 @@ def check_translation(morphism, source: Logic, target: Logic,
         for i, premises, conclusion, rule in sequents:
             gamma = [translate_formula(h, p) for p in premises]
             image = translate_formula(h, conclusion)
-            v = ask(target, gamma, image, budget)
+            v = derives(target, gamma, image, budget, proof=not semantic)
             if rule is None:
                 evidence.append({"axiom": i, "image": image,
                                  "verdict": v.status, "proof": v.proof})
@@ -169,7 +168,7 @@ def matrix_inclusion(h, source: Logic, target: Logic, semantic: bool = False,
     conservative)?  `model_of` on source's matrix and target's `reduct`.
 
     Every matrix is taken to be sound for its logic, and to be all of it
-    when it is the logic's only provider or `semantic` reads it so.  A
+    when `exact_matrix` says so, `semantic` asking for no proofs.  A
     failing sequent counts only when the included side's matrix is all of
     its logic (else the sequent need not be a consequence), a pass only
     when the including side's is; otherwise the answer is unknown.
@@ -178,7 +177,7 @@ def matrix_inclusion(h, source: Logic, target: Logic, semantic: bool = False,
     (a, a_logic), (b, b_logic) = sides[::-1] if converse else sides
     v, sequent = model_of(h.source, a, b)
     needed = a_logic if v.is_no else b_logic
-    if v.is_unknown or semantic or (needed.calculus is None and needed.oracle is None):
+    if v.is_unknown or exact_matrix(needed, proof=not semantic) is not None:
         return v, sequent
     return Verdict.unknown(reason=f"{v.reason}, but {needed.name}'s matrix is not "
                                   "its only provider"), None

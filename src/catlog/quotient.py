@@ -18,9 +18,9 @@ import itertools
 from dataclasses import dataclass, field, fields
 
 from .consequence import (
-    Budget, CONFIRMED, DEFAULT_BUDGET, Logic, REFUTED, Rule, Saturation,
-    UNKNOWN, VERIFIED, Verdict, derives, generated_join, interderivable,
-    refutation_sweep, semantic_derives,
+    Budget, CONFIRMED, DEFAULT_BUDGET, Logic, Matrix, REFUTED, Rule, Saturation,
+    UNKNOWN, VERIFIED, Verdict, derives, exact_matrix, generated_join,
+    interderivable, refutation_sweep,
 )
 from .formulas import (
     App, Formula, Substitution, Var, complexity, enumerate_formulas,
@@ -141,8 +141,9 @@ def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
     compl_bound, var_bound = bounds
     sig = logic.signature
     pool = enumerate_formulas(sig, var_bound, compl_bound)
-    if logic.matrix is not None:
-        return _matrix_congruential(logic, pool, bounds, var_bound)
+    matrix = exact_matrix(logic)
+    if matrix is not None:
+        return _matrix_congruential(logic, matrix, pool, bounds, var_bound)
     pairs = 0
     unknown = False
     inter: list[tuple[Formula, Formula]] = []
@@ -165,14 +166,13 @@ def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
 def _known_congruential(logic: Logic, bounds: tuple[int, int], budget: Budget) -> bool:
     """Whether the generator check settles equivalence into `logic`: only
     exactly decided logics are tested, and only a confirmed test counts."""
-    if logic.matrix is None and not logic.decides:
+    if exact_matrix(logic) is None and not logic.decides:
         return False
     return is_congruential(logic, bounds, budget).status == CONFIRMED
 
 
-def _matrix_congruential(logic: Logic, pool: list[Formula],
+def _matrix_congruential(logic: Logic, matrix: Matrix, pool: list[Formula],
                          bounds: tuple[int, int], n: int) -> CongruentialityVerdict:
-    matrix = logic.matrix
     by_designation: dict[tuple, dict[tuple, Formula]] = {}
     for phi, col in zip(pool, matrix.columns(pool, range(n))):
         by_designation.setdefault(matrix.designation(col), {}).setdefault(tuple(col), phi)
@@ -231,7 +231,7 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
     result is a sound under-approximation of the congruential closure and
     keeps the signature unchanged.
     """
-    if logic.matrix is not None:
+    if exact_matrix(logic) is not None:
         verdict = is_congruential(logic, (max(bounds[0], 3), max(bounds[1], 1)))
         if verdict.status == CONFIRMED:
             return logic  # already a fixpoint at the tested bounds
@@ -345,18 +345,18 @@ def weak_equivalence(h, source: Logic, target: Logic,
 
     With a matrix on both sides, translation-hood is `check_translation`
     and conservativity the converse `matrix_inclusion`, both with
-    `semantic=True` ("connective-tables").  That reads each matrix as its
-    logic's whole consequence: an assumption, not a check, and false for a
-    matrix that is only sound, such as IMP's.  Without two matrices both
-    are "unchecked" and the certificate is at best unknown.  Denseness
-    searches source formulas by image truth function (breadth-first over
-    functions, so every realizable class is found regardless of formula
-    size).
+    `semantic=True` ("connective-tables"): `consequence.exact_matrix` reads
+    each matrix as its logic's whole consequence, an assumption, not a
+    check, and false for a matrix that is only sound, such as IMP's.
+    Without two matrices both are "unchecked" and the certificate is at best
+    unknown.  Denseness searches source formulas by image truth function
+    (breadth-first over functions, so every realizable class is found
+    regardless of formula size).
     """
     hf = as_flexible(h)
     bounds = (n_max, target_compl, _SOURCE_COMPLEXITY)
     status, conservativity = UNKNOWN, "unchecked"
-    if source.matrix is not None and target.matrix is not None:
+    if exact_matrix(source) is not None and exact_matrix(target) is not None:
         conservativity = "connective-tables"
         forward = check_translation(hf, source, target, budget, semantic=True)
         if forward.status == REFUTED:
@@ -390,8 +390,9 @@ def _denseness_search(hf, source: Logic, target: Logic, n: int,
     target slice formula; also report every interderivability class the
     images realize."""
     targets = enumerate_slice(target.signature, n, target_compl)
-    if target.matrix is not None:
-        return _denseness_by_functions(hf, target, n, targets)
+    matrix = exact_matrix(target)
+    if matrix is not None:
+        return _denseness_by_functions(hf, matrix, n, targets)
     if not targets:
         return {}, None, {}
     # fall back to direct bounded search with derivability queries
@@ -411,10 +412,9 @@ def _denseness_search(hf, source: Logic, target: Logic, n: int,
     return found, None, {}
 
 
-def _denseness_by_functions(hf, target: Logic, n: int, targets):
+def _denseness_by_functions(hf, matrix: Matrix, n: int, targets):
     """Breadth-first over image truth functions of source slice formulas,
     their columns in the target matrix's reduct along h."""
-    matrix = target.matrix
     pulled = reduct(matrix, hf)
     rows = len(matrix.values) ** n
     # state: (frozen varset, image column over n variables)
@@ -481,9 +481,10 @@ def rigidity_probe(logic: Logic, bound: int = 3,
     """Enumerate verified endo-translations and test each against identity.
 
     Not rigid on a refutation; otherwise rigid, or None (undecided) when a
-    translation or equivalence check stayed unknown.  Every comparison has
-    the logic itself as target, so whether it is congruential is tested
-    once, at the first verified endo-translation.
+    translation or equivalence check stayed unknown or the bound leaves out
+    the identity itself.  Every comparison has the logic itself as target,
+    so whether it is congruential is tested once, at the first verified
+    endo-translation.
     """
     sig = logic.signature
     ident = kleisli_identity(sig)
@@ -494,8 +495,7 @@ def rigidity_probe(logic: Logic, bound: int = 3,
     bounds = (3, 2)  # morphisms_equivalent's default
     congruential = None
     for h in endos:
-        status = check_translation(h, logic, logic, budget,
-                                   semantic=logic.matrix is not None).status
+        status = check_translation(h, logic, logic, budget, semantic=True).status
         if status == VERIFIED:
             verified += 1
             if congruential is None:
@@ -506,6 +506,7 @@ def rigidity_probe(logic: Logic, bound: int = 3,
             if status == REFUTED:
                 non_rigid.append({"morphism": h.to_json(), "witness": cert.witness})
         undecided = undecided or status == UNKNOWN
+    undecided = undecided or ident not in endos
     return {
         "endomorphisms": len(endos),
         "verified_translations": verified,
@@ -532,7 +533,7 @@ def lindenbaum_delta_check(logic: Logic, delta: list[Formula],
         return substitute(Substitution({0: left, 1: right}), d)
 
     def run(premises, conclusion):
-        return semantic_derives(logic, premises, conclusion, budget)
+        return derives(logic, premises, conclusion, budget, proof=False)
 
     verdicts: dict[str, dict] = {}
 

@@ -9,11 +9,14 @@ from catlog import corpus
 from catlog.consequence import (
     AxiomInstance, Budget, Calculus, Hypothesis, Logic, Matrix, Proof, Rule,
     RuleInstance, Saturation, SignatureMismatch, Step, Verdict, derives,
-    directed_sup, generated_join, interderivable, matrix_consequence,
+    directed_sup, exact_matrix, generated_join, interderivable, matrix_consequence,
     matrix_interderivable, meet, search_proof, transform_proof, truth_function,
     verify_proof,
 )
-from catlog.formulas import Substitution, Var, fmt, parse, substitute, variables
+from catlog.formulas import (
+    Substitution, Var, enumerate_formulas, fmt, parse, substitute, variables,
+)
+from catlog.logic_cat import bottom
 from catlog.signatures import Signature
 
 from strategies import formulas
@@ -34,6 +37,12 @@ def test_budget_parsing():
     assert Budget.parse("12") == Budget(proof_length=12)
     with pytest.raises(ValueError):
         Budget.parse("1,2")
+
+
+@pytest.mark.parametrize("text", ["-1,6,4,2", "40,6,-4,2", "-3"])
+def test_budget_refuses_negative_parts(text):
+    with pytest.raises(ValueError, match="non-negative"):
+        Budget.parse(text)
 
 
 # --- matrices ----------------------------------------------------------------
@@ -434,3 +443,111 @@ def test_saturation_joins_rules_with_three_premises():
     assert joined in fork and joined not in base
     assert verify_proof(logic, {hyp}, joined, fork.proof_of(joined))
     assert list(base.derived.items()) == derived
+
+
+# --- the provider rule --------------------------------------------------------
+
+
+def _least_with_matrix():
+    # the least logic on CPL2's signature with CPL2's matrix beside its oracle
+    sig = CPL2.signature
+    return Logic("least", sig, matrix=CPL2.matrix, oracle=bottom(sig).oracle,
+                 decides=True)
+
+
+def _oracle_only():
+    return Logic("membership", SIG, oracle=bottom(SIG).oracle, decides=True)
+
+
+_LEM2 = "orp(x0, negp(x0))"
+
+
+# (logic, hypotheses, goal, proof, provider that answers, status)
+@pytest.mark.parametrize("make, hyps, goal, proof, provider, status", [
+    (lambda: CPL2, [], _LEM2, False, "matrix", "yes"),
+    (lambda: CPL2, [], _LEM2, True, "matrix", "yes"),
+    (lambda: CPL2, [], "x0", True, "matrix", "no"),
+    (lambda: CPL1, [], "imp(x0, x0)", False, "matrix", "yes"),
+    (lambda: CPL1, [], "imp(x0, x0)", True, "calculus", "yes"),
+    (lambda: CPL1, [], "x0", True, "matrix", "no"),
+    (_least_with_matrix, [], _LEM2, False, "matrix", "yes"),
+    (_least_with_matrix, [], _LEM2, True, "oracle", "no"),
+    (lambda: ENV.logic("IMPFRAG"), [], "imp(x0, x0)", False, "calculus", "yes"),
+    (lambda: ENV.logic("IMPFRAG"), [], "imp(x0, x0)", True, "calculus", "yes"),
+    (_oracle_only, ["x0"], "x0", False, "oracle", "yes"),
+    (_oracle_only, ["x0"], "x0", True, "oracle", "yes"),
+], ids=["matrix-noproof", "matrix-proof", "matrix-proof-no",
+        "calculus+matrix-noproof", "calculus+matrix-proof", "calculus+matrix-refutes",
+        "oracle+matrix-noproof", "oracle+matrix-proof",
+        "calculus-noproof", "calculus-proof", "oracle-noproof", "oracle-proof"])
+def test_derives_answers_from_the_provider_the_rule_names(
+        make, hyps, goal, proof, provider, status):
+    logic = make()
+    gamma = [p(h, logic.signature) for h in hyps]
+    phi = p(goal, logic.signature)
+    v = derives(logic, gamma, phi, proof=proof)
+    assert v.status == status
+    if provider == "matrix":
+        assert v.reason in ("matrix decision", "matrix countervaluation")
+    elif provider == "calculus":
+        assert v.proof is not None and verify_proof(logic, gamma, phi, v.proof)
+    else:
+        assert v.proof is None
+        assert v.reason in ("membership",
+                            "not a member; the least logic proves nothing else")
+
+
+@pytest.mark.parametrize("make, without_proof, with_proof", [
+    (lambda: CPL2, True, True),
+    (lambda: CPL1, True, False),
+    (_least_with_matrix, True, False),
+    (lambda: ENV.logic("IMPFRAG"), False, False),
+    (_oracle_only, False, False),
+], ids=["matrix", "calculus+matrix", "oracle+matrix", "calculus", "oracle"])
+def test_exact_matrix_is_the_provider_rule(make, without_proof, with_proof):
+    logic = make()
+    assert (exact_matrix(logic) is logic.matrix is not None) == without_proof
+    assert (exact_matrix(logic, proof=True) is logic.matrix is not None) == with_proof
+
+
+@pytest.mark.parametrize("name", ["CPL1", "CPL2", "L3", "NC3"])
+def test_interderivable_is_both_no_proof_derivations(name):
+    logic = ENV.logic(name)
+    pool = enumerate_formulas(logic.signature, 2, 2)
+    for phi, psi in itertools.combinations(pool, 2):
+        both = derives(logic, [phi], psi, proof=False).is_yes and \
+            derives(logic, [psi], phi, proof=False).is_yes
+        assert interderivable(logic, phi, psi).is_yes == both, (fmt(phi), fmt(psi))
+
+
+@pytest.mark.parametrize("name, hyps, goal", [
+    ("CPL1", [], "imp(x0, x0)"),
+    ("CPL1", [], "imp(neg(x0), imp(x1, neg(x0)))"),
+    ("CPL1", ["x0", "imp(x0, x1)"], "x1"),
+    ("CPL1", ["imp(neg(x1), neg(x0))"], "imp(x0, x1)"),
+    ("IMP", [], "imp(x0, x0)"),
+    ("IMP", ["x0", "imp(x0, imp(x0, x1))"], "x1"),
+    ("IMP", ["x1"], "imp(x0, x1)"),
+])
+def test_a_searched_yes_holds_in_the_matrix(name, hyps, goal):
+    logic = ENV.logic(name)
+    gamma = [p(h, logic.signature) for h in hyps]
+    phi = p(goal, logic.signature)
+    # the calculus alone searches, with no matrix to consult
+    bare = Logic(name, logic.signature, calculus=logic.calculus)
+    for v in derives(logic, gamma, phi, proof=True), derives(bare, gamma, phi):
+        assert v.is_yes and verify_proof(logic, gamma, phi, v.proof)
+        assert matrix_consequence(logic.matrix, gamma, phi)[0]
+
+
+def test_a_matrix_beside_a_calculus_must_validate_it():
+    with pytest.raises(ValueError) as err:
+        Logic("CPL1/L3", SIG, calculus=CPL1.calculus, matrix=L3.matrix)
+    assert str(err.value) == ("the matrix refutes axiom "
+                              "imp(imp(x0, imp(x1, x2)), imp(imp(x0, x1), imp(x0, x2))) "
+                              "at x0=h, x1=h, x2=0")
+    lifting = Calculus(SIG, [], [Rule((p("x0"),), p("neg(x0)"))])
+    with pytest.raises(ValueError, match=r"refutes rule x0 => neg\(x0\) at x0=1"):
+        Logic("lifting", SIG, calculus=lifting, matrix=CPL1.matrix)
+    # a matrix beside an oracle alone is not checked: there is nothing to check
+    assert _least_with_matrix().matrix is CPL2.matrix

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from catlog import cli, corpus, dsl
+from catlog.consequence import derives
 from catlog.formulas import parse
+from catlog.logic_cat import fibring_unconstrained
 from catlog.signatures import Signature
 
 
@@ -78,6 +80,42 @@ def test_logic_round_trips_through_writer():
     assert logic.matrix.tables == env.logic("CPL1").matrix.tables
 
 
+def _corpus_logics_and_a_fibring_of_bottoms():
+    env = corpus.fresh_env()
+    bot = env.logic("BotNeg")
+    fibred, _, _ = fibring_unconstrained(bot, bot)
+    return [*(env.logics[name] for name in sorted(env.logics)), fibred]
+
+
+@pytest.mark.parametrize("logic", _corpus_logics_and_a_fibring_of_bottoms(),
+                         ids=lambda logic: logic.name)
+def test_every_logic_round_trips_through_writer(logic):
+    text = dsl.signature_to_dsl(logic.signature) + dsl.logic_to_dsl(logic)
+    [again] = dsl.loads(text).logics.values()
+    assert again.signature == logic.signature
+    for part in "calculus", "matrix":
+        assert (getattr(again, part) is None) == (getattr(logic, part) is None)
+    if logic.calculus is not None:
+        assert again.calculus.axioms == logic.calculus.axioms
+        assert again.calculus.rules == logic.calculus.rules
+    if logic.matrix is not None:
+        assert again.matrix.tables == logic.matrix.tables
+        assert again.matrix.designated == logic.matrix.designated
+    if "bottom" in text.split():
+        x0 = parse("x0", again.signature)
+        assert derives(again, [x0], x0).is_yes
+        assert derives(again, [], x0).is_no
+
+
+def test_cli_fibring_of_bottoms_writes_a_bottom(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["--json", str(out), "fibre", "--left", "BotNeg",
+                     "--right", "BotNeg"]) == 0
+    [logic] = dsl.loads(json.loads(out.read_text())["dsl"]).logics.values()
+    x0 = parse("x0", logic.signature)
+    assert derives(logic, [], x0).is_no
+
+
 def test_morphism_round_trips_through_writer():
     env = corpus.fresh_env()
     text = (dsl.signature_to_dsl(env.signature("SigCPL1"))
@@ -112,6 +150,28 @@ def test_logic_block_never_drops_what_it_declares(body, line, words):
     assert words in str(err.value)
     # the corpus, with its bottom and top logics, still loads
     assert {"BotNeg", "TopNeg", "BotCPL1", "CPL1"} <= set(corpus.fresh_env().logics)
+
+
+def test_a_matrix_that_refutes_the_calculus_is_a_load_error():
+    text = """signature S { neg/1 imp/2 }
+logic CPL1L3 {
+  signature S
+  axiom imp(x0, imp(x1, x0))
+  axiom imp(imp(x0, imp(x1, x2)), imp(imp(x0, x1), imp(x0, x2)))
+  rule x0, imp(x0, x1) => x1
+  matrix {
+    values 0 h 1
+    designated 1
+    table neg (0)=1 (h)=h (1)=0
+    table imp (0,0)=1 (0,h)=1 (0,1)=1 (h,0)=h (h,h)=1 (h,1)=1 (1,0)=0 (1,h)=h (1,1)=1
+  }
+}
+"""
+    with pytest.raises(dsl.SpecError) as err:
+        dsl.loads(text)
+    assert err.value.line == 13
+    assert "refutes axiom imp(imp(x0, imp(x1, x2))" in str(err.value)
+    assert "x0=h, x1=h, x2=0" in str(err.value)
 
 
 def test_dsl_names_become_identifiers():
@@ -178,6 +238,20 @@ def test_cli_argparse_errors_exit_usage(capsys):
     with pytest.raises(SystemExit) as done:
         cli.main(["--help"])
     assert done.value.code == 0
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["--bound", "-1", "rigidity", "--logic", "CPL1"], "--bound"),
+    (["--n", "-1", "congruential", "--logic", "CPL1"], "--n"),
+    (["laws", "--suite", "category", "--cases", "-1"], "--cases"),
+    (["--budget=-1,6,4,2", "prove", "--logic", "CPL1", "--goal", "imp(x0, x0)"],
+     "budget"),
+], ids=["bound", "n", "cases", "budget"])
+def test_cli_negative_numbers_exit_usage(capsys, argv, words):
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert words in captured.err and "non-negative" in captured.err
 
 
 def test_cli_flexible_chain_or_span_exits_usage(tmp_path, capsys):
@@ -351,3 +425,11 @@ def test_cli_rigidity_with_undecided_endomorphisms(capsys):
     out = capsys.readouterr().out
     assert out.startswith("L3: undecided")
     assert '"rigid": null' in out
+
+
+def test_cli_rigidity_without_the_identity_is_undecided(capsys):
+    # at bound 0 no endomorphism is enumerated, the identity included
+    assert cli.main(["--bound", "0", "rigidity", "--logic", "CPL1"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("CPL1: undecided")
+    assert '"identity_enumerated": false' in out and '"rigid": null' in out

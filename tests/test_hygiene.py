@@ -183,3 +183,54 @@ def test_hygiene_check_sees_format_leaks():
         (1, "Step"), (2, "Step"), (3, "_flat"), (3, "_flatten"),
         (4, "_designated_at"), (5, "tables")]
     assert (7, "tables") in _format_leaks(tree)
+
+
+def _provider_leaks(tree: ast.Module, attributes: set[str],
+                    reader: str = "") -> list[tuple[int, str]]:
+    """Lines that read one of `attributes` outside the function `reader`,
+    or define `semantic_derives`."""
+    allowed = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef)
+               and f.name == reader for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name == "semantic_derives":
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and node.attr in attributes and id(node) not in allowed:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def _provider_attributes(path: Path) -> set[str]:
+    """The provider attributes a module may not read: consequence reads
+    them all, quotient neither the oracle nor the matrix, the rest no
+    oracle."""
+    return {"consequence.py": set(), "quotient.py": {"oracle", "matrix"}}.get(
+        path.name, {"oracle"})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_provider_rule_only_in_consequence(path):
+    # which provider may answer a query is decided by consequence.exact_matrix
+    # and applied by consequence.derives; only the DSL writer reads the oracle
+    found = _provider_leaks(ast.parse(path.read_text(), filename=str(path)),
+                            _provider_attributes(path),
+                            "logic_to_dsl" if path.name == "dsl.py" else "")
+    assert not found, f"{path.name} goes around consequence.exact_matrix: " + \
+        ", ".join(f"{name} (line {line})" for line, name in found)
+
+
+def test_hygiene_check_sees_provider_leaks():
+    tree = ast.parse(
+        "if logic.oracle is not None: pass\n"
+        "m = target.matrix\n"
+        "def semantic_derives(logic): pass\n"
+        "def logic_to_dsl(logic):\n"
+        "    return logic.oracle\n"
+        "logic.oracle = None\n"
+        "oracle, matrix = bottom(sig), exact_matrix(logic)\n")
+    assert _provider_leaks(tree, {"oracle", "matrix"}, "logic_to_dsl") == [
+        (1, "oracle"), (2, "matrix"), (3, "semantic_derives")]
+    assert _provider_leaks(tree, {"oracle"}) == [
+        (1, "oracle"), (3, "semantic_derives"), (5, "oracle")]

@@ -312,6 +312,12 @@ def test_classical_logic_is_rigid_at_bound_two():
     assert report["rigid"], report["non_rigid_witnesses"]
 
 
+def test_rigidity_is_undecided_without_the_identity():
+    report = rigidity_probe(CPL1, bound=0)
+    assert not report["identity_enumerated"]
+    assert report["rigid"] is None
+
+
 def test_rigidity_probe_tests_congruentiality_once(monkeypatch):
     calls = []
     real = quotient.is_congruential
