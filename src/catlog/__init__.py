@@ -8,7 +8,7 @@ from .formulas import (
     fmt, parse, substitute, var, variables,
 )
 from .signatures import (
-    Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
+    Morphism, Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
     identity_morphism, signature_coproduct, signature_product,
     signature_pushout, strict_extension,
 )

@@ -15,7 +15,8 @@ import sys
 
 from . import corpus, dsl, kleisli
 from .consequence import (
-    Budget, CONFIRMED, NEGATIVE, POSITIVE, REFUTED, UNKNOWN, YES, derives,
+    Budget, CONFIRMED, DEFAULT_BUDGET, NEGATIVE, POSITIVE, REFUTED, UNKNOWN, YES,
+    derives,
 )
 from .formulas import fmt, parse
 from .kleisli import is_regular, kleisli_compose, kleisli_identity
@@ -86,94 +87,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--spec", default="standard",
                         help="spec file path, or 'standard' for the built-in corpus")
     parser.add_argument("--json", default=None, help="write the JSON report here")
-    parser.add_argument("--budget", default="40,6,4,2",
+    parser.add_argument("--budget", default=DEFAULT_BUDGET,
                         help="proof-length,instance-compl,enum-compl,variables")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--bound", type=_count, default=4)
     parser.add_argument("--n", type=_count, default=2, dest="nvars")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="load and validate a spec file")
-    sub.add_parser("load", help="alias of validate")
-
-    p = sub.add_parser("prove", help="search a derivation")
-    p.add_argument("--logic", required=True)
-    p.add_argument("--goal", required=True)
-    p.add_argument("--hyp", action="append", default=[])
-
-    p = sub.add_parser("translate", help="check a morphism between two logics")
-    p.add_argument("--via", required=True)
-    p.add_argument("--source", "--from", dest="source", required=True)
-    p.add_argument("--target", "--to", dest="target", required=True)
-
-    p = sub.add_parser("check-morphism", help="validate a declared morphism")
-    p.add_argument("--name", required=True)
-
-    p = sub.add_parser("check-regular", help="regularity of a flexible morphism")
-    p.add_argument("--name", required=True)
-
-    p = sub.add_parser("fibre", help="unconstrained fibring of two logics")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--goal", default=None)
-
-    p = sub.add_parser("fibre-shared", help="constrained fibring over a shared logic")
-    p.add_argument("--shared", required=True)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--left-map", required=True)
-    p.add_argument("--right-map", required=True)
-    p.add_argument("--goal", default=None)
-
-    p = sub.add_parser("product", help="product of two logics")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--goal", default=None)
-    p.add_argument("--hyp", action="append", default=[])
-
-    p = sub.add_parser("colimit-chain", help="directed colimit of a chain")
-    p.add_argument("--stages", required=True, help="comma separated logic names")
-    p.add_argument("--maps", required=True, help="comma separated morphism names")
-    p.add_argument("--goal", default=None)
-
-    p = sub.add_parser("quotient-equal", help="morphism equality in the quotient")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--source", "--from", dest="source", required=True)
-    p.add_argument("--target", "--to", dest="target", required=True)
-
-    p = sub.add_parser("congruential", help="replacement compatibility check")
-    p.add_argument("--logic", required=True)
-
-    p = sub.add_parser("closure", help="bounded congruential closure")
-    p.add_argument("--logic", required=True)
-    p.add_argument("--goal", default=None)
-    p.add_argument("--hyp", action="append", default=[])
-
-    p = sub.add_parser("lindenbaum", help="equivalence-set conditions")
-    p.add_argument("--logic", required=True)
-    p.add_argument("--delta", required=True,
-                   help="semicolon separated binary formulas")
-
-    p = sub.add_parser("equipollent", help="two-way weak equivalence certificate")
-    p.add_argument("--source", "--from", dest="source", required=True)
-    p.add_argument("--target", "--to", dest="target", required=True)
-    p.add_argument("--via", required=True)
-    p.add_argument("--back", required=True)
-
-    p = sub.add_parser("rigidity", help="endo-translations against identity")
-    p.add_argument("--logic", required=True)
-
-    p = sub.add_parser("laws", help="run a law suite")
-    p.add_argument("--suite", required=True,
-                   choices=["category", "kleisli", "monad", "adjunction",
-                            "regularity"])
-    p.add_argument("--cases", type=_count, default=200)
-
+    for command, (_, help_line, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     try:
         args = parser.parse_args(argv)
-        return run(args, Budget.parse(args.budget))
-    except (dsl.SpecError, FileNotFoundError, KeyError, ValueError,
+        budget = args.budget
+        return run(args, budget if isinstance(budget, Budget) else Budget.parse(budget))
+    except (dsl.SpecError, OSError, KeyError, ValueError,
             UnsupportedConstruction) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -181,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def run(args, budget: Budget) -> int:
     """Run one command: emit its report once, exit by its status."""
-    report, summary, status = COMMANDS[args.command](load_env(args.spec), args, budget)
+    handler = COMMANDS[args.command][0]
+    report, summary, status = handler(load_env(args.spec), args, budget)
     emit(report, args.json, summary)
     return status_exit(status)
 
@@ -197,8 +126,7 @@ def _validate(env, args, budget):
 
 def _prove(env, args, budget):
     logic = env.logic(args.logic)
-    goal = parse(args.goal, logic.signature)
-    hyps = [parse(h, logic.signature) for h in args.hyp]
+    goal, hyps = _sequent(logic, args)
     verdict = derives(logic, hyps, goal, budget)
     report = {"command": "prove", "logic": args.logic, "goal": fmt(goal),
               "hypotheses": [fmt(h) for h in hyps],
@@ -230,13 +158,18 @@ def _check_regular(env, args, budget):
             CONFIRMED if regular else REFUTED)
 
 
+def _sequent(logic, args):
+    """`--goal`, then `--hyp` where the command takes it, parsed over logic."""
+    goal = parse(args.goal, logic.signature)
+    return goal, [parse(h, logic.signature) for h in getattr(args, "hyp", [])]
+
+
 def _goal(report: dict, logic, args, budget) -> str:
     """Decide `--goal` (under `--hyp`, where the command takes it) in a
     built logic, into the report's "goal"; the status of the command."""
     if not args.goal:
         return YES
-    goal = parse(args.goal, logic.signature)
-    hyps = [parse(h, logic.signature) for h in getattr(args, "hyp", [])]
+    goal, hyps = _sequent(logic, args)
     verdict = derives(logic, hyps, goal, budget)
     report["goal"] = {"formula": fmt(goal), **verdict.to_json()}
     return verdict.status
@@ -309,8 +242,7 @@ def _closure(env, args, budget):
               "rules_added": added, "unchanged": closed is logic}
     status = YES
     if args.goal:
-        goal = parse(args.goal, logic.signature)
-        hyps = [parse(h, logic.signature) for h in args.hyp]
+        goal, hyps = _sequent(logic, args)
         report["before"] = derives(logic, hyps, goal, budget).status
         after = derives(closed, hyps, goal, budget)
         report["after"] = after.to_json()
@@ -367,28 +299,71 @@ def _rigidity(env, args, budget):
             f"{args.logic}: {word}", status)
 
 
+SUITES = {
+    "category": kleisli.suite_category_laws,
+    "kleisli": kleisli.suite_kleisli_theorem,
+    "monad": kleisli.suite_monad_laws,
+    "adjunction": kleisli.suite_adjunction,
+    "regularity": kleisli.suite_regularity,
+}
+
+
 def _laws(env, args, budget):
-    suites = {
-        "category": kleisli.suite_category_laws,
-        "kleisli": kleisli.suite_kleisli_theorem,
-        "monad": kleisli.suite_monad_laws,
-        "adjunction": kleisli.suite_adjunction,
-        "regularity": kleisli.suite_regularity,
-    }
-    report = suites[args.suite](args.cases, args.seed)
+    report = SUITES[args.suite](args.cases, args.seed)
     return ({"command": "laws", **report},
             f"{args.suite}: {len(report['failures'])} failure(s) in {report['cases']} cases",
             REFUTED if report["failures"] else CONFIRMED)
 
 
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One argument of a command: its flags and argparse options; required
+    unless the options say otherwise."""
+    return flags, {"required": True, **options}
+
+
+def _required(argument):
+    flags, options = argument
+    return flags, {**options, "required": True}
+
+
+LOGIC = _arg("--logic")
+GOAL = _arg("--goal", required=False, default=None)
+HYP = _arg("--hyp", required=False, action="append", default=[])
+LEFT, RIGHT = _arg("--left"), _arg("--right")
+SOURCE = _arg("--source", "--from", dest="source")
+TARGET = _arg("--target", "--to", dest="target")
+VIA = _arg("--via")
+NAME = _arg("--name")
+
+# command -> (handler, help line, arguments)
 COMMANDS = {
-    "validate": _validate, "load": _validate, "prove": _prove,
-    "translate": _translate, "check-morphism": _check_morphism,
-    "check-regular": _check_regular, "fibre": _fibre, "fibre-shared": _fibre_shared,
-    "product": _product, "colimit-chain": _colimit_chain,
-    "quotient-equal": _quotient_equal, "congruential": _congruential,
-    "closure": _closure, "lindenbaum": _lindenbaum, "equipollent": _equipollent,
-    "rigidity": _rigidity, "laws": _laws,
+    "validate": (_validate, "load and validate a spec file", []),
+    "load": (_validate, "alias of validate", []),
+    "prove": (_prove, "search a derivation", [LOGIC, _required(GOAL), HYP]),
+    "translate": (_translate, "check a morphism between two logics",
+                  [VIA, SOURCE, TARGET]),
+    "check-morphism": (_check_morphism, "validate a declared morphism", [NAME]),
+    "check-regular": (_check_regular, "regularity of a flexible morphism", [NAME]),
+    "fibre": (_fibre, "unconstrained fibring of two logics", [LEFT, RIGHT, GOAL]),
+    "fibre-shared": (_fibre_shared, "constrained fibring over a shared logic",
+                     [_arg("--shared"), LEFT, RIGHT, _arg("--left-map"),
+                      _arg("--right-map"), GOAL]),
+    "product": (_product, "product of two logics", [LEFT, RIGHT, GOAL, HYP]),
+    "colimit-chain": (_colimit_chain, "directed colimit of a chain",
+                      [_arg("--stages", help="comma separated logic names"),
+                       _arg("--maps", help="comma separated morphism names"), GOAL]),
+    "quotient-equal": (_quotient_equal, "morphism equality in the quotient",
+                       [LEFT, RIGHT, SOURCE, TARGET]),
+    "congruential": (_congruential, "replacement compatibility check", [LOGIC]),
+    "closure": (_closure, "bounded congruential closure", [LOGIC, GOAL, HYP]),
+    "lindenbaum": (_lindenbaum, "equivalence-set conditions",
+                   [LOGIC, _arg("--delta", help="semicolon separated binary formulas")]),
+    "equipollent": (_equipollent, "two-way weak equivalence certificate",
+                    [SOURCE, TARGET, VIA, _arg("--back")]),
+    "rigidity": (_rigidity, "endo-translations against identity", [LOGIC]),
+    "laws": (_laws, "run a law suite",
+             [_arg("--suite", choices=list(SUITES)),
+              _arg("--cases", required=False, type=_count, default=200)]),
 }
 
 

@@ -102,14 +102,13 @@ class Calculus:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    kind: str = "hypothesis"
+    """A step that cites one of the hypotheses."""
 
 
 @dataclass(frozen=True)
 class AxiomInstance:
     axiom: int
     substitution: Substitution
-    kind: str = "axiom"
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,6 @@ class RuleInstance:
     rule: int
     substitution: Substitution
     premises: tuple[int, ...]
-    kind: str = "rule"
 
 
 @dataclass(frozen=True)

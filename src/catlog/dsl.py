@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 
 from .consequence import Calculus, Logic, Matrix, Rule
-from .formulas import Formula, ParseError, fmt, parse
+from .formulas import Formula, ParseError, Var, fmt, parse
 from .kleisli import FlexibleMorphism
 from .logic_cat import bottom, top
 from .signatures import Signature, StrictMorphism
@@ -348,10 +348,14 @@ def signature_to_dsl(sig: Signature) -> str:
 def logic_to_dsl(logic: Logic) -> str:
     out = [f"logic {dsl_name(logic.name)} {{",
            f"  signature {dsl_name(logic.signature.name)}"]
-    if logic.calculus is not None:
-        for a in logic.calculus.axioms:
+    calculus = logic.calculus
+    # an oracle-backed logic with the axiom x0 derives everything: the top logic
+    is_top = (logic.oracle is not None and logic.matrix is None and calculus is not None
+              and calculus.axioms == [Var(0)] and not calculus.rules)
+    if calculus is not None and not is_top:
+        for a in calculus.axioms:
             out.append(f"  axiom {fmt(a)}")
-        for r in logic.calculus.rules:
+        for r in calculus.rules:
             prem = ", ".join(fmt(p) for p in r.premises)
             out.append(f"  rule {prem} => {fmt(r.conclusion)}")
     if logic.matrix is not None:
@@ -365,8 +369,10 @@ def logic_to_dsl(logic: Logic) -> str:
                 for k, v in sorted(table.items(), key=lambda kv: tuple(map(str, kv[0]))))
             out.append(f"    table {c} {entries}")
         out.append("  }")
-    if logic.calculus is not None and not logic.calculus.axioms \
-            and not logic.calculus.rules and logic.matrix is None:
+    if is_top:
+        out.append("  top")
+    elif calculus is not None and not calculus.axioms \
+            and not calculus.rules and logic.matrix is None:
         out.append("  bottom")
     elif logic.oracle is not None:
         out.append("  # oracle-backed logic; presentation not expressible")
@@ -375,14 +381,8 @@ def logic_to_dsl(logic: Logic) -> str:
 
 
 def morphism_to_dsl(m) -> str:
-    kind = "strict" if isinstance(m, StrictMorphism) else "flexible"
-    out = [f"morphism {kind} {m.name or 'unnamed'} : "
-           f"{m.source.name} -> {m.target.name} {{"]
-    if isinstance(m, StrictMorphism):
-        for c, d in sorted(m.mapping.items()):
-            out.append(f"  {c} -> {d}")
-    else:
-        for c, phi in sorted(m.assignment.items()):
-            out.append(f"  {c} -> {fmt(phi)}")
+    out = [f"morphism {m.kind} {dsl_name(m.name or 'unnamed')} : "
+           f"{dsl_name(m.source.name)} -> {dsl_name(m.target.name)} {{"]
+    out += [f"  {c} -> {image}" for c, image in sorted(m.images.items())]
     out.append("}")
     return "\n".join(out) + "\n"

@@ -22,7 +22,6 @@ import itertools
 import re
 import weakref
 from functools import lru_cache
-from typing import Iterator
 
 
 class ParseError(ValueError):
@@ -326,16 +325,6 @@ def parse(text: str, sig=None) -> Formula:
     def peek():
         return tokens[pos] if pos < len(tokens) else None
 
-    def expect(kind: str, value: str | None = None):
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise ParseError(f"unexpected end of input, expected {value or kind}", len(text))
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            raise ParseError(f"expected {value or kind}, found {tok[1]!r}", tok[2])
-        pos += 1
-        return tok
-
     def formula() -> Formula:
         nonlocal pos
         tok = peek()
@@ -441,10 +430,7 @@ def enumerate_slice(sig, n: int, max_compl: int) -> list[Formula]:
             if variables(phi) == target]
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
+    """The ways to write total as an ordered sum of `parts` non-negative parts."""
+    return [split for split in itertools.product(range(total + 1), repeat=parts)
+            if sum(split) == total]

@@ -22,16 +22,15 @@ from .formulas import (
     App, Formula, Var, check_formula, complexity, enumerate_slice, extend, fmt,
     variables,
 )
-from .signatures import Signature, StrictMorphism, identity_morphism, strict_extension
+from .signatures import (
+    Morphism, Signature, StrictMorphism, identity_morphism, strict_extension,
+)
 
 
-class FlexibleMorphism:
-    """Assignment of a target slice formula to each source connective.
+class FlexibleMorphism(Morphism):
+    """Assignment of a target slice formula to each source connective."""
 
-    `_memo` maps each formula already translated by `flexible_extension` to
-    its image; it lives and dies with the morphism and takes no part in
-    equality or hashing.
-    """
+    kind = "flexible"
 
     def __init__(self, source: Signature, target: Signature,
                  assignment: dict[str, Formula], name: str = ""):
@@ -44,48 +43,12 @@ class FlexibleMorphism:
                 raise ValueError(
                     f"{c!r}/{arity} must map into the arity-{arity} slice, "
                     f"got {fmt(phi)} with variables {sorted(variables(phi))}")
-        self._set(source, target, assignment, name)
+        super().__init__(source, target, assignment, name)
 
-    @classmethod
-    def _unchecked(cls, source: Signature, target: Signature,
-                   assignment: dict[str, Formula]) -> "FlexibleMorphism":
-        """Build without checking an assignment known to be well formed."""
-        h = cls.__new__(cls)
-        h._set(source, target, assignment, "")
-        return h
-
-    def _set(self, source, target, assignment, name) -> None:
-        self.source = source
-        self.target = target
-        self.assignment = {c: assignment[c] for c in source.connectives}
-        self.name = name
-        self._memo: dict[Formula, Formula] = {}
-
-    def __call__(self, connective: str) -> Formula:
-        return self.assignment[connective]
-
-    def __eq__(self, other):
-        if not isinstance(other, FlexibleMorphism):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.assignment == other.assignment)
-
-    def __hash__(self):
-        return hash((self.source, self.target,
-                     frozenset(self.assignment.items())))
-
-    def __repr__(self):
-        inner = ", ".join(f"{c} -> {fmt(phi)}" for c, phi in sorted(self.assignment.items()))
-        return f"FlexibleMorphism({inner})"
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "flexible",
-            "name": self.name,
-            "source": self.source.name,
-            "target": self.target.name,
-            "map": {c: fmt(phi) for c, phi in sorted(self.assignment.items())},
-        }
+    @property
+    def assignment(self) -> dict[str, Formula]:
+        """The images c -> h(c), each a slice formula over the target."""
+        return self.images
 
 
 def kleisli_identity(sig: Signature) -> FlexibleMorphism:
@@ -99,12 +62,7 @@ def lift_strict(f: StrictMorphism) -> FlexibleMorphism:
     return FlexibleMorphism(f.source, f.target, f.assignment, name=f"{f.name}+")
 
 
-def flexible_extension(h: FlexibleMorphism, phi: Formula) -> Formula:
-    """Translate phi by substituting translated arguments into assignments.
-
-    Raises StructuralError unless phi is well-formed over h's source.
-    """
-    return extend(h.assignment, phi, h._memo)
+flexible_extension = Morphism.extension
 
 
 def kleisli_compose(h2: FlexibleMorphism, h1: FlexibleMorphism) -> FlexibleMorphism:
@@ -475,36 +433,24 @@ def random_composable_triple(rng: random.Random, max_compl: int
             return h1, h2, h3
 
 
+def _all_morphisms(make, source: Signature, target: Signature, candidates) -> list:
+    """Every morphism `make` builds from one of `candidates(arity)` for each
+    source connective, in the order of the sorted connectives."""
+    items = sorted(source.connectives.items())
+    pools = [candidates(arity) for _, arity in items]
+    return [make(source, target, {c: image for (c, _), image in zip(items, combo)})
+            for combo in itertools.product(*pools)]
+
+
 def all_flexible_morphisms(source: Signature, target: Signature, max_compl: int
                            ) -> list[FlexibleMorphism]:
     """Every flexible morphism whose assignments stay within the bound."""
-    items = sorted(source.connectives.items())
-    pools = []
-    for c, arity in items:
-        pool = enumerate_slice(target, arity, max_compl)
-        if not pool:
-            return []
-        pools.append(pool)
-    out = []
-    for combo in itertools.product(*pools):
-        out.append(FlexibleMorphism(
-            source, target, {c: phi for (c, _), phi in zip(items, combo)}))
-    return out
+    return _all_morphisms(FlexibleMorphism, source, target,
+                          lambda arity: enumerate_slice(target, arity, max_compl))
 
 
 def all_strict_morphisms(source: Signature, target: Signature) -> list[StrictMorphism]:
-    items = sorted(source.connectives.items())
-    pools = []
-    for c, arity in items:
-        pool = target.level(arity)
-        if not pool:
-            return []
-        pools.append(pool)
-    out = []
-    for combo in itertools.product(*pools):
-        out.append(StrictMorphism(
-            source, target, {c: d for (c, _), d in zip(items, combo)}))
-    return out
+    return _all_morphisms(StrictMorphism, source, target, target.level)
 
 
 # ---------------------------------------------------------------------------

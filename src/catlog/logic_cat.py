@@ -6,7 +6,7 @@ presented source (one `consequence.refutation_sweep` over the translated
 axioms and rules), by `matrix_inclusion` (`consequence.model_of` read
 under the provider rule) for a source given by a matrix alone.  Its
 status words (verified, refuted, unknown) are `consequence`'s.  Strict and
-flexible morphisms both act on formulas through their head assignment
+flexible morphisms both act on formulas through `Morphism.extension`
 (`translate_formula`).  Combinations build the signature part first and
 then equip it with a delegating oracle or with the generated join of the
 components' presentations pushed forward along the cocone legs
@@ -24,12 +24,12 @@ from .consequence import (
     VERIFIED, Verdict, YES, derives, exact_matrix, generated_join, model_of,
     refutation_sweep, transform_proof, truth_function,
 )
-from .formulas import Formula, Substitution, Var, extend, fmt
+from .formulas import Formula, Substitution, Var, fmt
 from .kleisli import (
     FlexibleMorphism, directed_colimit_signatures, kleisli_compose, lift_strict,
 )
 from .signatures import (
-    Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
+    Morphism, Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
     identity_morphism, signature_coproduct, signature_product, signature_pushout,
     strict_extension,
 )
@@ -41,9 +41,7 @@ def as_flexible(morphism) -> FlexibleMorphism:
     return morphism
 
 
-def translate_formula(morphism, phi: Formula) -> Formula:
-    """Extension of a strict or flexible morphism applied to phi."""
-    return extend(morphism.assignment, phi, morphism._memo)
+translate_formula = Morphism.extension
 
 
 def push_calculus(morphism, calculus: Calculus) -> Calculus:
@@ -62,7 +60,7 @@ def push_calculus(morphism, calculus: Calculus) -> Calculus:
 class Translation:
     """A signature morphism together with its derivability-preservation status."""
 
-    morphism: object  # StrictMorphism | FlexibleMorphism
+    morphism: Morphism
     source: Logic
     target: Logic
     status: str = UNKNOWN

@@ -229,7 +229,8 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
     Each class contributes member-to-representative rule schemes, and
     context pairs that leave the pool contribute their own rules.  The
     result is a sound under-approximation of the congruential closure and
-    keeps the signature unchanged.
+    keeps the signature unchanged.  It reads no budget: `bounds` alone bound
+    the sweep, and `budget` stays only for callers that pass it by position.
     """
     if exact_matrix(logic) is not None:
         verdict = is_congruential(logic, (max(bounds[0], 3), max(bounds[1], 1)))
@@ -372,8 +373,7 @@ def weak_equivalence(h, source: Logic, target: Logic,
         status = CONFIRMED if forward.verified and v.is_yes else UNKNOWN
     denseness: dict[int, dict] = {}
     for n in range(n_max + 1):
-        found, missing, classes = _denseness_search(
-            hf, source, target, n, target_compl, budget)
+        found, missing, classes = _denseness_search(hf, target, n, target_compl, budget)
         if missing is not None:
             return WeakEquivalenceCertificate(
                 hf, REFUTED, conservativity=conservativity,
@@ -384,8 +384,7 @@ def weak_equivalence(h, source: Logic, target: Logic,
         bounds=bounds)
 
 
-def _denseness_search(hf, source: Logic, target: Logic, n: int,
-                      target_compl: int, budget: Budget):
+def _denseness_search(hf, target: Logic, n: int, target_compl: int, budget: Budget):
     """Find a source preimage (up to interderivability) for every bounded
     target slice formula; also report every interderivability class the
     images realize."""

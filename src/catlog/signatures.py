@@ -2,7 +2,8 @@
 
 A signature is a finite map from connective names to arities.  Strict
 morphisms send connectives to same-arity connectives; their extension to
-formula trees replaces heads and fixes variables.  Coproducts, products and
+formula trees replaces heads and fixes variables.  `Morphism` holds what
+strict and flexible morphisms (`kleisli`) share.  Coproducts, products and
 pushouts are computed levelwise on arities.
 """
 
@@ -57,13 +58,71 @@ class Signature:
         }
 
 
-class StrictMorphism:
-    """Connective map preserving arities between two signatures.
+class Morphism:
+    """A signature morphism: an image for each source connective.
 
-    `_memo` maps each formula already translated by `strict_extension` to its
-    image; it lives and dies with the morphism and takes no part in equality
-    or hashing.
+    The images are connectives for a strict morphism and slice formulas for
+    a flexible one.  Either kind acts on formulas by `extension`, which puts
+    each head's template (`assignment`) in place of the head.  `_memo` maps
+    each formula already translated to its image; it lives and dies with the
+    morphism and takes no part in equality or hashing.
     """
+
+    kind = ""
+
+    def __init__(self, source: Signature, target: Signature, images: dict,
+                 name: str = ""):
+        self.source = source
+        self.target = target
+        self.images = {c: images[c] for c in source.connectives}
+        self.name = name
+        self._memo: dict[Formula, Formula] = {}
+
+    @classmethod
+    def _unchecked(cls, source: Signature, target: Signature, images: dict):
+        """Build without checking images known to be well formed."""
+        morphism = cls.__new__(cls)
+        Morphism.__init__(morphism, source, target, images)
+        return morphism
+
+    def __call__(self, connective: str):
+        return self.images[connective]
+
+    def extension(self, phi: Formula) -> Formula:
+        """Apply the morphism to every connective occurrence of phi;
+        variables are fixed.
+
+        Raises StructuralError unless phi is well-formed over the source.
+        """
+        return extend(self.assignment, phi, self._memo)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.source == other.source and self.target == other.target
+                and self.images == other.images)
+
+    def __hash__(self):
+        return hash((self.source, self.target, frozenset(self.images.items())))
+
+    def __repr__(self):
+        inner = ", ".join(f"{c} -> {d}" for c, d in sorted(self.images.items()))
+        return f"{type(self).__name__}({inner})"
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "name": self.name,
+            "source": self.source.name,
+            "target": self.target.name,
+            "map": {c: str(d) for c, d in sorted(self.images.items())},
+        }
+
+
+class StrictMorphism(Morphism):
+    """Connective map preserving arities between two signatures."""
+
+    kind = "strict"
 
     def __init__(self, source: Signature, target: Signature, mapping: dict[str, str],
                  name: str = ""):
@@ -77,14 +136,12 @@ class StrictMorphism:
                 raise ValueError(
                     f"arity mismatch: {c!r}/{arity} mapped to "
                     f"{image!r}/{target.connectives[image]}")
-        self.source = source
-        self.target = target
-        self.mapping = {c: mapping[c] for c in source.connectives}
-        self.name = name
-        self._memo: dict[Formula, Formula] = {}
+        super().__init__(source, target, mapping, name)
 
-    def __call__(self, connective: str) -> str:
-        return self.mapping[connective]
+    @property
+    def mapping(self) -> dict[str, str]:
+        """The connective map c -> f(c)."""
+        return self.images
 
     @cached_property
     def assignment(self) -> dict[str, Formula]:
@@ -95,29 +152,7 @@ class StrictMorphism:
         eagerly.
         """
         return {c: App(d, tuple(Var(i) for i in range(self.source.connectives[c])))
-                for c, d in self.mapping.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, StrictMorphism):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.mapping == other.mapping)
-
-    def __hash__(self):
-        return hash((self.source, self.target, frozenset(self.mapping.items())))
-
-    def __repr__(self):
-        inner = ", ".join(f"{c} -> {d}" for c, d in sorted(self.mapping.items()))
-        return f"StrictMorphism({inner})"
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "strict",
-            "name": self.name,
-            "source": self.source.name,
-            "target": self.target.name,
-            "map": {c: d for c, d in sorted(self.mapping.items())},
-        }
+                for c, d in self.images.items()}
 
 
 def identity_morphism(sig: Signature) -> StrictMorphism:
@@ -130,12 +165,7 @@ def compose_strict(g: StrictMorphism, f: StrictMorphism) -> StrictMorphism:
     return StrictMorphism(f.source, g.target, {c: g(f(c)) for c in f.source.connectives})
 
 
-def strict_extension(f: StrictMorphism, phi: Formula) -> Formula:
-    """Apply f to every connective occurrence of phi; variables are fixed.
-
-    Raises StructuralError unless phi is well-formed over f's source.
-    """
-    return extend(f.assignment, phi, f._memo)
+strict_extension = Morphism.extension
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from catlog import cli, corpus, dsl
 from catlog.consequence import derives
 from catlog.formulas import parse
+from catlog.kleisli import lift_strict
 from catlog.logic_cat import fibring_unconstrained
 from catlog.signatures import Signature
 
@@ -105,6 +106,32 @@ def test_every_logic_round_trips_through_writer(logic):
         x0 = parse("x0", again.signature)
         assert derives(again, [x0], x0).is_yes
         assert derives(again, [], x0).is_no
+
+
+def test_top_logic_round_trips_as_top():
+    text = dsl.logic_to_dsl(corpus.fresh_env().logic("TopNeg"))
+    assert "  top\n" in text and "axiom" not in text
+    again = dsl.loads("signature SigNeg { neg/1 }\n" + text).logic("TopNeg")
+    assert again.decides
+    x0 = parse("x0", again.signature)
+    verdict = derives(again, [], x0)
+    assert verdict.is_yes and verdict.reason == "top logic"
+
+
+def test_written_morphisms_load_back():
+    env = corpus.fresh_env()
+    _, t1, _ = fibring_unconstrained(env.logic("IMPFRAG"), env.logic("NEGFRAG"))
+    lifted = lift_strict(env.morphism("inclImpStrict"))
+    for morphism in t1.morphism, lifted:
+        text = (dsl.signature_to_dsl(morphism.source)
+                + dsl.signature_to_dsl(morphism.target) + dsl.morphism_to_dsl(morphism))
+        [again] = dsl.loads(text).morphisms.values()
+        assert again.kind == morphism.kind
+        assert again.images == morphism.images
+    assert "morphism strict in0 : SigImp -> IMPFRAG_NEGFRAG {" in dsl.morphism_to_dsl(
+        t1.morphism)
+    assert dsl.morphism_to_dsl(lifted).startswith(
+        "morphism flexible inclImpStrict : SigImp -> SigCPL1 {")
 
 
 def test_cli_fibring_of_bottoms_writes_a_bottom(tmp_path):
@@ -229,6 +256,18 @@ def test_cli_prove_unknown():
 def test_cli_prove_usage_error():
     assert cli.main(["prove", "--logic", "Nope", "--goal", "x0"]) == 3
     assert cli.main(["prove", "--logic", "CPL1", "--goal", "bad(("]) == 3
+
+
+def test_cli_unreadable_paths_exit_usage(tmp_path, capsys):
+    spec = tmp_path / "spec.logic"
+    spec.write_text("signature S { neg/1 }\n")
+    for argv in (["--spec", str(tmp_path), "validate"],
+                 ["--spec", str(spec / "inner.logic"), "validate"],
+                 ["--json", str(tmp_path), "validate"]):
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_argparse_errors_exit_usage(capsys):

@@ -234,3 +234,52 @@ def test_hygiene_check_sees_provider_leaks():
         (1, "oracle"), (2, "matrix"), (3, "semantic_derives")]
     assert _provider_leaks(tree, {"oracle"}) == [
         (1, "oracle"), (3, "semantic_derives"), (5, "oracle")]
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _nested_functions(function):
+    """Functions defined in `function`'s own scope (not in a nested class or
+    function), at any depth of its statements."""
+    for node in ast.iter_child_nodes(function):
+        if isinstance(node, _FUNCTIONS):
+            yield node
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            yield from _nested_functions(node)
+
+
+def _unreferenced_nested_functions(tree: ast.Module) -> list[tuple[int, str]]:
+    """Nested functions that their enclosing function never refers to."""
+    found = []
+    for outer in ast.walk(tree):
+        if isinstance(outer, _FUNCTIONS):
+            loaded = {node.id for node in ast.walk(outer) if isinstance(node, ast.Name)}
+            found += [(inner.lineno, f"{outer.name}.{inner.name}")
+                      for inner in _nested_functions(outer) if inner.name not in loaded]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unreferenced_nested_functions(path):
+    found = _unreferenced_nested_functions(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} defines nested functions it never uses: " + \
+        ", ".join(f"{name} (line {line})" for line, name in found)
+
+
+def test_hygiene_check_sees_unreferenced_nested_functions():
+    tree = ast.parse(
+        "def outer(xs):\n"
+        "    def called(x): return x\n"
+        "    def passed(x): return x\n"
+        "    def dropped(x): return x\n"
+        "    if xs:\n"
+        "        def branch(): pass\n"
+        "    class Local:\n"
+        "        def method(self): pass\n"
+        "    def middle():\n"
+        "        def deep(): pass\n"
+        "        return 1\n"
+        "    return [called(x) for x in xs], sorted(xs, key=passed), middle\n")
+    assert _unreferenced_nested_functions(tree) == [
+        (4, "outer.dropped"), (6, "outer.branch"), (10, "middle.deep")]

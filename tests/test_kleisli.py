@@ -518,3 +518,56 @@ def test_directed_colimit_single_stage():
     assert vertex.connectives == s0.connectives
     report = slice_colimit_comparison(chain, 1, 3)
     assert report["bijective"]
+
+
+MIXED = Signature("Mixed", {"e": 0, "n": 1, "b": 2})
+MIXED_TARGET = Signature("MixedT", {"d": 0, "m": 1, "k": 1, "c": 2})
+MIXED_MAP = {"e": "d", "n": "m", "b": "c"}
+
+
+def test_strict_and_flexible_morphisms_print_alike():
+    f = StrictMorphism(MIXED, MIXED_TARGET, MIXED_MAP, name="f")
+    lifted = lift_strict(f)
+    assert repr(f) == "StrictMorphism(b -> c, e -> d, n -> m)"
+    assert repr(lifted) == "FlexibleMorphism(b -> c(x0, x1), e -> d, n -> m(x0))"
+    assert f.to_json() == {"kind": "strict", "name": "f", "source": "Mixed",
+                           "target": "MixedT", "map": {"b": "c", "e": "d", "n": "m"}}
+    assert lifted.to_json() == {"kind": "flexible", "name": "f+", "source": "Mixed",
+                                "target": "MixedT",
+                                "map": {"b": "c(x0, x1)", "e": "d", "n": "m(x0)"}}
+    assert list(lifted.to_json()["map"]) == ["b", "e", "n"]
+    # constants print the same either way: only the kind tells them apart
+    constants = Signature("E", {"e": 0})
+    g = StrictMorphism(constants, MIXED_TARGET, {"e": "d"})
+    assert repr(g)[len("Strict"):] == repr(lift_strict(g))[len("Flexible"):]
+    assert {**g.to_json(), "kind": "flexible"} == {**lift_strict(g).to_json(), "name": ""}
+
+
+def test_equal_images_give_equal_morphisms():
+    f = StrictMorphism(MIXED, MIXED_TARGET, MIXED_MAP, name="one")
+    same = StrictMorphism(MIXED, MIXED_TARGET, dict(MIXED_MAP), name="two")
+    assert f == same and hash(f) == hash(same)
+    assert f != StrictMorphism(MIXED, MIXED_TARGET, {**MIXED_MAP, "n": "k"})
+    lifted = lift_strict(f)
+    rebuilt = FlexibleMorphism(MIXED, MIXED_TARGET, dict(lifted.assignment), name="x")
+    assert lifted == rebuilt and hash(lifted) == hash(rebuilt)
+    assert f != lifted and lifted != f and len({f, lifted}) == 2
+    assert f.mapping is f.images and lifted.assignment is lifted.images
+
+
+def test_morphism_enumerations_keep_their_order():
+    source = Signature("S", {"n": 1, "b": 2})
+    assert [f.mapping for f in all_strict_morphisms(source, MIXED_TARGET)] == [
+        {"b": "c", "n": "k"}, {"b": "c", "n": "m"}]
+    unary, binary = enumerate_slice(MIXED_TARGET, 1, 2), enumerate_slice(MIXED_TARGET, 2, 2)
+    assert [h.assignment for h in all_flexible_morphisms(source, MIXED_TARGET, 2)] == [
+        {"b": phi, "n": psi} for phi in binary for psi in unary]
+
+
+@pytest.mark.parametrize("source", [
+    Signature("C", {"e": 0, "n": 1}), Signature("C", {"a": 1, "z": 0})],
+    ids=["empty-first", "empty-last"])
+def test_morphism_enumerations_are_empty_without_candidates(source):
+    no_constants = Signature("T", {"m": 1, "c": 2})
+    assert all_strict_morphisms(source, no_constants) == []
+    assert all_flexible_morphisms(source, no_constants, 3) == []
