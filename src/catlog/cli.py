@@ -209,6 +209,8 @@ def _product(env, args, budget):
 def _colimit_chain(env, args, budget):
     stages = [env.logic(nm) for nm in args.stages.split(",")]
     names = [nm for nm in args.maps.split(",") if nm]
+    if len(names) != len(stages) - 1:  # before the maps index the stages
+        raise ValueError("need one chain map per consecutive stage pair")
     maps = [check_translation(env.morphism(nm), stages[i], stages[i + 1], budget)
             for i, nm in enumerate(names)]
     combined, cocone = directed_colimit_logics(stages, maps)

@@ -174,6 +174,19 @@ class ProofWriter:
             self.steps.append(Step(formula, justification))
         return self.index[formula]
 
+    def derivation(self, root, why) -> int:
+        """Write the derivation of `root`, premises first; its step's index.
+        `why(node)` gives a node's formula, justification and premise nodes;
+        a `RuleInstance` is written with its premises' indices."""
+        formula, justification, premises = why(root)
+        if formula in self.index:
+            return self.index[formula]
+        if isinstance(justification, RuleInstance):
+            justification = RuleInstance(
+                justification.rule, justification.substitution,
+                tuple(self.derivation(p, why) for p in premises))
+        return self.write(formula, justification)
+
     def proof(self) -> Proof:
         return Proof(self.steps)
 
@@ -623,6 +636,12 @@ def exact_matrix(logic: Logic, proof: bool = False) -> Matrix | None:
     return logic.matrix if sole or not proof else None
 
 
+def can_refute(logic: Logic) -> bool:
+    """Whether `derives` can ever answer no for `logic`: a matrix or an
+    oracle can refute, proof search cannot."""
+    return logic.matrix is not None or logic.oracle is not None
+
+
 def derives(logic: Logic, gamma, phi: Formula,
             budget: Budget = DEFAULT_BUDGET, proof: bool = True) -> Verdict:
     """Three-valued derivability with certificates, from an exact matrix,
@@ -1007,25 +1026,12 @@ def search_proof(calculus: Calculus | None, hypotheses: frozenset[Formula],
         for limit in limits:
             node, _ = searcher.prove(goal, limit, frozenset())
             if node is not None:
-                return _linearize(node)
+                writer = ProofWriter()
+                writer.derivation(node, lambda n: (n.formula, n.justification, n.children))
+                return writer.proof()
     except _SearchBudget:
         return None
     return None
-
-
-def _linearize(root: _Node) -> Proof:
-    writer = ProofWriter()
-
-    def emit(node: _Node) -> int:
-        if node.formula in writer.index:
-            return writer.index[node.formula]
-        j = node.justification
-        if isinstance(j, RuleInstance):
-            j = RuleInstance(j.rule, j.substitution, tuple(map(emit, node.children)))
-        return writer.write(node.formula, j)
-
-    emit(root)
-    return writer.proof()
 
 
 # ---------------------------------------------------------------------------
@@ -1055,6 +1061,7 @@ class Saturation:
 
     def __init__(self, calculus: Calculus, seed_pool: list[Formula]):
         self.calculus = calculus
+        # each derived formula with its justification and premise formulas
         self.derived: ChainMap[Formula, tuple] = ChainMap()
         self.queue: list[Formula] = []
         # per rule: premise variable sets and, for 2-premise rules, the join
@@ -1075,7 +1082,7 @@ class Saturation:
             free = sorted(variables(axiom))
             for combo in itertools.product(seed_pool, repeat=len(free)):
                 sigma = Substitution(dict(zip(free, combo)))
-                self._add(substitute(sigma, axiom), ("axiom", aidx, sigma))
+                self._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma))
         self._run()
 
     def fork(self) -> "Saturation":
@@ -1091,10 +1098,10 @@ class Saturation:
         """What this saturation derived itself; for a fork, beyond its base."""
         return self.derived.maps[0]
 
-    def _add(self, phi: Formula, why: tuple) -> None:
+    def _add(self, phi: Formula, justification, premises: tuple[Formula, ...] = ()) -> None:
         if phi in self.derived or complexity(phi) > _CONCLUSION_CAP:
             return
-        self.derived[phi] = why
+        self.derived[phi] = (justification, premises)
         self.queue.append(phi)
 
     def _run(self) -> None:
@@ -1116,7 +1123,7 @@ class Saturation:
                   premises: tuple[Formula, ...]) -> None:
         if not variables(rule.conclusion) <= set(sigma.mapping):
             return
-        self._add(substitute(sigma, rule.conclusion), ("rule", ridx, sigma, premises))
+        self._add(substitute(sigma, rule.conclusion), RuleInstance(ridx, sigma, ()), premises)
 
     def _join2(self, ridx: int, rule: Rule, j: int, sigma: Substitution,
                d: Formula) -> None:
@@ -1169,7 +1176,7 @@ class Saturation:
 
     def extend(self, hypotheses) -> None:
         for h in hypotheses:
-            self._add(h, ("hypothesis",))
+            self._add(h, Hypothesis())
         self._run()
 
     def __contains__(self, phi: Formula) -> bool:
@@ -1180,20 +1187,7 @@ class Saturation:
         if phi not in self.derived:
             return None
         writer = ProofWriter()
-
-        def emit(f: Formula) -> int:
-            if f in writer.index:
-                return writer.index[f]
-            why = self.derived[f]
-            if why[0] == "hypothesis":
-                j: Hypothesis | AxiomInstance | RuleInstance = Hypothesis()
-            elif why[0] == "axiom":
-                j = AxiomInstance(why[1], why[2])
-            else:
-                j = RuleInstance(why[1], why[2], tuple(map(emit, why[3])))
-            return writer.write(f, j)
-
-        emit(phi)
+        writer.derivation(phi, lambda f: (f, *self.derived[f]))
         return writer.proof()
 
 

@@ -26,6 +26,7 @@ SRC and TGT name signatures (or logics, which stand for their signatures).
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 
 from .consequence import Calculus, Logic, Matrix, Rule
 from .formulas import Formula, ParseError, Var, fmt, parse
@@ -38,6 +39,13 @@ class SpecError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class UnknownName(KeyError):
+    """A name the environment lacks; `str` is the message, unquoted."""
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class Environment:
@@ -53,16 +61,16 @@ class Environment:
             return self.signatures[name]
         if name in self.logics:
             return self.logics[name].signature
-        raise KeyError(f"no signature or logic named {name!r}")
+        raise UnknownName(f"no signature or logic named {name!r}")
 
     def logic(self, name: str) -> Logic:
         if name not in self.logics:
-            raise KeyError(f"no logic named {name!r}")
+            raise UnknownName(f"no logic named {name!r}")
         return self.logics[name]
 
     def morphism(self, name: str):
         if name not in self.morphisms:
-            raise KeyError(f"no morphism named {name!r}")
+            raise UnknownName(f"no morphism named {name!r}")
         return self.morphisms[name]
 
     def summary(self) -> dict:
@@ -73,10 +81,6 @@ class Environment:
         }
 
 
-_SIG_HEAD = re.compile(r"^signature\s+(\w+)$")
-_LOGIC_HEAD = re.compile(r"^logic\s+(\w+)$")
-_MORPH_HEAD = re.compile(
-    r"^morphism\s+(strict|flexible)\s+(\w+)\s*:\s*(\w+)\s*->\s*(\w+)$")
 _CONN = re.compile(r"^(\w+)\s*/\s*(\d+)$")
 _TABLE_ENTRY = re.compile(r"\(([^()]*)\)\s*=\s*(\S+)")
 
@@ -109,6 +113,7 @@ class _Stream:
     def __init__(self, items: list[tuple[str, int]]):
         self.items = items
         self.pos = 0
+        self.line = 0
 
     def done(self) -> bool:
         return self.pos >= len(self.items)
@@ -118,14 +123,34 @@ class _Stream:
         self.pos += 1
         return item
 
-    def expect(self, token: str) -> int:
+    def expect(self, token: str) -> None:
         if self.done():
             raise SpecError(f"expected {token!r}, found end of input",
                             self.items[-1][1] if self.items else 0)
         text, line = self.next()
         if text != token:
             raise SpecError(f"expected {token!r}, found {text!r}", line)
-        return line
+
+    def block(self, what: str, at: int):
+        """A block's entries and lines up to its closing brace, whose line is
+        then `line`; `unterminated {what}` at `at` if it never closes."""
+        while not self.done():
+            text, self.line = self.next()
+            if text == "}":
+                return
+            yield text, self.line
+        raise SpecError(f"unterminated {what}", at)
+
+
+@contextmanager
+def _reported_at(line: int):
+    """A constructor's ValueError or KeyError as a SpecError at `line`."""
+    try:
+        yield
+    except SpecError:
+        raise
+    except (ValueError, KeyError) as exc:
+        raise SpecError(str(exc), line) from None
 
 
 def loads(text: str) -> Environment:
@@ -133,34 +158,23 @@ def loads(text: str) -> Environment:
     stream = _Stream(_logical_lines(text))
     while not stream.done():
         line, lineno = stream.next()
-        m = _SIG_HEAD.match(line)
-        if m:
-            stream.expect("{")
-            _read_signature(env, m.group(1), stream, lineno)
-            continue
-        m = _LOGIC_HEAD.match(line)
-        if m:
-            stream.expect("{")
-            _read_logic(env, m.group(1), stream, lineno)
-            continue
-        m = _MORPH_HEAD.match(line)
-        if m:
-            stream.expect("{")
-            _read_morphism(env, m, stream, lineno)
-            continue
-        raise SpecError(f"unrecognized declaration {line!r}", lineno)
+        for head, reader in _DECLARATIONS:
+            m = head.match(line)
+            if m:
+                stream.expect("{")
+                reader(env, m, stream, lineno)
+                break
+        else:
+            raise SpecError(f"unrecognized declaration {line!r}", lineno)
     return env
 
 
-def _read_signature(env: Environment, name: str, stream: _Stream, at: int) -> None:
+def _read_signature(env: Environment, head: re.Match, stream: _Stream, at: int) -> None:
+    name = head.group(1)
     if name in env.signatures:
         raise SpecError(f"duplicate signature {name!r}", at)
     connectives: dict[str, int] = {}
-    while not stream.done():
-        line, lineno = stream.next()
-        if line == "}":
-            env.signatures[name] = Signature(name, connectives)
-            return
+    for line, lineno in stream.block(f"signature {name!r}", at):
         for item in line.split():
             m = _CONN.match(item)
             if not m:
@@ -172,10 +186,11 @@ def _read_signature(env: Environment, name: str, stream: _Stream, at: int) -> No
             if ident in connectives:
                 raise SpecError(f"duplicate connective {ident!r}", lineno)
             connectives[ident] = arity
-    raise SpecError(f"unterminated signature {name!r}", at)
+    env.signatures[name] = Signature(name, connectives)
 
 
-def _read_logic(env: Environment, name: str, stream: _Stream, at: int) -> None:
+def _read_logic(env: Environment, head: re.Match, stream: _Stream, at: int) -> None:
+    name = head.group(1)
     if name in env.logics:
         raise SpecError(f"duplicate logic {name!r}", at)
     sig: Signature | None = None
@@ -183,31 +198,10 @@ def _read_logic(env: Environment, name: str, stream: _Stream, at: int) -> None:
     rules: list[Rule] = []
     matrix: Matrix | None = None
     marker: str | None = None
-    while not stream.done():
-        line, lineno = stream.next()
-        if line == "}":
-            if sig is None:
-                raise SpecError(f"logic {name!r} declares no signature", lineno)
-            if marker == "bottom":
-                env.logics[name] = bottom(sig, name=name)
-            elif marker == "top":
-                env.logics[name] = top(sig, name=name)
-            else:
-                calculus = Calculus(sig, axioms, rules) if (axioms or rules) else None
-                if calculus is None and matrix is None:
-                    raise SpecError(f"logic {name!r} has no provider", lineno)
-                try:
-                    env.logics[name] = Logic(name, sig, calculus=calculus,
-                                             matrix=matrix)
-                except ValueError as exc:
-                    raise SpecError(str(exc), lineno) from None
-            return
+    for line, lineno in stream.block(f"logic {name!r}", at):
         if line.startswith("signature "):
-            ref = line.split(None, 1)[1].strip()
-            try:
-                sig = env.signature(ref)
-            except KeyError as exc:
-                raise SpecError(str(exc), lineno) from None
+            with _reported_at(lineno):
+                sig = env.signature(line.split(None, 1)[1].strip())
         elif line.startswith("axiom "):
             axioms.append(_parse_formula(line[len("axiom "):], sig, lineno))
         elif line.startswith("rule "):
@@ -234,7 +228,18 @@ def _read_logic(env: Environment, name: str, stream: _Stream, at: int) -> None:
         if marker is not None and (axioms or rules or matrix is not None):
             raise SpecError(f"logic {name!r} is {marker}; it takes no axiom, "
                             "rule or matrix", lineno)
-    raise SpecError(f"unterminated logic {name!r}", at)
+    if sig is None:
+        raise SpecError(f"logic {name!r} declares no signature", stream.line)
+    if marker == "bottom":
+        env.logics[name] = bottom(sig, name=name)
+    elif marker == "top":
+        env.logics[name] = top(sig, name=name)
+    else:
+        calculus = Calculus(sig, axioms, rules) if (axioms or rules) else None
+        if calculus is None and matrix is None:
+            raise SpecError(f"logic {name!r} has no provider", stream.line)
+        with _reported_at(stream.line):
+            env.logics[name] = Logic(name, sig, calculus=calculus, matrix=matrix)
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -269,13 +274,7 @@ def _read_matrix(stream: _Stream, at: int) -> Matrix:
     values: list[str] = []
     designated: list[str] = []
     tables: dict[str, dict[tuple, str]] = {}
-    while not stream.done():
-        line, lineno = stream.next()
-        if line == "}":
-            try:
-                return Matrix(values, designated, tables)
-            except ValueError as exc:
-                raise SpecError(str(exc), lineno) from None
+    for line, lineno in stream.block("matrix block", at):
         if line.startswith("values "):
             values = line.split()[1:]
         elif line.startswith("designated "):
@@ -284,38 +283,25 @@ def _read_matrix(stream: _Stream, at: int) -> Matrix:
             parts = line.split(None, 2)
             if len(parts) < 3:
                 raise SpecError("table needs entries", lineno)
-            conn = parts[1]
             entries = {}
             for m in _TABLE_ENTRY.finditer(parts[2]):
                 args = tuple(a.strip() for a in m.group(1).split(",") if a.strip())
                 entries[args] = m.group(2)
-            tables[conn] = entries
+            tables[parts[1]] = entries
         else:
             raise SpecError(f"unrecognized matrix entry {line!r}", lineno)
-    raise SpecError("unterminated matrix block", at)
+    with _reported_at(stream.line):
+        return Matrix(values, designated, tables)
 
 
-def _read_morphism(env: Environment, head, stream: _Stream, at: int) -> None:
+def _read_morphism(env: Environment, head: re.Match, stream: _Stream, at: int) -> None:
     kind, name, src_name, tgt_name = head.groups()
     if name in env.morphisms:
         raise SpecError(f"duplicate morphism {name!r}", at)
-    try:
-        src = env.signature(src_name)
-        tgt = env.signature(tgt_name)
-    except KeyError as exc:
-        raise SpecError(str(exc), at) from None
+    with _reported_at(at):
+        src, tgt = env.signature(src_name), env.signature(tgt_name)
     mapping: dict[str, object] = {}
-    while not stream.done():
-        line, lineno = stream.next()
-        if line == "}":
-            try:
-                if kind == "strict":
-                    env.morphisms[name] = StrictMorphism(src, tgt, mapping, name=name)
-                else:
-                    env.morphisms[name] = FlexibleMorphism(src, tgt, mapping, name=name)
-            except ValueError as exc:
-                raise SpecError(str(exc), lineno) from None
-            return
+    for line, lineno in stream.block(f"morphism {name!r}", at):
         if "->" not in line:
             raise SpecError(f"expected 'conn -> image', found {line!r}", lineno)
         left, right = line.split("->", 1)
@@ -326,7 +312,20 @@ def _read_morphism(env: Environment, head, stream: _Stream, at: int) -> None:
             mapping[conn] = right.strip()
         else:
             mapping[conn] = _parse_formula(right, tgt, lineno)
-    raise SpecError(f"unterminated morphism {name!r}", at)
+    with _reported_at(stream.line):
+        if kind == "strict":
+            env.morphisms[name] = StrictMorphism(src, tgt, mapping, name=name)
+        else:
+            env.morphisms[name] = FlexibleMorphism(src, tgt, mapping, name=name)
+
+
+# each declaration's head, and the reader of the block that follows it
+_DECLARATIONS = [
+    (re.compile(r"^signature\s+(\w+)$"), _read_signature),
+    (re.compile(r"^logic\s+(\w+)$"), _read_logic),
+    (re.compile(r"^morphism\s+(strict|flexible)\s+(\w+)\s*:\s*(\w+)\s*->\s*(\w+)$"),
+     _read_morphism),
+]
 
 
 # ---------------------------------------------------------------------------

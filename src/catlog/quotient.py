@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 from .consequence import (
     Budget, CONFIRMED, DEFAULT_BUDGET, Logic, Matrix, REFUTED, Rule, Saturation,
-    UNKNOWN, VERIFIED, Verdict, derives, exact_matrix, generated_join,
+    UNKNOWN, VERIFIED, Verdict, can_refute, derives, exact_matrix, generated_join,
     interderivable, refutation_sweep,
 )
 from .formulas import (
@@ -34,7 +34,7 @@ from .logic_cat import (
     Translation, as_flexible, check_translation, matrix_inclusion, push_calculus,
     reduct,
 )
-from .signatures import Signature, signature_coproduct
+from .signatures import Partition, Signature, signature_coproduct
 
 
 class _Certificate:
@@ -136,7 +136,9 @@ def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
     """Replacement compatibility of interderivability, tested at the bounds.
 
     With a matrix provider only pairs whose value functions differ inside a
-    shared designation class can refute, which keeps the sweep small.
+    shared designation class can refute, which keeps the sweep small.  A
+    logic that cannot refute stops at its first unknown pair: nothing after
+    it could turn the answer into a yes or a no.
     """
     compl_bound, var_bound = bounds
     sig = logic.signature
@@ -152,6 +154,8 @@ def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
         if v.is_yes:
             inter.append((a, b))
         elif v.is_unknown:
+            if not can_refute(logic):
+                return CongruentialityVerdict(UNKNOWN, bounds)
             unknown = True
     for a, b in inter:
         bad = _replacement_counterexample(logic, a, b, var_bound, budget)
@@ -243,22 +247,6 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
     pool = enumerate_formulas(sig, var_bound, compl_bound)
     pool_set = set(pool)
     seed_pool = enumerate_formulas(sig, var_bound, 2)
-    parent: dict[Formula, Formula] = {phi: phi for phi in pool}
-
-    def find(phi: Formula) -> Formula:
-        while parent[phi] != phi:
-            parent[phi] = parent[parent[phi]]
-            phi = parent[phi]
-        return phi
-
-    def union(a: Formula, b: Formula) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        lo, hi = sorted((ra, rb), key=sort_key)
-        parent[hi] = lo
-        return True
-
     base = Saturation(logic.calculus, seed_pool)
     # the pool formulas derivable from phi are the base theorems in the pool
     # plus reach[phi], those its fork derived beyond the base; each fork is
@@ -271,48 +259,41 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
         reach[phi] = pool_set.intersection(fork.added)
     # two base theorems are interderivable, a base theorem and another
     # formula never, two other formulas when each is in the other's reach;
-    # the root of a class is its sort_key minimum, so the order of the
-    # unions is immaterial
+    # a class is named by its sort_key minimum
+    classes = Partition(pool, key=sort_key)
     for a, b in zip(theorems, theorems[1:]):
-        union(a, b)
+        classes.union(a, b)
     for a in pool:
         for b in reach[a]:
             if a in reach[b]:
-                union(a, b)
+                classes.union(a, b)
     # context fixpoint inside the pool: equivalent arguments make contexts
     # equivalent, which can merge further classes
     changed = True
     while changed:
         changed = False
         for a in pool:
-            r = find(a)
+            r = classes.find(a)
             if r == a:
                 continue
             for _, _, ca, cb in _contexts(sig, a, r, 0):
                 if ca in pool_set and cb in pool_set:
-                    if union(ca, cb):
+                    if classes.union(ca, cb):
                         changed = True
-    rules: list[Rule] = []
-    seen: set[tuple[Formula, Formula]] = set()
-
-    def emit(a: Formula, b: Formula) -> None:
-        if (a, b) in seen or a == b:
-            return
-        seen.add((a, b))
-        rules.append(Rule((a,), b))
-        rules.append(Rule((b,), a))
-
+    # glue each member to its class's name, and the one-layer contexts of
+    # the two that leave the pool; the dict keeps each pair once, in order
+    glued: dict[tuple[Formula, Formula], None] = {}
     for a in pool:
-        r = find(a)
+        r = classes.find(a)
         if r == a:
             continue
-        emit(a, r)
+        glued[a, r] = None
         for _, _, ca, cb in _contexts(sig, a, r, 0):
-            if ca in pool_set and cb in pool_set:
-                continue  # already identified inside the pool
-            emit(ca, cb)
-    if not rules:
+            if ca not in pool_set or cb not in pool_set:  # else identified in the pool
+                glued[ca, cb] = None
+    if not glued:
         return logic
+    rules = [rule for a, b in glued for rule in (Rule((a,), b), Rule((b,), a))]
     calc = logic.calculus.extended(rules=rules)
     return Logic(name or f"closure({logic.name})", sig, calculus=calc)
 

@@ -266,41 +266,52 @@ def product_pairing(projections: list[StrictMorphism],
     return StrictMorphism(source, product, mapping, name="pairing")
 
 
+class Partition:
+    """Union-find over a fixed member set.  Each class is named by its least
+    member under `key`, so the names do not depend on the order of unions."""
+
+    def __init__(self, members, key=None):
+        self.parent = {m: m for m in members}
+        self.key = key
+
+    def find(self, x):
+        """The name of x's class."""
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; whether they were apart."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        least, other = sorted((ra, rb), key=self.key)
+        self.parent[other] = least
+        return True
+
+
 def signature_pushout(f: StrictMorphism, g: StrictMorphism, name: str = ""
                       ) -> tuple[Signature, StrictMorphism, StrictMorphism]:
     """Coproduct of the targets with f(c) and g(c) glued, for shared source c."""
     if f.source != g.source:
         raise ValueError("pushout legs must share their source")
     left, right = f.target, g.target
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
     tagged: dict[str, int] = {}
     for i, sig in enumerate((left, right)):
         for c, arity in sig.connectives.items():
-            t = _tag(c, i)
-            tagged[t] = arity
-            parent[t] = t
+            tagged[_tag(c, i)] = arity
+    classes = Partition(tagged)
     for c in f.source.connectives:
-        union(_tag(f(c), 0), _tag(g(c), 1))
+        classes.union(_tag(f(c), 0), _tag(g(c), 1))
 
     connectives = {}
     for t, arity in tagged.items():
-        rep = find(t)
-        connectives.setdefault(rep, arity)
+        connectives.setdefault(classes.find(t), arity)
     result = Signature(name or f"{left.name}+[{f.source.name}]+{right.name}", connectives)
     left_map = StrictMorphism(
-        left, result, {c: find(_tag(c, 0)) for c in left.connectives}, name="po_left")
+        left, result, {c: classes.find(_tag(c, 0)) for c in left.connectives}, name="po_left")
     right_map = StrictMorphism(
-        right, result, {c: find(_tag(c, 1)) for c in right.connectives}, name="po_right")
+        right, result, {c: classes.find(_tag(c, 1)) for c in right.connectives}, name="po_right")
     return result, left_map, right_map

@@ -201,6 +201,59 @@ logic CPL1L3 {
     assert "x0=h, x1=h, x2=0" in str(err.value)
 
 
+_S = "signature S { neg/1 }\n"
+_L = _S + "logic L {\n  signature S\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("signature S {\n  neg/1\n", 1, "unterminated signature 'S'"),
+    (_L + "  bottom\n", 2, "unterminated logic 'L'"),
+    (_L + "  matrix {\n    values 0 1\n", 4, "unterminated matrix block"),
+    (_S + "morphism strict m : S -> S {\n  neg -> neg\n", 2, "unterminated morphism 'm'"),
+    ("signature S\nneg/1\n", 2, "expected '{', found 'neg/1'"),
+    ("signature S { neg/1 }\nlogic L\n", 2, "expected '{', found end of input"),
+    ("frobnicate S { neg/1 }\n", 1, "unrecognized declaration 'frobnicate S'"),
+    (_S + "signature S { imp/2 }\n", 2, "duplicate signature 'S'"),
+    ("signature S {\n  neg/1\n  neg/2\n}\n", 3, "duplicate connective 'neg'"),
+    ("signature S {\n  x0/1\n}\n", 2, "connective 'x0' would collide with a variable"),
+    ("signature S {\n  neg/1 imp\n}\n", 2, "expected conn/arity, found 'imp'"),
+    ("logic L {\n}\n", 2, "logic 'L' declares no signature"),
+    ("logic L {\n  axiom x0\n}\n", 2, "declare the signature before formulas"),
+    (_L + "}\n", 4, "logic 'L' has no provider"),
+    (_L + "  rule neg(x0)\n}\n", 4, "rule needs '=>'"),
+    (_L + "  rule => neg(x0)\n}\n", 4, "rules need at least one premise"),
+    (_L + "  frobnicate\n}\n", 4, "unrecognized logic entry 'frobnicate'"),
+    (_L + "  axiom neg(x0\n}\n", 4,
+     "in 'neg(x0': unterminated argument list (at position 6)"),
+    ("logic L {\n  signature T\n}\n", 2, "no signature or logic named 'T'"),
+    (_L + "  matrix {\n    colours red\n  }\n}\n", 5, "unrecognized matrix entry 'colours red'"),
+    (_L + "  matrix {\n    table neg\n  }\n}\n", 5, "table needs entries"),
+    (_L + "  matrix {\n    values 0 1\n  }\n}\n", 6, "matrix needs a nonempty designated subset"),
+    (_L + "  matrix {\n    values 0 1\n    designated 1\n  }\n}\n", 8,
+     "matrix misses a table for 'neg'"),
+    (_S + "morphism strict m : S -> S { neg -> neg }\n"
+     "morphism strict m : S -> S { neg -> neg }\n", 3, "duplicate morphism 'm'"),
+    (_S + "morphism strict m : S -> T {\n  neg -> neg\n}\n", 2,
+     "no signature or logic named 'T'"),
+    (_S + "morphism strict m : S -> S {\n  neg\n}\n", 3,
+     "expected 'conn -> image', found 'neg'"),
+    (_S + "morphism strict m : S -> S {\n  imp -> neg\n}\n", 3,
+     "'imp' is not a connective of S"),
+    (_S + "morphism strict m : S -> S {\n}\n", 3, "morphism misses source connective 'neg'"),
+], ids=["open-signature", "open-logic", "open-matrix", "open-morphism", "no-brace",
+        "no-brace-at-end", "bad-declaration", "duplicate-signature",
+        "duplicate-connective", "variable-connective", "no-arity", "no-signature",
+        "formula-before-signature", "no-provider", "rule-no-arrow", "rule-no-premise",
+        "bad-logic-entry", "bad-formula", "logic-unknown-signature", "bad-matrix-entry",
+        "empty-table", "matrix-error", "logic-error", "duplicate-morphism",
+        "morphism-unknown-signature", "no-image", "morphism-unknown-connective",
+        "morphism-error"])
+def test_spec_errors_name_their_line(text, line, message):
+    with pytest.raises(dsl.SpecError) as err:
+        dsl.loads(text)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
 def test_dsl_names_become_identifiers():
     assert dsl.dsl_name("fibring(IMPFRAG,NEGFRAG)") == "fibring_IMPFRAG_NEGFRAG"
     assert dsl.dsl_name("IMPFRAG+NEGFRAG") == "IMPFRAG_NEGFRAG"
@@ -360,6 +413,12 @@ def test_cli_colimit_chain():
     assert code == 0
 
 
+def test_cli_colimit_chain_with_more_maps_than_stage_pairs(capsys):
+    assert cli.main(["colimit-chain", "--stages", "IMP", "--maps", "inclImpStrict"]) == 3
+    assert capsys.readouterr().err == \
+        "error: need one chain map per consecutive stage pair\n"
+
+
 def test_cli_quotient_equal():
     assert cli.main(["quotient-equal", "--left", "h", "--right", "h",
                      "--from", "CPL1", "--to", "CPL2"]) == 0
@@ -405,6 +464,17 @@ def test_cli_laws_deterministic(tmp_path):
     assert cli.main(["--json", str(b), "--seed", "11", "laws",
                      "--suite", "category", "--cases", "25"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_unknown_names_print_unquoted(capsys):
+    assert cli.main(["prove", "--logic", "NOPE", "--goal", "x0"]) == 3
+    assert capsys.readouterr().err == "error: no logic named 'NOPE'\n"
+    env = corpus.fresh_env()
+    for lookup, kind in (env.signature, "signature or logic"), (env.logic, "logic"), \
+            (env.morphism, "morphism"):
+        with pytest.raises(KeyError) as err:
+            lookup("NOPE")
+        assert str(err.value) == f"no {kind} named 'NOPE'"
 
 
 def test_cli_unknown_spec_file():

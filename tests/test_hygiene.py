@@ -236,6 +236,37 @@ def test_hygiene_check_sees_provider_leaks():
         (1, "oracle"), (3, "semantic_derives"), (5, "oracle")]
 
 
+JUSTIFICATION_TAGS = {"axiom", "rule", "hypothesis"}
+
+
+def _tagged_justifications(tree: ast.Module) -> list[int]:
+    """Lines of tuples that start with a justification's name as a string;
+    justifications are `Hypothesis`, `AxiomInstance` and `RuleInstance`."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Tuple) and node.elts
+                  and isinstance(node.elts[0], ast.Constant)
+                  and node.elts[0].value in JUSTIFICATION_TAGS)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_justifications_are_objects_not_tagged_tuples(path):
+    found = _tagged_justifications(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} tags justifications with strings; use " \
+        "consequence's justification classes: " + ", ".join(f"line {line}" for line in found)
+
+
+def test_hygiene_check_sees_tagged_justifications():
+    tree = ast.parse(
+        'a = ("axiom", i, sigma)\n'
+        'b = ("hypothesis",)\n'
+        'c = "rule", r, sigma, premises\n'
+        'd = (kind, "axiom")\n'
+        'e = ["rule", 1]\n'
+        'f = recorded["axiom", 0]\n'
+        'g = ("axioms", 0), ()\n')
+    assert _tagged_justifications(tree) == [1, 2, 3, 6]
+
+
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 

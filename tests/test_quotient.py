@@ -129,6 +129,23 @@ def test_nc3_matrix_refuted_with_witness():
     assert not ok
 
 
+def test_congruentiality_of_a_calculus_stops_at_its_first_unknown_pair(monkeypatch):
+    # IMPFRAG has neither a matrix nor an oracle, so no query can answer no:
+    # after one unknown pair the verdict can only be unknown
+    calls = []
+
+    def unknown(logic, a, b, budget):
+        calls.append((fmt(a), fmt(b)))
+        if len(calls) > 2:
+            raise AssertionError("the sweep went on past an unknown pair")
+        return Verdict.unknown()
+
+    monkeypatch.setattr(quotient, "interderivable", unknown)
+    verdict = is_congruential(ENV.logic("IMPFRAG"))
+    assert verdict.status == quotient.UNKNOWN
+    assert calls == [("x0", "x1")]
+
+
 # --- congruential closure -------------------------------------------------------
 
 

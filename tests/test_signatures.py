@@ -7,7 +7,7 @@ from catlog.formulas import (
     enumerate_formulas, parse, substitute, variables,
 )
 from catlog.signatures import (
-    Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
+    Partition, Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
     coproduct_mediator, identity_morphism, product_pairing,
     signature_coproduct, signature_product, signature_pushout,
     strict_extension,
@@ -270,6 +270,21 @@ def _naive_pushout_classes(f, g):
                     classes[member] = merged
                 changed = True
     return {frozenset(c) for c in classes.values()}
+
+
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=10))
+def test_partition_names_each_class_by_its_least_member(pairs):
+    # under a key that reverses the order, the least member is the largest
+    # integer; the names must not depend on the order of the unions
+    forward, backward = Partition(range(8), key=lambda x: -x), Partition(range(8))
+    for a, b in pairs:
+        forward.union(a, b)
+    for a, b in reversed(pairs):
+        backward.union(b, a)
+    for x in range(8):
+        same = {y for y in range(8) if backward.find(y) == backward.find(x)}
+        assert forward.find(x) == max(same) and backward.find(x) == min(same)
+    assert not forward.union(0, 0)
 
 
 def test_pushout_requires_shared_source():
