@@ -220,10 +220,10 @@ def _colimit_chain(env, args, budget):
 
 
 def _quotient_equal(env, args, budget):
-    cert = morphisms_equivalent(
-        env.morphism(args.left), env.morphism(args.right),
-        env.logic(args.source), env.logic(args.target), budget,
-        bounds=(args.bound, args.nvars))
+    left, right = env.morphism(args.left), env.morphism(args.right)
+    env.logic(args.source)  # the check reads only the target; a wrong name still fails
+    cert = morphisms_equivalent(left, right, env.logic(args.target), budget,
+                                bounds=(args.bound, args.nvars))
     return ({"command": "quotient-equal", **cert.to_json()},
             f"[{args.left}] = [{args.right}]: {cert.status} ({cert.scope})", cert.status)
 
@@ -236,7 +236,7 @@ def _congruential(env, args, budget):
 
 def _closure(env, args, budget):
     logic = env.logic(args.logic)
-    closed = congruential_closure(logic, (args.bound, args.nvars), budget)
+    closed = congruential_closure(logic, (args.bound, args.nvars))
     added = 0
     if closed.calculus is not None and logic.calculus is not None:
         added = len(closed.calculus.rules) - len(logic.calculus.rules)
@@ -279,10 +279,10 @@ def _equipollent(env, args, budget):
                                 target_compl=args.bound, budget=budget)
     round_src = morphisms_equivalent(
         kleisli_compose(as_flexible(back), as_flexible(via)),
-        kleisli_identity(source.signature), source, source, budget)
+        kleisli_identity(source.signature), source, budget)
     round_tgt = morphisms_equivalent(
         kleisli_compose(as_flexible(via), as_flexible(back)),
-        kleisli_identity(target.signature), target, target, budget)
+        kleisli_identity(target.signature), target, budget)
     overall = _overall([forward.status, backward.status,
                         round_src.status, round_tgt.status])
     report = {"command": "equipollent", "status": overall,

@@ -91,9 +91,8 @@ class Calculus:
         self.axioms = list(axioms)
         self.rules = list(rules)
 
-    def extended(self, axioms: list[Formula] = (), rules: list[Rule] = ()) -> "Calculus":
-        return Calculus(self.signature, self.axioms + list(axioms),
-                        self.rules + list(rules))
+    def extended(self, rules: list[Rule]) -> "Calculus":
+        return Calculus(self.signature, self.axioms, self.rules + list(rules))
 
     def to_json(self) -> dict:
         return {"axioms": [fmt(a) for a in self.axioms],
@@ -550,13 +549,12 @@ class Verdict:
                        used=used, detail=detail)
 
     @staticmethod
-    def no(counter: dict | None = None, reason: str = "",
-           detail: dict | None = None) -> "Verdict":
-        return Verdict(NO, counter=counter, reason=reason, detail=detail)
+    def no(counter: dict | None = None, reason: str = "") -> "Verdict":
+        return Verdict(NO, counter=counter, reason=reason)
 
     @staticmethod
-    def unknown(reason: str = "", detail: dict | None = None) -> "Verdict":
-        return Verdict(UNKNOWN, reason=reason, detail=detail)
+    def unknown(reason: str = "") -> "Verdict":
+        return Verdict(UNKNOWN, reason=reason)
 
     def to_json(self) -> dict:
         out: dict = {"verdict": self.status}
@@ -1195,7 +1193,7 @@ class Saturation:
 # Lattice operations on consequence relations
 
 
-def meet(l1: Logic, l2: Logic, name: str = "") -> Logic:
+def meet(l1: Logic, l2: Logic) -> Logic:
     """Infimum: derivable when both components derive."""
     if l1.signature != l2.signature:
         raise SignatureMismatch("meet needs a shared signature")
@@ -1213,7 +1211,7 @@ def meet(l1: Logic, l2: Logic, name: str = "") -> Logic:
                                detail={"left": v1.status, "right": v2.status})
         return Verdict.unknown(reason="one component undecided")
 
-    return Logic(name or f"meet({l1.name},{l2.name})", l1.signature,
+    return Logic(f"meet({l1.name},{l2.name})", l1.signature,
                  oracle=oracle, decides=l1.decides and l2.decides)
 
 
@@ -1232,7 +1230,7 @@ def generated_join(presentations: list[Calculus]) -> Calculus:
     return Calculus(sig, axioms, rules)
 
 
-def directed_sup(chain: list[Logic], name: str = "") -> Logic:
+def directed_sup(chain: list[Logic]) -> Logic:
     """Supremum of a chain ordered by strength: first stage that derives wins."""
     if not chain:
         raise ValueError("empty chain")
@@ -1254,5 +1252,5 @@ def directed_sup(chain: list[Logic], name: str = "") -> Logic:
         # v is the top stage's refutation
         return Verdict.no(counter=v.counter, reason="refuted at every stage")
 
-    return Logic(name or "sup(" + ",".join(l.name for l in chain) + ")", sig,
+    return Logic("sup(" + ",".join(l.name for l in chain) + ")", sig,
                  oracle=oracle, decides=all(l.decides for l in chain))

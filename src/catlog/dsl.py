@@ -200,6 +200,8 @@ def _read_logic(env: Environment, head: re.Match, stream: _Stream, at: int) -> N
     marker: str | None = None
     for line, lineno in stream.block(f"logic {name!r}", at):
         if line.startswith("signature "):
+            if sig is not None:
+                raise SpecError(f"logic {name!r} declares a second signature", lineno)
             with _reported_at(lineno):
                 sig = env.signature(line.split(None, 1)[1].strip())
         elif line.startswith("axiom "):
@@ -283,11 +285,16 @@ def _read_matrix(stream: _Stream, at: int) -> Matrix:
             parts = line.split(None, 2)
             if len(parts) < 3:
                 raise SpecError("table needs entries", lineno)
-            entries = {}
+            conn = parts[1]
+            if conn in tables:
+                raise SpecError(f"second table for {conn!r}", lineno)
+            entries = tables[conn] = {}
             for m in _TABLE_ENTRY.finditer(parts[2]):
                 args = tuple(a.strip() for a in m.group(1).split(",") if a.strip())
+                if args in entries:
+                    raise SpecError(f"table {conn!r} gives cell ({','.join(args)}) twice",
+                                    lineno)
                 entries[args] = m.group(2)
-            tables[parts[1]] = entries
         else:
             raise SpecError(f"unrecognized matrix entry {line!r}", lineno)
     with _reported_at(stream.line):
@@ -380,7 +387,10 @@ def logic_to_dsl(logic: Logic) -> str:
 
 
 def morphism_to_dsl(m) -> str:
-    out = [f"morphism {m.kind} {dsl_name(m.name or 'unnamed')} : "
+    """A morphism as spec text; the lift `f+` of a strict `f` is written
+    `f_lifted`, so that the two load together."""
+    name = (m.name or "unnamed").replace("+", " lifted ")
+    out = [f"morphism {m.kind} {dsl_name(name)} : "
            f"{dsl_name(m.source.name)} -> {dsl_name(m.target.name)} {{"]
     out += [f"  {c} -> {image}" for c, image in sorted(m.images.items())]
     out.append("}")

@@ -258,8 +258,8 @@ def suite_adjunction(cases: int, seed: int, compl_bound: int = 3) -> dict:
     failures = []
     done = 0
     while done < cases:
-        sig = random_signature(rng, 3, 2, name="s")
-        tgt = random_signature(rng, 3, 2, name="t")
+        sig = random_signature(rng, "s")
+        tgt = random_signature(rng, "t")
         h = random_flexible(rng, sig, tgt, 2)
         if h is None:
             continue
@@ -294,8 +294,8 @@ def suite_regularity(cases: int, seed: int, compl_bound: int = 4) -> dict:
     failures = []
     done = 0
     while done < cases:
-        src = random_signature(rng, 3, 2, name="r")
-        tgt = random_signature(rng, 3, 2, name="q")
+        src = random_signature(rng, "r")
+        tgt = random_signature(rng, "q")
         h = random_flexible(rng, src, tgt, 2)
         if h is None:
             continue
@@ -325,7 +325,7 @@ def suite_regularity(cases: int, seed: int, compl_bound: int = 4) -> dict:
 # Directed colimits of signatures along a chain
 
 
-def directed_colimit_signatures(chain: list[StrictMorphism], name: str = ""
+def directed_colimit_signatures(chain: list[StrictMorphism]
                                 ) -> tuple[Signature, list[StrictMorphism]]:
     """Colimit of a finite chain of strict morphisms, with its cocone.
 
@@ -344,7 +344,7 @@ def directed_colimit_signatures(chain: list[StrictMorphism], name: str = ""
             mapping = {c: f(d) for c, d in mapping.items()}
         to_top.append(mapping)
     top = stages[-1]
-    vertex = Signature(name or f"colim({top.name})", dict(top.connectives))
+    vertex = Signature(f"colim({top.name})", dict(top.connectives))
     cocone = [
         StrictMorphism(stages[i], vertex, dict(to_top[i]), name=f"stage{i}")
         for i in range(len(stages))
@@ -381,10 +381,10 @@ def slice_colimit_comparison(chain: list[StrictMorphism], n: int, compl_bound: i
 # Seeded random generators for the law suites
 
 
-def random_signature(rng: random.Random, max_connectives: int = 3, max_arity: int = 2,
-                     name: str = "rnd") -> Signature:
-    count = rng.randint(1, max_connectives)
-    connectives = {f"{name}{i}": rng.randint(0, max_arity) for i in range(count)}
+def random_signature(rng: random.Random, name: str) -> Signature:
+    """One to three connectives of arity at most two."""
+    count = rng.randint(1, 3)
+    connectives = {f"{name}{i}": rng.randint(0, 2) for i in range(count)}
     return Signature(name, connectives)
 
 
@@ -407,13 +407,12 @@ def random_flexible(rng: random.Random, source: Signature, target: Signature,
     return FlexibleMorphism(source, target, assignment)
 
 
-def random_composable_pair(rng: random.Random, max_compl: int,
-                           max_connectives: int = 3, max_arity: int = 2
+def random_composable_pair(rng: random.Random, max_compl: int
                            ) -> tuple[FlexibleMorphism, FlexibleMorphism]:
     while True:
-        a = random_signature(rng, max_connectives, max_arity, name="a")
-        b = random_signature(rng, max_connectives, max_arity, name="b")
-        c = random_signature(rng, max_connectives, max_arity, name="c")
+        a = random_signature(rng, "a")
+        b = random_signature(rng, "b")
+        c = random_signature(rng, "c")
         h1 = random_flexible(rng, a, b, max_compl)
         if h1 is None:
             continue
@@ -427,7 +426,7 @@ def random_composable_triple(rng: random.Random, max_compl: int
                              ) -> tuple[FlexibleMorphism, FlexibleMorphism, FlexibleMorphism]:
     while True:
         h1, h2 = random_composable_pair(rng, max_compl)
-        d = random_signature(rng, 3, 2, name="d")
+        d = random_signature(rng, "d")
         h3 = random_flexible(rng, h2.target, d, max_compl)
         if h3 is not None:
             return h1, h2, h3
@@ -486,7 +485,7 @@ def suite_kleisli_theorem(cases: int, seed: int, max_compl: int = 3) -> dict:
     return report
 
 
-def suite_monad_laws(cases: int, seed: int, compl_bound: int = 2) -> dict:
+def suite_monad_laws(cases: int, seed: int) -> dict:
     """Pointwise unit and associativity of flattening on sampled elements."""
     rng = random.Random(seed)
     failures = []
@@ -497,7 +496,7 @@ def suite_monad_laws(cases: int, seed: int, compl_bound: int = 2) -> dict:
         Signature("m4", {"e": 0, "b": 2}),
         Signature("m5", {"e": 0, "u": 1, "b": 2}),
     ]
-    truncs = [truncate_slices(base, compl_bound, 2) for base in bases]
+    truncs = [truncate_slices(base, 2, 2) for base in bases]
     units = [unit(base)[0] for base in bases]
     done = 0
     while done < cases:

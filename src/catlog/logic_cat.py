@@ -340,23 +340,22 @@ def _refuse_refuted(legs) -> None:
                 f"{t.target.name}) is refuted; nothing is built along it")
 
 
-def fibring_unconstrained(l1: Logic, l2: Logic, name: str = ""
-                          ) -> tuple[Logic, Translation, Translation]:
+def fibring_unconstrained(l1: Logic, l2: Logic) -> tuple[Logic, Translation, Translation]:
     """Coproduct of logics: disjoint signatures, union of presentations."""
     if l1.calculus is None or l2.calculus is None:
         raise ValueError("fibring needs presented components")
     sig, (in1, in2) = signature_coproduct([l1.signature, l2.signature],
-                                          name=name or f"{l1.name}+{l2.name}")
+                                          name=f"{l1.name}+{l2.name}")
     calculus = generated_join([push_calculus(in1, l1.calculus),
                                push_calculus(in2, l2.calculus)])
-    combined = Logic(name or f"fibring({l1.name},{l2.name})", sig, calculus=calculus)
+    combined = Logic(f"fibring({l1.name},{l2.name})", sig, calculus=calculus)
     t1 = verbatim_translation(in1, l1, combined)
     t2 = verbatim_translation(in2, l2, combined)
     return combined, t1, t2
 
 
-def fibring_constrained(left_leg: Translation, right_leg: Translation,
-                        name: str = "") -> tuple[Logic, Translation, Translation]:
+def fibring_constrained(left_leg: Translation, right_leg: Translation
+                        ) -> tuple[Logic, Translation, Translation]:
     """Pushout of logics over a shared sublogic, for strict spans only."""
     f, g = left_leg.morphism, right_leg.morphism
     if not isinstance(f, StrictMorphism) or not isinstance(g, StrictMorphism):
@@ -368,20 +367,19 @@ def fibring_constrained(left_leg: Translation, right_leg: Translation,
     l1, l2 = left_leg.target, right_leg.target
     if l1.calculus is None or l2.calculus is None:
         raise ValueError("constrained fibring needs presented components")
-    sig, po_left, po_right = signature_pushout(f, g, name=name)
+    sig, po_left, po_right = signature_pushout(f, g)
     shared = left_leg.source
     pushed = [push_calculus(po_left, l1.calculus), push_calculus(po_right, l2.calculus)]
     if shared.calculus is not None:
         pushed.append(push_calculus(compose_strict(po_left, f), shared.calculus))
-    combined = Logic(name or f"pushout({l1.name},{l2.name})", sig,
+    combined = Logic(f"pushout({l1.name},{l2.name})", sig,
                      calculus=generated_join(pushed))
     t1 = verbatim_translation(po_left, l1, combined)
     t2 = verbatim_translation(po_right, l2, combined)
     return combined, t1, t2
 
 
-def product_logic(l1: Logic, l2: Logic, name: str = ""
-                  ) -> tuple[Logic, Translation, Translation]:
+def product_logic(l1: Logic, l2: Logic) -> tuple[Logic, Translation, Translation]:
     """Product: a sequent holds when both projected sequents hold."""
     sig, (p1, p2) = signature_product([l1.signature, l2.signature])
 
@@ -398,15 +396,15 @@ def product_logic(l1: Logic, l2: Logic, name: str = ""
             return Verdict.yes(detail={"left": v1.status, "right": v2.status})
         return Verdict.unknown(reason="a projection is undecided")
 
-    combined = Logic(name or f"product({l1.name},{l2.name})", sig,
+    combined = Logic(f"product({l1.name},{l2.name})", sig,
                      oracle=oracle, decides=l1.decides and l2.decides)
     t1 = Translation(p1, combined, l1, VERIFIED, evidence=["defining clause"])
     t2 = Translation(p2, combined, l2, VERIFIED, evidence=["defining clause"])
     return combined, t1, t2
 
 
-def directed_colimit_logics(stages: list[Logic], maps: list[Translation],
-                            name: str = "") -> tuple[Logic, list[Translation]]:
+def directed_colimit_logics(stages: list[Logic], maps: list[Translation]
+                            ) -> tuple[Logic, list[Translation]]:
     """Colimit of a chain: union of the pushed-forward presentations."""
     if len(maps) != len(stages) - 1:
         raise ValueError("need one chain map per consecutive stage pair")
@@ -419,7 +417,7 @@ def directed_colimit_logics(stages: list[Logic], maps: list[Translation],
     _refuse_refuted([(f"chain map {i}", t) for i, t in enumerate(maps)])
     chain = [t.morphism for t in maps]
     if chain:
-        vertex_sig, cocone = directed_colimit_signatures(chain, name=name)
+        vertex_sig, cocone = directed_colimit_signatures(chain)
     else:
         vertex_sig = stages[0].signature
         cocone = [identity_morphism(vertex_sig)]
@@ -427,7 +425,7 @@ def directed_colimit_logics(stages: list[Logic], maps: list[Translation],
         raise ValueError("colimit stages need presentations")
     calculus = generated_join([push_calculus(leg, logic.calculus)
                                for leg, logic in zip(cocone, stages)])
-    combined = Logic(name or "colim(" + ",".join(l.name for l in stages) + ")",
+    combined = Logic("colim(" + ",".join(l.name for l in stages) + ")",
                      vertex_sig, calculus=calculus)
     translations = [
         verbatim_translation(leg, logic, combined)

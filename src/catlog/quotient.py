@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields
 
 from .consequence import (
     Budget, CONFIRMED, DEFAULT_BUDGET, Logic, Matrix, REFUTED, Rule, Saturation,
-    UNKNOWN, VERIFIED, Verdict, can_refute, derives, exact_matrix, generated_join,
-    interderivable, refutation_sweep,
+    UNKNOWN, VERIFIED, Verdict, can_refute, derives, exact_matrix, interderivable,
+    refutation_sweep,
 )
 from .formulas import (
     App, Formula, Substitution, Var, complexity, enumerate_formulas,
@@ -31,8 +31,7 @@ from .kleisli import (
     kleisli_compose, kleisli_identity,
 )
 from .logic_cat import (
-    Translation, as_flexible, check_translation, matrix_inclusion, push_calculus,
-    reduct,
+    Translation, as_flexible, check_translation, matrix_inclusion, reduct,
 )
 from .signatures import Partition, Signature, signature_coproduct
 
@@ -74,12 +73,13 @@ class EquivalenceCertificate(_Certificate):
         return self.status == CONFIRMED
 
 
-def morphisms_equivalent(f, g, source: Logic, target: Logic,
+def morphisms_equivalent(f, g, target: Logic,
                          budget: Budget = DEFAULT_BUDGET,
                          bounds: tuple[int, int] = (3, 2),
                          target_congruential: bool | None = None
                          ) -> EquivalenceCertificate:
-    """Do f and g induce the same map on the interderivability quotient?"""
+    """Do f and g induce the same map into the interderivability quotient
+    of `target`?"""
     hf, hg = as_flexible(f), as_flexible(g)
     if hf.source != hg.source or hf.target != hg.target:
         raise ValueError("morphisms are not parallel")
@@ -222,9 +222,7 @@ def _contexts(sig: Signature, a: Formula, b: Formula, n: int):
                    App(c, (*before, b, *after)))
 
 
-def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
-                         budget: Budget = DEFAULT_BUDGET,
-                         name: str = "") -> Logic:
+def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1)) -> Logic:
     """Extend a presented logic with replacement-derived two-way rules.
 
     One forward-saturation sweep discovers the interderivable pairs of the
@@ -233,8 +231,7 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
     Each class contributes member-to-representative rule schemes, and
     context pairs that leave the pool contribute their own rules.  The
     result is a sound under-approximation of the congruential closure and
-    keeps the signature unchanged.  It reads no budget: `bounds` alone bound
-    the sweep, and `budget` stays only for callers that pass it by position.
+    keeps the signature unchanged.
     """
     if exact_matrix(logic) is not None:
         verdict = is_congruential(logic, (max(bounds[0], 3), max(bounds[1], 1)))
@@ -295,7 +292,7 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1),
         return logic
     rules = [rule for a, b in glued for rule in (Rule((a,), b), Rule((b,), a))]
     calc = logic.calculus.extended(rules=rules)
-    return Logic(name or f"closure({logic.name})", sig, calculus=calc)
+    return Logic(f"closure({logic.name})", sig, calculus=calc)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +477,7 @@ def rigidity_probe(logic: Logic, bound: int = 3,
             verified += 1
             if congruential is None:
                 congruential = _known_congruential(logic, bounds, budget)
-            cert = morphisms_equivalent(h, ident, logic, logic, budget, bounds,
+            cert = morphisms_equivalent(h, ident, logic, budget, bounds,
                                         target_congruential=congruential)
             status = cert.status
             if status == REFUTED:
@@ -575,21 +572,19 @@ def lindenbaum_delta_check(logic: Logic, delta: list[Formula],
             "passed": passed}
 
 
-def qfc_directed_colimit(stages: list[Logic], maps: list[Translation],
-                         bounds: tuple[int, int] = (3, 1),
-                         budget: Budget = DEFAULT_BUDGET, name: str = ""
+def qfc_directed_colimit(stages: list[Logic], maps: list[Translation]
                          ) -> tuple[Logic, list[Translation]]:
     """Directed colimit in the congruential-quotient setting, for chains.
 
     The vertex signature is the tagged coproduct of all stage signatures; a
     sequent holds when some late enough stage derives its stage translation,
-    where tagged connectives unfold through the chain's extensions.
+    where tagged connectives unfold through the chain's extensions.  Only
+    the stages answer: a sequent no stage settles is unknown.
     """
     if len(maps) != len(stages) - 1:
         raise ValueError("need one chain map per consecutive stage pair")
     sigs = [l.signature for l in stages]
-    vertex_sig, injections = signature_coproduct(
-        sigs, name=name or "qfc_colim")
+    vertex_sig, injections = signature_coproduct(sigs, name="qfc_colim")
     flex = [as_flexible(t.morphism) for t in maps]
     # composite[i][j]: stage i assignment pushed to stage j (i <= j)
     n = len(stages)
@@ -606,14 +601,6 @@ def qfc_directed_colimit(stages: list[Logic], maps: list[Translation],
                     for i, inj in enumerate(injections[:j + 1])
                     for c in sigs[i].connectives} for j in range(n)]
     stage_memos: list[dict[Formula, Formula]] = [{} for _ in range(n)]
-    closed = None
-    if all(l.calculus is not None for l in stages):
-        # the vertex also carries the congruential closure of the pushed
-        # presentations, used when no stage settles a query
-        union_logic = Logic("union", vertex_sig, calculus=generated_join(
-            [push_calculus(inj, stage.calculus) for inj, stage in zip(injections, stages)]))
-        closed = congruential_closure(union_logic, bounds, budget,
-                                      name="closed_union")
 
     def to_stage(phi: Formula, j: int) -> Formula:
         return extend(stage_heads[j], phi, stage_memos[j])
@@ -638,14 +625,9 @@ def qfc_directed_colimit(stages: list[Logic], maps: list[Translation],
             # v is the top stage's refutation
             return Verdict.no(counter=v.counter,
                               reason="refuted at the top stage")
-        if closed is not None:
-            v = derives(closed, gamma, phi, budget)
-            if v.is_yes:
-                return Verdict.yes(proof=v.proof,
-                                   reason="closure of the pushed presentations")
         return Verdict.unknown(reason="no stage settled the translation")
 
-    vertex = Logic(name or "qfc_colim(" + ",".join(l.name for l in stages) + ")",
+    vertex = Logic("qfc_colim(" + ",".join(l.name for l in stages) + ")",
                    vertex_sig, oracle=oracle,
                    decides=all(l.decides for l in stages))
     cocone = []

@@ -210,8 +210,7 @@ def coproduct_mediator(injections: list[StrictMorphism],
     return StrictMorphism(coproduct, target, mapping, name="mediator")
 
 
-def signature_product(factors: list[Signature], name: str = ""
-                      ) -> tuple[Signature, list[StrictMorphism]]:
+def signature_product(factors: list[Signature]) -> tuple[Signature, list[StrictMorphism]]:
     """Levelwise cartesian product; a connective is a tuple of same-arity ones.
 
     The tuple (c1, ..., ck) is named c1__...__ck.  Raises ValueError when
@@ -236,7 +235,7 @@ def signature_product(factors: list[Signature], name: str = ""
                                  f"would both be named {ident!r}")
             connectives[ident] = arity
             components[ident] = combo
-    result = Signature(name or "x".join(s.name for s in factors), connectives)
+    result = Signature("x".join(s.name for s in factors), connectives)
     projections = []
     for i, sig in enumerate(factors):
         projections.append(StrictMorphism(
@@ -292,7 +291,7 @@ class Partition:
         return True
 
 
-def signature_pushout(f: StrictMorphism, g: StrictMorphism, name: str = ""
+def signature_pushout(f: StrictMorphism, g: StrictMorphism
                       ) -> tuple[Signature, StrictMorphism, StrictMorphism]:
     """Coproduct of the targets with f(c) and g(c) glued, for shared source c."""
     if f.source != g.source:
@@ -309,7 +308,7 @@ def signature_pushout(f: StrictMorphism, g: StrictMorphism, name: str = ""
     connectives = {}
     for t, arity in tagged.items():
         connectives.setdefault(classes.find(t), arity)
-    result = Signature(name or f"{left.name}+[{f.source.name}]+{right.name}", connectives)
+    result = Signature(f"{left.name}+[{f.source.name}]+{right.name}", connectives)
     left_map = StrictMorphism(
         left, result, {c: classes.find(_tag(c, 0)) for c in left.connectives}, name="po_left")
     right_map = StrictMorphism(

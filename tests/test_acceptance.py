@@ -378,10 +378,9 @@ def test_criterion_09_identity_problem():
         if len(cert.denseness[2]["classes"]) != 16:
             failures += 1
     back_forth = morphisms_equivalent(kleisli_compose(K, H),
-                                      kleisli_identity(SIG), CPL1, CPL1)
+                                      kleisli_identity(SIG), CPL1)
     forth_back = morphisms_equivalent(kleisli_compose(H, K),
-                                      kleisli_identity(CPL2.signature),
-                                      CPL2, CPL2)
+                                      kleisli_identity(CPL2.signature), CPL2)
     if not (back_forth.equivalent and forth_back.equivalent):
         failures += 1
     if back_forth.scope != "generator-sufficient":
@@ -445,7 +444,7 @@ def test_criterion_12_congruentiality_and_closure():
     hyp = parse("neg_1(x0)", sig)
     goal = parse("neg_1(imp_0(imp_0(x0, x0), x0))", sig)
     before = derives(fibred, [hyp], goal, FAST)
-    closed = congruential_closure(fibred, (3, 1), FAST)
+    closed = congruential_closure(fibred, (3, 1))
     after = derives(closed, [hyp], goal, FAST)
     if not (before.is_unknown and after.is_yes):
         failures += 1

@@ -131,7 +131,17 @@ def test_written_morphisms_load_back():
     assert "morphism strict in0 : SigImp -> IMPFRAG_NEGFRAG {" in dsl.morphism_to_dsl(
         t1.morphism)
     assert dsl.morphism_to_dsl(lifted).startswith(
-        "morphism flexible inclImpStrict : SigImp -> SigCPL1 {")
+        "morphism flexible inclImpStrict_lifted : SigImp -> SigCPL1 {")
+
+
+def test_a_strict_morphism_and_its_lift_load_back_together():
+    strict = corpus.fresh_env().morphism("inclImpStrict")
+    lifted = lift_strict(strict)
+    text = (dsl.signature_to_dsl(strict.source) + dsl.signature_to_dsl(strict.target)
+            + dsl.morphism_to_dsl(strict) + dsl.morphism_to_dsl(lifted))
+    again = dsl.loads(text).morphisms
+    assert [m.kind for m in again.values()] == ["strict", "flexible"]
+    assert [m.images for m in again.values()] == [strict.images, lifted.images]
 
 
 def test_cli_fibring_of_bottoms_writes_a_bottom(tmp_path):
@@ -240,6 +250,11 @@ _L = _S + "logic L {\n  signature S\n"
     (_S + "morphism strict m : S -> S {\n  imp -> neg\n}\n", 3,
      "'imp' is not a connective of S"),
     (_S + "morphism strict m : S -> S {\n}\n", 3, "morphism misses source connective 'neg'"),
+    (_L + "  axiom neg(x0)\n  signature S\n}\n", 5, "logic 'L' declares a second signature"),
+    (_L + "  matrix {\n    table neg (0)=1 (1)=0\n    table neg (0)=0 (1)=1\n  }\n}\n", 6,
+     "second table for 'neg'"),
+    (_L + "  matrix {\n    table neg (0)=1 (1)=0 ( 0 )=0\n  }\n}\n", 5,
+     "table 'neg' gives cell (0) twice"),
 ], ids=["open-signature", "open-logic", "open-matrix", "open-morphism", "no-brace",
         "no-brace-at-end", "bad-declaration", "duplicate-signature",
         "duplicate-connective", "variable-connective", "no-arity", "no-signature",
@@ -247,7 +262,7 @@ _L = _S + "logic L {\n  signature S\n"
         "bad-logic-entry", "bad-formula", "logic-unknown-signature", "bad-matrix-entry",
         "empty-table", "matrix-error", "logic-error", "duplicate-morphism",
         "morphism-unknown-signature", "no-image", "morphism-unknown-connective",
-        "morphism-error"])
+        "morphism-error", "second-signature", "second-table", "repeated-cell"])
 def test_spec_errors_name_their_line(text, line, message):
     with pytest.raises(dsl.SpecError) as err:
         dsl.loads(text)

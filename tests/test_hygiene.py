@@ -314,3 +314,93 @@ def test_hygiene_check_sees_unreferenced_nested_functions():
         "    return [called(x) for x in xs], sorted(xs, key=passed), middle\n")
     assert _unreferenced_nested_functions(tree) == [
         (4, "outer.dropped"), (6, "outer.branch"), (10, "middle.deep")]
+
+
+def _command_handlers(tree: ast.Module) -> set[str]:
+    """The handlers named in a `COMMANDS = {name: (handler, ...)}` table."""
+    return {entry.elts[0].id for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+            and any(getattr(t, "id", None) == "COMMANDS" for t in node.targets)
+            for entry in node.value.values
+            if isinstance(entry, ast.Tuple) and isinstance(entry.elts[0], ast.Name)}
+
+
+def _logic_oracles(tree: ast.Module) -> set[str]:
+    """Functions given to `Logic` as its `oracle`."""
+    return {k.value.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Logic"
+            for k in node.keywords if k.arg == "oracle" and isinstance(k.value, ast.Name)}
+
+
+def _receivers(tree: ast.Module) -> set[int]:
+    """The ids of the first parameters of methods that are not static."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                params = [*f.args.posonlyargs, *f.args.args] \
+                    if isinstance(f, _FUNCTIONS) else []
+                if params and "staticmethod" not in {
+                        getattr(d, "id", None) for d in f.decorator_list}:
+                    found.add(id(params[0]))
+    return found
+
+
+def _unread_parameters(tree: ast.Module) -> list[tuple[int, str]]:
+    """Parameters that their function never reads, as `function.parameter`.
+    Callbacks whose signature a caller fixes are exempt: command handlers,
+    oracles given to `Logic`, and special methods other than `__init__`;
+    so is a method's receiver."""
+    exempt = _command_handlers(tree) | _logic_oracles(tree)
+    receivers = _receivers(tree)
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, _FUNCTIONS) or function.name in exempt or (
+                function.name.startswith("__") and function.name.endswith("__")
+                and function.name != "__init__"):
+            continue
+        args = function.args
+        loaded = {node.id for statement in function.body for node in ast.walk(statement)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [(function.lineno, f"{function.name}.{arg.arg}")
+                  for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                              *filter(None, (args.vararg, args.kwarg))]
+                  if id(arg) not in receivers and arg.arg not in loaded]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_unread_parameters(path):
+    found = _unread_parameters(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"{path.name} has parameters its functions never read: " + \
+        ", ".join(f"{name} (line {line})" for line, name in found)
+
+
+def test_hygiene_check_sees_unread_parameters():
+    tree = ast.parse(
+        "def f(a, b, *rest, c=1, **options):\n"
+        "    def inner():\n"
+        "        return a\n"
+        "    return inner\n"
+        "def _run(env, args, budget):\n"
+        "    return args\n"
+        "def build(sig):\n"
+        "    def oracle(gamma, phi, budget):\n"
+        "        return None\n"
+        "    def helper(gamma):\n"
+        "        return sig\n"
+        "    return Logic('L', sig, oracle=oracle), helper\n"
+        "class C:\n"
+        "    def __init__(self, x):\n"
+        "        pass\n"
+        "    def __setattr__(self, *_):\n"
+        "        raise AttributeError\n"
+        "    def method(self, y):\n"
+        "        return y\n"
+        "    @staticmethod\n"
+        "    def static(z):\n"
+        "        return 0\n"
+        "COMMANDS = {'run': (_run, 'help', [])}\n")
+    assert _unread_parameters(tree) == [
+        (1, "f.b"), (1, "f.c"), (1, "f.options"), (1, "f.rest"),
+        (10, "helper.gamma"), (14, "__init__.x"), (21, "static.z")]
