@@ -811,7 +811,6 @@ class _Searcher:
         self.max_depth = min(16, budget.proof_length)
         self.shifted_axioms = [substitute(lambda i: Var(i + _RENAME_OFFSET), a)
                                for a in calculus.axioms]
-        self.harvest_cache: dict[tuple[int, Formula], list[Substitution]] = {}
         self.nodes = 0
         # keep the total work roughly constant: rich rule sets get fewer nodes
         self.node_cap = max(8_000, _NODE_CAP // max(1, len(calculus.rules)))
@@ -916,7 +915,7 @@ class _Searcher:
         order = sorted(range(len(rule.premises)),
                        key=lambda i: -complexity(rule.premises[i]))
         cycle_seen = False
-        for sigma in self._instantiations(rule, ridx, goal, base, free, depth):
+        for sigma in self._instantiations(rule, base, free, depth):
             children: list[_Node | None] = [None] * len(rule.premises)
             remaining = allowed - 1
             ok = True
@@ -938,15 +937,12 @@ class _Searcher:
                     return made, cycle_seen
         return None, cycle_seen
 
-    def _instantiations(self, rule: Rule, ridx: int, goal: Formula,
-                        base: Substitution, free: list[int], depth: int = 0):
+    def _instantiations(self, rule: Rule, base: Substitution, free: list[int],
+                        depth: int):
         if not free:
             yield base
             return
-        harvested = self.harvest_cache.get((ridx, goal))
-        if harvested is None:
-            harvested = self._harvest(rule, base, free)
-            self.harvest_cache[(ridx, goal)] = harvested
+        harvested = self._harvest(rule, base, free)
         seen = {tuple(sigma(v) for v in free) for sigma in harvested}
         yield from harvested
         # fall back to bounded enumeration for anything not harvested; blind
@@ -1012,11 +1008,9 @@ class _Searcher:
         return harvested
 
 
-def search_proof(calculus: Calculus | None, hypotheses: frozenset[Formula],
+def search_proof(calculus: Calculus, hypotheses: frozenset[Formula],
                  goal: Formula, budget: Budget = DEFAULT_BUDGET) -> Proof | None:
     """Iterative-deepening backward search; returns a small proof or None."""
-    if calculus is None:
-        return None
     searcher = _Searcher(calculus, hypotheses, goal, budget)
     schedule = [1, 2, 3, 5, 8, 13, 21, 34]
     limits = [s for s in schedule if s < budget.proof_length] + [budget.proof_length]

@@ -273,14 +273,14 @@ def _parse_formula(text: str, sig: Signature | None, line: int) -> Formula:
 
 
 def _read_matrix(stream: _Stream, at: int) -> Matrix:
-    values: list[str] = []
-    designated: list[str] = []
+    lists: dict[str, list[str]] = {}  # the values and designated lines
     tables: dict[str, dict[tuple, str]] = {}
     for line, lineno in stream.block("matrix block", at):
-        if line.startswith("values "):
-            values = line.split()[1:]
-        elif line.startswith("designated "):
-            designated = line.split()[1:]
+        if line.startswith(("values ", "designated ")):
+            word, *items = line.split()
+            if word in lists:
+                raise SpecError(f"second {word!r} line", lineno)
+            lists[word] = items
         elif line.startswith("table "):
             parts = line.split(None, 2)
             if len(parts) < 3:
@@ -298,7 +298,7 @@ def _read_matrix(stream: _Stream, at: int) -> Matrix:
         else:
             raise SpecError(f"unrecognized matrix entry {line!r}", lineno)
     with _reported_at(stream.line):
-        return Matrix(values, designated, tables)
+        return Matrix(lists.get("values", []), lists.get("designated", []), tables)
 
 
 def _read_morphism(env: Environment, head: re.Match, stream: _Stream, at: int) -> None:

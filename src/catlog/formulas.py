@@ -203,16 +203,6 @@ class Substitution:
         phi = self.mapping.get(index)
         return Var(index) if phi is None else phi
 
-    def __eq__(self, other):
-        if not isinstance(other, Substitution):
-            return NotImplemented
-        keys = set(self.mapping) | set(other.mapping)
-        return all(self(k) == other(k) for k in keys)
-
-    def __hash__(self):
-        items = sorted((k, v) for k, v in self.mapping.items() if v != Var(k))
-        return hash(tuple(items))
-
     def __repr__(self):
         inner = ", ".join(f"x{k} -> {v}" for k, v in sorted(self.mapping.items()))
         return f"Substitution({inner})"

@@ -7,9 +7,11 @@ generators settles the whole quotient map; otherwise verdicts are bounded
 and say so.
 
 Every check here that is a conjunction of derivability queries (morphism
-equivalence, replacement, the Lindenbaum conditions) is one
-`consequence.refutation_sweep`, and reports in `consequence`'s status words:
-confirmed, refuted or unknown.  The certificates share one JSON writer.
+equivalence, the replacement sweep of congruentiality over all its candidate
+pairs, the Lindenbaum conditions) is one `consequence.refutation_sweep`, and
+reports in `consequence`'s status words: confirmed, refuted or unknown.  An
+unknown query never counts as a pass.  The certificates share one JSON
+writer.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field, fields
 
 from .consequence import (
     Budget, CONFIRMED, DEFAULT_BUDGET, Logic, Matrix, REFUTED, Rule, Saturation,
-    UNKNOWN, VERIFIED, Verdict, can_refute, derives, exact_matrix, interderivable,
-    refutation_sweep,
+    SignatureMismatch, UNKNOWN, VERIFIED, Verdict, can_refute, derives, exact_matrix,
+    interderivable, refutation_sweep,
 )
 from .formulas import (
     App, Formula, Substitution, Var, complexity, enumerate_formulas,
@@ -83,6 +85,8 @@ def morphisms_equivalent(f, g, target: Logic,
     hf, hg = as_flexible(f), as_flexible(g)
     if hf.source != hg.source or hf.target != hg.target:
         raise ValueError("morphisms are not parallel")
+    if hf.target != target.signature:
+        raise SignatureMismatch("morphisms do not land in the target logic's signature")
     per_connective = {}
 
     def generators():
@@ -135,36 +139,50 @@ def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
                     budget: Budget = DEFAULT_BUDGET) -> CongruentialityVerdict:
     """Replacement compatibility of interderivability, tested at the bounds.
 
-    With a matrix provider only pairs whose value functions differ inside a
-    shared designation class can refute, which keeps the sweep small.  A
-    logic that cannot refute stops at its first unknown pair: nothing after
-    it could turn the answer into a yes or a no.
+    The candidate pairs are interderivable pairs of the bounded pool.  With
+    an exact matrix they are read off the columns: representatives of the
+    value functions in each designation class, since only pairs whose value
+    functions differ can refute.  Otherwise they are searched, and a logic
+    that cannot refute stops at its first unknown pair: nothing after it
+    could turn the answer into a yes or a no.  One sweep then puts every
+    pair into every one-connective context.  A no refutes; an unknown
+    interderivability or replacement query leaves the answer unknown.
     """
     compl_bound, var_bound = bounds
     sig = logic.signature
     pool = enumerate_formulas(sig, var_bound, compl_bound)
     matrix = exact_matrix(logic)
-    if matrix is not None:
-        return _matrix_congruential(logic, matrix, pool, bounds, var_bound)
-    pairs = 0
+    pairs: list[tuple[Formula, Formula]] = []
     unknown = False
-    inter: list[tuple[Formula, Formula]] = []
-    for a, b in itertools.combinations(pool, 2):
-        v = interderivable(logic, a, b, budget)
-        if v.is_yes:
-            inter.append((a, b))
-        elif v.is_unknown:
-            if not can_refute(logic):
-                return CongruentialityVerdict(UNKNOWN, bounds)
-            unknown = True
-    for a, b in inter:
-        bad = _replacement_counterexample(logic, a, b, var_bound, budget)
-        pairs += 1
-        if bad is not None:
-            return CongruentialityVerdict(REFUTED, bounds, witness=bad,
-                                          pairs_checked=pairs)
-    status = UNKNOWN if unknown else CONFIRMED
-    return CongruentialityVerdict(status, bounds, pairs_checked=pairs)
+    if matrix is not None:
+        by_designation: dict[tuple, dict[tuple, Formula]] = {}
+        for phi, col in zip(pool, matrix.columns(pool, range(var_bound))):
+            by_designation.setdefault(matrix.designation(col), {}).setdefault(tuple(col), phi)
+        for des_class in by_designation.values():
+            pairs += itertools.combinations(sorted(des_class.values(), key=fmt), 2)
+    else:
+        for a, b in itertools.combinations(pool, 2):
+            v = interderivable(logic, a, b, budget)
+            if v.is_yes:
+                pairs.append((a, b))
+            elif v.is_unknown:
+                if not can_refute(logic):
+                    return CongruentialityVerdict(UNKNOWN, bounds)
+                unknown = True
+    item, v = refutation_sweep(
+        ((checked, a, b, context), interderivable(logic, context[2], context[3], budget))
+        for checked, (a, b) in enumerate(pairs, 1)
+        for context in _contexts(sig, a, b, var_bound))
+    if v.is_no:
+        checked, a, b, (c, position, ctx_a, ctx_b) = item
+        return CongruentialityVerdict(
+            REFUTED, bounds, pairs_checked=checked,
+            witness={"connective": c, "position": position,
+                     "left": fmt(a), "right": fmt(b),
+                     "context_left": fmt(ctx_a), "context_right": fmt(ctx_b),
+                     "counter": v.counter_json()})
+    status = UNKNOWN if unknown or v.is_unknown else CONFIRMED
+    return CongruentialityVerdict(status, bounds, pairs_checked=len(pairs))
 
 
 def _known_congruential(logic: Logic, bounds: tuple[int, int], budget: Budget) -> bool:
@@ -173,38 +191,6 @@ def _known_congruential(logic: Logic, bounds: tuple[int, int], budget: Budget) -
     if exact_matrix(logic) is None and not logic.decides:
         return False
     return is_congruential(logic, bounds, budget).status == CONFIRMED
-
-
-def _matrix_congruential(logic: Logic, matrix: Matrix, pool: list[Formula],
-                         bounds: tuple[int, int], n: int) -> CongruentialityVerdict:
-    by_designation: dict[tuple, dict[tuple, Formula]] = {}
-    for phi, col in zip(pool, matrix.columns(pool, range(n))):
-        by_designation.setdefault(matrix.designation(col), {}).setdefault(tuple(col), phi)
-    pairs = 0
-    for des_class in by_designation.values():
-        reps = sorted(des_class.values(), key=fmt)
-        for a, b in itertools.combinations(reps, 2):
-            pairs += 1
-            bad = _replacement_counterexample(logic, a, b, n, DEFAULT_BUDGET)
-            if bad is not None:
-                return CongruentialityVerdict(REFUTED, bounds, witness=bad,
-                                              pairs_checked=pairs)
-    return CongruentialityVerdict(CONFIRMED, bounds, pairs_checked=pairs)
-
-
-def _replacement_counterexample(logic: Logic, a: Formula, b: Formula, n: int,
-                                budget: Budget) -> dict | None:
-    """Try every connective and argument position with fresh side variables."""
-    context, v = refutation_sweep(
-        (context, interderivable(logic, context[2], context[3], budget))
-        for context in _contexts(logic.signature, a, b, n))
-    if not v.is_no:
-        return None
-    c, position, ctx_a, ctx_b = context
-    return {"connective": c, "position": position,
-            "left": fmt(a), "right": fmt(b),
-            "context_left": fmt(ctx_a), "context_right": fmt(ctx_b),
-            "counter": v.counter_json()}
 
 
 def _contexts(sig: Signature, a: Formula, b: Formula, n: int):

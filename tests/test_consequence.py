@@ -227,6 +227,37 @@ def test_verify_rejects_foreign_hypothesis():
     assert not verify_proof(CPL1, {p("imp(x0, x1)")}, p("x1"), good)
 
 
+def _broken_mp_proof(breakage):
+    """The proof of x0, x0 -> x1 |- x1, with one step or the logic broken."""
+    logic = CPL1
+    steps = list(derives(CPL1, [p("x0"), p("imp(x0, x1)")], p("x1")).proof.steps)
+    last = steps[-1].justification
+    assert isinstance(last, RuleInstance) and len(last.premises) == 2
+    x1 = steps[-1].formula
+    if breakage == "no calculus":
+        logic = Logic("CPL1matrix", SIG, matrix=CPL1.matrix)
+    elif breakage == "axiom index":
+        steps[-1] = Step(x1, AxiomInstance(len(CPL1.calculus.axioms), Substitution()))
+    elif breakage == "rule index":
+        steps[-1] = Step(x1, RuleInstance(len(CPL1.calculus.rules), last.substitution,
+                                          last.premises))
+    elif breakage == "premise count":
+        steps[-1] = Step(x1, RuleInstance(last.rule, last.substitution, last.premises[:1]))
+    elif breakage == "unknown justification":
+        steps[0] = Step(steps[0].formula, "hypothesis")
+    return logic, Proof(steps)
+
+
+@pytest.mark.parametrize("breakage", [
+    "no calculus", "axiom index", "rule index", "premise count", "unknown justification"])
+def test_verify_rejects_each_broken_justification(breakage):
+    gamma = {p("x0"), p("imp(x0, x1)")}
+    logic, proof = _broken_mp_proof(None)
+    assert verify_proof(logic, gamma, p("x1"), proof)  # unbroken, it passes
+    logic, proof = _broken_mp_proof(breakage)
+    assert not verify_proof(logic, gamma, p("x1"), proof)
+
+
 def test_mutated_proofs_fail_verification():
     rng = random.Random(0)
     proof = derives(CPL1, [], p("imp(x0, x0)")).proof

@@ -255,6 +255,9 @@ _L = _S + "logic L {\n  signature S\n"
      "second table for 'neg'"),
     (_L + "  matrix {\n    table neg (0)=1 (1)=0 ( 0 )=0\n  }\n}\n", 5,
      "table 'neg' gives cell (0) twice"),
+    (_L + "  matrix {\n    values 0 1\n    values 0 1 2\n  }\n}\n", 6, "second 'values' line"),
+    (_L + "  matrix {\n    designated 1\n    values 0 1\n    designated 0\n  }\n}\n", 7,
+     "second 'designated' line"),
 ], ids=["open-signature", "open-logic", "open-matrix", "open-morphism", "no-brace",
         "no-brace-at-end", "bad-declaration", "duplicate-signature",
         "duplicate-connective", "variable-connective", "no-arity", "no-signature",
@@ -262,7 +265,8 @@ _L = _S + "logic L {\n  signature S\n"
         "bad-logic-entry", "bad-formula", "logic-unknown-signature", "bad-matrix-entry",
         "empty-table", "matrix-error", "logic-error", "duplicate-morphism",
         "morphism-unknown-signature", "no-image", "morphism-unknown-connective",
-        "morphism-error", "second-signature", "second-table", "repeated-cell"])
+        "morphism-error", "second-signature", "second-table", "repeated-cell",
+        "second-values", "second-designated"])
 def test_spec_errors_name_their_line(text, line, message):
     with pytest.raises(dsl.SpecError) as err:
         dsl.loads(text)
@@ -437,6 +441,14 @@ def test_cli_colimit_chain_with_more_maps_than_stage_pairs(capsys):
 def test_cli_quotient_equal():
     assert cli.main(["quotient-equal", "--left", "h", "--right", "h",
                      "--from", "CPL1", "--to", "CPL2"]) == 0
+
+
+def test_cli_quotient_equal_into_a_logic_over_another_signature(capsys):
+    # both morphisms map into SigCPL1, and IMP is over SigImp
+    assert cli.main(["quotient-equal", "--left", "inclImp", "--right", "inclImpStrict",
+                     "--source", "IMP", "--target", "IMP"]) == 3
+    assert capsys.readouterr().err == \
+        "error: morphisms do not land in the target logic's signature\n"
 
 
 def test_cli_congruential():

@@ -558,7 +558,7 @@ def _designation_masks(matrix, formulas):
             for col in matrix.columns(formulas, [0, 1])]
 
 
-@settings(max_examples=80, deadline=None, database=None)
+@settings(max_examples=80, deadline=None)
 @given(_matrices(), _matrices(), _endomorphisms())
 def test_model_check_agrees_with_bounded_sequents(a, b, h):
     pulled = reduct(b, h)

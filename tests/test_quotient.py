@@ -6,10 +6,10 @@ import pytest
 
 from catlog import corpus, quotient
 from catlog.consequence import (
-    Budget, Calculus, Logic, Matrix, Rule, Saturation, Verdict, derives, matrix_consequence,
-    matrix_interderivable,
+    Budget, Calculus, Logic, Matrix, Rule, Saturation, SignatureMismatch, Verdict, derives,
+    matrix_consequence, matrix_interderivable,
 )
-from catlog.formulas import enumerate_formulas, fmt, parse, sort_key
+from catlog.formulas import complexity, enumerate_formulas, fmt, parse, sort_key
 from catlog.kleisli import (
     FlexibleMorphism, flexible_extension, kleisli_compose, kleisli_identity,
 )
@@ -55,6 +55,12 @@ def test_swapped_negations_image_refuted():
     assert cert.status == REFUTED
     assert cert.witness["connective"] == "imp"
     assert cert.witness["counter"]
+
+
+def test_equivalence_into_a_logic_over_another_signature_is_refused():
+    # h maps into CPL2's signature, not CPL1's
+    with pytest.raises(SignatureMismatch):
+        morphisms_equivalent(H, H, CPL1)
 
 
 def test_triple_negation_is_equivalent_to_negation():
@@ -144,6 +150,22 @@ def test_congruentiality_of_a_calculus_stops_at_its_first_unknown_pair(monkeypat
     verdict = is_congruential(ENV.logic("IMPFRAG"))
     assert verdict.status == quotient.UNKNOWN
     assert calls == [("x0", "x1")]
+
+
+def test_an_unknown_replacement_leaves_congruentiality_unknown():
+    # the oracle proves x0 -||- n(n(x0)) and refutes pairs of unlike parity,
+    # but cannot settle n(x0) against n(n(n(x0))), the pair's replacement
+    # under n
+    sig = Signature("N", {"n": 1})
+
+    def oracle(gamma, phi, budget):
+        [hyp] = gamma
+        if complexity(hyp) % 2 != complexity(phi) % 2:
+            return Verdict.no()
+        return Verdict.yes() if max(complexity(hyp), complexity(phi)) <= 2 else Verdict.unknown()
+
+    verdict = is_congruential(Logic("Parity", sig, oracle=oracle), (2, 1))
+    assert (verdict.status, verdict.pairs_checked) == (quotient.UNKNOWN, 1)
 
 
 # --- congruential closure -------------------------------------------------------
