@@ -448,17 +448,50 @@ def rigidity_probe(logic: Logic, bound: int = 3,
     the identity itself.  Every comparison has the logic itself as target,
     so whether it is congruential is tested once, at the first verified
     endo-translation.
+
+    When `exact_matrix(logic, proof=False)` gives a matrix M, that is the
+    provider `check_translation(semantic=True)` consults, through `derives`
+    and through `matrix_inclusion` alike, and M |= h(G) |- h(p) exactly
+    when the reduct M^h |= G |- p.  Whether h is a translation thus depends
+    only on the truth functions of its images, so endomorphisms are keyed
+    by their images' columns in M (sorted source connectives, each over
+    x0..x_{n-1}), and `check_translation` runs once per key, on its first
+    endomorphism, whose status the others reuse.  Without such a matrix
+    every endomorphism is checked.  Slice images keep each formula's
+    variables, so equal keys give equal columns row for row, and equal
+    verdicts, counters included.  A key's first endomorphism comes first in
+    enumeration order, so an exception surfaces at the same endomorphism as
+    when each is checked; the verified count, the undecided flag and each
+    verified endomorphism's comparison with the identity stay per
+    endomorphism, so the report is the same too.
     """
     sig = logic.signature
     ident = kleisli_identity(sig)
     endos = all_flexible_morphisms(sig, sig, bound)
+    matrix = exact_matrix(logic, proof=False)
+    connectives = sorted(sig.connectives.items())
+    columns: dict[Formula, tuple[int, ...]] = {}  # per distinct image
+
+    def column(image: Formula, arity: int) -> tuple[int, ...]:
+        col = columns.get(image)
+        if col is None:
+            [col] = matrix.columns([image], range(arity))
+            col = columns[image] = tuple(col)
+        return col
+
+    statuses: dict = {}  # key -> check_translation's status
     verified = 0
     undecided = False
     non_rigid = []
     bounds = (3, 2)  # morphisms_equivalent's default
     congruential = None
     for h in endos:
-        status = check_translation(h, logic, logic, budget, semantic=True).status
+        key = h if matrix is None else tuple(
+            column(h.assignment[c], arity) for c, arity in connectives)
+        status = statuses.get(key)
+        if status is None:
+            status = statuses[key] = check_translation(
+                h, logic, logic, budget, semantic=True).status
         if status == VERIFIED:
             verified += 1
             if congruential is None:

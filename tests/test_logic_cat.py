@@ -587,6 +587,19 @@ def test_model_check_agrees_with_bounded_sequents(a, b, h):
                         [fmt(pool[i]) for i in gamma], fmt(pool[j]))
 
 
+@settings(max_examples=80, deadline=None)
+@given(_matrices(), _endomorphisms())
+def test_reduct_evaluates_each_formula_as_its_image(b, h):
+    # the equation behind grouping endomorphisms by reduct: a formula's
+    # column in the reduct M^h is its translation's column in M
+    # (a variable's column is a shared tuple, a computed one a list)
+    pulled = reduct(b, h)
+    for phi in enumerate_formulas(_UB, 2, 2):
+        [image] = b.columns([translate_formula(h, phi)], [0, 1])
+        [column] = pulled.columns([phi], [0, 1])
+        assert tuple(image) == tuple(column), fmt(phi)
+
+
 def test_model_check_gives_up_on_columns_longer_than_its_cap():
     # eight values need 8**8 rows per column; the check answers unknown
     # before building any, except for equal matrices, which pass at once

@@ -4,10 +4,10 @@ from collections import ChainMap
 
 import pytest
 
-from catlog import corpus, quotient
+from catlog import corpus, dsl, quotient
 from catlog.consequence import (
-    Budget, Calculus, Logic, Matrix, Rule, Saturation, SignatureMismatch, Verdict, derives,
-    matrix_consequence, matrix_interderivable,
+    Budget, Calculus, Logic, Matrix, Rule, Saturation, SignatureMismatch, UNKNOWN, Verdict,
+    derives, matrix_consequence, matrix_interderivable, truth_function,
 )
 from catlog.formulas import complexity, enumerate_formulas, fmt, parse, sort_key
 from catlog.kleisli import (
@@ -356,6 +356,30 @@ def test_rigidity_is_undecided_without_the_identity():
     assert report["rigid"] is None
 
 
+def _reference_rigidity(logic, bound):
+    """rigidity_probe's report from checking every endomorphism on its own:
+    one translation check each, and one comparison with the identity, which
+    tests the target's congruentiality every time, for each verified one."""
+    sig = logic.signature
+    endos = quotient.all_flexible_morphisms(sig, sig, bound)
+    ident = kleisli_identity(sig)
+    verified, undecided, non_rigid = 0, ident not in endos, []
+    for h in endos:
+        status = check_translation(h, logic, logic, semantic=True).status
+        if status == VERIFIED:
+            verified += 1
+            cert = morphisms_equivalent(h, ident, logic)
+            status = cert.status
+            if status == REFUTED:
+                non_rigid.append({"morphism": h.to_json(), "witness": cert.witness})
+        undecided = undecided or status == UNKNOWN
+    return {
+        "endomorphisms": len(endos), "verified_translations": verified,
+        "identity_enumerated": ident in endos,
+        "rigid": False if non_rigid else None if undecided else True,
+        "non_rigid_witnesses": non_rigid, "bound": bound}
+
+
 def test_rigidity_probe_tests_congruentiality_once(monkeypatch):
     calls = []
     real = quotient.is_congruential
@@ -367,23 +391,69 @@ def test_rigidity_probe_tests_congruentiality_once(monkeypatch):
     monkeypatch.setattr(quotient, "is_congruential", counting)
     report = rigidity_probe(CPL1, bound=2)
     assert len(calls) <= 1
-    # the same report as comparing each endomorphism on its own, which
-    # tests the target's congruentiality every time
+    reference = _reference_rigidity(CPL1, 2)
+    assert len(calls) == 1 + reference["verified_translations"]
+    assert report == reference
+
+
+# Boolean falsum and implication: a nullary connective's image is a
+# one-row column in rigidity's key; from bound 3 on, bot has a second
+# image, imp(bot, bot)
+BOT_IMP = dsl.loads("""\
+signature SigBotImp { bot/0 imp/2 }
+logic BotImp {
+  signature SigBotImp
+  matrix {
+    values 0 1
+    designated 1
+    table bot ()=0
+    table imp (0,0)=1 (0,1)=1 (1,0)=0 (1,1)=1
+  }
+}
+""").logic("BotImp")
+
+
+@pytest.mark.parametrize("logic, bound, rigid, witnesses", [
+    (CPL1, 2, True, 0), (CPL2, 2, True, 0), (NC3, 2, False, 16),
+    (ENV.logic("L3"), 2, None, 0), (ENV.logic("BotNeg"), 2, False, 2),
+    (BOT_IMP, 2, True, 0), (BOT_IMP, 3, True, 0),
+], ids=["CPL1", "CPL2", "NC3", "L3", "BotNeg", "BotImp", "BotImp-3"])
+def test_rigidity_probe_agrees_with_checking_each_endomorphism(logic, bound, rigid,
+                                                                witnesses):
+    report = rigidity_probe(logic, bound=bound)
+    assert report == _reference_rigidity(logic, bound)
+    assert report["rigid"] is rigid
+    assert len(report["non_rigid_witnesses"]) == witnesses
+
+
+def _counting_translation_checks(monkeypatch):
+    calls = []
+    real = quotient.check_translation
+
+    def counting(h, *args, **kwargs):
+        calls.append(h)
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(quotient, "check_translation", counting)
+    return calls
+
+
+def test_rigidity_checks_each_reduct_once(monkeypatch):
+    calls = _counting_translation_checks(monkeypatch)
+    rigidity_probe(CPL1, bound=2)
     endos = quotient.all_flexible_morphisms(SIG, SIG, 2)
-    ident = kleisli_identity(SIG)
-    verified, non_rigid = 0, []
-    for h in endos:
-        if check_translation(h, CPL1, CPL1, semantic=True).status != VERIFIED:
-            continue
-        verified += 1
-        cert = morphisms_equivalent(h, ident, CPL1)
-        if cert.status == REFUTED:
-            non_rigid.append({"morphism": h.to_json(), "witness": cert.witness})
-    assert len(calls) == 1 + verified
-    assert report == {
-        "endomorphisms": len(endos), "verified_translations": verified,
-        "identity_enumerated": ident in endos, "rigid": not non_rigid,
-        "non_rigid_witnesses": non_rigid, "bound": 2}
+    reducts = [tuple(truth_function(CPL1.matrix, h.assignment[c], arity)
+                     for c, arity in sorted(SIG.connectives.items())) for h in endos]
+    # the first endomorphism of each distinct reduct, in enumeration order
+    assert calls == [h for i, h in enumerate(endos) if reducts[i] not in reducts[:i]]
+    assert (len(calls), len(endos)) == (36, 180)
+
+
+def test_rigidity_without_a_matrix_checks_every_endomorphism(monkeypatch):
+    calls = _counting_translation_checks(monkeypatch)
+    bot = ENV.logic("BotNeg")
+    rigidity_probe(bot, bound=3)
+    assert calls == quotient.all_flexible_morphisms(bot.signature, bot.signature, 3)
 
 
 def test_bottom_logic_is_not_rigid():
