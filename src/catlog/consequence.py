@@ -291,19 +291,20 @@ class Matrix:
         args = tuple(self.evaluate(a, valuation) for a in phi.args)
         return self.tables[phi.connective][args]
 
-    def columns(self, formulas, occurring) -> list[list[int]]:
+    def columns(self, formulas, occurring) -> list[tuple[int, ...]]:
         """The value of each formula at every valuation of `occurring`.
 
         Valuations run in `itertools.product(self.values, repeat=k)` order
         (`valuation(occurring, t)` is the t-th); values are given by their
         index in `self.values`.  Each distinct subterm is computed once per
-        call, a column at a time, through `apply`.
+        call, a column at a time, through `apply`.  Every column is a tuple,
+        so equal columns compare equal whichever path made them.
         """
         rows = len(self.values) ** len(occurring)
-        memo: dict[Formula, list[int]] = dict(
+        memo: dict[Formula, tuple[int, ...]] = dict(
             zip(map(Var, occurring), self._columns_of_variables(len(occurring))))
 
-        def column(phi: Formula) -> list[int]:
+        def column(phi: Formula) -> tuple[int, ...]:
             col = memo.get(phi)
             if col is None:
                 if type(phi) is Var:
@@ -314,20 +315,20 @@ class Matrix:
 
         return [column(phi) for phi in formulas]
 
-    def apply(self, connective: str, args: list, rows: int) -> list[int]:
+    def apply(self, connective: str, args: list, rows: int) -> tuple[int, ...]:
         """The table kernel: the connective's table applied row by row to
         argument columns of value indices, `rows` rows long (a nullary
         table gives its one value on every row)."""
         table = self._table(connective)
         if len(args) == 1:
-            return [table[v] for v in args[0]]
+            return tuple(map(table.__getitem__, args[0]))
         n = len(self.values)
         if len(args) == 2:
-            return [table[v * n + w] for v, w in zip(*args)]
+            return tuple([table[v * n + w] for v, w in zip(*args)])
         keys = [0] * rows
         for arg in args:
             keys = [key * n + v for key, v in zip(keys, arg)]
-        return [table[key] for key in keys]
+        return tuple(map(table.__getitem__, keys))
 
     def designation(self, column) -> tuple[bool, ...]:
         """Whether each value index of a column is designated."""
@@ -458,7 +459,7 @@ def model_of(sig, a: Matrix, b: Matrix) -> tuple[Verdict, tuple | None]:
         add(column, i, Var(i))
     for c, arity in connectives:
         if arity == 0:
-            add(tuple(a.apply(c, [], rows)), b.apply(c, [], 1)[0], App(c, ()))
+            add(a.apply(c, [], rows), b.apply(c, [], 1)[0], App(c, ()))
     lo = 0
     while lo < len(elements) <= _MODEL_CAP and refutation() is None:
         pairs, terms, hi = list(elements), list(elements.values()), len(elements)
@@ -467,7 +468,7 @@ def model_of(sig, a: Matrix, b: Matrix) -> tuple[Verdict, tuple | None]:
             for new in range(arity):
                 for args in itertools.product(*[range(lo) if q < new else range(
                         lo, hi) if q == new else range(hi) for q in range(arity)]):
-                    add(tuple(a.apply(c, [pairs[i][0] for i in args], rows)),
+                    add(a.apply(c, [pairs[i][0] for i in args], rows),
                         b.apply(c, [(pairs[i][1],) for i in args], 1)[0],
                         App(c, tuple(terms[i] for i in args)))
                     if len(elements) > _MODEL_CAP:
@@ -679,13 +680,14 @@ def interderivable(logic: Logic, phi: Formula, psi: Formula,
         return Verdict.no(counter={f"x{k}": v for k, v in witness.items()},
                           reason="separating valuation")
     forward = derives(logic, [phi], psi, budget)
+    if forward.is_no:
+        return Verdict.no(counter=forward.counter, reason=forward.reason)
     backward = derives(logic, [psi], phi, budget)
+    if backward.is_no:
+        return Verdict.no(counter=backward.counter, reason=backward.reason)
     if forward.is_yes and backward.is_yes:
         return Verdict.yes(detail={"forward": forward.to_json(),
                                    "backward": backward.to_json()})
-    if forward.is_no or backward.is_no:
-        bad = forward if forward.is_no else backward
-        return Verdict.no(counter=bad.counter, reason=bad.reason)
     return Verdict.unknown(reason="interderivability not settled within budget")
 
 
@@ -713,59 +715,75 @@ _RENAME_OFFSET = 10_000
 
 
 def unify(a: Formula, b: Formula, binding: dict[int, Formula]) -> dict[int, Formula] | None:
-    """Syntactic unification; both sides may contain variables."""
+    """Syntactic unification; both sides may contain variables.
 
-    def resolve(phi: Formula) -> Formula:
-        while isinstance(phi, Var) and phi.index in binding:
-            phi = binding[phi.index]
-        return phi
-
-    def occurs(idx: int, phi: Formula) -> bool:
-        phi = resolve(phi)
-        if isinstance(phi, Var):
-            return phi.index == idx
-        vs = variables(phi)
-        if idx not in vs and not (vs & binding.keys()):
-            return False
-        return any(occurs(idx, arg) for arg in phi.args)
-
+    Pairs are taken from a stack, last pushed first, and each binds at most
+    one variable, so `binding` gains its keys in a fixed order."""
     stack = [(a, b)]
+    pop, push, get = stack.pop, stack.extend, binding.get
     while stack:
-        left, right = stack.pop()
-        left, right = resolve(left), resolve(right)
-        if left == right:
+        left, right = pop()
+        while type(left) is Var:
+            bound = get(left.index)
+            if bound is None:
+                break
+            left = bound
+        while type(right) is Var:
+            bound = get(right.index)
+            if bound is None:
+                break
+            right = bound
+        if left is right:
             continue
-        if isinstance(left, Var) and isinstance(right, Var):
-            # prefer binding template variables, keeping object variables free
-            if left.index >= _RENAME_OFFSET:
-                binding[left.index] = right
-            else:
-                binding[right.index] = left
-            continue
-        if isinstance(left, Var):
-            if occurs(left.index, right):
+        if type(left) is Var:
+            if type(right) is Var:
+                # prefer binding template variables, keeping object variables free
+                if left.index >= _RENAME_OFFSET:
+                    binding[left.index] = right
+                else:
+                    binding[right.index] = left
+                continue
+            if _occurs(left.index, right, binding):
                 return None
             binding[left.index] = right
-            continue
-        if isinstance(right, Var):
-            if occurs(right.index, left):
+        elif type(right) is Var:
+            if _occurs(right.index, left, binding):
                 return None
             binding[right.index] = left
-            continue
-        if left.connective != right.connective or len(left.args) != len(right.args):
+        elif left.connective != right.connective or len(left.args) != len(right.args):
             return None
-        stack.extend(zip(left.args, right.args))
+        else:
+            push(zip(left.args, right.args))
     return binding
+
+
+def _occurs(idx: int, phi: Formula, binding: dict[int, Formula]) -> bool:
+    """Whether variable idx occurs in phi once `binding` is applied."""
+    while type(phi) is Var:
+        bound = binding.get(phi.index)
+        if bound is None:
+            return phi.index == idx
+        phi = bound
+    vs = variables(phi)
+    if idx not in vs and vs.isdisjoint(binding):
+        return False
+    for arg in phi.args:
+        if _occurs(idx, arg, binding):
+            return True
+    return False
 
 
 def _ground(phi: Formula, binding: dict[int, Formula]) -> Formula | None:
     """Fully resolve a unification result; None if foreign variables remain."""
-    if isinstance(phi, Var):
-        if phi.index in binding:
-            return _ground(binding[phi.index], binding)
-        if phi.index >= _RENAME_OFFSET:
-            return None
+    vs = variables(phi)
+    if vs.isdisjoint(binding):
+        # nothing to replace: phi itself, unless a renamed variable remains
+        for i in vs:
+            if i >= _RENAME_OFFSET:
+                return None
         return phi
+    if type(phi) is Var:
+        return _ground(binding[phi.index], binding)
     args = []
     for a in phi.args:
         g = _ground(a, binding)
@@ -796,8 +814,24 @@ class _SearchBudget(Exception):
 
 
 class _Searcher:
-    # object-level variable indices are assumed to stay below _RENAME_OFFSET;
-    # rule variables are shifted into [_FREE_OFFSET, ...) while harvesting
+    """Backward search for one goal, bounded by proof size and node count.
+
+    `prove` tries, in order: a memoized proof, a hypothesis, the first
+    axiom that matches, then each rule whose conclusion matches, premises
+    proved under every instantiation `_instantiations` yields.  `rules`
+    holds per rule, computed once: its premise variables in sorted order
+    and the order its premises are proved in.  `axioms` pairs each axiom
+    with its head connective (None for a variable), so an axiom whose head
+    differs from the goal's is passed over without a match.  These tables
+    and the kernel (`match`, `unify`, `_ground`) only make a node cheaper:
+    which nodes are visited, in which order, and the proofs found do not
+    depend on them.
+
+    Object-level variable indices are assumed to stay below
+    `_RENAME_OFFSET`; rule variables are shifted into [_FREE_OFFSET, ...)
+    while harvesting.
+    """
+
     def __init__(self, calculus: Calculus, hypotheses: frozenset[Formula],
                  goal: Formula, budget: Budget):
         self.calculus = calculus
@@ -809,11 +843,22 @@ class _Searcher:
         self.pool = self._candidate_pool(goal)
         self.shallow_pool = [f for f in self.pool if complexity(f) <= 2]
         self.max_depth = min(16, budget.proof_length)
+        self.axioms = [(a, a.connective if type(a) is App else None)
+                       for a in calculus.axioms]
         self.shifted_axioms = [substitute(lambda i: Var(i + _RENAME_OFFSET), a)
                                for a in calculus.axioms]
+        self.ground_axioms = [a for a in calculus.axioms if not variables(a)]
         self.nodes = 0
         # keep the total work roughly constant: rich rule sets get fewer nodes
         self.node_cap = max(8_000, _NODE_CAP // max(1, len(calculus.rules)))
+        # per rule: its premise variables, sorted, and its premises in the
+        # order they are proved: structurally richer patterns first, as
+        # they prune harder
+        self.rules = [(rule, sorted(set().union(*map(variables, rule.premises))),
+                       sorted(range(len(rule.premises)),
+                              key=lambda i: -complexity(rule.premises[i])))
+                      for rule in calculus.rules]
+        self.fewest_premises = min((len(r.premises) for r in calculus.rules), default=1)
         # rules indexed by the head of their conclusion; variable-headed
         # conclusions apply to every goal
         self.rules_by_head: dict[str, list[int]] = {}
@@ -873,23 +918,23 @@ class _Searcher:
             node = _Node(goal, Hypothesis(), [])
             self.success[goal] = node
             return node, False
-        for idx, axiom in enumerate(self.calculus.axioms):
+        head = goal.connective if type(goal) is App else None
+        for idx, (axiom, axiom_head) in enumerate(self.axioms):
+            if axiom_head is not None and axiom_head != head:
+                continue
             sigma = match(axiom, goal)
             if sigma is not None:
                 node = _Node(goal, AxiomInstance(idx, sigma), [])
                 self.success[goal] = node
                 return node, False
         cycle_seen = False
-        if allowed >= 2:
+        # a rule step takes a node for each premise and one for itself
+        if allowed > self.fewest_premises:
             inner = stack | {goal}
             depth = len(stack)
-            if isinstance(goal, App):
-                applicable = self.rules_by_head.get(goal.connective, [])
-            else:
-                applicable = []
+            applicable = self.rules_by_head.get(head, [])
             for ridx in itertools.chain(applicable, self.var_conclusion_rules):
-                rule = self.calculus.rules[ridx]
-                made, cyc = self._try_rule(ridx, rule, goal, allowed, inner, depth)
+                made, cyc = self._try_rule(ridx, goal, allowed, inner, depth)
                 cycle_seen = cycle_seen or cyc
                 if made is not None:
                     self.success[goal] = made
@@ -900,20 +945,15 @@ class _Searcher:
                 self.failed_at[goal] = allowed
         return None, cycle_seen
 
-    def _try_rule(self, ridx: int, rule: Rule, goal: Formula, allowed: int,
+    def _try_rule(self, ridx: int, goal: Formula, allowed: int,
                   stack: frozenset[Formula], depth: int) -> tuple[_Node | None, bool]:
+        rule, rule_vars, order = self.rules[ridx]
         if allowed < 1 + len(rule.premises):
             return None, False
         base = match(rule.conclusion, goal)
         if base is None:
             return None, False
-        rule_vars: set[int] = set()
-        for p in rule.premises:
-            rule_vars |= variables(p)
-        free = sorted(rule_vars - set(base.mapping))
-        # prove structurally richer premise patterns first; they prune harder
-        order = sorted(range(len(rule.premises)),
-                       key=lambda i: -complexity(rule.premises[i]))
+        free = [v for v in rule_vars if v not in base.mapping]
         cycle_seen = False
         for sigma in self._instantiations(rule, base, free, depth):
             children: list[_Node | None] = [None] * len(rule.premises)
@@ -965,7 +1005,7 @@ class _Searcher:
             if tried > cap:
                 return
             mapping = dict(base.mapping)
-            mapping.update(dict(zip(free, combo)))
+            mapping.update(zip(free, combo))
             yield Substitution(mapping)
 
     def _harvest(self, rule: Rule, base: Substitution, free: list[int]
@@ -990,18 +1030,25 @@ class _Searcher:
                 return
             seen.add(key)
             mapping = dict(base.mapping)
-            mapping.update(dict(zip(free, images)))
+            mapping.update(zip(free, images))
             harvested.append(Substitution(mapping))
 
         shifted = Substitution({**base.mapping,
                                 **{v: Var(v + _FREE_OFFSET) for v in free}})
+        wanted = {v + _FREE_OFFSET for v in free}
         for premise in rule.premises:
             pattern = substitute(shifted, premise)
+            if not wanted <= variables(pattern):
+                continue  # `consider` needs every free variable bound
             for hyp in self.hypotheses:
-                m = match(pattern, hyp, None, bindable=lambda i: i >= _FREE_OFFSET)
+                # bindable: i >= _FREE_OFFSET
+                m = match(pattern, hyp, None, bindable=_FREE_OFFSET.__le__)
                 if m is not None:
-                    consider(dict(m.mapping))
-            for axiom in self.shifted_axioms:
+                    consider(m.mapping)
+            # a bare variable unifies with the whole axiom, a ground image
+            # only when the axiom has no variables
+            axioms = self.ground_axioms if type(pattern) is Var else self.shifted_axioms
+            for axiom in axioms:
                 binding = unify(pattern, axiom, {})
                 if binding is not None:
                     consider(binding)

@@ -259,28 +259,27 @@ def match(pattern: Formula, concrete: Formula, binding: dict[int, Formula] | Non
     """One-sided match: a substitution s with substitute(s, pattern) == concrete.
 
     `bindable` restricts which pattern variables may be bound; the others act
-    as fixed symbols that must literally reappear in `concrete`.
+    as fixed symbols that must literally reappear in `concrete`.  `binding`
+    gains its keys in the order the variables first occur in `pattern`.
     """
     binding = {} if binding is None else binding
-
-    def walk(p: Formula, c: Formula) -> bool:
-        if isinstance(p, Var):
-            if bindable is not None and not bindable(p.index):
-                return p == c
-            seen = binding.get(p.index)
-            if seen is None:
-                binding[p.index] = c
-                return True
-            return seen == c
-        if not isinstance(c, App) or c.connective != p.connective:
-            return False
-        if len(c.args) != len(p.args):
-            return False
-        return all(walk(pa, ca) for pa, ca in zip(p.args, c.args))
-
-    if walk(pattern, concrete):
+    if _match(pattern, concrete, binding, bindable):
         return Substitution(binding)
     return None
+
+
+def _match(p: Formula, c: Formula, binding: dict[int, Formula], bindable) -> bool:
+    """`match`'s walk: depth first, arguments left to right."""
+    if type(p) is Var:
+        if bindable is not None and not bindable(p.index):
+            return p is c
+        return binding.setdefault(p.index, c) is c
+    if type(c) is not App or c.connective != p.connective or len(c.args) != len(p.args):
+        return False
+    for pa, ca in zip(p.args, c.args):
+        if not _match(pa, ca, binding, bindable):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
     if matrix is not None:
         by_designation: dict[tuple, dict[tuple, Formula]] = {}
         for phi, col in zip(pool, matrix.columns(pool, range(var_bound))):
-            by_designation.setdefault(matrix.designation(col), {}).setdefault(tuple(col), phi)
+            by_designation.setdefault(matrix.designation(col), {}).setdefault(col, phi)
         for des_class in by_designation.values():
             pairs += itertools.combinations(sorted(des_class.values(), key=fmt), 2)
     else:
@@ -385,13 +385,13 @@ def _denseness_by_functions(hf, matrix: Matrix, n: int, targets):
     seeds = [Var(i) for i in range(n)] + [
         App(c, ()) for c, arity in sorted(hf.source.connectives.items()) if arity == 0]
     for phi, col in zip(seeds, pulled.columns(seeds, range(n))):
-        best.setdefault((variables(phi), tuple(col)), phi)
+        best.setdefault((variables(phi), col), phi)
     for _ in range(_SOURCE_COMPLEXITY):
         states = list(best.items())
         for c, arity in sorted(hf.source.connectives.items()):
             for combo in itertools.product(states, repeat=arity) if arity else ():
                 varset = frozenset().union(*[s[0][0] for s in combo])
-                func = tuple(pulled.apply(c, [s[0][1] for s in combo], rows))
+                func = pulled.apply(c, [s[0][1] for s in combo], rows)
                 state = (varset, func)
                 if state not in best:
                     formula = App(c, tuple(s[1] for s in combo))
@@ -475,8 +475,7 @@ def rigidity_probe(logic: Logic, bound: int = 3,
     def column(image: Formula, arity: int) -> tuple[int, ...]:
         col = columns.get(image)
         if col is None:
-            [col] = matrix.columns([image], range(arity))
-            col = columns[image] = tuple(col)
+            col = columns[image] = matrix.columns([image], range(arity))[0]
         return col
 
     statuses: dict = {}  # key -> check_translation's status

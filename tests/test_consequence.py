@@ -158,6 +158,18 @@ def test_matrix_interderivable():
     assert not ok and witness in ({0: "0"}, {0: "1"})
 
 
+def test_equal_columns_compare_equal_whichever_path_made_them():
+    # a variable's column comes from the valuation table, a computed one
+    # from `apply`; both are tuples
+    m = CPL1.matrix
+    x0, dne = m.columns([p("x0"), p("neg(neg(x0))")], [0])
+    assert x0 == dne and type(x0) is tuple and type(dne) is tuple
+    assert m.apply("neg", [m.apply("neg", [x0], 2)], 2) == x0
+    [imp] = m.columns([p("imp(x0, x1)")], [0, 1])
+    assert imp == m.apply("imp", m.columns([p("x0"), p("x1")], [0, 1]), 4)
+    assert type(imp) is tuple
+
+
 # --- derives -----------------------------------------------------------------
 
 
@@ -381,6 +393,32 @@ def test_interderivable_uses_matrix():
     assert v.is_yes
     v = interderivable(CPL1, p("x0"), p("x1"))
     assert v.is_no and v.counter
+
+
+@pytest.mark.parametrize("answers, queries, expected", [
+    # forward no: the backward query is not made
+    (["no"], 1, {"verdict": "no", "counter": {"x0": "0"}, "reason": "said no to x1"}),
+    (["yes", "no"], 2, {"verdict": "no", "counter": {"x0": "0"}, "reason": "said no to x0"}),
+    (["unknown", "no"], 2, {"verdict": "no", "counter": {"x0": "0"},
+                            "reason": "said no to x0"}),
+    (["unknown", "yes"], 2, {"verdict": "unknown",
+                             "reason": "interderivability not settled within budget"}),
+], ids=["forward-no", "backward-no", "unknown-then-no", "unknown-then-yes"])
+def test_interderivable_asks_backward_only_when_forward_is_not_no(answers, queries, expected):
+    asked = []
+
+    def oracle(gamma, phi, budget):
+        status = answers[len(asked)]
+        asked.append((gamma, phi))
+        if status == "no":
+            return Verdict.no(counter={"x0": "0"}, reason=f"said no to {fmt(phi)}")
+        return Verdict(status)
+
+    logic = Logic("counted", SIG, oracle=oracle)
+    verdict = interderivable(logic, p("x0"), p("x1"))
+    assert verdict.to_json() == expected
+    assert asked[:1] == [(frozenset({p("x0")}), p("x1"))]
+    assert len(asked) == queries
 
 
 # --- forward saturation -------------------------------------------------------
