@@ -629,7 +629,7 @@ class Logic:
 def exact_matrix(logic: Logic, proof: bool = False) -> Matrix | None:
     """The provider rule: the logic's matrix when it answers yes and no
     exactly, that is when it is the only provider or the caller needs no
-    proof; else None.  Known defect 1, left for ROADMAP item 2 with item 4:
+    proof; else None.  Known defect 1, left for ROADMAP item 3 with item 4:
     IMP's matrix is only sound, yet exact here when no proof is needed."""
     sole = logic.calculus is None and logic.oracle is None
     return logic.matrix if sole or not proof else None

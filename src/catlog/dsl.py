@@ -92,21 +92,9 @@ def load(path: str) -> Environment:
 
 def _logical_lines(text: str) -> list[tuple[str, int]]:
     """Comment-stripped lines with braces split out, keeping line numbers."""
-    out: list[tuple[str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        buf = ""
-        for ch in line:
-            if ch in "{}":
-                if buf.strip():
-                    out.append((buf.strip(), lineno))
-                out.append((ch, lineno))
-                buf = ""
-            else:
-                buf += ch
-        if buf.strip():
-            out.append((buf.strip(), lineno))
-    return out
+    return [(part.strip(), lineno)
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            for part in re.split(r"([{}])", raw.split("#", 1)[0]) if part.strip()]
 
 
 class _Stream:
@@ -389,7 +377,7 @@ def logic_to_dsl(logic: Logic) -> str:
 def morphism_to_dsl(m) -> str:
     """A morphism as spec text; the lift `f+` of a strict `f` is written
     `f_lifted`, so that the two load together."""
-    name = (m.name or "unnamed").replace("+", " lifted ")
+    name = re.sub(r"\+$", " lifted", m.name or "unnamed")
     out = [f"morphism {m.kind} {dsl_name(name)} : "
            f"{dsl_name(m.source.name)} -> {dsl_name(m.target.name)} {{"]
     out += [f"  {c} -> {image}" for c, image in sorted(m.images.items())]

@@ -309,51 +309,7 @@ def parse(text: str, sig=None) -> Formula:
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty formula", 0)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def formula() -> Formula:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(text))
-        kind, value, at = tok
-        if kind == "var":
-            pos += 1
-            return Var(int(value[1:]))
-        if kind != "ident":
-            raise ParseError(f"expected a formula, found {value!r}", at)
-        pos += 1
-        args: list[Formula] = []
-        nxt = peek()
-        if nxt is not None and nxt[0] == "punct" and nxt[1] == "(":
-            pos += 1
-            args.append(formula())
-            while True:
-                tok2 = peek()
-                if tok2 is None:
-                    raise ParseError("unterminated argument list", len(text))
-                if tok2[1] == ",":
-                    pos += 1
-                    args.append(formula())
-                elif tok2[1] == ")":
-                    pos += 1
-                    break
-                else:
-                    raise ParseError(f"expected ',' or ')', found {tok2[1]!r}", tok2[2])
-        node = App(value, tuple(args))
-        if sig is not None:
-            arity = sig.connectives.get(value)
-            if arity is None:
-                raise ParseError(f"unknown connective {value!r}", at)
-            if arity != len(args):
-                raise ParseError(
-                    f"connective {value!r} expects {arity} argument(s), got {len(args)}", at)
-        return node
-
-    result = formula()
+    result, pos = _parse_at(tokens, 0, text, sig)
     if pos != len(tokens):
         raise ParseError(f"trailing input {tokens[pos][1]!r}", tokens[pos][2])
     if sig is not None:
@@ -361,8 +317,57 @@ def parse(text: str, sig=None) -> Formula:
     return result
 
 
+def _parse_at(tokens: list[tuple[str, str, int]], pos: int, text: str, sig
+              ) -> tuple[Formula, int]:
+    """The formula that starts at tokens[pos], and the position after it."""
+    if pos == len(tokens):
+        raise ParseError("unexpected end of input", len(text))
+    kind, value, at = tokens[pos]
+    pos += 1
+    if kind == "var":
+        return Var(int(value[1:])), pos
+    if kind != "ident":
+        raise ParseError(f"expected a formula, found {value!r}", at)
+    args: list[Formula] = []
+    if pos < len(tokens) and tokens[pos][:2] == ("punct", "("):
+        while True:
+            arg, pos = _parse_at(tokens, pos + 1, text, sig)  # past "(" or ","
+            args.append(arg)
+            if pos == len(tokens):
+                raise ParseError("unterminated argument list", len(text))
+            _, sep, sep_at = tokens[pos]
+            if sep == ")":
+                pos += 1
+                break
+            if sep != ",":
+                raise ParseError(f"expected ',' or ')', found {sep!r}", sep_at)
+    node = App(value, tuple(args))
+    if sig is not None:
+        arity = sig.connectives.get(value)
+        if arity is None:
+            raise ParseError(f"unknown connective {value!r}", at)
+        if arity != len(args):
+            raise ParseError(
+                f"connective {value!r} expects {arity} argument(s), got {len(args)}", at)
+    return node, pos
+
+
 def fmt(phi: Formula) -> str:
     return str(phi)
+
+
+def json_value(value):
+    """A value as JSON: objects write their own JSON, a formula its text,
+    tuples and lists become lists, and dict keys become strings."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, Formula):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): json_value(v) for k, v in value.items()}
+    return value
 
 
 def check_formula(sig, phi: Formula) -> None:

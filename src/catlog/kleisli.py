@@ -164,12 +164,15 @@ def truncate_slices(base: Signature, compl_bound: int, var_bound: int,
     return SliceTruncation(base, compl_bound, var_bound, sig, decode)
 
 
-def minus_functor(h: FlexibleMorphism, compl_bound: int, var_bound: int
+def minus_functor(h: Morphism, compl_bound: int, var_bound: int
                   ) -> tuple[StrictMorphism, SliceTruncation, SliceTruncation]:
     """Materialize the action of h on slices as a strict morphism.
 
     The target truncation is enlarged with the images so that the arity
-    levels stay aligned (translation preserves variable sets).
+    levels stay aligned (translation preserves variable sets).  A strict
+    image keeps its formula's complexity, so for a strict h nothing is
+    added, and this is the slice functor T on h: the Kleisli extension of
+    h's lift, restricted to slices.
     """
     src = truncate_slices(h.source, compl_bound, var_bound)
     images = {ident: flexible_extension(h, phi) for ident, phi in src.decode.items()}
@@ -178,13 +181,7 @@ def minus_functor(h: FlexibleMorphism, compl_bound: int, var_bound: int
     return StrictMorphism(src.signature, tgt.signature, mapping), src, tgt
 
 
-def t_on_strict(f: StrictMorphism, compl_bound: int, var_bound: int
-                ) -> tuple[StrictMorphism, SliceTruncation, SliceTruncation]:
-    """The slice functor on a strict morphism (extension restricted to slices)."""
-    src = truncate_slices(f.source, compl_bound, var_bound)
-    tgt = truncate_slices(f.target, compl_bound, var_bound)
-    mapping = {ident: fmt(strict_extension(f, phi)) for ident, phi in src.decode.items()}
-    return StrictMorphism(src.signature, tgt.signature, mapping), src, tgt
+t_on_strict = minus_functor
 
 
 def unit(sig: Signature) -> tuple[StrictMorphism, SliceTruncation]:
@@ -346,7 +343,7 @@ def directed_colimit_signatures(chain: list[StrictMorphism]
     top = stages[-1]
     vertex = Signature(f"colim({top.name})", dict(top.connectives))
     cocone = [
-        StrictMorphism(stages[i], vertex, dict(to_top[i]), name=f"stage{i}")
+        StrictMorphism(stages[i], vertex, dict(to_top[i]), name=f"{vertex.name}_stage{i}")
         for i in range(len(stages))
     ]
     return vertex, cocone

@@ -24,7 +24,7 @@ from .consequence import (
     VERIFIED, Verdict, YES, derives, exact_matrix, generated_join, model_of,
     refutation_sweep, transform_proof, truth_function,
 )
-from .formulas import Formula, Substitution, Var, fmt
+from .formulas import Substitution, Var, fmt, json_value
 from .kleisli import (
     FlexibleMorphism, directed_colimit_signatures, kleisli_compose, lift_strict,
 )
@@ -79,16 +79,7 @@ class Translation:
             "status": self.status,
         }
         if self.evidence:
-            serialized = []
-            for e in self.evidence:
-                if isinstance(e, dict):
-                    e = {k: (v.to_json() if isinstance(v, Proof)
-                             else fmt(v) if isinstance(v, Formula) else v)
-                         for k, v in e.items()}
-                    serialized.append(e)
-                else:
-                    serialized.append(str(e))
-            out["evidence"] = serialized
+            out["evidence"] = json_value(self.evidence)
         if self.witness is not None:
             out["witness"] = self.witness
         return out

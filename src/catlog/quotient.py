@@ -26,7 +26,7 @@ from .consequence import (
 )
 from .formulas import (
     App, Formula, Substitution, Var, complexity, enumerate_formulas,
-    enumerate_slice, extend, fmt, sort_key, substitute, variables,
+    enumerate_slice, extend, fmt, json_value, sort_key, substitute, variables,
 )
 from .kleisli import (
     FlexibleMorphism, all_flexible_morphisms, flexible_extension,
@@ -40,22 +40,11 @@ from .signatures import Partition, Signature, signature_coproduct
 
 class _Certificate:
     """JSON for the certificate dataclasses: fields that are None are left
-    out, tuples become lists, objects write their own JSON, and dict keys
-    become strings."""
+    out, and the rest are written by `formulas.json_value`."""
 
     def to_json(self) -> dict:
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)
+        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)
                 if getattr(self, f.name) is not None}
-
-
-def _json_value(value):
-    if hasattr(value, "to_json"):
-        return value.to_json()
-    if isinstance(value, (tuple, list)):
-        return [_json_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_value(v) for k, v in value.items()}
-    return value
 
 
 @dataclass
@@ -455,29 +444,27 @@ def rigidity_probe(logic: Logic, bound: int = 3,
     when the reduct M^h |= G |- p.  Whether h is a translation thus depends
     only on the truth functions of its images, so endomorphisms are keyed
     by their images' columns in M (sorted source connectives, each over
-    x0..x_{n-1}), and `check_translation` runs once per key, on its first
-    endomorphism, whose status the others reuse.  Without such a matrix
-    every endomorphism is checked.  Slice images keep each formula's
-    variables, so equal keys give equal columns row for row, and equal
-    verdicts, counters included.  A key's first endomorphism comes first in
-    enumeration order, so an exception surfaces at the same endomorphism as
-    when each is checked; the verified count, the undecided flag and each
-    verified endomorphism's comparison with the identity stay per
-    endomorphism, so the report is the same too.
+    x0..x_{n-1}, read from one `Matrix.columns` call per arity over the
+    slice that `all_flexible_morphisms` draws from), and `check_translation`
+    runs once per key, on its first endomorphism, whose status the others
+    reuse.  Without such a matrix every endomorphism is checked.  Slice
+    images keep each formula's variables, so equal keys give equal columns
+    row for row, and equal verdicts, counters included.  A key's first
+    endomorphism comes first in enumeration order, so an exception surfaces
+    at the same endomorphism as when each is checked; the verified count,
+    the undecided flag and each verified endomorphism's comparison with the
+    identity stay per endomorphism, so the report is the same too.
     """
     sig = logic.signature
     ident = kleisli_identity(sig)
     endos = all_flexible_morphisms(sig, sig, bound)
     matrix = exact_matrix(logic, proof=False)
     connectives = sorted(sig.connectives.items())
-    columns: dict[Formula, tuple[int, ...]] = {}  # per distinct image
-
-    def column(image: Formula, arity: int) -> tuple[int, ...]:
-        col = columns.get(image)
-        if col is None:
-            col = columns[image] = matrix.columns([image], range(arity))[0]
-        return col
-
+    columns: dict[int, dict[Formula, tuple[int, ...]]] = {}  # arity -> image -> column
+    if matrix is not None:
+        for arity in sig.arities():
+            pool = enumerate_slice(sig, arity, bound)
+            columns[arity] = dict(zip(pool, matrix.columns(pool, range(arity))))
     statuses: dict = {}  # key -> check_translation's status
     verified = 0
     undecided = False
@@ -486,7 +473,7 @@ def rigidity_probe(logic: Logic, bound: int = 3,
     congruential = None
     for h in endos:
         key = h if matrix is None else tuple(
-            column(h.assignment[c], arity) for c, arity in connectives)
+            columns[arity][h.assignment[c]] for c, arity in connectives)
         status = statuses.get(key)
         if status is None:
             status = statuses[key] = check_translation(

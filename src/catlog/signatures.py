@@ -186,9 +186,8 @@ def signature_coproduct(summands: list[Signature], name: str = ""
         for c, arity in sig.connectives.items():
             connectives[_tag(c, i)] = arity
     result = Signature(name or "+".join(s.name for s in summands) or "empty", connectives)
-    injections = [
-        StrictMorphism(sig, result, maps[i], name=f"in{i}") for i, sig in enumerate(summands)
-    ]
+    injections = [StrictMorphism(sig, result, maps[i], name=f"{result.name}_in{i}")
+                  for i, sig in enumerate(summands)]
     return result, injections
 
 
@@ -240,7 +239,7 @@ def signature_product(factors: list[Signature]) -> tuple[Signature, list[StrictM
     for i, sig in enumerate(factors):
         projections.append(StrictMorphism(
             result, sig, {ident: components[ident][i] for ident in connectives},
-            name=f"proj{i}"))
+            name=f"{result.name}_proj{i}"))
     return result, projections
 
 
@@ -309,8 +308,10 @@ def signature_pushout(f: StrictMorphism, g: StrictMorphism
     for t, arity in tagged.items():
         connectives.setdefault(classes.find(t), arity)
     result = Signature(f"{left.name}+[{f.source.name}]+{right.name}", connectives)
-    left_map = StrictMorphism(
-        left, result, {c: classes.find(_tag(c, 0)) for c in left.connectives}, name="po_left")
-    right_map = StrictMorphism(
-        right, result, {c: classes.find(_tag(c, 1)) for c in right.connectives}, name="po_right")
+    left_map = StrictMorphism(left, result,
+                              {c: classes.find(_tag(c, 0)) for c in left.connectives},
+                              name=f"{result.name}_po_left")
+    right_map = StrictMorphism(right, result,
+                               {c: classes.find(_tag(c, 1)) for c in right.connectives},
+                               name=f"{result.name}_po_right")
     return result, left_map, right_map

@@ -388,6 +388,12 @@ def test_directed_sup_examples():
     assert derives(chain, [], p("x0")).status in ("no", "unknown")
 
 
+def test_directed_sup_is_unknown_when_no_stage_settles():
+    undecided = Logic("undecided", SIG, oracle=lambda gamma, phi, budget: Verdict.unknown())
+    v = derives(directed_sup([bottom(SIG), undecided]), [], p("x0"))
+    assert v.is_unknown and v.reason == "no stage settled the query"
+
+
 def test_interderivable_uses_matrix():
     v = interderivable(CPL1, p("x0"), p("neg(neg(x0))"))
     assert v.is_yes
@@ -437,6 +443,18 @@ def test_saturation_proofs_verify():
     fork.extend([p("neg(x0)")])
     assert p("neg(x0)") in fork
     assert goal in sat  # the fork does not leak back
+
+
+def test_saturation_fires_one_premise_rules_with_bound_conclusions():
+    sig = Signature("PQR", {"p": 1, "q": 1, "r": 2})
+    calc = Calculus(sig, [p("p(x0)", sig)], [
+        Rule((p("p(x0)", sig),), p("q(x0)", sig)),
+        # x1 is free in the conclusion only, so the rule never fires
+        Rule((p("p(x0)", sig),), p("r(x0, x1)", sig))])
+    sat = Saturation(calc, [Var(0), Var(1)])
+    assert set(sat.derived) == {p(t, sig) for t in ("p(x0)", "p(x1)", "q(x0)", "q(x1)")}
+    assert verify_proof(Logic("PQR", sig, calculus=calc), [], p("q(x1)", sig),
+                        sat.proof_of(p("q(x1)", sig)))
 
 
 def _join_snapshot(sat):

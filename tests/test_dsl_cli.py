@@ -128,10 +128,25 @@ def test_written_morphisms_load_back():
         [again] = dsl.loads(text).morphisms.values()
         assert again.kind == morphism.kind
         assert again.images == morphism.images
-    assert "morphism strict in0 : SigImp -> IMPFRAG_NEGFRAG {" in dsl.morphism_to_dsl(
-        t1.morphism)
+    assert "morphism strict IMPFRAG_NEGFRAG_in0 : SigImp -> IMPFRAG_NEGFRAG {" in \
+        dsl.morphism_to_dsl(t1.morphism)
     assert dsl.morphism_to_dsl(lifted).startswith(
         "morphism flexible inclImpStrict_lifted : SigImp -> SigCPL1 {")
+
+
+def test_injections_of_two_fibrings_load_back_together():
+    env = corpus.fresh_env()
+    legs = []
+    for left, right in ("IMPFRAG", "NEGFRAG"), ("BotNeg", "BotNeg"):
+        _, t1, t2 = fibring_unconstrained(env.logic(left), env.logic(right))
+        legs += [t1.morphism, t2.morphism]
+    signatures = {s.name: s for m in legs for s in (m.source, m.target)}
+    text = "".join(map(dsl.signature_to_dsl, signatures.values())) \
+        + "".join(map(dsl.morphism_to_dsl, legs))
+    again = dsl.loads(text).morphisms
+    assert list(again) == ["IMPFRAG_NEGFRAG_in0", "IMPFRAG_NEGFRAG_in1",
+                           "BotNeg_BotNeg_in0", "BotNeg_BotNeg_in1"]
+    assert [m.images for m in again.values()] == [m.images for m in legs]
 
 
 def test_a_strict_morphism_and_its_lift_load_back_together():
@@ -461,6 +476,17 @@ def test_cli_closure():
     code = cli.main(["--bound", "2", "--n", "1", "--budget", "8,6,2,1",
                      "closure", "--logic", "IMPFRAG"])
     assert code == 0
+
+
+def test_cli_closure_with_a_goal_reports_it_before_and_after(tmp_path):
+    out = tmp_path / "closure.json"
+    code = cli.main(["--json", str(out), "--bound", "2", "--n", "1", "--budget", "8,6,2,1",
+                     "closure", "--logic", "IMPFRAG", "--goal", "imp(x0, x0)"])
+    report = json.loads(out.read_text())
+    assert code == 0 and report["before"] == "yes" and report["after"]["verdict"] == "yes"
+    # IMPFRAG's one rule is modus ponens, rule 0; a later index is an added rule
+    rules = [step["rule"] for step in report["after"]["proof"]["steps"] if "rule" in step]
+    assert report["rules_added"] > 0 and max(rules) >= 1
 
 
 def test_cli_lindenbaum():

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 
 from catlog import corpus
 from catlog.consequence import (
-    Budget, Calculus, Logic, Matrix, Rule, derives, matrix_consequence, model_of,
-    verify_proof,
+    Budget, Calculus, Logic, Matrix, Rule, Verdict, derives, matrix_consequence,
+    model_of, verify_proof,
 )
 from catlog.formulas import enumerate_formulas, enumerate_slice, fmt, parse
 from catlog.kleisli import (
@@ -415,6 +415,17 @@ def test_product_logic_behaves_componentwise():
     assert t1.verified and t2.verified
 
 
+@pytest.mark.parametrize("answer, status, reason", [
+    ("no", "no", "fails in right"), ("unknown", "unknown", "a projection is undecided")])
+def test_product_logic_asks_the_right_projection_after_the_left(answer, status, reason):
+    right_sig = Signature("R", {"n1": 1, "b1": 2})
+    right = Logic("right", right_sig, oracle=lambda gamma, phi, budget: (
+        Verdict.no(counter={"x0": "0"}) if answer == "no" else Verdict.unknown()))
+    combined, _, _ = product_logic(CPL1, right)
+    v = derives(combined, [], parse("imp__b1(x0, x0)", combined.signature))
+    assert (v.status, v.reason) == (status, reason)
+
+
 def test_product_with_matching_arity_factor():
     # product with a one-connective-per-used-arity logic answers as the factor
     mini_sig = Signature("M", {"n1": 1, "b1": 2})
@@ -592,12 +603,11 @@ def test_model_check_agrees_with_bounded_sequents(a, b, h):
 def test_reduct_evaluates_each_formula_as_its_image(b, h):
     # the equation behind grouping endomorphisms by reduct: a formula's
     # column in the reduct M^h is its translation's column in M
-    # (a variable's column is a shared tuple, a computed one a list)
     pulled = reduct(b, h)
     for phi in enumerate_formulas(_UB, 2, 2):
         [image] = b.columns([translate_formula(h, phi)], [0, 1])
         [column] = pulled.columns([phi], [0, 1])
-        assert tuple(image) == tuple(column), fmt(phi)
+        assert image == column, fmt(phi)
 
 
 def test_model_check_gives_up_on_columns_longer_than_its_cap():

@@ -531,6 +531,13 @@ def test_qfc_colimit_single_stage():
     assert all(t.verified for t in cocone)
 
 
+def test_qfc_colimit_refutes_at_a_deciding_top_stage():
+    colim, _ = qfc_directed_colimit([CPL2], [])
+    v = derives(colim, [], parse("orp_0(x0, x1)", colim.signature))
+    assert v.is_no and v.reason == "refuted at the top stage"
+    assert v.counter
+
+
 @pytest.fixture(scope="module")
 def imp_into_cpl1_colimit():
     imp_logic = ENV.logic("IMP")

@@ -6,6 +6,7 @@ from catlog.formulas import (
     App, StructuralError, Substitution, Var, check_formula, complexity,
     enumerate_formulas, parse, substitute, variables,
 )
+from catlog.kleisli import directed_colimit_signatures
 from catlog.signatures import (
     Partition, Signature, StrictMorphism, UnsupportedConstruction, compose_strict,
     coproduct_mediator, identity_morphism, product_pairing,
@@ -212,6 +213,23 @@ def test_product_pairing_recovers_components():
             pairing = product_pairing(projections, [f, g])
             assert compose_strict(projections[0], pairing) == f
             assert compose_strict(projections[1], pairing) == g
+
+
+def test_generated_legs_are_named_after_the_signature_they_build():
+    # two constructions' legs must not share names, or a spec holding both
+    # would declare one morphism twice
+    left = Signature("L", {"neg": 1})
+    right = Signature("R", {"sim": 1})
+    shared = Signature("S", {"n": 1})
+    _, injections = signature_coproduct([left, right])
+    _, projections = signature_product([left, right])
+    _, po_left, po_right = signature_pushout(StrictMorphism(shared, left, {"n": "neg"}),
+                                             StrictMorphism(shared, right, {"n": "sim"}))
+    _, cocone = directed_colimit_signatures([StrictMorphism(shared, left, {"n": "neg"})])
+    assert [m.name for m in injections] == ["L+R_in0", "L+R_in1"]
+    assert [m.name for m in projections] == ["LxR_proj0", "LxR_proj1"]
+    assert [po_left.name, po_right.name] == ["L+[S]+R_po_left", "L+[S]+R_po_right"]
+    assert [m.name for m in cocone] == ["colim(L)_stage0", "colim(L)_stage1"]
 
 
 # --- pushouts ---------------------------------------------------------------
