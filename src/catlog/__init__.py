@@ -3,8 +3,8 @@ Kleisli calculus, combination constructions, and interderivability
 quotients, with bounded law checking throughout."""
 
 from .formulas import (
-    App, Formula, ParseError, StructuralError, Substitution, Var, app,
-    complexity, compose_substitutions, enumerate_formulas, enumerate_slice,
+    App, Formula, InputError, ParseError, StructuralError, Substitution, Var,
+    app, complexity, compose_substitutions, enumerate_formulas, enumerate_slice,
     fmt, parse, substitute, var, variables,
 )
 from .signatures import (

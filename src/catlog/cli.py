@@ -2,9 +2,10 @@
 quotient-check, and run the law suites.
 
 Exit codes: 0 all checks passed / derivable, 1 refuted, 2 undecided within
-budget, 3 usage or input error.  Reports are JSON with sorted keys; given
-the same inputs the bytes are identical.  `--seed` steers only the random
-cases of `laws`; every other command is deterministic without it.
+budget, 3 usage or input error: an `InputError` or an `OSError`; any other
+exception is a bug and ends in a traceback.  Reports are JSON with sorted
+keys; given the same inputs the bytes are identical.  `--seed` steers only
+the random cases of `laws`; every other command is deterministic without it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .consequence import (
     Budget, CONFIRMED, DEFAULT_BUDGET, NEGATIVE, POSITIVE, REFUTED, UNKNOWN, YES,
     derives,
 )
-from .formulas import fmt, parse
+from .formulas import InputError, fmt, parse
 from .kleisli import is_regular, kleisli_compose, kleisli_identity
 from .logic_cat import (
     as_flexible, check_translation, directed_colimit_logics, fibring_constrained,
@@ -28,7 +29,6 @@ from .quotient import (
     congruential_closure, is_congruential, lindenbaum_delta_check,
     morphisms_equivalent, rigidity_probe, weak_equivalence,
 )
-from .signatures import UnsupportedConstruction
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -45,8 +45,11 @@ def load_env(spec: str) -> dsl.Environment:
 def emit(report: dict, json_path: str | None, summary: str) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:  # a NUL byte in the path
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
     print(summary)
     if not json_path:
         print(text)
@@ -62,11 +65,10 @@ def status_exit(status: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors reach `main` as exceptions, so that
-    they exit with EXIT_USAGE like every other input error."""
+    """Argument parser whose usage errors reach `main` as InputErrors."""
 
     def error(self, message):
-        raise ValueError(message)
+        raise InputError(message)
 
 
 def _count(text: str) -> int:
@@ -101,8 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         budget = args.budget
         return run(args, budget if isinstance(budget, Budget) else Budget.parse(budget))
-    except (dsl.SpecError, OSError, KeyError, ValueError,
-            UnsupportedConstruction) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -210,7 +211,7 @@ def _colimit_chain(env, args, budget):
     stages = [env.logic(nm) for nm in args.stages.split(",")]
     names = [nm for nm in args.maps.split(",") if nm]
     if len(names) != len(stages) - 1:  # before the maps index the stages
-        raise ValueError("need one chain map per consecutive stage pair")
+        raise InputError("need one chain map per consecutive stage pair")
     maps = [check_translation(env.morphism(nm), stages[i], stages[i + 1], budget)
             for i, nm in enumerate(names)]
     combined, cocone = directed_colimit_logics(stages, maps)

@@ -21,14 +21,14 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .formulas import (
-    App, Formula, Substitution, Var, check_formula, complexity,
+    App, Formula, InputError, Substitution, Var, check_formula, complexity,
     compose_substitutions, enumerate_formulas, fmt, match, subformulas,
     substitute, variables,
 )
 from .signatures import Signature
 
 
-class SignatureMismatch(ValueError):
+class SignatureMismatch(InputError):
     """Query or construction mixes formulas with the wrong signature."""
 
 
@@ -44,13 +44,18 @@ class Budget:
 
     @staticmethod
     def parse(text: str) -> "Budget":
-        parts = [int(p) for p in text.split(",")]
+        parts = []
+        for part in text.split(","):
+            try:
+                parts.append(int(part))
+            except ValueError:
+                raise InputError(f"budget {text!r}: {part!r} is not an integer") from None
         if any(p < 0 for p in parts):
-            raise ValueError("budget parts must be non-negative")
+            raise InputError("budget parts must be non-negative")
         if len(parts) == 1:
             return Budget(proof_length=parts[0])
         if len(parts) != 4:
-            raise ValueError("budget must be 'length' or 'length,inst,enum,vars'")
+            raise InputError("budget must be 'length' or 'length,inst,enum,vars'")
         return Budget(*parts)
 
     def to_json(self) -> list[int]:
@@ -83,7 +88,7 @@ class Calculus:
             check_formula(signature, a)
         for r in rules:
             if not r.premises:
-                raise ValueError("rules need at least one premise; use an axiom instead")
+                raise InputError("rules need at least one premise; use an axiom instead")
             for p in r.premises:
                 check_formula(signature, p)
             check_formula(signature, r.conclusion)
@@ -258,13 +263,13 @@ class Matrix:
 
     def __init__(self, values: list, designated: list, tables: dict[str, dict[tuple, object]]):
         if not values:
-            raise ValueError("matrix needs at least one value")
+            raise InputError("matrix needs at least one value")
         if not designated:
-            raise ValueError("matrix needs a nonempty designated subset")
+            raise InputError("matrix needs a nonempty designated subset")
         self.values = tuple(values)
         self.designated = frozenset(designated)
         if not self.designated <= set(self.values):
-            raise ValueError("designated values must be values")
+            raise InputError("designated values must be values")
         self.tables = {c: dict(t) for c, t in tables.items()}
         # by value index: designation, flattened tables, variable columns
         self._designated_at = tuple(v in self.designated for v in self.values)
@@ -275,15 +280,15 @@ class Matrix:
         for c, arity in sig.connectives.items():
             table = self.tables.get(c)
             if table is None:
-                raise ValueError(f"matrix misses a table for {c!r}")
+                raise InputError(f"matrix misses a table for {c!r}")
             expected = len(self.values) ** arity
             if len(table) != expected:
-                raise ValueError(f"table for {c!r} is not total")
+                raise InputError(f"table for {c!r} is not total")
             for key, out in table.items():
                 if len(key) != arity or any(v not in self.values for v in key):
-                    raise ValueError(f"bad table entry {key} for {c!r}")
+                    raise InputError(f"bad table entry {key} for {c!r}")
                 if out not in self.values:
-                    raise ValueError(f"bad table output {out!r} for {c!r}")
+                    raise InputError(f"bad table output {out!r} for {c!r}")
 
     def evaluate(self, phi: Formula, valuation: dict[int, object]):
         if isinstance(phi, Var):
@@ -591,14 +596,14 @@ class Logic:
         if matrix is not None:
             matrix.validate_for(signature)
         if calculus is None and matrix is None and oracle is None:
-            raise ValueError("logic needs at least one provider")
+            raise InputError("logic needs at least one provider")
         if calculus is not None and matrix is not None:
             for gamma, phi in [((), a) for a in calculus.axioms] + [
                     (r.premises, r.conclusion) for r in calculus.rules]:
                 holds, counter = matrix_consequence(matrix, gamma, phi)
                 if not holds:
                     what = f"rule {', '.join(map(fmt, gamma))} => " if gamma else "axiom "
-                    raise ValueError(f"the matrix refutes {what}{fmt(phi)} at " + ", ".join(
+                    raise InputError(f"the matrix refutes {what}{fmt(phi)} at " + ", ".join(
                         f"x{k}={v}" for k, v in sorted(counter.items())))
         self.name = name
         self.signature = signature
@@ -1259,7 +1264,7 @@ def meet(l1: Logic, l2: Logic) -> Logic:
 def generated_join(presentations: list[Calculus]) -> Calculus:
     """Supremum of presented relations: union of the presentations."""
     if not presentations:
-        raise ValueError("empty join")
+        raise InputError("empty join")
     sig = presentations[0].signature
     if any(c.signature != sig for c in presentations):
         raise SignatureMismatch("generated join needs a shared signature")
@@ -1274,7 +1279,7 @@ def generated_join(presentations: list[Calculus]) -> Calculus:
 def directed_sup(chain: list[Logic]) -> Logic:
     """Supremum of a chain ordered by strength: first stage that derives wins."""
     if not chain:
-        raise ValueError("empty chain")
+        raise InputError("empty chain")
     sig = chain[0].signature
     if any(l.signature != sig for l in chain):
         raise SignatureMismatch("directed sup needs a shared signature")

@@ -29,23 +29,20 @@ import re
 from contextlib import contextmanager
 
 from .consequence import Calculus, Logic, Matrix, Rule
-from .formulas import Formula, ParseError, Var, fmt, parse
+from .formulas import Formula, InputError, ParseError, Var, fmt, parse
 from .kleisli import FlexibleMorphism
 from .logic_cat import bottom, top
 from .signatures import Signature, StrictMorphism
 
 
-class SpecError(ValueError):
+class SpecError(InputError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
 
-class UnknownName(KeyError):
-    """A name the environment lacks; `str` is the message, unquoted."""
-
-    def __str__(self) -> str:
-        return self.args[0]
+class UnknownName(InputError):
+    """A name the environment lacks."""
 
 
 class Environment:
@@ -86,8 +83,12 @@ _TABLE_ENTRY = re.compile(r"\(([^()]*)\)\s*=\s*(\S+)")
 
 
 def load(path: str) -> Environment:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    try:  # a NUL byte in the path, or text that is not UTF-8
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    return loads(text)
 
 
 def _logical_lines(text: str) -> list[tuple[str, int]]:
@@ -132,12 +133,10 @@ class _Stream:
 
 @contextmanager
 def _reported_at(line: int):
-    """A constructor's ValueError or KeyError as a SpecError at `line`."""
+    """A constructor's InputError as a SpecError at `line`."""
     try:
         yield
-    except SpecError:
-        raise
-    except (ValueError, KeyError) as exc:
+    except InputError as exc:
         raise SpecError(str(exc), line) from None
 
 

@@ -24,7 +24,11 @@ import weakref
 from functools import lru_cache
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Bad input: the CLI reports it and exits 3; any other exception is a bug."""
+
+
+class ParseError(InputError):
     """Raised on malformed formula text; carries the offending position."""
 
     def __init__(self, message: str, position: int):
@@ -32,7 +36,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-class StructuralError(ValueError):
+class StructuralError(InputError):
     """Raised when a formula does not fit a signature (arity/unknown head)."""
 
 

@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass
 
 from .formulas import (
-    App, Formula, Var, check_formula, complexity, enumerate_slice, extend, fmt,
-    variables,
+    App, Formula, InputError, Var, check_formula, complexity, enumerate_slice,
+    extend, fmt, variables,
 )
 from .signatures import (
     Morphism, Signature, StrictMorphism, identity_morphism, strict_extension,
@@ -37,10 +37,10 @@ class FlexibleMorphism(Morphism):
         for c, arity in source.connectives.items():
             phi = assignment.get(c)
             if phi is None:
-                raise ValueError(f"assignment misses source connective {c!r}")
+                raise InputError(f"assignment misses source connective {c!r}")
             check_formula(target, phi)
             if variables(phi) != frozenset(range(arity)):
-                raise ValueError(
+                raise InputError(
                     f"{c!r}/{arity} must map into the arity-{arity} slice, "
                     f"got {fmt(phi)} with variables {sorted(variables(phi))}")
         super().__init__(source, target, assignment, name)
@@ -68,7 +68,7 @@ flexible_extension = Morphism.extension
 def kleisli_compose(h2: FlexibleMorphism, h1: FlexibleMorphism) -> FlexibleMorphism:
     """h2 after h1: each assignment of h1 is pushed through h2's extension."""
     if h1.target != h2.source:
-        raise ValueError("flexible morphisms not composable")
+        raise InputError("flexible morphisms not composable")
     assignment = {c: flexible_extension(h2, h1(c)) for c in h1.source.connectives}
     # every template of h2 is a slice formula over h2's target, so each image
     # is well formed there and keeps exactly h1(c)'s variables: no re-check
@@ -331,7 +331,7 @@ def directed_colimit_signatures(chain: list[StrictMorphism]
     last stage.
     """
     if not chain:
-        raise ValueError("empty chain")
+        raise InputError("empty chain")
     stages = [chain[0].source] + [f.target for f in chain]
     # push every connective to the final stage; classes are fibers of that map
     to_top: list[dict[str, str]] = []

@@ -24,7 +24,7 @@ from .consequence import (
     VERIFIED, Verdict, YES, derives, exact_matrix, generated_join, model_of,
     refutation_sweep, transform_proof, truth_function,
 )
-from .formulas import Substitution, Var, fmt, json_value
+from .formulas import InputError, Substitution, Var, fmt, json_value
 from .kleisli import (
     FlexibleMorphism, directed_colimit_signatures, kleisli_compose, lift_strict,
 )
@@ -200,7 +200,7 @@ def inverse_image(morphism, target: Logic, name: str = "") -> Logic:
 def direct_image(morphism, source: Logic, name: str = "") -> Logic:
     """Push a presented consequence forward along the morphism."""
     if source.calculus is None:
-        raise ValueError("direct image needs a presented source")
+        raise InputError("direct image needs a presented source")
     return Logic(name or f"{source.name}_*", morphism.target,
                  calculus=push_calculus(morphism, source.calculus))
 
@@ -243,7 +243,7 @@ def push_proof(translation: Translation, proof: Proof) -> Proof:
     matrix check, or a yes that came without a proof.
     """
     if not translation.verified:
-        raise ValueError("can only push proofs along verified translations")
+        raise InputError("can only push proofs along verified translations")
     h = translation.morphism
     recorded: dict[tuple[str, int], Proof] = {}
     for entry in translation.evidence:
@@ -258,7 +258,7 @@ def push_proof(translation: Translation, proof: Proof) -> Proof:
         along h; its hypothesis steps that are already-built premise
         images get their indices from the writer."""
         if (kind, i) not in recorded:
-            raise ValueError(f"{h.name or 'unnamed'} records no proof of the "
+            raise InputError(f"{h.name or 'unnamed'} records no proof of the "
                              f"image of {kind} {i}")
         sub = transform_proof(recorded[kind, i], Substitution(
             {v: translate_formula(h, sigma(v)) for v in sigma.mapping}))
@@ -326,7 +326,7 @@ def _refuse_refuted(legs) -> None:
     """Nothing is built along a refuted translation; unknown legs pass."""
     for role, t in legs:
         if t.status == REFUTED:
-            raise ValueError(
+            raise InputError(
                 f"{role} {t.morphism.name or 'unnamed'} ({t.source.name} -> "
                 f"{t.target.name}) is refuted; nothing is built along it")
 
@@ -334,7 +334,7 @@ def _refuse_refuted(legs) -> None:
 def fibring_unconstrained(l1: Logic, l2: Logic) -> tuple[Logic, Translation, Translation]:
     """Coproduct of logics: disjoint signatures, union of presentations."""
     if l1.calculus is None or l2.calculus is None:
-        raise ValueError("fibring needs presented components")
+        raise InputError("fibring needs presented components")
     sig, (in1, in2) = signature_coproduct([l1.signature, l2.signature],
                                           name=f"{l1.name}+{l2.name}")
     calculus = generated_join([push_calculus(in1, l1.calculus),
@@ -357,7 +357,7 @@ def fibring_constrained(left_leg: Translation, right_leg: Translation
     _refuse_refuted([("left leg", left_leg), ("right leg", right_leg)])
     l1, l2 = left_leg.target, right_leg.target
     if l1.calculus is None or l2.calculus is None:
-        raise ValueError("constrained fibring needs presented components")
+        raise InputError("constrained fibring needs presented components")
     sig, po_left, po_right = signature_pushout(f, g)
     shared = left_leg.source
     pushed = [push_calculus(po_left, l1.calculus), push_calculus(po_right, l2.calculus)]
@@ -398,7 +398,7 @@ def directed_colimit_logics(stages: list[Logic], maps: list[Translation]
                             ) -> tuple[Logic, list[Translation]]:
     """Colimit of a chain: union of the pushed-forward presentations."""
     if len(maps) != len(stages) - 1:
-        raise ValueError("need one chain map per consecutive stage pair")
+        raise InputError("need one chain map per consecutive stage pair")
     for i, t in enumerate(maps):
         if not isinstance(t.morphism, StrictMorphism):
             raise UnsupportedConstruction("colimit chains must be strict")
@@ -413,7 +413,7 @@ def directed_colimit_logics(stages: list[Logic], maps: list[Translation]
         vertex_sig = stages[0].signature
         cocone = [identity_morphism(vertex_sig)]
     if any(logic.calculus is None for logic in stages):
-        raise ValueError("colimit stages need presentations")
+        raise InputError("colimit stages need presentations")
     calculus = generated_join([push_calculus(leg, logic.calculus)
                                for leg, logic in zip(cocone, stages)])
     combined = Logic("colim(" + ",".join(l.name for l in stages) + ")",

@@ -25,7 +25,7 @@ from .consequence import (
     interderivable, refutation_sweep,
 )
 from .formulas import (
-    App, Formula, Substitution, Var, complexity, enumerate_formulas,
+    App, Formula, InputError, Substitution, Var, complexity, enumerate_formulas,
     enumerate_slice, extend, fmt, json_value, sort_key, substitute, variables,
 )
 from .kleisli import (
@@ -73,7 +73,7 @@ def morphisms_equivalent(f, g, target: Logic,
     of `target`?"""
     hf, hg = as_flexible(f), as_flexible(g)
     if hf.source != hg.source or hf.target != hg.target:
-        raise ValueError("morphisms are not parallel")
+        raise InputError("morphisms are not parallel")
     if hf.target != target.signature:
         raise SignatureMismatch("morphisms do not land in the target logic's signature")
     per_connective = {}
@@ -213,7 +213,7 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1)) -> Logi
         if verdict.status == CONFIRMED:
             return logic  # already a fixpoint at the tested bounds
     if logic.calculus is None:
-        raise ValueError("congruential closure needs a presented calculus")
+        raise InputError("congruential closure needs a presented calculus")
     compl_bound, var_bound = bounds
     sig = logic.signature
     pool = enumerate_formulas(sig, var_bound, compl_bound)
@@ -414,7 +414,7 @@ def compose_weak_equivalences(outer: WeakEquivalenceCertificate,
                               ) -> WeakEquivalenceCertificate:
     """Certificates compose; bounds intersect, denseness witnesses chain."""
     if not (outer.holds and inner.holds):
-        raise ValueError("can only compose confirmed certificates")
+        raise InputError("can only compose confirmed certificates")
     composite = kleisli_compose(outer.morphism, inner.morphism)
     bounds = tuple(min(a, b) for a, b in zip(inner.bounds, outer.bounds)) \
         if inner.bounds and outer.bounds else None
@@ -509,7 +509,7 @@ def lindenbaum_delta_check(logic: Logic, delta: list[Formula],
     full = frozenset((0, 1))
     for d in delta:
         if variables(d) != full:
-            raise ValueError(f"{fmt(d)} is not in the binary slice")
+            raise InputError(f"{fmt(d)} is not in the binary slice")
 
     def inst(d: Formula, left: Formula, right: Formula) -> Formula:
         return substitute(Substitution({0: left, 1: right}), d)
@@ -587,9 +587,10 @@ def qfc_directed_colimit(stages: list[Logic], maps: list[Translation]
     the stages answer: a sequent no stage settles is unknown.
     """
     if len(maps) != len(stages) - 1:
-        raise ValueError("need one chain map per consecutive stage pair")
+        raise InputError("need one chain map per consecutive stage pair")
     sigs = [l.signature for l in stages]
-    vertex_sig, injections = signature_coproduct(sigs, name="qfc_colim")
+    vertex_sig, injections = signature_coproduct(
+        sigs, name="qfc_colim(" + ",".join(s.name for s in sigs) + ")")
     flex = [as_flexible(t.morphism) for t in maps]
     # composite[i][j]: stage i assignment pushed to stage j (i <= j)
     n = len(stages)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .formulas import App, Formula, Var, extend
+from .formulas import App, Formula, InputError, Var, extend
 
 
-class UnsupportedConstruction(Exception):
+class UnsupportedConstruction(InputError):
     """Construction needs infinite support (e.g. a terminal signature)."""
 
 
@@ -25,9 +25,9 @@ class Signature:
     def __init__(self, name: str, connectives: dict[str, int]):
         for ident, arity in connectives.items():
             if not ident:
-                raise ValueError("empty connective identifier")
+                raise InputError("empty connective identifier")
             if arity < 0:
-                raise ValueError(f"negative arity for {ident!r}")
+                raise InputError(f"negative arity for {ident!r}")
         self.name = name
         self.connectives = dict(connectives)
 
@@ -129,11 +129,11 @@ class StrictMorphism(Morphism):
         for c, arity in source.connectives.items():
             image = mapping.get(c)
             if image is None:
-                raise ValueError(f"morphism misses source connective {c!r}")
+                raise InputError(f"morphism misses source connective {c!r}")
             if image not in target.connectives:
-                raise ValueError(f"image {image!r} of {c!r} not in target signature")
+                raise InputError(f"image {image!r} of {c!r} not in target signature")
             if target.connectives[image] != arity:
-                raise ValueError(
+                raise InputError(
                     f"arity mismatch: {c!r}/{arity} mapped to "
                     f"{image!r}/{target.connectives[image]}")
         super().__init__(source, target, mapping, name)
@@ -161,7 +161,7 @@ def identity_morphism(sig: Signature) -> StrictMorphism:
 
 def compose_strict(g: StrictMorphism, f: StrictMorphism) -> StrictMorphism:
     if f.target != g.source:
-        raise ValueError("strict morphisms not composable")
+        raise InputError("strict morphisms not composable")
     return StrictMorphism(f.source, g.target, {c: g(f(c)) for c in f.source.connectives})
 
 
@@ -195,15 +195,15 @@ def coproduct_mediator(injections: list[StrictMorphism],
                        cocone: list[StrictMorphism]) -> StrictMorphism:
     """Case-split map out of a coproduct agreeing with a strict cocone."""
     if not cocone:
-        raise ValueError("empty cocone")
+        raise InputError("empty cocone")
     target = cocone[0].target
     if any(leg.target != target for leg in cocone):
-        raise ValueError("cocone legs disagree on target")
+        raise InputError("cocone legs disagree on target")
     coproduct = injections[0].target
     mapping: dict[str, str] = {}
     for inj, leg in zip(injections, cocone):
         if inj.source != leg.source:
-            raise ValueError("cocone leg does not match injection source")
+            raise InputError("cocone leg does not match injection source")
         for c in inj.source.connectives:
             mapping[inj(c)] = leg(c)
     return StrictMorphism(coproduct, target, mapping, name="mediator")
@@ -212,7 +212,7 @@ def coproduct_mediator(injections: list[StrictMorphism],
 def signature_product(factors: list[Signature]) -> tuple[Signature, list[StrictMorphism]]:
     """Levelwise cartesian product; a connective is a tuple of same-arity ones.
 
-    The tuple (c1, ..., ck) is named c1__...__ck.  Raises ValueError when
+    The tuple (c1, ..., ck) is named c1__...__ck.  Raises InputError when
     two tuples get the same name, which would merge two connectives.
     """
     if not factors:
@@ -230,7 +230,7 @@ def signature_product(factors: list[Signature]) -> tuple[Signature, list[StrictM
         for combo in itertools.product(*pools):
             ident = "__".join(combo)
             if ident in components:
-                raise ValueError(f"product connectives {components[ident]} and {combo} "
+                raise InputError(f"product connectives {components[ident]} and {combo} "
                                  f"would both be named {ident!r}")
             connectives[ident] = arity
             components[ident] = combo
@@ -247,10 +247,10 @@ def product_pairing(projections: list[StrictMorphism],
                     cone: list[StrictMorphism]) -> StrictMorphism:
     """Tupling map into a product agreeing with a strict cone."""
     if not cone:
-        raise ValueError("empty cone")
+        raise InputError("empty cone")
     source = cone[0].source
     if any(leg.source != source for leg in cone):
-        raise ValueError("cone legs disagree on source")
+        raise InputError("cone legs disagree on source")
     product = projections[0].source
     reverse: dict[tuple[str, ...], str] = {}
     for ident in product.connectives:
@@ -259,7 +259,7 @@ def product_pairing(projections: list[StrictMorphism],
     for c in source.connectives:
         images = tuple(leg(c) for leg in cone)
         if images not in reverse:
-            raise ValueError(f"no product connective for images {images}")
+            raise InputError(f"no product connective for images {images}")
         mapping[c] = reverse[images]
     return StrictMorphism(source, product, mapping, name="pairing")
 
@@ -294,7 +294,7 @@ def signature_pushout(f: StrictMorphism, g: StrictMorphism
                       ) -> tuple[Signature, StrictMorphism, StrictMorphism]:
     """Coproduct of the targets with f(c) and g(c) glued, for shared source c."""
     if f.source != g.source:
-        raise ValueError("pushout legs must share their source")
+        raise InputError("pushout legs must share their source")
     left, right = f.target, g.target
     tagged: dict[str, int] = {}
     for i, sig in enumerate((left, right)):

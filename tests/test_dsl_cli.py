@@ -525,7 +525,7 @@ def test_unknown_names_print_unquoted(capsys):
     env = corpus.fresh_env()
     for lookup, kind in (env.signature, "signature or logic"), (env.logic, "logic"), \
             (env.morphism, "morphism"):
-        with pytest.raises(KeyError) as err:
+        with pytest.raises(dsl.UnknownName) as err:
             lookup("NOPE")
         assert str(err.value) == f"no {kind} named 'NOPE'"
 

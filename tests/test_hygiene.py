@@ -404,3 +404,132 @@ def test_hygiene_check_sees_unread_parameters():
     assert _unread_parameters(tree) == [
         (1, "f.b"), (1, "f.c"), (1, "f.options"), (1, "f.rest"),
         (10, "helper.gamma"), (14, "__init__.x"), (21, "static.z")]
+
+
+def _caught(tree: ast.Module, function: str) -> list[str]:
+    """The classes that the `except` clauses of the module-level function
+    `function` name, dotted as written, sorted."""
+    found = []
+    for f in tree.body:
+        if isinstance(f, _FUNCTIONS) and f.name == function:
+            for node in ast.walk(f):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    types = node.type.elts if isinstance(node.type, ast.Tuple) \
+                        else [node.type]
+                    found += [ast.unparse(t) for t in types]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module, function, caught", [
+    ("cli.py", "main", ["InputError", "OSError"]),
+    ("dsl.py", "_reported_at", ["InputError"]),
+], ids=["cli.main", "dsl._reported_at"])
+def test_input_errors_are_caught_by_their_class(module, function, caught):
+    # one class decides that an exception is the user's fault; anything
+    # else these functions see is a bug and must end in a traceback
+    path = PACKAGE / module
+    assert _caught(ast.parse(path.read_text(), filename=str(path)), function) == caught
+
+
+def test_hygiene_check_sees_caught_classes():
+    tree = ast.parse(
+        "def main():\n"
+        "    try:\n"
+        "        run()\n"
+        "    except (dsl.SpecError, KeyError) as exc:\n"
+        "        pass\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    except:\n"
+        "        pass\n"
+        "def other():\n"
+        "    try:\n"
+        "        run()\n"
+        "    except OSError:\n"
+        "        pass\n")
+    assert _caught(tree, "main") == ["KeyError", "ValueError", "dsl.SpecError"]
+    assert _caught(tree, "other") == ["OSError"]
+
+
+# Exceptions that signal inside the package rather than report bad input:
+# (module, enclosing function, what its `raise` names).
+INTERNAL_SIGNALS = {
+    ("consequence", "_Searcher.prove", "_SearchBudget"),
+    ("formulas", "extend", "_head_error"),  # returns a StructuralError
+    ("formulas", "check_formula", "_head_error"),
+    ("formulas", "Formula.__setattr__", "AttributeError"),
+    ("consequence", "Matrix.columns.column", "KeyError"),
+    ("cli", "_count", "argparse.ArgumentTypeError"),
+}
+
+
+def _input_error_classes(trees) -> set[str]:
+    """`InputError` and the classes defined in the trees that derive from it."""
+    bases = {node.name: {ast.unparse(b).split(".")[-1] for b in node.bases}
+             for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    found = {"InputError"}
+    while grown := {name for name, b in bases.items() if b & found} - found:
+        found |= grown
+    return found
+
+
+def _raises(tree: ast.Module, scope: str = ""):
+    """Each `raise` of a call or of a bare name: its line, the qualified name
+    of the function it is in, and what it raises, dotted as written."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            yield from _raises(node, f"{scope}.{node.name}".lstrip("."))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(raised, (ast.Name, ast.Attribute)):
+                yield node.lineno, scope, ast.unparse(raised)
+        else:
+            yield from _raises(node, scope)
+
+
+def _raise_leaks(trees: dict[str, ast.Module], allowed) -> list[tuple[str, int, str]]:
+    """Raises that name neither an input error nor an allowed signal."""
+    inputs = _input_error_classes(trees.values())
+    return sorted((module, line, raised) for module, tree in trees.items()
+                  for line, scope, raised in _raises(tree)
+                  if raised.split(".")[-1] not in inputs
+                  and (module, scope, raised) not in allowed)
+
+
+def test_every_raise_is_an_input_error_or_an_internal_signal():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    leaks = _raise_leaks(trees, INTERNAL_SIGNALS)
+    assert not leaks, "raises that are neither an InputError nor a listed internal " \
+        "signal: " + ", ".join(f"{m}:{line} {raised}" for m, line, raised in leaks)
+
+
+def test_hygiene_check_sees_raise_leaks():
+    tree = ast.parse(
+        "class InputError(ValueError): pass\n"
+        "class SpecError(InputError): pass\n"
+        "class Deeper(mod.SpecError): pass\n"
+        "def load(text):\n"
+        "    if not text:\n"
+        "        raise SpecError('empty', 1)\n"
+        "    raise ValueError('bad')\n"
+        "class Box:\n"
+        "    def get(self, key):\n"
+        "        def inner():\n"
+        "            raise KeyError(key)\n"
+        "        try:\n"
+        "            return inner()\n"
+        "        except KeyError as exc:\n"
+        "            raise mod.Deeper(str(exc)) from None\n"
+        "    def signal(self):\n"
+        "        raise _Stop\n"
+        "def reraise():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except OSError as exc:\n"
+        "        raise\n")
+    trees = {"m": tree}
+    assert _input_error_classes(trees.values()) == {"InputError", "SpecError", "Deeper"}
+    assert _raise_leaks(trees, set()) == [("m", 7, "ValueError"), ("m", 11, "KeyError"),
+                                          ("m", 17, "_Stop")]
+    assert _raise_leaks(trees, {("m", "Box.get.inner", "KeyError"),
+                                ("m", "Box.signal", "_Stop")}) == [("m", 7, "ValueError")]

@@ -538,6 +538,21 @@ def test_qfc_colimit_refutes_at_a_deciding_top_stage():
     assert v.counter
 
 
+def test_qfc_colimits_of_different_chains_load_from_one_spec():
+    # each vertex signature, and so each injection, is named after its
+    # stages' signatures
+    text = corpus.STANDARD_DSL
+    names = []
+    for stage in (CPL1, CPL2):
+        colim, cocone = qfc_directed_colimit([stage], [])
+        assert colim.signature.name == f"qfc_colim({stage.signature.name})"
+        text += dsl.signature_to_dsl(colim.signature) + dsl.morphism_to_dsl(cocone[0].morphism)
+        names.append(dsl.dsl_name(cocone[0].morphism.name))
+    env = dsl.loads(text)
+    assert names == ["qfc_colim_SigCPL1__in0", "qfc_colim_SigCPL2__in0"]
+    assert [env.morphism(n).source for n in names] == [CPL1.signature, CPL2.signature]
+
+
 @pytest.fixture(scope="module")
 def imp_into_cpl1_colimit():
     imp_logic = ENV.logic("IMP")
