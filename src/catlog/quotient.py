@@ -308,6 +308,8 @@ def weak_equivalence(h, source: Logic, target: Logic,
     regardless of formula size).
     """
     hf = as_flexible(h)
+    if hf.source != source.signature or hf.target != target.signature:
+        raise SignatureMismatch("morphism endpoints do not match the logics")
     bounds = (n_max, target_compl, _SOURCE_COMPLEXITY)
     status, conservativity = UNKNOWN, "unchecked"
     if exact_matrix(source) is not None and exact_matrix(target) is not None:

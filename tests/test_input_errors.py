@@ -1,5 +1,6 @@
 """Bad input exits 3 with one `error:` line; a bug ends in a traceback."""
 
+import itertools
 import random
 import re
 
@@ -36,6 +37,44 @@ def test_a_spec_that_is_not_utf8_exits_usage(tmp_path, capsys):
 def test_a_path_with_a_nul_byte_exits_usage(tmp_path, capsys, flag):
     err = _exits_with_one_error_line(capsys, [flag, f"{tmp_path}/a\0b", "validate"])
     assert err == "error: embedded null byte\n"
+
+
+def test_equipollence_with_endpoints_off_the_logics_exits_usage(capsys):
+    # IMPFRAG has no matrix, so only the endpoint check stops h: SigCPL1 ->
+    # SigCPL2 before CPL1's matrix is asked for CPL2's connectives
+    err = _exits_with_one_error_line(capsys, [
+        "equipollent", "--source", "IMPFRAG", "--target", "CPL1", "--via", "h", "--back", "k"])
+    assert err == "error: morphism endpoints do not match the logics\n"
+
+
+# Each command given the morphism m between logics s and t, where m may not fit
+OFF_ENDPOINT_COMMANDS = {
+    "translate": lambda m, s, t: ["translate", "--via", m, "--source", s, "--target", t],
+    "equipollent": lambda m, s, t: [
+        "equipollent", "--via", m, "--back", m, "--source", s, "--target", t],
+    "colimit-chain": lambda m, s, t: ["colimit-chain", "--stages", f"{s},{t}", "--maps", m],
+    "quotient-equal": lambda m, s, t: [
+        "quotient-equal", "--left", m, "--right", m, "--source", s, "--target", t],
+    "fibre-shared": lambda m, s, t: [
+        "fibre-shared", "--shared", s, "--left", t, "--right", t,
+        "--left-map", m, "--right-map", m],
+}
+
+
+@pytest.mark.parametrize("command", OFF_ENDPOINT_COMMANDS)
+def test_every_morphism_off_its_logics_exits_usage(monkeypatch, capsys, command):
+    env = corpus.standard_env()
+    monkeypatch.setattr(corpus, "fresh_env", lambda: env)  # each call fails before it builds
+    # one logic per signature and provider kind, one morphism per endpoints and kind
+    logics = {(lg.signature, lg.matrix is None, lg.calculus is None): n
+              for n, lg in env.logics.items()}.values()
+    morphisms = {(h.source, h.target, type(h)): n for n, h in env.morphisms.items()}.values()
+    for m, s, t in itertools.product(morphisms, logics, logics):
+        h = env.morphism(m)
+        if h.target == env.logic(t).signature and (
+                command == "quotient-equal" or h.source == env.logic(s).signature):
+            continue
+        _exits_with_one_error_line(capsys, OFF_ENDPOINT_COMMANDS[command](m, s, t))
 
 
 @pytest.mark.parametrize("bug", [KeyError("x0"), ValueError("bad unpack")],
