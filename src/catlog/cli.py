@@ -3,9 +3,11 @@ quotient-check, and run the law suites.
 
 Exit codes: 0 all checks passed / derivable, 1 refuted, 2 undecided within
 budget, 3 usage or input error: an `InputError` or an `OSError`; any other
-exception is a bug and ends in a traceback.  Reports are JSON with sorted
-keys; given the same inputs the bytes are identical.  `--seed` steers only
-the random cases of `laws`; every other command is deterministic without it.
+exception is a bug and ends in a traceback.  A formula, on the command
+line or in a spec, nests its connectives at most `formulas.MAX_DEPTH` (256)
+deep; a deeper one is bad input.  Reports are JSON with sorted keys; given
+the same inputs the bytes are identical.  `--seed` steers only the random
+cases of `laws`; every other command is deterministic without it.
 """
 
 from __future__ import annotations

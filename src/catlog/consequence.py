@@ -945,9 +945,8 @@ class _Searcher:
                     self.success[goal] = made
                     return made, cycle_seen
         if not cycle_seen:
-            prev = self.failed_at.get(goal, -1)
-            if allowed > prev:
-                self.failed_at[goal] = allowed
+            # no call below records a failure for goal, which is on its stack
+            self.failed_at[goal] = allowed
         return None, cycle_seen
 
     def _try_rule(self, ridx: int, goal: Formula, allowed: int,
@@ -961,25 +960,19 @@ class _Searcher:
         free = [v for v in rule_vars if v not in base.mapping]
         cycle_seen = False
         for sigma in self._instantiations(rule, base, free, depth):
+            # prove returns only nodes that fit their allowance, so this one fits
             children: list[_Node | None] = [None] * len(rule.premises)
             remaining = allowed - 1
-            ok = True
             for i in order:
                 node, cyc = self.prove(substitute(sigma, rule.premises[i]),
                                        remaining, stack)
                 cycle_seen = cycle_seen or cyc
                 if node is None:
-                    ok = False
                     break
                 children[i] = node
                 remaining -= node.size
-                if remaining < 0:
-                    ok = False
-                    break
-            if ok and all(c is not None for c in children):
-                made = _Node(goal, RuleInstance(ridx, sigma, ()), children)  # indices set later
-                if made.size <= allowed:
-                    return made, cycle_seen
+            else:  # indices set later
+                return _Node(goal, RuleInstance(ridx, sigma, ()), children), cycle_seen
         return None, cycle_seen
 
     def _instantiations(self, rule: Rule, base: Substitution, free: list[int],

@@ -289,6 +289,9 @@ def _match(p: Formula, c: Formula, binding: dict[int, Formula], bindable) -> boo
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
+# The deepest connective nesting `parse` accepts: formula code recurses per level
+MAX_DEPTH = 256
+
 _TOKEN = re.compile(r"\s*(?:(?P<var>x[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<punct>[(),]))")
 
 
@@ -321,9 +324,9 @@ def parse(text: str, sig=None) -> Formula:
     return result
 
 
-def _parse_at(tokens: list[tuple[str, str, int]], pos: int, text: str, sig
-              ) -> tuple[Formula, int]:
-    """The formula that starts at tokens[pos], and the position after it."""
+def _parse_at(tokens: list[tuple[str, str, int]], pos: int, text: str, sig,
+              depth: int = 0) -> tuple[Formula, int]:
+    """The formula at tokens[pos], in `depth` argument lists, and the position after it."""
     if pos == len(tokens):
         raise ParseError("unexpected end of input", len(text))
     kind, value, at = tokens[pos]
@@ -334,8 +337,10 @@ def _parse_at(tokens: list[tuple[str, str, int]], pos: int, text: str, sig
         raise ParseError(f"expected a formula, found {value!r}", at)
     args: list[Formula] = []
     if pos < len(tokens) and tokens[pos][:2] == ("punct", "("):
+        if depth == MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH}", at)
         while True:
-            arg, pos = _parse_at(tokens, pos + 1, text, sig)  # past "(" or ","
+            arg, pos = _parse_at(tokens, pos + 1, text, sig, depth + 1)  # past "(" or ","
             args.append(arg)
             if pos == len(tokens):
                 raise ParseError("unterminated argument list", len(text))

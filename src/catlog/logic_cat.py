@@ -10,7 +10,7 @@ flexible morphisms both act on formulas through `Morphism.extension`
 (`translate_formula`).  Combinations build the signature part first and
 then equip it with a delegating oracle or with the generated join of the
 components' presentations pushed forward along the cocone legs
-(`push_calculus`); none builds along a refuted leg.
+(`push_calculus`, in `_colimit_logic`); none builds along a refuted leg.
 """
 
 from __future__ import annotations
@@ -331,17 +331,25 @@ def _refuse_refuted(legs) -> None:
                 f"{t.target.name}) is refuted; nothing is built along it")
 
 
+def _colimit_logic(name: str, sig: Signature, legs: list[tuple[Morphism, Logic]],
+                   shared: Calculus | None = None) -> tuple[Logic, list[Translation]]:
+    """Colimit vertex: the components' presentations pushed along their legs
+    and joined, a pushout's pushed shared one last; a verbatim cocone."""
+    pushed = [push_calculus(leg, logic.calculus) for leg, logic in legs]
+    if shared is not None:
+        pushed.append(shared)
+    combined = Logic(name, sig, calculus=generated_join(pushed))
+    return combined, [verbatim_translation(leg, logic, combined) for leg, logic in legs]
+
+
 def fibring_unconstrained(l1: Logic, l2: Logic) -> tuple[Logic, Translation, Translation]:
     """Coproduct of logics: disjoint signatures, union of presentations."""
     if l1.calculus is None or l2.calculus is None:
         raise InputError("fibring needs presented components")
     sig, (in1, in2) = signature_coproduct([l1.signature, l2.signature],
                                           name=f"{l1.name}+{l2.name}")
-    calculus = generated_join([push_calculus(in1, l1.calculus),
-                               push_calculus(in2, l2.calculus)])
-    combined = Logic(f"fibring({l1.name},{l2.name})", sig, calculus=calculus)
-    t1 = verbatim_translation(in1, l1, combined)
-    t2 = verbatim_translation(in2, l2, combined)
+    combined, (t1, t2) = _colimit_logic(f"fibring({l1.name},{l2.name})", sig,
+                                        [(in1, l1), (in2, l2)])
     return combined, t1, t2
 
 
@@ -359,14 +367,11 @@ def fibring_constrained(left_leg: Translation, right_leg: Translation
     if l1.calculus is None or l2.calculus is None:
         raise InputError("constrained fibring needs presented components")
     sig, po_left, po_right = signature_pushout(f, g)
-    shared = left_leg.source
-    pushed = [push_calculus(po_left, l1.calculus), push_calculus(po_right, l2.calculus)]
-    if shared.calculus is not None:
-        pushed.append(push_calculus(compose_strict(po_left, f), shared.calculus))
-    combined = Logic(f"pushout({l1.name},{l2.name})", sig,
-                     calculus=generated_join(pushed))
-    t1 = verbatim_translation(po_left, l1, combined)
-    t2 = verbatim_translation(po_right, l2, combined)
+    shared = left_leg.source.calculus
+    if shared is not None:
+        shared = push_calculus(compose_strict(po_left, f), shared)
+    combined, (t1, t2) = _colimit_logic(f"pushout({l1.name},{l2.name})", sig,
+                                        [(po_left, l1), (po_right, l2)], shared)
     return combined, t1, t2
 
 
@@ -394,18 +399,23 @@ def product_logic(l1: Logic, l2: Logic) -> tuple[Logic, Translation, Translation
     return combined, t1, t2
 
 
-def directed_colimit_logics(stages: list[Logic], maps: list[Translation]
-                            ) -> tuple[Logic, list[Translation]]:
-    """Colimit of a chain: union of the pushed-forward presentations."""
+def check_chain(stages: list[Logic], maps: list[Translation]) -> None:
+    """One unrefuted map from each stage's signature to the next one's."""
     if len(maps) != len(stages) - 1:
         raise InputError("need one chain map per consecutive stage pair")
     for i, t in enumerate(maps):
-        if not isinstance(t.morphism, StrictMorphism):
-            raise UnsupportedConstruction("colimit chains must be strict")
         if t.source.signature != stages[i].signature \
                 or t.target.signature != stages[i + 1].signature:
             raise SignatureMismatch("chain maps do not line up with the stages")
     _refuse_refuted([(f"chain map {i}", t) for i, t in enumerate(maps)])
+
+
+def directed_colimit_logics(stages: list[Logic], maps: list[Translation]
+                            ) -> tuple[Logic, list[Translation]]:
+    """Colimit of a chain: union of the pushed-forward presentations."""
+    if not all(isinstance(t.morphism, StrictMorphism) for t in maps):
+        raise UnsupportedConstruction("colimit chains must be strict")
+    check_chain(stages, maps)
     chain = [t.morphism for t in maps]
     if chain:
         vertex_sig, cocone = directed_colimit_signatures(chain)
@@ -414,12 +424,5 @@ def directed_colimit_logics(stages: list[Logic], maps: list[Translation]
         cocone = [identity_morphism(vertex_sig)]
     if any(logic.calculus is None for logic in stages):
         raise InputError("colimit stages need presentations")
-    calculus = generated_join([push_calculus(leg, logic.calculus)
-                               for leg, logic in zip(cocone, stages)])
-    combined = Logic("colim(" + ",".join(l.name for l in stages) + ")",
-                     vertex_sig, calculus=calculus)
-    translations = [
-        verbatim_translation(leg, logic, combined)
-        for leg, logic in zip(cocone, stages)
-    ]
-    return combined, translations
+    return _colimit_logic("colim(" + ",".join(l.name for l in stages) + ")",
+                          vertex_sig, list(zip(cocone, stages)))

@@ -33,9 +33,9 @@ from .kleisli import (
     kleisli_compose, kleisli_identity,
 )
 from .logic_cat import (
-    Translation, as_flexible, check_translation, matrix_inclusion, reduct,
+    Translation, as_flexible, check_chain, check_translation, matrix_inclusion, reduct,
 )
-from .signatures import Partition, Signature, signature_coproduct
+from .signatures import Partition, Signature, identity_morphism, signature_coproduct
 
 
 class _Certificate:
@@ -588,26 +588,21 @@ def qfc_directed_colimit(stages: list[Logic], maps: list[Translation]
     where tagged connectives unfold through the chain's extensions.  Only
     the stages answer: a sequent no stage settles is unknown.
     """
-    if len(maps) != len(stages) - 1:
-        raise InputError("need one chain map per consecutive stage pair")
+    check_chain(stages, maps)
     sigs = [l.signature for l in stages]
     vertex_sig, injections = signature_coproduct(
         sigs, name="qfc_colim(" + ",".join(s.name for s in sigs) + ")")
-    flex = [as_flexible(t.morphism) for t in maps]
-    # composite[i][j]: stage i assignment pushed to stage j (i <= j)
     n = len(stages)
-    composite: list[list[FlexibleMorphism | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        composite[i][i] = kleisli_identity(sigs[i])
-        for j in range(i + 1, n):
-            composite[i][j] = kleisli_compose(flex[j - 1], composite[i][j - 1])
     stage_of = {inj(c): i for i, inj in enumerate(injections)
                 for c in sigs[i].connectives}
-    # stage j reads a tagged connective of stage i <= j as its assignment
-    # pushed along the chain to j; one head map and one memo per stage
-    stage_heads = [{inj(c): composite[i][j](c)
-                    for i, inj in enumerate(injections[:j + 1])
-                    for c in sigs[i].connectives} for j in range(n)]
+    # stage j reads a tagged connective of stage i <= j as its template pushed
+    # along the chain: stage j-1's heads pushed along map j-1, and its own
+    stage_heads: list[dict[str, Formula]] = []
+    for j, inj in enumerate(injections):
+        pushed = {} if j == 0 else {c: maps[j - 1].morphism.extension(head)
+                                    for c, head in stage_heads[-1].items()}
+        stage_heads.append(pushed | {inj(c): head for c, head
+                                     in identity_morphism(sigs[j]).assignment.items()})
     stage_memos: list[dict[Formula, Formula]] = [{} for _ in range(n)]
 
     def to_stage(phi: Formula, j: int) -> Formula:

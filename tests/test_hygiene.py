@@ -533,3 +533,44 @@ def test_hygiene_check_sees_raise_leaks():
                                           ("m", 17, "_Stop")]
     assert _raise_leaks(trees, {("m", "Box.get.inner", "KeyError"),
                                 ("m", "Box.signal", "_Stop")}) == [("m", 7, "ValueError")]
+
+
+# Colimits of presented logics are built in one place: it joins the pushed
+# presentations and writes the verbatim cocone.
+COLIMIT_BUILDER = "_colimit_logic"
+COLIMIT_STEPS = {"generated_join", "verbatim_translation"}
+
+
+def _calls_outside(tree: ast.Module, names: set[str], function: str) -> list[tuple[int, str]]:
+    """Calls of one of `names`, by name or as an attribute, outside the
+    module-level function `function`."""
+    allowed = {id(node) for f in tree.body if isinstance(f, _FUNCTIONS)
+               and f.name == function for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in allowed:
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in names:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_only_the_colimit_builder_joins_presentations(path):
+    found = _calls_outside(ast.parse(path.read_text(), filename=str(path)),
+                           COLIMIT_STEPS, COLIMIT_BUILDER)
+    assert not found, f"{path.name} builds a colimit of presented logics by hand; " \
+        f"call logic_cat.{COLIMIT_BUILDER}: " + \
+        ", ".join(f"{name} (line {line})" for line, name in found)
+
+
+def test_hygiene_check_sees_calls_outside_the_builder():
+    tree = ast.parse(
+        "def _colimit_logic(legs):\n"
+        "    return generated_join(legs), verbatim_translation(legs)\n"
+        "def fibring(a, b):\n"
+        "    join = consequence.generated_join([a, b])\n"
+        "    return join, verbatim_translation(a)\n"
+        "step = generated_join\n")
+    assert _calls_outside(tree, COLIMIT_STEPS, COLIMIT_BUILDER) == [
+        (4, "generated_join"), (5, "verbatim_translation")]

@@ -6,7 +6,8 @@ import re
 
 import pytest
 
-from catlog import cli, corpus
+from catlog import cli, corpus, dsl
+from catlog.formulas import MAX_DEPTH
 
 
 def _exits_with_one_error_line(capsys, argv) -> str:
@@ -45,6 +46,31 @@ def test_equipollence_with_endpoints_off_the_logics_exits_usage(capsys):
     err = _exits_with_one_error_line(capsys, [
         "equipollent", "--source", "IMPFRAG", "--target", "CPL1", "--via", "h", "--back", "k"])
     assert err == "error: morphism endpoints do not match the logics\n"
+
+
+def _nested(depth: int) -> str:
+    return "neg(" * depth + "x0" + ")" * depth
+
+
+def test_a_formula_nested_to_the_bound_gets_an_answer(capsys):
+    assert cli.main(["prove", "--logic", "CPL1", "--goal", _nested(MAX_DEPTH)]) == 1
+    assert capsys.readouterr().out.startswith("CPL1: no\n")
+
+
+def test_a_goal_nested_past_the_bound_exits_usage(capsys):
+    err = _exits_with_one_error_line(
+        capsys, ["prove", "--logic", "CPL1", "--goal", _nested(MAX_DEPTH + 1)])
+    assert err == f"error: formula nested deeper than {MAX_DEPTH} " \
+        f"(at position {4 * MAX_DEPTH})\n"
+
+
+def test_a_spec_axiom_nested_past_the_bound_names_its_line():
+    text = f"signature S {{ neg/1 }}\nlogic L {{\n  signature S\n" \
+        f"  axiom {_nested(MAX_DEPTH + 1)}\n}}\n"
+    with pytest.raises(dsl.SpecError, match=f"^line 4: .*: formula nested deeper than "
+                                            f"{MAX_DEPTH} ") as err:
+        dsl.loads(text)
+    assert err.value.line == 4
 
 
 # Each command given the morphism m between logics s and t, where m may not fit

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 
 from catlog import corpus
 from catlog.consequence import (
-    Budget, Calculus, Logic, Matrix, Rule, Verdict, derives, matrix_consequence,
-    model_of, verify_proof,
+    Budget, Calculus, Logic, Matrix, Rule, SignatureMismatch, Verdict, derives,
+    matrix_consequence, model_of, verify_proof,
 )
-from catlog.formulas import enumerate_formulas, enumerate_slice, fmt, parse
+from catlog.formulas import InputError, enumerate_formulas, enumerate_slice, fmt, parse
 from catlog.kleisli import (
     FlexibleMorphism, kleisli_identity, lift_strict, random_flexible,
 )
@@ -363,6 +363,50 @@ def test_constructions_refuse_refuted_legs():
     # undecided legs still build
     fibring_constrained(left, Translation(right.morphism, shared, lb, UNKNOWN))
     directed_colimit_logics([imp, CPL1], [Translation(incl, imp, CPL1, UNKNOWN)])
+
+
+def _leg(morphism, source, target):
+    return Translation(ENV.morphism(morphism), ENV.logic(source), ENV.logic(target),
+                       VERIFIED)
+
+
+# Each construction error on its own: its class, its message, and the call
+# that reaches it with every earlier check passing.
+CONSTRUCTION_ERRORS = {
+    "fibring-without-presentation": (
+        InputError, "fibring needs presented components",
+        lambda: fibring_unconstrained(CPL2, ENV.logic("NEGFRAG"))),
+    "span-legs-from-different-logics": (
+        SignatureMismatch, "span legs must share their source logic",
+        lambda: fibring_constrained(_leg("shareNegLeft", "BotNeg", "IMPFRAGN"),
+                                    _leg("inclImpStrict", "IMP", "CPL1"))),
+    "constrained-fibring-without-presentations": (
+        InputError, "constrained fibring needs presented components",
+        lambda: fibring_constrained(
+            _leg("shareNegLeft", "BotNeg", "IMPFRAGN"),
+            Translation(ENV.morphism("shareNegRight"), ENV.logic("BotNeg"),
+                        Logic("oracleOnly", ENV.signature("SigNegImp"),
+                              oracle=lambda gamma, phi, budget: Verdict.unknown()),
+                        VERIFIED))),
+    "chain-map-count": (
+        InputError, "need one chain map per consecutive stage pair",
+        lambda: directed_colimit_logics([ENV.logic("IMP"), CPL1], [])),
+    "chain-maps-off-the-stages": (
+        SignatureMismatch, "chain maps do not line up with the stages",
+        lambda: directed_colimit_logics([ENV.logic("IMP"), CPL2],
+                                        [_leg("inclImpStrict", "IMP", "CPL1")])),
+    "colimit-stage-without-presentation": (
+        InputError, "colimit stages need presentations",
+        lambda: directed_colimit_logics([CPL2], [])),
+}
+
+
+@pytest.mark.parametrize("error, message, build", CONSTRUCTION_ERRORS.values(),
+                         ids=CONSTRUCTION_ERRORS)
+def test_construction_errors_name_their_class_and_cause(error, message, build):
+    with pytest.raises(InputError) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
 
 
 def _pushed(morphism, calculus):

@@ -9,7 +9,7 @@ from catlog.consequence import (
     Budget, Calculus, Logic, Matrix, Rule, Saturation, SignatureMismatch, UNKNOWN, Verdict,
     derives, matrix_consequence, matrix_interderivable, truth_function,
 )
-from catlog.formulas import complexity, enumerate_formulas, fmt, parse, sort_key
+from catlog.formulas import InputError, complexity, enumerate_formulas, fmt, parse, sort_key
 from catlog.kleisli import (
     FlexibleMorphism, flexible_extension, kleisli_compose, kleisli_identity,
 )
@@ -551,6 +551,34 @@ def test_qfc_colimits_of_different_chains_load_from_one_spec():
     env = dsl.loads(text)
     assert names == ["qfc_colim_SigCPL1__in0", "qfc_colim_SigCPL2__in0"]
     assert [env.morphism(n).source for n in names] == [CPL1.signature, CPL2.signature]
+
+
+@pytest.mark.parametrize("error, message, stages, maps", [
+    (InputError, "need one chain map per consecutive stage pair", ["IMP", "CPL1"], []),
+    (SignatureMismatch, "chain maps do not line up with the stages", ["IMP", "CPL2"],
+     [("inclImp", "IMP", "CPL1", VERIFIED)]),
+    (InputError, "chain map 0 inclImp (IMP -> CPL1) is refuted; nothing is built along it",
+     ["IMP", "CPL1"], [("inclImp", "IMP", "CPL1", REFUTED)]),
+], ids=["map-count", "maps-off-the-stages", "refuted-map"])
+def test_qfc_colimit_checks_its_chain(error, message, stages, maps):
+    # the chain check of the ordinary chain colimit, strictness aside
+    with pytest.raises(InputError) as err:
+        qfc_directed_colimit([ENV.logic(n) for n in stages], [
+            Translation(ENV.morphism(m), ENV.logic(s), ENV.logic(t), status)
+            for m, s, t, status in maps])
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_qfc_colimit_pushes_early_connectives_to_late_stages():
+    # imp_0 unfolds along inclImp and then h, into CPL2's orp and negp
+    imp_logic = ENV.logic("IMP")
+    chain = [Translation(ENV.morphism("inclImp"), imp_logic, CPL1, VERIFIED),
+             Translation(H, CPL1, CPL2, VERIFIED)]
+    colim, _ = qfc_directed_colimit([imp_logic, CPL1, CPL2], chain)
+    v = derives(colim, [], parse("orp_2(imp_0(x0, x0), x1)", colim.signature), FAST)
+    assert v.is_yes and v.stage == 2
+    v = derives(colim, [], parse("orp_2(imp_0(x0, x1), x1)", colim.signature), FAST)
+    assert v.is_no and v.reason == "refuted at the top stage"
 
 
 @pytest.fixture(scope="module")
