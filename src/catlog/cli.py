@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus, dsl, kleisli
@@ -111,10 +112,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(args, budget: Budget) -> int:
-    """Run one command: emit its report once, exit by its status."""
+    """Run one command: emit its report once, exit by its status.  A reader
+    that closes stdout early does not change the exit code."""
     handler = COMMANDS[args.command][0]
     report, summary, status = handler(load_env(args.spec), args, budget)
-    emit(report, args.json, summary)
+    try:
+        emit(report, args.json, summary)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull at the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status_exit(status)
 
 

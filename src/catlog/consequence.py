@@ -3,13 +3,15 @@
 A logic pairs a signature with derivability providers: calculi are searched
 (bounded, three-valued answers), finite matrices evaluated.  One rule,
 `exact_matrix`, says when a matrix decides and when it only refutes, and
-`derives` is the one dispatch that applies it.  Lattice operations (meet,
-generated join, directed sup) combine providers without ever inventing an
-uncertified No.
+`derives` is the one dispatch that applies it.  Its steps, in order: the
+exact matrix, the oracle, the matrix as refuter, G4ip for calculi with K, S
+and modus ponens (module `implication`), and proof search.  Lattice
+operations (meet, generated join, directed sup) combine providers without
+ever inventing an uncertified No.
 
 `Matrix.apply` is the only code that applies a matrix table, and
-`ProofWriter` the only code that writes proof steps, for search, saturation
-and the proofs `logic_cat` moves or builds.
+`ProofWriter` the only code that writes proof steps, for search, saturation,
+G4ip and the proofs `logic_cat` moves or builds.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import copy
 import itertools
 from collections import ChainMap
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from typing import TYPE_CHECKING
 
 from .formulas import (
     App, Formula, InputError, Substitution, Var, check_formula, complexity,
@@ -26,6 +29,9 @@ from .formulas import (
     substitute, variables,
 )
 from .signatures import Signature
+
+if TYPE_CHECKING:
+    from .implication import Implication
 
 
 class SignatureMismatch(InputError):
@@ -35,7 +41,8 @@ class SignatureMismatch(InputError):
 @dataclass(frozen=True)
 class Budget:
     """Search bounds: proof steps, substitution-image complexity, candidate
-    enumeration complexity, candidate variable count."""
+    enumeration complexity, candidate variable count.  `proof_length`
+    bounds the length of any returned proof, whichever step found it."""
 
     proof_length: int = 40
     instance_complexity: int = 6
@@ -95,6 +102,14 @@ class Calculus:
         self.signature = signature
         self.axioms = list(axioms)
         self.rules = list(rules)
+
+    @cached_property
+    def implication(self) -> "Implication | None":
+        """Where this calculus holds K, S and modus ponens for one binary
+        connective, worked out on first use; None if it does not."""
+        # imported here, so that start-up does not compile the module
+        from .implication import find_implication
+        return find_implication(self)
 
     def extended(self, rules: list[Rule]) -> "Calculus":
         return Calculus(self.signature, self.axioms, self.rules + list(rules))
@@ -648,12 +663,16 @@ def can_refute(logic: Logic) -> bool:
 
 def derives(logic: Logic, gamma, phi: Formula,
             budget: Budget = DEFAULT_BUDGET, proof: bool = True) -> Verdict:
-    """Three-valued derivability with certificates, from an exact matrix,
-    else the oracle, else the matrix as refuter, else proof search.
+    """Three-valued derivability with certificates.  The steps, in order:
+    an exact matrix; else the oracle; else the matrix as refuter; then G4ip
+    where the calculus has K, S and modus ponens (`Implication.decide`);
+    then proof search.
 
-    Yes from a calculus carries a proof; No carries a countervaluation (or a
-    membership certificate from decidable oracles); Unknown means the budget
-    ran out without a refutation.
+    Yes from a calculus carries a proof no longer than
+    `budget.proof_length`; No carries a countervaluation (or a membership
+    certificate from decidable oracles); Unknown means the budget ran out
+    without a refutation, or G4ip showed a sequent of K, S and modus ponens
+    alone underivable without a countermodel to certify it.
     """
     gamma = frozenset(gamma)
     matrix = exact_matrix(logic, proof)
@@ -668,6 +687,11 @@ def derives(logic: Logic, gamma, phi: Formula,
         verdict = matrix_verdict(logic.matrix, gamma, phi)
         if verdict.is_no:
             return verdict
+    implication = logic.calculus.implication
+    if implication is not None:
+        decided = implication.decide(gamma, phi, budget)
+        if decided is not None:
+            return decided
     found = search_proof(logic.calculus, gamma, phi, budget)
     if found is not None:
         return Verdict.yes(proof=found, used=found.used_hypotheses())

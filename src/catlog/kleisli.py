@@ -141,11 +141,12 @@ class SliceTruncation:
 
 
 def truncate_slices(base: Signature, compl_bound: int, var_bound: int,
-                    extra: list[Formula] | None = None) -> SliceTruncation:
+                    extra: dict[str, Formula] | None = None) -> SliceTruncation:
     """Build the T-signature restricted to bounded complexity and variables.
 
-    `extra` forces additional slice formulas (e.g. images under a morphism)
-    into the truncation so that morphisms out of a truncation stay total.
+    `extra` forces additional slice formulas (e.g. images under a morphism),
+    keyed by their text, into the truncation so that morphisms out of a
+    truncation stay total.
     """
     connectives: dict[str, int] = {}
     decode: dict[str, Formula] = {}
@@ -154,8 +155,7 @@ def truncate_slices(base: Signature, compl_bound: int, var_bound: int,
             ident = fmt(phi)
             connectives[ident] = n
             decode[ident] = phi
-    for phi in extra or []:
-        ident = fmt(phi)
+    for ident, phi in (extra or {}).items():
         if ident not in connectives:
             check_formula(base, phi)
             connectives[ident] = len(variables(phi))
@@ -175,9 +175,10 @@ def minus_functor(h: Morphism, compl_bound: int, var_bound: int
     h's lift, restricted to slices.
     """
     src = truncate_slices(h.source, compl_bound, var_bound)
-    images = {ident: flexible_extension(h, phi) for ident, phi in src.decode.items()}
-    tgt = truncate_slices(h.target, compl_bound, var_bound, extra=list(images.values()))
-    mapping = {ident: fmt(images[ident]) for ident in src.decode}
+    images = [flexible_extension(h, phi) for phi in src.decode.values()]
+    texts = [fmt(image) for image in images]
+    tgt = truncate_slices(h.target, compl_bound, var_bound, extra=dict(zip(texts, images)))
+    mapping = dict(zip(src.decode, texts))
     return StrictMorphism(src.signature, tgt.signature, mapping), src, tgt
 
 
@@ -237,9 +238,9 @@ def sharp(h: FlexibleMorphism) -> tuple[StrictMorphism, SliceTruncation]:
     """Present a flexible morphism as a strict morphism into slice formulas."""
     bound = max([complexity(phi) for phi in h.assignment.values()] or [1])
     var_bound = max(h.source.arities(), default=0)
-    trunc = truncate_slices(h.target, max(bound, 1), var_bound,
-                            extra=list(h.assignment.values()))
     mapping = {c: fmt(phi) for c, phi in h.assignment.items()}
+    trunc = truncate_slices(h.target, max(bound, 1), var_bound,
+                            extra=dict(zip(mapping.values(), h.assignment.values())))
     return StrictMorphism(h.source, trunc.signature, mapping, name=f"{h.name}#"), trunc
 
 

@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -638,3 +643,74 @@ def test_a_matrix_beside_a_calculus_must_validate_it():
         Logic("lifting", SIG, calculus=lifting, matrix=CPL1.matrix)
     # a matrix beside an oracle alone is not checked: there is nothing to check
     assert _least_with_matrix().matrix is CPL2.matrix
+
+
+# --- G4ip against search -----------------------------------------------------
+
+IMP_LOGICS = {name: ENV.logic(name) for name in ("IMPFRAG", "IMP", "CPL1")}
+# formulas of complexity <= 2 in x0, x1
+IMP_POOLS = {name: enumerate_formulas(logic.signature, 2, 2)
+             for name, logic in IMP_LOGICS.items()}
+SMALL = Budget(5, 2, 1, 2)
+
+
+@st.composite
+def implication_sequents(draw):
+    name = draw(st.sampled_from(sorted(IMP_LOGICS)))
+    pool = st.sampled_from(IMP_POOLS[name])
+    return name, draw(st.lists(pool, max_size=2)), draw(pool)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(implication_sequents())
+def test_g4ip_step_against_search(sequent):
+    name, gamma, phi = sequent
+    logic, gamma = IMP_LOGICS[name], frozenset(gamma)
+    # IMPFRAG has no matrix; IMP's is sound for it
+    sound = (CPL1 if name == "CPL1" else IMP_LOGICS["IMP"]).matrix
+    implication = logic.calculus.implication
+    proof = implication.proof(gamma, phi)
+    if proof is not None:
+        assert verify_proof(logic, gamma, phi, proof)
+        assert matrix_consequence(sound, gamma, phi)[0]
+    step = implication.decide(gamma, phi, SMALL)
+    if step is not None and step.is_yes:
+        assert step.proof.to_json() == proof.to_json() and len(proof) <= SMALL.proof_length
+    if name != "CPL1":
+        # K, S and modus ponens alone: a failed G4ip is never a searched yes
+        assert implication.pure
+        if search_proof(logic.calculus, gamma, phi, SMALL) is not None:
+            assert proof is not None
+        assert (step is not None and step.is_unknown) == (proof is None)
+
+
+DECIDE_UNDER_A_HASH_SEED = """
+import json
+from catlog import corpus
+from catlog.consequence import Budget, derives
+from catlog.formulas import parse
+from catlog.logic_cat import fibring_unconstrained
+env = corpus.standard_env()
+impfrag = env.logic("IMPFRAG")
+fibred = fibring_unconstrained(impfrag, env.logic("NEGFRAG"))[0]
+for logic, hyps, goal, budget in [
+        (impfrag, ["imp(x0, x1)", "imp(x1, x2)"], "imp(x0, x2)", "7,4,2,3"),
+        (impfrag, ["x0", "imp(x0, x1)", "imp(x0, imp(x1, x2))"], "x2", "40,6,4,2"),
+        (fibred, [], "imp_0(x0, x0)", "40,6,4,2")]:
+    sig = logic.signature
+    verdict = derives(logic, [parse(h, sig) for h in hyps], parse(goal, sig),
+                      Budget.parse(budget))
+    print(json.dumps(verdict.to_json(), sort_keys=True))
+"""
+
+
+def test_decided_proofs_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in "0123":
+        run = subprocess.run([sys.executable, "-c", DECIDE_UNDER_A_HASH_SEED],
+                             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    [output] = outputs
+    assert [json.loads(line)["verdict"] for line in output.splitlines()] == ["yes"] * 3

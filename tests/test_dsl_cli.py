@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +342,22 @@ def test_cli_prove_unknown():
     code = cli.main(["--budget", "4,6,2,1", "prove", "--logic", "IMPFRAG",
                      "--goal", "imp(x0, x0)"])
     assert code == 2
+
+
+def test_cli_closed_stdout_keeps_the_exit_code():
+    # a reader that is gone before the report is written, as after `| head -c 1`
+    argv = [sys.executable, "-m", "catlog.cli", "--budget", "8,4,2,2", "colimit-chain",
+            "--stages", "IMP,CPL1", "--maps", "inclImpStrict"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    whole = subprocess.run(argv, env=env, capture_output=True, text=True)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        piped = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert piped.returncode == whole.returncode == 0
+    assert piped.stderr == ""
 
 
 def test_cli_prove_usage_error():

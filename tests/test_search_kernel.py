@@ -1,5 +1,6 @@
 """The proof-search kernel (`match`, `unify`, `_ground`) against reference
-copies of its earlier closure-based versions, and pinned searched proofs.
+copies of its earlier closure-based versions; pinned searched proofs, and
+pinned proofs that `derives` decides before search.
 
 The references are kept here on purpose: the kernel may get faster, but the
 bindings it returns, including the order of their keys, decide which
@@ -15,7 +16,8 @@ import hypothesis.strategies as st
 
 from catlog import corpus
 from catlog.consequence import (
-    _FREE_OFFSET, _RENAME_OFFSET, Budget, _ground, derives, interderivable, unify,
+    _FREE_OFFSET, _RENAME_OFFSET, Budget, Verdict, _ground, derives, interderivable,
+    search_proof, unify,
 )
 from catlog.formulas import App, Substitution, Var, match, parse, substitute, variables
 
@@ -279,21 +281,61 @@ PINNED = [
 ]
 
 
+def _searched(logic, hyps, goal, budget=Budget()) -> Verdict:
+    """The verdict `derives` gives for a proof that search finds."""
+    found = search_proof(logic.calculus, frozenset(hyps), goal, budget)
+    assert found is not None
+    return Verdict.yes(proof=found, used=found.used_hypotheses())
+
+
 @pytest.mark.parametrize("logic, texts, budget, digest", PINNED)
 def test_searched_proof_is_pinned(logic, texts, budget, digest):
     # the last text is the goal, the others are hypotheses
     logic = ENV.logic(logic)
     *hyps, goal = [parse(t, logic.signature) for t in texts]
-    verdict = derives(logic, hyps, goal, Budget.parse(budget) if budget else Budget())
-    assert verdict.is_yes and verdict.proof is not None
+    verdict = _searched(logic, hyps, goal, Budget.parse(budget) if budget else Budget())
     assert _digest(verdict) == digest
 
 
 def test_searched_interderivability_is_pinned():
     logic = ENV.logic("IMPFRAG")
+    phi, psi = parse("x0", logic.signature), parse("imp(imp(x0, x0), x0)", logic.signature)
+    verdict = Verdict.yes(detail={"forward": _searched(logic, [phi], psi).to_json(),
+                                  "backward": _searched(logic, [psi], phi).to_json()})
+    assert _digest(verdict) == (
+        "871801ea30d5bc9b79aef925291202116111795d95a798892adbd28b8b1b045d")
+
+
+# `derives` answers these with G4ip's proofs, compiled to K, S and modus
+# ponens, before search runs; they are the proofs search finds, step for step
+DECIDED = [
+    pytest.param("CPL1", ["imp(x0, x0)"], None, 5,
+                 "de2606caae1aa35d039306987e5afcf2399956117fdfac64fd29eb131ec3a5b3",
+                 id="id_cpl1"),
+    pytest.param("IMP", ["x0", "imp(x0, x1)", "x1"], None, 3,
+                 "861beaad2a73c70c94d92454f816a4b4b25c055b6be7b383a11259da3ffac07c",
+                 id="mp_imp"),
+    pytest.param("IMPFRAG", ["imp(x0, x1)", "imp(x1, x2)", "imp(x0, x2)"], "7,4,2,3", 7,
+                 "045aa4f1ed97d49567053aab2af69087bba886e42de94b7dba2917134688f39a",
+                 id="hyp_syllogism"),
+]
+
+
+@pytest.mark.parametrize("logic, texts, budget, length, digest", DECIDED)
+def test_decided_proof_is_pinned(logic, texts, budget, length, digest):
+    logic = ENV.logic(logic)
+    *hyps, goal = [parse(t, logic.signature) for t in texts]
+    verdict = derives(logic, hyps, goal, Budget.parse(budget) if budget else Budget())
+    assert verdict.is_yes and len(verdict.proof) == length
+    assert _digest(verdict) == digest
+
+
+def test_decided_interderivability_is_pinned():
+    logic = ENV.logic("IMPFRAG")
     verdict = interderivable(logic, parse("x0", logic.signature),
                              parse("imp(imp(x0, x0), x0)", logic.signature))
     assert verdict.is_yes
+    assert [verdict.detail[way]["proof"]["length"] for way in ("forward", "backward")] == [3, 7]
     assert _digest(verdict) == (
         "871801ea30d5bc9b79aef925291202116111795d95a798892adbd28b8b1b045d")
 
