@@ -14,6 +14,13 @@ interning turns each rebuild into a table lookup, stores each distinct
 formula once, and lets memos keyed by formulas compare keys by identity.
 The `App` table holds its nodes weakly, as in the paper, so a formula that
 nothing else refers to is freed and leaves the table; variables stay.
+
+Proof search builds many formulas that are new and soon dropped, so a table
+miss is made cheap: `App.__new__` builds the node in one pass, setting each
+slot once with a plain store before the node is entered in the table, and
+reads the new node's complexity and variable set off its arguments by
+arity.  Once published, a node is immutable; only its cached `str` and
+`sort_key` are filled in later, on first use.
 """
 
 from __future__ import annotations
@@ -43,10 +50,12 @@ class StructuralError(InputError):
 class Formula:
     """Immutable, hash-consed tree: equal formulas are identical objects.
 
-    Each node stores its hash, complexity and variable set when built, and
-    its `str` and `sort_key` the first time they are asked for.  Variable
-    sets are shared: a unary node reuses its argument's set, and every other
-    set comes from one table of interned frozensets.  Hash values are fixed
+    Each node stores its hash, complexity and variable set when built, before
+    any other code can see it, and its `str` and `sort_key` the first time
+    they are asked for; setting an attribute raises.  Variable sets are
+    shared: a unary node reuses its argument's set, a binary node the larger
+    of its arguments' sets when one contains the other, and every other set
+    comes from one table of interned frozensets.  Hash values are fixed
     on purpose to `hash((1, index))` for a variable and
     `hash((connective, args))` for an application: proof search iterates
     sets of formulas, so its search order depends on them.
@@ -66,6 +75,7 @@ _APPS: dict[str, dict[tuple, "_Entry"]] = {}
 _VARSETS: dict[frozenset[int], frozenset[int]] = {}
 _EMPTY_VARS: frozenset[int] = _VARSETS.setdefault(frozenset(), frozenset())
 _init = object.__setattr__
+_new = object.__new__
 
 
 class Var(Formula):
@@ -104,6 +114,14 @@ def _drop(entry: _Entry) -> None:
 
 
 class App(Formula):
+    """A connective applied to a tuple of arguments.
+
+    `App(connective, args)` returns the live node of the table if there is
+    one.  Otherwise it makes a `_Building`, whose slots take plain stores,
+    sets every slot once, turns the node into an `App` and only then enters
+    it in the table, so no other code sees a half-built node.
+    """
+
     __slots__ = ("connective", "args", "_hash", "_compl", "_vars", "_str", "_key",
                  "__weakref__")
 
@@ -116,21 +134,35 @@ class App(Formula):
             node = entry()
             if node is not None:
                 return node
-        node = object.__new__(cls)
-        _init(node, "connective", connective)
-        _init(node, "args", args)
-        _init(node, "_hash", hash((connective, args)))
-        _init(node, "_compl", 1 + sum(a._compl for a in args))
-        if not args:
-            vs = _EMPTY_VARS
-        elif len(args) == 1:
-            vs = args[0]._vars
+        node = _new(_Building)
+        node.connective = connective
+        node.args = args
+        node._hash = hash((connective, args))
+        node._str = node._key = None
+        arity = len(args)
+        if arity == 1:
+            a = args[0]
+            node._compl = a._compl + 1
+            node._vars = a._vars
+        elif arity == 2:
+            a, b = args
+            node._compl = a._compl + b._compl + 1
+            va, vb = a._vars, b._vars
+            if vb <= va:
+                node._vars = va
+            elif va <= vb:
+                node._vars = vb
+            else:
+                vs = va | vb
+                node._vars = _VARSETS.setdefault(vs, vs)
+        elif arity == 0:
+            node._compl = 1
+            node._vars = _EMPTY_VARS
         else:
+            node._compl = 1 + sum(a._compl for a in args)
             vs = args[0]._vars.union(*[a._vars for a in args[1:]])
-            vs = _VARSETS.setdefault(vs, vs)
-        _init(node, "_vars", vs)
-        _init(node, "_str", None)
-        _init(node, "_key", None)
+            node._vars = _VARSETS.setdefault(vs, vs)
+        node.__class__ = App
         entry = _Entry(node, _drop)
         entry.table = table
         entry.args = args
@@ -146,6 +178,14 @@ class App(Formula):
             text = _text(self)
             _init(self, "_str", text)
         return text
+
+
+class _Building(App):
+    """An App under construction, with plain slot stores; `App.__new__`
+    makes it an App before any other code can see it."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
 
 
 def _text(phi: Formula) -> str:
@@ -202,6 +242,14 @@ class Substitution:
 
     def __init__(self, mapping: dict[int, Formula] | None = None):
         self.mapping = dict(mapping or {})
+
+    @classmethod
+    def adopt(cls, mapping: dict[int, Formula]) -> "Substitution":
+        """The substitution with `mapping` itself, not a copy, as its map: for
+        a caller that built the dict for it and does not change it after."""
+        sigma = _new(cls)
+        sigma.mapping = mapping
+        return sigma
 
     def __call__(self, index: int) -> Formula:
         phi = self.mapping.get(index)
@@ -264,11 +312,12 @@ def match(pattern: Formula, concrete: Formula, binding: dict[int, Formula] | Non
 
     `bindable` restricts which pattern variables may be bound; the others act
     as fixed symbols that must literally reappear in `concrete`.  `binding`
-    gains its keys in the order the variables first occur in `pattern`.
+    gains its keys in the order the variables first occur in `pattern`, and
+    becomes the map of the substitution returned.
     """
     binding = {} if binding is None else binding
     if _match(pattern, concrete, binding, bindable):
-        return Substitution(binding)
+        return Substitution.adopt(binding)
     return None
 
 
@@ -426,11 +475,16 @@ def enumerate_formulas(sig, n: int, max_compl: int) -> list[Formula]:
     return list(_enumerate_cached(sig, n, max_compl))
 
 
+@lru_cache(maxsize=4096)
+def _slice_cached(sig, n: int, max_compl: int) -> tuple[Formula, ...]:
+    target = frozenset(range(n))
+    return tuple(phi for phi in _enumerate_cached(sig, n, max_compl)
+                 if variables(phi) == target)
+
+
 def enumerate_slice(sig, n: int, max_compl: int) -> list[Formula]:
     """Formulas whose variable set is exactly {x0..x_{n-1}}, complexity <= max_compl."""
-    target = frozenset(range(n))
-    return [phi for phi in _enumerate_cached(sig, n, max_compl)
-            if variables(phi) == target]
+    return list(_slice_cached(sig, n, max_compl))
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:

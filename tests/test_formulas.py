@@ -6,9 +6,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from catlog.formulas import (
-    App, ParseError, StructuralError, Substitution, Var, app, check_formula,
-    complexity, compose_substitutions, enumerate_formulas, enumerate_slice,
-    fmt, parse, sort_key, substitute, var, variables,
+    _APPS, _VARS, _VARSETS, App, ParseError, StructuralError, Substitution, Var,
+    _Building, app, check_formula, complexity, compose_substitutions,
+    enumerate_formulas, enumerate_slice, extend, fmt, match, parse, sort_key,
+    substitute, subformulas, var, variables,
 )
 from catlog.signatures import Signature
 
@@ -255,3 +256,123 @@ def test_variable_sets_are_shared():
     assert variables(neg) is variables(x0)
     assert variables(App("e", ())) is variables(App("f", ()))
     assert variables(App("imp", (x0, x1))) is variables(App("imp", (x1, neg)))
+
+
+# --- the constructor, arity by arity -------------------------------------------
+
+# MIXED_SIG stops at arity 2; the constructor has its own path for wider nodes
+TERNARY_SIG = Signature("Tern", {"e": 0, "u": 1, "b": 2, "t": 3})
+
+
+def _vars_from_scratch(phi):
+    if isinstance(phi, Var):
+        return frozenset((phi.index,))
+    return frozenset().union(*map(_vars_from_scratch, phi.args))
+
+
+def _compl_from_scratch(phi):
+    if isinstance(phi, Var):
+        return 0
+    return 1 + sum(map(_compl_from_scratch, phi.args))
+
+
+def _assert_built_right(phi):
+    """Every node of phi is a finished node whose slots match a recomputation."""
+    for node in subformulas(phi):
+        assert type(node) in (Var, App)
+        assert complexity(node) == _compl_from_scratch(node)
+        assert variables(node) == _vars_from_scratch(node)
+        assert variables(node) is _VARSETS[variables(node)]
+        if isinstance(node, App):
+            assert hash(node) == hash((node.connective, node.args))
+        assert str(node) == _str_from_scratch(node)
+        assert sort_key(node) == _sort_key_from_scratch(node)
+
+
+@given(formulas(TERNARY_SIG, max_vars=4))
+def test_constructed_nodes_match_recomputation(phi):
+    _assert_built_right(phi)
+
+
+def test_every_arity_builds_a_finished_immutable_node():
+    # variables x60.. are not used elsewhere, so each node below is a table miss
+    x60, x61, x62, x63 = map(Var, range(60, 64))
+    e = App("e", ())
+    u = App("u", (x60,))
+    nodes = [
+        e, u,
+        App("b", (App("b", (x60, x61)), x61)),  # right set inside left
+        App("b", (x62, App("b", (x60, x62)))),  # left set inside right
+        App("b", (u, App("u", (x60,)))),        # equal sets
+        App("b", (x60, x61)),                   # disjoint sets
+        App("b", (App("b", (x60, x61)), App("b", (x61, x62)))),  # overlapping
+        App("t", (x60, App("u", (x61,)), e)),
+        App("t", (x63, x63, App("t", (e, e, e)))),
+    ]
+    for phi in nodes:
+        _assert_built_right(phi)
+        for attr in ("connective", "args", "_hash", "_vars", "_str", "other"):
+            with pytest.raises(AttributeError):
+                setattr(phi, attr, None)
+    assert variables(nodes[1]) is variables(x60)
+    assert variables(nodes[2]) is variables(nodes[2].args[0])
+    assert variables(nodes[3]) is variables(nodes[3].args[1])
+    assert variables(nodes[4]) is variables(x60)
+
+
+def test_unreferenced_ternary_formula_is_freed():
+    key = (Var(70), App("u", (Var(71),)), App("e", ()))
+    phi = App("t", key)
+    ref = weakref.ref(phi)
+    assert _APPS["t"][key]() is phi
+    del phi
+    gc.collect()
+    assert ref() is None
+    assert key not in _APPS["t"]
+    assert App("t", key).args is key
+
+
+def test_intern_tables_hold_only_finished_nodes():
+    sig = TERNARY_SIG
+    phi = parse("t(b(x0, x1), u(x2), t(e, x0, u(u(x1))))", sig)
+    sigma = Substitution({0: parse("t(x3, x3, e)", sig), 2: parse("b(x4, x0)", sig)})
+    heads = {"e": parse("u(e)", sig), "u": parse("b(x0, x0)", sig),
+             "b": parse("t(x1, e, x0)", sig), "t": parse("b(x2, b(x0, x1))", sig)}
+    # held while the tables are read, so that they hold these nodes too
+    built = [phi, substitute(sigma, phi), extend(heads, phi, {}),
+             extend(heads, substitute(sigma, phi), {}),
+             *enumerate_formulas(sig, 2, 2), *enumerate_slice(sig, 3, 3)]
+    # a build that fails half way publishes nothing
+    bad = (Var(0), "not a formula", Var(1))
+    with pytest.raises(AttributeError):
+        App("t", bad)
+    assert bad not in _APPS["t"]
+    gc.collect()
+    assert all(type(v) is Var for v in _VARS.values())
+    live = [entry() for table in _APPS.values() for entry in table.values()]
+    assert not any(isinstance(node, _Building) for node in live)
+    assert all(variables(node) is _VARSETS[variables(node)]
+               for node in live if node is not None)
+    assert {phi for phi in built if isinstance(phi, App)} <= set(live)
+
+
+def test_enumerate_slice_returns_a_list_the_caller_owns():
+    sig = TERNARY_SIG
+    first = enumerate_slice(sig, 2, 2)
+    expected = list(first)
+    first.clear()
+    second = enumerate_slice(sig, 2, 2)
+    assert second == expected and second is not first
+    assert second == [phi for phi in enumerate_formulas(sig, 2, 2)
+                      if variables(phi) == frozenset((0, 1))]
+
+
+def test_substitution_copies_but_adopt_does_not():
+    mapping = {0: Var(1)}
+    copied, adopted = Substitution(mapping), Substitution.adopt(mapping)
+    assert copied.mapping == mapping and copied.mapping is not mapping
+    assert adopted.mapping is mapping and adopted(0) is Var(1) and adopted(2) is Var(2)
+    binding = {}
+    sigma = match(parse("u(x0)", TERNARY_SIG), parse("u(e)", TERNARY_SIG), binding)
+    assert sigma.mapping is binding
+    assert binding == {0: App("e", ())}
