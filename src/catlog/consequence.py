@@ -1028,7 +1028,7 @@ class _Searcher:
                 return
             mapping = dict(base.mapping)
             mapping.update(zip(free, combo))
-            yield Substitution.adopt(mapping)
+            yield Substitution(mapping)
 
     def _harvest(self, rule: Rule, base: Substitution, free: list[int]
                  ) -> list[Substitution]:
@@ -1053,7 +1053,7 @@ class _Searcher:
             seen.add(key)
             mapping = dict(base.mapping)
             mapping.update(zip(free, images))
-            harvested.append(Substitution.adopt(mapping))
+            harvested.append(Substitution(mapping))
 
         shifted = Substitution({**base.mapping,
                                 **{v: Var(v + _FREE_OFFSET) for v in free}})

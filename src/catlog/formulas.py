@@ -238,18 +238,14 @@ def sort_key(phi: Formula):
 
 
 class Substitution:
-    """Finite map from variable indices to formulas, identity elsewhere."""
+    """Finite map from variable indices to formulas, identity elsewhere.
+
+    The substitution keeps the dict it is given as its map, without a copy:
+    the caller hands it over and does not change it after.
+    """
 
     def __init__(self, mapping: dict[int, Formula] | None = None):
-        self.mapping = dict(mapping or {})
-
-    @classmethod
-    def adopt(cls, mapping: dict[int, Formula]) -> "Substitution":
-        """The substitution with `mapping` itself, not a copy, as its map: for
-        a caller that built the dict for it and does not change it after."""
-        sigma = _new(cls)
-        sigma.mapping = mapping
-        return sigma
+        self.mapping = {} if mapping is None else mapping
 
     def __call__(self, index: int) -> Formula:
         phi = self.mapping.get(index)
@@ -317,7 +313,7 @@ def match(pattern: Formula, concrete: Formula, binding: dict[int, Formula] | Non
     """
     binding = {} if binding is None else binding
     if _match(pattern, concrete, binding, bindable):
-        return Substitution.adopt(binding)
+        return Substitution(binding)
     return None
 
 
@@ -483,7 +479,12 @@ def _slice_cached(sig, n: int, max_compl: int) -> tuple[Formula, ...]:
 
 
 def enumerate_slice(sig, n: int, max_compl: int) -> list[Formula]:
-    """Formulas whose variable set is exactly {x0..x_{n-1}}, complexity <= max_compl."""
+    """Formulas whose variable set is exactly {x0..x_{n-1}}, complexity <= max_compl.
+
+    A fresh list of the cached slice, like `enumerate_formulas`: callers and
+    tests compare the result with lists, and the copy keeps the cache safe
+    from a caller that changes its list.
+    """
     return list(_slice_cached(sig, n, max_compl))
 
 

@@ -295,29 +295,29 @@ def test_constructed_nodes_match_recomputation(phi):
 
 
 def test_every_arity_builds_a_finished_immutable_node():
-    # variables x60.. are not used elsewhere, so each node below is a table miss
-    x60, x61, x62, x63 = map(Var, range(60, 64))
+    # variables x80.. are used nowhere else and no node below is built twice,
+    # so every node that holds a variable is a table miss
+    x = [Var(i) for i in range(80, 95)]
     e = App("e", ())
-    u = App("u", (x60,))
     nodes = [
-        e, u,
-        App("b", (App("b", (x60, x61)), x61)),  # right set inside left
-        App("b", (x62, App("b", (x60, x62)))),  # left set inside right
-        App("b", (u, App("u", (x60,)))),        # equal sets
-        App("b", (x60, x61)),                   # disjoint sets
-        App("b", (App("b", (x60, x61)), App("b", (x61, x62)))),  # overlapping
-        App("t", (x60, App("u", (x61,)), e)),
-        App("t", (x63, x63, App("t", (e, e, e)))),
+        e, App("u", (x[0],)),
+        App("b", (App("b", (x[1], x[2])), x[2])),  # right set inside left
+        App("b", (x[3], App("b", (x[4], x[3])))),  # left set inside right
+        App("b", (App("u", (x[5],)), App("b", (x[5], x[5])))),  # equal sets
+        App("b", (x[6], x[7])),                    # disjoint sets
+        App("b", (App("b", (x[8], x[9])), App("b", (x[9], x[10])))),  # overlapping
+        App("t", (x[11], App("u", (x[12],)), e)),
+        App("t", (x[13], x[13], App("t", (e, x[14], e)))),
     ]
     for phi in nodes:
         _assert_built_right(phi)
         for attr in ("connective", "args", "_hash", "_vars", "_str", "other"):
             with pytest.raises(AttributeError):
                 setattr(phi, attr, None)
-    assert variables(nodes[1]) is variables(x60)
+    assert variables(nodes[1]) is variables(x[0])
     assert variables(nodes[2]) is variables(nodes[2].args[0])
     assert variables(nodes[3]) is variables(nodes[3].args[1])
-    assert variables(nodes[4]) is variables(x60)
+    assert variables(nodes[4]) is variables(x[5])
 
 
 def test_unreferenced_ternary_formula_is_freed():
@@ -367,11 +367,7 @@ def test_enumerate_slice_returns_a_list_the_caller_owns():
                       if variables(phi) == frozenset((0, 1))]
 
 
-def test_substitution_copies_but_adopt_does_not():
-    mapping = {0: Var(1)}
-    copied, adopted = Substitution(mapping), Substitution.adopt(mapping)
-    assert copied.mapping == mapping and copied.mapping is not mapping
-    assert adopted.mapping is mapping and adopted(0) is Var(1) and adopted(2) is Var(2)
+def test_match_hands_back_its_binding():
     binding = {}
     sigma = match(parse("u(x0)", TERNARY_SIG), parse("u(e)", TERNARY_SIG), binding)
     assert sigma.mapping is binding
