@@ -5,9 +5,11 @@ A logic pairs a signature with derivability providers: calculi are searched
 `exact_matrix`, says when a matrix decides and when it only refutes, and
 `derives` is the one dispatch that applies it.  Its steps, in order: the
 exact matrix, the oracle, the matrix as refuter, G4ip for calculi with K, S
-and modus ponens (module `implication`), and proof search.  Lattice
-operations (meet, generated join, directed sup) combine providers without
-ever inventing an uncertified No.
+and modus ponens (module `implication`), and proof search.  A search for
+which no proof tree within `proof_length` exists ends before it starts,
+with the verdict it would have given (`_Skeletons`).  Lattice operations
+(meet, generated join, directed sup) combine providers without ever
+inventing an uncertified No.
 
 `Matrix.apply` is the only code that applies a matrix table, and
 `ProofWriter` the only code that writes proof steps, for search, saturation,
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .formulas import (
     App, Formula, InputError, Substitution, Var, check_formula, complexity,
-    compose_substitutions, enumerate_formulas, fmt, match, subformulas,
+    compose_substitutions, enumerate_formulas, fmt, match, sort_key, subformulas,
     substitute, variables,
 )
 from .signatures import Signature
@@ -42,7 +44,11 @@ class SignatureMismatch(InputError):
 class Budget:
     """Search bounds: proof steps, substitution-image complexity, candidate
     enumeration complexity, candidate variable count.  `proof_length`
-    bounds the length of any returned proof, whichever step found it."""
+    bounds the length of any returned proof, whichever step found it.
+
+    Proof search counts `proof_length` in proof-tree nodes (`_Node.size`).
+    That count can exceed the written proof's length, because `ProofWriter`
+    writes a step that the tree repeats once."""
 
     proof_length: int = 40
     instance_complexity: int = 6
@@ -666,7 +672,9 @@ def derives(logic: Logic, gamma, phi: Formula,
     """Three-valued derivability with certificates.  The steps, in order:
     an exact matrix; else the oracle; else the matrix as refuter; then G4ip
     where the calculus has K, S and modus ponens (`Implication.decide`);
-    then proof search.
+    then proof search.  A search for which no proof tree within
+    `budget.proof_length` exists ends before it starts, with the same
+    unknown verdict (`search_proof`).
 
     Yes from a calculus carries a proof no longer than
     `budget.proof_length`; No carries a countervaluation (or a membership
@@ -836,6 +844,10 @@ _FREE_OFFSET = 20_000
 
 # hard cap on search-tree nodes per query; exceeding it means Unknown
 _NODE_CAP = 300_000
+
+# the most unifications `_Skeletons.reach` tries before it leaves a goal to
+# search undecided
+_UNIFY_CAP = 500
 
 
 class _SearchBudget(Exception):
@@ -1077,9 +1089,151 @@ class _Searcher:
         return harvested
 
 
+class _Skeletons:
+    """The principal conclusions of proof trees, by tree size.
+
+    A proof skeleton is a tree of axioms, hypotheses and rules without its
+    substitutions.  Each skeleton has one most general conclusion, found by
+    unification, and every tree of that shape concludes an instance of it
+    (condensed detachment: Kalman, "Condensed detachment as a rule of
+    inference", Studia Logica 42, 1983; Hindley & Meredith, "Principal
+    type-schemes and condensed detachment", JSL 55, 1990).
+
+    Size 1 holds each axiom with its variables made schematic (at or above
+    `_RENAME_OFFSET`) and each hypothesis as it is: the hypotheses' and the
+    goal's variables are fixed symbols, so a unifier that binds one of them
+    is rejected.  Size s holds, for each rule with k premises and each
+    split of s - 1 into k positive sizes, the rule's conclusion under the
+    unifier of its premises with one conclusion of each size.  A conclusion
+    is kept once up to renaming, at the smallest size that reaches it: a
+    larger tree that uses it could use the smaller one instead.  Levels are
+    built in a fixed order (axioms, hypotheses by `sort_key`, then rules in
+    order), so where `_UNIFY_CAP` ends the check does not depend on the
+    hash seed.  An instance builds its levels for one `reach`.
+    """
+
+    def __init__(self, calculus: Calculus, hypotheses: frozenset[Formula]):
+        def shift(i):
+            return Var(i + _RENAME_OFFSET)
+
+        self.first = [substitute(shift, a) for a in calculus.axioms]
+        self.first += sorted(hypotheses, key=sort_key)
+        # per rule: premises, conclusion, and the order premises are unified
+        # in, structurally richer patterns first, as they fail sooner
+        self.rules = []
+        for rule in calculus.rules:
+            premises = [substitute(shift, p) for p in rule.premises]
+            self.rules.append((premises, substitute(shift, rule.conclusion),
+                               sorted(range(len(premises)),
+                                      key=lambda i: -complexity(premises[i]))))
+        self.widest = max((len(r.premises) for r in calculus.rules), default=0)
+        # levels[s]: the conclusions first reached by trees of s nodes
+        self.levels: list[list[Formula]] = [[]]
+        self.seen: set[Formula] = set()
+        # (size, premise position) -> levels[size] renamed apart for it
+        self.copies: dict[tuple[int, int], list[Formula]] = {}
+        self.attempts = 0
+
+    def reach(self, goal: Formula, length: int) -> bool:
+        """False when no proof tree of at most `length` nodes concludes goal;
+        True when one may, or when `_UNIFY_CAP` ends the check first."""
+        schematic = _RENAME_OFFSET.__le__
+        highest = 0
+        for size in range(1, length + 1):
+            level: list[Formula] = []
+            self.levels.append(level)
+            made = self.first if size == 1 else self._made(size)
+            for conclusion in made:
+                conclusion = _renamed(conclusion, _RENAME_OFFSET)
+                if conclusion in self.seen:
+                    continue
+                if match(conclusion, goal, bindable=schematic) is not None:
+                    return True
+                if len(variables(conclusion)) >= _RENAME_OFFSET:
+                    return True  # too many to rename apart: leave it to search
+                self.seen.add(conclusion)
+                level.append(conclusion)
+            if self.attempts >= _UNIFY_CAP:
+                return True
+            if level:
+                highest = size
+            # each larger tree has a premise subtree of more than `highest`
+            # nodes, and no such subtree has a new conclusion
+            if size > self.widest * highest:
+                return False
+        return False
+
+    def _made(self, size: int):
+        """The conclusions of trees of `size` nodes with a rule at the root."""
+        for premises, conclusion, order in self.rules:
+            if len(premises) < size:
+                for binding in self._unifiers(premises, order, 0, size - 1, {}):
+                    yield _resolved(conclusion, binding)
+
+    def _unifiers(self, premises, order, pos: int, left: int, binding: dict):
+        """Each unifier of premises[order[pos]], premises[order[pos + 1]], ...
+        with one conclusion each, of sizes that sum to `left`, that extends
+        `binding` and binds no fixed variable."""
+        if pos == len(order):
+            yield binding
+            return
+        slot, later = order[pos], len(order) - pos - 1
+        for size in ([left] if not later else range(1, left - later + 1)):
+            for conclusion in self._copies(size, slot):
+                if self.attempts >= _UNIFY_CAP:
+                    return
+                self.attempts += 1
+                found = unify(premises[slot], conclusion, dict(binding))
+                if found is not None and all(k >= _RENAME_OFFSET for k in found):
+                    yield from self._unifiers(premises, order, pos + 1,
+                                              left - size, found)
+
+    def _copies(self, size: int, slot: int) -> list[Formula]:
+        """levels[size] renamed apart from the rules and the other premise
+        positions; made once per level and position."""
+        copies = self.copies.get((size, slot))
+        if copies is None:
+            offset = _RENAME_OFFSET * (slot + 2)
+            copies = self.copies[size, slot] = [
+                _renamed(c, offset) for c in self.levels[size]]
+        return copies
+
+
+def _resolved(phi: Formula, binding: dict[int, Formula]) -> Formula:
+    """phi with `binding` applied to the end of every chain."""
+    if type(phi) is Var:
+        bound = binding.get(phi.index)
+        return phi if bound is None else _resolved(bound, binding)
+    if variables(phi).isdisjoint(binding):
+        return phi
+    return App(phi.connective, tuple([_resolved(a, binding) for a in phi.args]))
+
+
+def _renamed(phi: Formula, offset: int) -> Formula:
+    """phi with its schematic variables numbered from `offset` in order of
+    first occurrence; fixed variables stay."""
+    names: dict[int, Formula] = {}
+
+    def name(i: int) -> Formula:
+        if i < _RENAME_OFFSET:
+            return Var(i)
+        renamed = names.get(i)
+        if renamed is None:
+            renamed = names[i] = Var(offset + len(names))
+        return renamed
+
+    return substitute(name, phi)
+
+
 def search_proof(calculus: Calculus, hypotheses: frozenset[Formula],
                  goal: Formula, budget: Budget = DEFAULT_BUDGET) -> Proof | None:
-    """Iterative-deepening backward search; returns a small proof or None."""
+    """Iterative-deepening backward search; returns a small proof or None.
+
+    Every tree the search can return has at most `budget.proof_length`
+    nodes, so when `_Skeletons` shows that no tree that small concludes
+    goal, the search ends before it starts, with the None it would give."""
+    if not _Skeletons(calculus, hypotheses).reach(goal, budget.proof_length):
+        return None
     searcher = _Searcher(calculus, hypotheses, goal, budget)
     schedule = [1, 2, 3, 5, 8, 13, 21, 34]
     limits = [s for s in schedule if s < budget.proof_length] + [budget.proof_length]

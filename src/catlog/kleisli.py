@@ -442,7 +442,9 @@ def _all_morphisms(make, source: Signature, target: Signature, candidates) -> li
 def all_flexible_morphisms(source: Signature, target: Signature, max_compl: int
                            ) -> list[FlexibleMorphism]:
     """Every flexible morphism whose assignments stay within the bound."""
-    return _all_morphisms(FlexibleMorphism, source, target,
+    # each image is drawn from the target's arity slice, so it is well formed
+    # there with exactly the right variables: no re-check
+    return _all_morphisms(FlexibleMorphism._unchecked, source, target,
                           lambda arity: enumerate_slice(target, arity, max_compl))
 
 

@@ -714,3 +714,43 @@ def test_decided_proofs_do_not_depend_on_the_hash_seed():
         outputs.add(run.stdout)
     [output] = outputs
     assert [json.loads(line)["verdict"] for line in output.splitlines()] == ["yes"] * 3
+
+
+# the check before search ends the first three and passes its cap on the
+# others, so where it stops must not depend on the hash seed, nor the order
+# in which it takes several hypotheses
+CHECK_UNDER_A_HASH_SEED = """
+import json
+from catlog import corpus
+from catlog.consequence import Budget, _Skeletons, derives
+from catlog.formulas import parse
+cpl1 = corpus.standard_env().logic("CPL1")
+sig = cpl1.signature
+for hyps, goal, budget in [(["x0"], "neg(neg(x0))", "5,6,4,2"),
+                           ([], "imp(neg(neg(x0)), x0)", "5,6,4,2"),
+                           (["neg(neg(x0))"], "x0", "5,6,4,2"),
+                           (["neg(neg(x0))"], "x0", "40,8,2,1"),
+                           (["neg(x1)", "imp(x0, x1)", "neg(neg(x0))"], "x1", "40,8,2,1")]:
+    hyps, goal, budget = [parse(h, sig) for h in hyps], parse(goal, sig), Budget.parse(budget)
+    check = _Skeletons(cpl1.calculus, frozenset(hyps))
+    out = {"reach": check.reach(goal, budget.proof_length), "attempts": check.attempts,
+           "levels": [[str(c) for c in level] for level in check.levels]}
+    if budget.proof_length < 40:
+        out["verdict"] = derives(cpl1, hyps, goal, budget).to_json()
+    print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_the_check_before_search_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in "0123":
+        run = subprocess.run([sys.executable, "-c", CHECK_UNDER_A_HASH_SEED],
+                             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    [output] = outputs
+    runs = [json.loads(line) for line in output.splitlines()]
+    assert [run["reach"] for run in runs] == [False, False, False, True, True]
+    assert [run.get("verdict") for run in runs[:3]] == [
+        {"verdict": "unknown", "reason": "proof search budget exhausted"}] * 3

@@ -564,6 +564,16 @@ def test_morphism_enumerations_keep_their_order():
         {"b": phi, "n": psi} for phi in binary for psi in unary]
 
 
+def test_flexible_enumeration_equals_the_checked_build():
+    # all_flexible_morphisms skips the constructor's check on slice images
+    endos = all_flexible_morphisms(CPL1_SIG, CPL1_SIG, 3)
+    unary, binary = enumerate_slice(CPL1_SIG, 1, 3), enumerate_slice(CPL1_SIG, 2, 3)
+    checked = [FlexibleMorphism(CPL1_SIG, CPL1_SIG, {"imp": phi, "neg": psi})
+               for phi in binary for psi in unary]
+    assert len(endos) == 5_022 and endos == checked
+    assert all(type(h) is FlexibleMorphism and h.name == "" for h in endos)
+
+
 @pytest.mark.parametrize("source", [
     Signature("C", {"e": 0, "n": 1}), Signature("C", {"a": 1, "z": 0})],
     ids=["empty-first", "empty-last"])

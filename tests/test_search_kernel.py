@@ -1,6 +1,7 @@
 """The proof-search kernel (`match`, `unify`, `_ground`) against reference
-copies of its earlier closure-based versions; pinned searched proofs, and
-pinned proofs that `derives` decides before search.
+copies of its earlier closure-based versions; the check that ends a search
+with no tree within its length bound, against the search it ends; pinned
+searched proofs, and pinned proofs that `derives` decides before search.
 
 The references are kept here on purpose: the kernel may get faster, but the
 bindings it returns, including the order of their keys, decide which
@@ -11,15 +12,19 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from catlog import corpus
+from catlog import consequence, corpus
 from catlog.consequence import (
-    _FREE_OFFSET, _RENAME_OFFSET, Budget, Verdict, _ground, derives, interderivable,
-    search_proof, unify,
+    _FREE_OFFSET, _RENAME_OFFSET, Budget, Calculus, Verdict, _ground, _Searcher,
+    _SearchBudget, _Skeletons, derives, interderivable, search_proof, unify,
 )
-from catlog.formulas import App, Substitution, Var, match, parse, substitute, variables
+from catlog.formulas import (
+    App, Substitution, Var, enumerate_formulas, match, parse, sort_key, substitute,
+    variables,
+)
+from catlog.logic_cat import fibring_unconstrained
 
 OBJECT = [0, 1, 2]
 RENAMED = [_RENAME_OFFSET, _RENAME_OFFSET + 1]
@@ -259,9 +264,125 @@ def test_ground_of_a_unifier_agrees_with_a_full_rebuild(case):
             assert _ground(Var(v), binding) is reference_ground(Var(v), binding)
 
 
-# --- searched proofs, pinned -------------------------------------------------
+# --- the size-bounded check before search ------------------------------------
 
 ENV = corpus.standard_env()
+
+CHECKED = {name: ENV.logic(name) for name in ("CPL1", "IMPFRAG", "NEGFRAG")}
+CHECKED["IMPFRAG+NEGFRAG"] = fibring_unconstrained(CHECKED["IMPFRAG"], CHECKED["NEGFRAG"])[0]
+# formulas of complexity <= 2 in x0, x1
+CHECKED_POOLS = {name: enumerate_formulas(logic.signature, 2, 2)
+                 for name, logic in CHECKED.items()}
+
+
+def reference_search(calculus, hypotheses, goal, budget, node_cap):
+    """`search_proof` without the check: `_Searcher` through the deepening
+    schedule, with its node cap set to `node_cap`.  The proof tree's root,
+    or None; `_SearchBudget` passes the cap on to the caller."""
+    searcher = _Searcher(calculus, hypotheses, goal, budget)
+    searcher.node_cap = node_cap
+    schedule = [1, 2, 3, 5, 8, 13, 21, 34]
+    limits = [s for s in schedule if s < budget.proof_length] + [budget.proof_length]
+    for limit in limits:
+        node, _ = searcher.prove(goal, limit, frozenset())
+        if node is not None:
+            return node
+    return None
+
+
+@st.composite
+def checked_sequents(draw):
+    name = draw(st.sampled_from(sorted(CHECKED)))
+    pool = st.sampled_from(CHECKED_POOLS[name])
+    return (name, frozenset(draw(st.lists(pool, max_size=2))), draw(pool),
+            draw(st.integers(min_value=3, max_value=8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(checked_sequents())
+def test_check_rules_out_only_sequents_that_search_cannot_prove(sequent):
+    name, gamma, phi, length = sequent
+    calculus = CHECKED[name].calculus
+    if _Skeletons(calculus, gamma).reach(phi, length):
+        return
+    # run to its end, the search of a ruled-out sequent takes seconds at
+    # length 7 or 8; iterative deepening finds a short proof early, so a
+    # search that passes 5,000 nodes says nothing either way
+    try:
+        found = reference_search(calculus, gamma, phi, Budget(length, 2, 1, 2), 5_000)
+    except _SearchBudget:
+        return
+    assert found is None
+
+
+def forward_derivation(calculus, hypotheses, rng, steps):
+    """(formula, size of its proof tree) pairs, drawn by `steps` random
+    forward steps from the hypotheses: a rule applied to derived formulas
+    that match its premises, or else an axiom instance whose images are
+    derived formulas or variables."""
+    derived = [(h, 1) for h in sorted(hypotheses, key=sort_key)]
+    for _ in range(steps):
+        rule = rng.choice(calculus.rules) if rng.random() < 0.7 else None
+        fits = [] if rule is None else list(_fits(rule.premises, derived, {}, 1))
+        if fits:
+            binding, size = rng.choice(fits)
+            derived.append((substitute(Substitution(binding), rule.conclusion), size))
+        else:
+            axiom = rng.choice(calculus.axioms)
+            images = [f for f, _ in derived] + [Var(0), Var(1)]
+            sigma = {v: rng.choice(images) for v in sorted(variables(axiom))}
+            derived.append((substitute(Substitution(sigma), axiom), 1))
+    return derived
+
+
+def _fits(premises, derived, binding, size):
+    """Each way to match `premises` with derived formulas that extends
+    `binding`, with the size of the tree it makes."""
+    if not premises:
+        yield binding, size
+        return
+    for f, n in derived:
+        found = match(premises[0], f, dict(binding))
+        if found is not None:
+            yield from _fits(premises[1:], derived, found.mapping, size + n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(checked_sequents(), st.randoms(use_true_random=False),
+       st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=2))
+def test_check_never_rules_out_a_derived_goal(sequent, rng, steps, slack):
+    name, gamma, _, _ = sequent
+    calculus = CHECKED[name].calculus
+    derived = forward_derivation(calculus, gamma, rng, steps)
+    # the largest tree drawn: the one most likely to need rules
+    goal, size = max(derived, key=lambda entry: entry[1])
+    assert _Skeletons(calculus, gamma).reach(goal, size + slack)
+
+
+def _no_search(*_):
+    raise AssertionError("the check should have ended this search")
+
+
+@pytest.mark.parametrize("hyps, goal", [
+    (["x0"], "neg(neg(x0))"),
+    ([], "imp(neg(neg(x0)), x0)"),
+    (["neg(neg(x0))"], "x0"),
+], ids=["dni_cpl1", "dne_thm_cpl1", "dne_cpl1"])
+def test_check_ends_searches_with_no_tree_within_the_bound(monkeypatch, hyps, goal):
+    monkeypatch.setattr(consequence, "_Searcher", _no_search)
+    sig = CHECKED["CPL1"].signature
+    assert search_proof(CHECKED["CPL1"].calculus, frozenset(parse(h, sig) for h in hyps),
+                        parse(goal, sig), Budget.parse("5,6,4,2")) is None
+
+
+def test_check_ends_a_search_in_an_empty_calculus(monkeypatch):
+    monkeypatch.setattr(consequence, "_Searcher", _no_search)
+    empty = Calculus(CHECKED["CPL1"].signature, [], [])
+    assert search_proof(empty, frozenset([Var(0)]), Var(1)) is None
+    assert _Skeletons(empty, frozenset([Var(0)])).reach(Var(0), 1)
+
+
+# --- searched proofs, pinned -------------------------------------------------
 
 # sha256 of each verdict's JSON (sorted keys); a change to the search order
 # or to the shape of a proof changes them
