@@ -93,7 +93,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="spec file path, or 'standard' for the built-in corpus")
     parser.add_argument("--json", default=None, help="write the JSON report here")
     parser.add_argument("--budget", default=DEFAULT_BUDGET,
-                        help="proof-length,instance-compl,enum-compl,variables")
+                        help="proof length in proof-tree nodes; the older form "
+                        "length,inst,enum,vars is read as its length")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--bound", type=_count, default=4)
     parser.add_argument("--n", type=_count, default=2, dest="nvars")

@@ -5,15 +5,16 @@ A logic pairs a signature with derivability providers: calculi are searched
 `exact_matrix`, says when a matrix decides and when it only refutes, and
 `derives` is the one dispatch that applies it.  Its steps, in order: the
 exact matrix, the oracle, the matrix as refuter, G4ip for calculi with K, S
-and modus ponens (module `implication`), and proof search.  A search for
-which no proof tree within `proof_length` exists ends before it starts,
-with the verdict it would have given (`_Skeletons`).  Lattice operations
-(meet, generated join, directed sup) combine providers without ever
-inventing an uncertified No.
+and modus ponens (module `implication`), and proof search.  Proof search is
+condensed detachment (`_Skeletons`): it builds the most general conclusions
+of all proof trees, size by size up to `proof_length` nodes, and rebuilds
+the first tree whose conclusion has the goal as an instance.  Its unknown
+says which bound stopped it.  Lattice operations (meet, generated join,
+directed sup) combine providers without ever inventing an uncertified No.
 
 `Matrix.apply` is the only code that applies a matrix table, and
-`ProofWriter` the only code that writes proof steps, for search, saturation,
-G4ip and the proofs `logic_cat` moves or builds.
+`ProofWriter` the only code that writes proof steps, for proof search,
+saturation, G4ip and the proofs `logic_cat` moves or builds.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from __future__ import annotations
 import copy
 import itertools
 from collections import ChainMap
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
 from .formulas import (
     App, Formula, InputError, Substitution, Var, check_formula, complexity,
-    compose_substitutions, enumerate_formulas, fmt, match, sort_key, subformulas,
-    substitute, variables,
+    compose_substitutions, fmt, match, sort_key, substitute, variables,
 )
 from .signatures import Signature
 
@@ -42,21 +42,20 @@ class SignatureMismatch(InputError):
 
 @dataclass(frozen=True)
 class Budget:
-    """Search bounds: proof steps, substitution-image complexity, candidate
-    enumeration complexity, candidate variable count.  `proof_length`
-    bounds the length of any returned proof, whichever step found it.
+    """The bound on proofs: `proof_length` bounds the length of any returned
+    proof, whichever step found it.
 
-    Proof search counts `proof_length` in proof-tree nodes (`_Node.size`).
-    That count can exceed the written proof's length, because `ProofWriter`
-    writes a step that the tree repeats once."""
+    The backward prover counts `proof_length` in proof-tree nodes
+    (`_Skeletons`).  That count can exceed the written proof's length,
+    because `ProofWriter` writes a step that the tree repeats once."""
 
     proof_length: int = 40
-    instance_complexity: int = 6
-    enumeration_complexity: int = 4
-    variable_count: int = 2
 
     @staticmethod
     def parse(text: str) -> "Budget":
+        """'length'.  The four-part 'length,inst,enum,vars' of older
+        scripts and reports is read too: every part is checked, and only
+        the length is kept."""
         parts = []
         for part in text.split(","):
             try:
@@ -65,15 +64,12 @@ class Budget:
                 raise InputError(f"budget {text!r}: {part!r} is not an integer") from None
         if any(p < 0 for p in parts):
             raise InputError("budget parts must be non-negative")
-        if len(parts) == 1:
-            return Budget(proof_length=parts[0])
-        if len(parts) != 4:
+        if len(parts) not in (1, 4):
             raise InputError("budget must be 'length' or 'length,inst,enum,vars'")
-        return Budget(*parts)
+        return Budget(parts[0])
 
     def to_json(self) -> list[int]:
-        return [self.proof_length, self.instance_complexity,
-                self.enumeration_complexity, self.variable_count]
+        return [self.proof_length]
 
 
 DEFAULT_BUDGET = Budget()
@@ -672,15 +668,14 @@ def derives(logic: Logic, gamma, phi: Formula,
     """Three-valued derivability with certificates.  The steps, in order:
     an exact matrix; else the oracle; else the matrix as refuter; then G4ip
     where the calculus has K, S and modus ponens (`Implication.decide`);
-    then proof search.  A search for which no proof tree within
-    `budget.proof_length` exists ends before it starts, with the same
-    unknown verdict (`search_proof`).
+    then proof search by condensed detachment (`search_proof`).
 
     Yes from a calculus carries a proof no longer than
     `budget.proof_length`; No carries a countervaluation (or a membership
-    certificate from decidable oracles); Unknown means the budget ran out
-    without a refutation, or G4ip showed a sequent of K, S and modus ponens
-    alone underivable without a countermodel to certify it.
+    certificate from decidable oracles); Unknown says what stopped the
+    answer: no proof tree within `budget.proof_length` nodes, the
+    unification cap of proof search, or G4ip showed a sequent of K, S and
+    modus ponens alone underivable without a countermodel to certify it.
     """
     gamma = frozenset(gamma)
     matrix = exact_matrix(logic, proof)
@@ -700,10 +695,7 @@ def derives(logic: Logic, gamma, phi: Formula,
         decided = implication.decide(gamma, phi, budget)
         if decided is not None:
             return decided
-    found = search_proof(logic.calculus, gamma, phi, budget)
-    if found is not None:
-        return Verdict.yes(proof=found, used=found.used_hypotheses())
-    return Verdict.unknown(reason="proof search budget exhausted")
+    return search_proof(logic.calculus, gamma, phi, budget)
 
 
 def interderivable(logic: Logic, phi: Formula, psi: Formula,
@@ -745,7 +737,7 @@ def refutation_sweep(checks) -> tuple[object, Verdict]:
 
 
 # ---------------------------------------------------------------------------
-# Backward-chaining proof search with iterative deepening
+# Condensed detachment: proof trees by size, each rebuilt by unification
 
 
 _RENAME_OFFSET = 10_000
@@ -810,287 +802,29 @@ def _occurs(idx: int, phi: Formula, binding: dict[int, Formula]) -> bool:
     return False
 
 
-def _ground(phi: Formula, binding: dict[int, Formula]) -> Formula | None:
-    """Fully resolve a unification result; None if foreign variables remain."""
-    vs = variables(phi)
-    if vs.isdisjoint(binding):
-        # nothing to replace: phi itself, unless a renamed variable remains
-        for i in vs:
-            if i >= _RENAME_OFFSET:
-                return None
-        return phi
-    if type(phi) is Var:
-        return _ground(binding[phi.index], binding)
-    args = []
-    for a in phi.args:
-        g = _ground(a, binding)
-        if g is None:
-            return None
-        args.append(g)
-    return App(phi.connective, tuple(args))
+# the most unifications `_Skeletons.prove` tries before it answers unknown
+_UNIFY_CAP = 20_000
 
 
-class _Node:
-    __slots__ = ("formula", "justification", "children", "size")
+@dataclass(frozen=True)
+class _ByAxiom:
+    """A level entry made by an axiom."""
 
-    def __init__(self, formula, justification, children):
-        self.formula = formula
-        self.justification = justification
-        self.children = children
-        self.size = 1 + sum(c.size for c in children)
+    axiom: int
 
 
-_FREE_OFFSET = 20_000
+@dataclass(frozen=True)
+class _ByRule:
+    """A level entry made by a rule from one entry per premise, each given
+    by its (size, index) in the levels."""
 
-# hard cap on search-tree nodes per query; exceeding it means Unknown
-_NODE_CAP = 300_000
-
-# the most unifications `_Skeletons.reach` tries before it leaves a goal to
-# search undecided
-_UNIFY_CAP = 500
-
-
-class _SearchBudget(Exception):
-    pass
-
-
-class _Searcher:
-    """Backward search for one goal, bounded by proof size and node count.
-
-    `prove` tries, in order: a memoized proof, a hypothesis, the first
-    axiom that matches, then each rule whose conclusion matches, premises
-    proved under every instantiation `_instantiations` yields.  `rules`
-    holds per rule, computed once: its premise variables in sorted order
-    and the order its premises are proved in.  `axioms` pairs each axiom
-    with its head connective (None for a variable), so an axiom whose head
-    differs from the goal's is passed over without a match.  These tables
-    and the kernel (`match`, `unify`, `_ground`) only make a node cheaper:
-    which nodes are visited, in which order, and the proofs found do not
-    depend on them.
-
-    Object-level variable indices are assumed to stay below
-    `_RENAME_OFFSET`; rule variables are shifted into [_FREE_OFFSET, ...)
-    while harvesting.
-    """
-
-    def __init__(self, calculus: Calculus, hypotheses: frozenset[Formula],
-                 goal: Formula, budget: Budget):
-        self.calculus = calculus
-        self.hypotheses = hypotheses
-        self.budget = budget
-        self.success: dict[Formula, _Node] = {}
-        self.failed_at: dict[Formula, int] = {}
-        self.sub_pool = self._subformula_pool(goal)
-        self.pool = self._candidate_pool(goal)
-        self.shallow_pool = [f for f in self.pool if complexity(f) <= 2]
-        self.max_depth = min(16, budget.proof_length)
-        self.axioms = [(a, a.connective if type(a) is App else None)
-                       for a in calculus.axioms]
-        self.shifted_axioms = [substitute(lambda i: Var(i + _RENAME_OFFSET), a)
-                               for a in calculus.axioms]
-        self.ground_axioms = [a for a in calculus.axioms if not variables(a)]
-        self.nodes = 0
-        # keep the total work roughly constant: rich rule sets get fewer nodes
-        self.node_cap = max(8_000, _NODE_CAP // max(1, len(calculus.rules)))
-        # per rule: its premise variables, sorted, and its premises in the
-        # order they are proved: structurally richer patterns first, as
-        # they prune harder
-        self.rules = [(rule, sorted(set().union(*map(variables, rule.premises))),
-                       sorted(range(len(rule.premises)),
-                              key=lambda i: -complexity(rule.premises[i])))
-                      for rule in calculus.rules]
-        self.fewest_premises = min((len(r.premises) for r in calculus.rules), default=1)
-        # rules indexed by the head of their conclusion; variable-headed
-        # conclusions apply to every goal
-        self.rules_by_head: dict[str, list[int]] = {}
-        self.var_conclusion_rules: list[int] = []
-        for ridx, rule in enumerate(calculus.rules):
-            if isinstance(rule.conclusion, Var):
-                self.var_conclusion_rules.append(ridx)
-            else:
-                self.rules_by_head.setdefault(
-                    rule.conclusion.connective, []).append(ridx)
-
-    def _subformula_pool(self, goal: Formula) -> list[Formula]:
-        base = subformulas(goal)
-        for f in self.hypotheses:
-            base |= subformulas(f)
-        return sorted((f for f in base
-                       if complexity(f) <= self.budget.instance_complexity),
-                      key=complexity)
-
-    def _candidate_pool(self, goal: Formula) -> list[Formula]:
-        occurring = variables(goal)
-        for f in self.hypotheses:
-            occurring |= variables(f)
-        indices = sorted(occurring)[: self.budget.variable_count]
-        if not indices:
-            indices = [0]
-        span = min(max(indices) + 1, max(self.budget.variable_count, 1))
-        enumerated = enumerate_formulas(
-            self.calculus.signature, span, self.budget.enumeration_complexity)
-        pool = list(self.sub_pool)
-        seen = set(pool)
-        for phi in enumerated:
-            if phi not in seen and variables(phi) <= set(indices):
-                pool.append(phi)
-                seen.add(phi)
-        return pool
-
-    def prove(self, goal: Formula, allowed: int, stack: frozenset[Formula]
-              ) -> tuple[_Node | None, bool]:
-        """Returns (proof tree, cycle_flag); cycle failures are not memoized."""
-        self.nodes += 1
-        if self.nodes > self.node_cap:
-            raise _SearchBudget
-        cached = self.success.get(goal)
-        if cached is not None and cached.size <= allowed:
-            return cached, False
-        if allowed <= 0:
-            return None, False
-        if goal in stack:
-            return None, True
-        if len(stack) >= self.max_depth:
-            # depth-pruned, so the failure is path-dependent: no memo entry
-            return None, True
-        if self.failed_at.get(goal, -1) >= allowed:
-            return None, False
-        if goal in self.hypotheses:
-            node = _Node(goal, Hypothesis(), [])
-            self.success[goal] = node
-            return node, False
-        head = goal.connective if type(goal) is App else None
-        for idx, (axiom, axiom_head) in enumerate(self.axioms):
-            if axiom_head is not None and axiom_head != head:
-                continue
-            sigma = match(axiom, goal)
-            if sigma is not None:
-                node = _Node(goal, AxiomInstance(idx, sigma), [])
-                self.success[goal] = node
-                return node, False
-        cycle_seen = False
-        # a rule step takes a node for each premise and one for itself
-        if allowed > self.fewest_premises:
-            inner = stack | {goal}
-            depth = len(stack)
-            applicable = self.rules_by_head.get(head, [])
-            for ridx in itertools.chain(applicable, self.var_conclusion_rules):
-                made, cyc = self._try_rule(ridx, goal, allowed, inner, depth)
-                cycle_seen = cycle_seen or cyc
-                if made is not None:
-                    self.success[goal] = made
-                    return made, cycle_seen
-        if not cycle_seen:
-            # no call below records a failure for goal, which is on its stack
-            self.failed_at[goal] = allowed
-        return None, cycle_seen
-
-    def _try_rule(self, ridx: int, goal: Formula, allowed: int,
-                  stack: frozenset[Formula], depth: int) -> tuple[_Node | None, bool]:
-        rule, rule_vars, order = self.rules[ridx]
-        if allowed < 1 + len(rule.premises):
-            return None, False
-        base = match(rule.conclusion, goal)
-        if base is None:
-            return None, False
-        free = [v for v in rule_vars if v not in base.mapping]
-        cycle_seen = False
-        for sigma in self._instantiations(rule, base, free, depth):
-            # prove returns only nodes that fit their allowance, so this one fits
-            children: list[_Node | None] = [None] * len(rule.premises)
-            remaining = allowed - 1
-            for i in order:
-                node, cyc = self.prove(substitute(sigma, rule.premises[i]),
-                                       remaining, stack)
-                cycle_seen = cycle_seen or cyc
-                if node is None:
-                    break
-                children[i] = node
-                remaining -= node.size
-            else:  # indices set later
-                return _Node(goal, RuleInstance(ridx, sigma, ()), children), cycle_seen
-        return None, cycle_seen
-
-    def _instantiations(self, rule: Rule, base: Substitution, free: list[int],
-                        depth: int):
-        if not free:
-            yield base
-            return
-        harvested = self._harvest(rule, base, free)
-        seen = {tuple(sigma(v) for v in free) for sigma in harvested}
-        yield from harvested
-        # fall back to bounded enumeration for anything not harvested; blind
-        # candidates branch too widely to allow at depth, so the pool shrinks
-        # from full enumeration (root) to small formulas to subformulas only,
-        # and the number of blind attempts per node is capped
-        if depth == 0:
-            pool, cap = self.pool, 160
-        elif depth == 1:
-            pool, cap = self.shallow_pool, 40
-        else:
-            pool, cap = self.sub_pool, len(self.sub_pool)
-        tried = 0
-        pools = [pool] * len(free)
-        for combo in itertools.product(*pools):
-            key = tuple(combo)
-            if key in seen:
-                continue
-            tried += 1
-            if tried > cap:
-                return
-            mapping = dict(base.mapping)
-            mapping.update(zip(free, combo))
-            yield Substitution(mapping)
-
-    def _harvest(self, rule: Rule, base: Substitution, free: list[int]
-                 ) -> list[Substitution]:
-        """Ground candidates read off hypotheses and axiom unifiers."""
-        harvested: list[Substitution] = []
-        seen: set[tuple] = set()
-        bound = self.budget.instance_complexity
-
-        def consider(binding: dict[int, Formula]):
-            images = []
-            for v in free:
-                img = binding.get(v + _FREE_OFFSET)
-                if img is None:
-                    return
-                img = _ground(img, binding)
-                if img is None or complexity(img) > bound:
-                    return
-                images.append(img)
-            key = tuple(images)
-            if key in seen:
-                return
-            seen.add(key)
-            mapping = dict(base.mapping)
-            mapping.update(zip(free, images))
-            harvested.append(Substitution(mapping))
-
-        shifted = Substitution({**base.mapping,
-                                **{v: Var(v + _FREE_OFFSET) for v in free}})
-        wanted = {v + _FREE_OFFSET for v in free}
-        for premise in rule.premises:
-            pattern = substitute(shifted, premise)
-            if not wanted <= variables(pattern):
-                continue  # `consider` needs every free variable bound
-            for hyp in self.hypotheses:
-                # bindable: i >= _FREE_OFFSET
-                m = match(pattern, hyp, None, bindable=_FREE_OFFSET.__le__)
-                if m is not None:
-                    consider(m.mapping)
-            # a bare variable unifies with the whole axiom, a ground image
-            # only when the axiom has no variables
-            axioms = self.ground_axioms if type(pattern) is Var else self.shifted_axioms
-            for axiom in axioms:
-                binding = unify(pattern, axiom, {})
-                if binding is not None:
-                    consider(binding)
-        return harvested
+    rule: int
+    premises: tuple[tuple[int, int], ...]
 
 
 class _Skeletons:
-    """The principal conclusions of proof trees, by tree size.
+    """The backward prover: the principal conclusions of proof trees, by
+    tree size, until one has the goal as an instance.
 
     A proof skeleton is a tree of axioms, hypotheses and rules without its
     substitutions.  Each skeleton has one most general conclusion, found by
@@ -1108,16 +842,22 @@ class _Skeletons:
     is kept once up to renaming, at the smallest size that reaches it: a
     larger tree that uses it could use the smaller one instead.  Levels are
     built in a fixed order (axioms, hypotheses by `sort_key`, then rules in
-    order), so where `_UNIFY_CAP` ends the check does not depend on the
-    hash seed.  An instance builds its levels for one `reach`.
+    order), so the proof found, and where `_UNIFY_CAP` ends the search, do
+    not depend on the hash seed.
+
+    Each entry keeps how it was made (`origins`: `Hypothesis`, `_ByAxiom` or
+    `_ByRule`), so the first entry with the goal as an instance gives a
+    smallest proof tree.  An instance builds its levels for one `prove`.
     """
 
     def __init__(self, calculus: Calculus, hypotheses: frozenset[Formula]):
         def shift(i):
             return Var(i + _RENAME_OFFSET)
 
-        self.first = [substitute(shift, a) for a in calculus.axioms]
-        self.first += sorted(hypotheses, key=sort_key)
+        self.calculus = calculus
+        self.first: list[tuple[Formula, object]] = [
+            (substitute(shift, a), _ByAxiom(i)) for i, a in enumerate(calculus.axioms)]
+        self.first += [(h, Hypothesis()) for h in sorted(hypotheses, key=sort_key)]
         # per rule: premises, conclusion, and the order premises are unified
         # in, structurally richer patterns first, as they fail sooner
         self.rules = []
@@ -1127,66 +867,79 @@ class _Skeletons:
                                sorted(range(len(premises)),
                                       key=lambda i: -complexity(premises[i]))))
         self.widest = max((len(r.premises) for r in calculus.rules), default=0)
-        # levels[s]: the conclusions first reached by trees of s nodes
+        # levels[s]: the conclusions first reached by trees of s nodes, and
+        # origins[s] how each was made
         self.levels: list[list[Formula]] = [[]]
+        self.origins: list[list[object]] = [[]]
         self.seen: set[Formula] = set()
         # (size, premise position) -> levels[size] renamed apart for it
         self.copies: dict[tuple[int, int], list[Formula]] = {}
         self.attempts = 0
 
-    def reach(self, goal: Formula, length: int) -> bool:
-        """False when no proof tree of at most `length` nodes concludes goal;
-        True when one may, or when `_UNIFY_CAP` ends the check first."""
+    def prove(self, goal: Formula, length: int) -> Verdict:
+        """Yes with a proof of goal from a tree of at most `length` nodes;
+        else unknown with the bound that stopped the search: no such tree
+        exists, or `_UNIFY_CAP` ended the search first."""
         schematic = _RENAME_OFFSET.__le__
         highest = 0
         for size in range(1, length + 1):
             level: list[Formula] = []
+            origins: list[object] = []
             self.levels.append(level)
+            self.origins.append(origins)
             made = self.first if size == 1 else self._made(size)
-            for conclusion in made:
+            for conclusion, origin in made:
                 conclusion = _renamed(conclusion, _RENAME_OFFSET)
                 if conclusion in self.seen:
                     continue
-                if match(conclusion, goal, bindable=schematic) is not None:
-                    return True
-                if len(variables(conclusion)) >= _RENAME_OFFSET:
-                    return True  # too many to rename apart: leave it to search
-                self.seen.add(conclusion)
                 level.append(conclusion)
+                origins.append(origin)
+                if match(conclusion, goal, bindable=schematic) is not None:
+                    proof = self._proof(size, len(level) - 1, goal)
+                    return Verdict.yes(proof=proof, used=proof.used_hypotheses())
+                if len(variables(conclusion)) >= _RENAME_OFFSET:
+                    return Verdict.unknown(
+                        reason=f"a conclusion with {_RENAME_OFFSET:,} variables or more")
+                self.seen.add(conclusion)
             if self.attempts >= _UNIFY_CAP:
-                return True
+                return Verdict.unknown(reason=f"unification cap ({_UNIFY_CAP:,}) reached")
             if level:
                 highest = size
             # each larger tree has a premise subtree of more than `highest`
             # nodes, and no such subtree has a new conclusion
             if size > self.widest * highest:
-                return False
-        return False
+                break
+        return Verdict.unknown(reason=f"no proof tree within {length} nodes")
 
     def _made(self, size: int):
-        """The conclusions of trees of `size` nodes with a rule at the root."""
-        for premises, conclusion, order in self.rules:
+        """The conclusions of trees of `size` nodes with a rule at the root,
+        each with how it was made."""
+        for index, (premises, conclusion, order) in enumerate(self.rules):
             if len(premises) < size:
-                for binding in self._unifiers(premises, order, 0, size - 1, {}):
-                    yield _resolved(conclusion, binding)
+                picks: list = [None] * len(premises)
+                for binding in self._unifiers(premises, order, 0, size - 1, {}, picks):
+                    yield _resolved(conclusion, binding), _ByRule(index, tuple(picks))
 
-    def _unifiers(self, premises, order, pos: int, left: int, binding: dict):
+    def _unifiers(self, premises, order, pos: int, left: int, binding: dict, picks: list):
         """Each unifier of premises[order[pos]], premises[order[pos + 1]], ...
         with one conclusion each, of sizes that sum to `left`, that extends
-        `binding` and binds no fixed variable."""
+        `binding` and binds no fixed variable.  While a unifier is yielded,
+        `picks[slot]` holds the (size, index) of the entry unified with
+        premises[slot]."""
         if pos == len(order):
             yield binding
             return
         slot, later = order[pos], len(order) - pos - 1
         for size in ([left] if not later else range(1, left - later + 1)):
-            for conclusion in self._copies(size, slot):
+            for index, conclusion in enumerate(self._copies(size, slot)):
                 if self.attempts >= _UNIFY_CAP:
                     return
                 self.attempts += 1
                 found = unify(premises[slot], conclusion, dict(binding))
                 if found is not None and all(k >= _RENAME_OFFSET for k in found):
+                    picks[slot] = (size, index)
                     yield from self._unifiers(premises, order, pos + 1,
-                                              left - size, found)
+                                              left - size, found, picks)
 
     def _copies(self, size: int, slot: int) -> list[Formula]:
         """levels[size] renamed apart from the rules and the other premise
@@ -1197,6 +950,53 @@ class _Skeletons:
             copies = self.copies[size, slot] = [
                 _renamed(c, offset) for c in self.levels[size]]
         return copies
+
+    def _proof(self, size: int, index: int, goal: Formula) -> Proof:
+        """The tree of levels[size][index], rebuilt with fresh variables for
+        each axiom and rule instance, its premises unified with the roots of
+        its subtrees and its root with goal; schematic variables still free
+        become x0.  The unifications succeed, as they did for the entries,
+        and bind no fixed variable."""
+        binding: dict[int, Formula] = {}
+        fresh = itertools.count(_RENAME_OFFSET)
+
+        def renaming(*schemes) -> Substitution:
+            return Substitution({v: Var(next(fresh)) for v in sorted(
+                set().union(*map(variables, schemes)))})
+
+        def rebuild(size: int, index: int):
+            origin = self.origins[size][index]
+            if isinstance(origin, Hypothesis):
+                return self.levels[size][index], origin, ()
+            if isinstance(origin, _ByAxiom):
+                axiom = self.calculus.axioms[origin.axiom]
+                sigma = renaming(axiom)
+                return substitute(sigma, axiom), AxiomInstance(origin.axiom, sigma), ()
+            rule = self.calculus.rules[origin.rule]
+            sigma = renaming(rule.conclusion, *rule.premises)
+            premises = tuple(rebuild(*entry) for entry in origin.premises)
+            for pattern, (formula, _, _) in zip(rule.premises, premises):
+                unify(substitute(sigma, pattern), formula, binding)
+            return (substitute(sigma, rule.conclusion), RuleInstance(origin.rule, sigma, ()),
+                    premises)
+
+        root = rebuild(size, index)
+        unify(root[0], goal, binding)
+
+        def ground(phi: Formula) -> Formula:
+            return substitute(lambda i: Var(0 if i >= _RENAME_OFFSET else i),
+                              _resolved(phi, binding))
+
+        def why(node):
+            formula, justification, premises = node
+            if not isinstance(justification, Hypothesis):
+                justification = replace(justification, substitution=Substitution(
+                    {v: ground(t) for v, t in justification.substitution.mapping.items()}))
+            return ground(formula), justification, premises
+
+        writer = ProofWriter()
+        writer.derivation(root, why)
+        return writer.proof()
 
 
 def _resolved(phi: Formula, binding: dict[int, Formula]) -> Formula:
@@ -1226,27 +1026,11 @@ def _renamed(phi: Formula, offset: int) -> Formula:
 
 
 def search_proof(calculus: Calculus, hypotheses: frozenset[Formula],
-                 goal: Formula, budget: Budget = DEFAULT_BUDGET) -> Proof | None:
-    """Iterative-deepening backward search; returns a small proof or None.
-
-    Every tree the search can return has at most `budget.proof_length`
-    nodes, so when `_Skeletons` shows that no tree that small concludes
-    goal, the search ends before it starts, with the None it would give."""
-    if not _Skeletons(calculus, hypotheses).reach(goal, budget.proof_length):
-        return None
-    searcher = _Searcher(calculus, hypotheses, goal, budget)
-    schedule = [1, 2, 3, 5, 8, 13, 21, 34]
-    limits = [s for s in schedule if s < budget.proof_length] + [budget.proof_length]
-    try:
-        for limit in limits:
-            node, _ = searcher.prove(goal, limit, frozenset())
-            if node is not None:
-                writer = ProofWriter()
-                writer.derivation(node, lambda n: (n.formula, n.justification, n.children))
-                return writer.proof()
-    except _SearchBudget:
-        return None
-    return None
+                 goal: Formula, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    """Backward proof search by condensed detachment (`_Skeletons`): yes
+    with a proof from a smallest proof tree, of at most `budget.proof_length`
+    nodes; else unknown with the bound that stopped the search."""
+    return _Skeletons(calculus, hypotheses).prove(goal, budget.proof_length)
 
 
 # ---------------------------------------------------------------------------

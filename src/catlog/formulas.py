@@ -57,8 +57,10 @@ class Formula:
     of its arguments' sets when one contains the other, and every other set
     comes from one table of interned frozensets.  Hash values are fixed
     on purpose to `hash((1, index))` for a variable and
-    `hash((connective, args))` for an application: proof search iterates
-    sets of formulas, so its search order depends on them.
+    `hash((connective, args))` for an application, so a set of formulas
+    iterates in the same order under every `PYTHONHASHSEED`.  The proof
+    engines do not lean on that order: proof search takes hypotheses by
+    `sort_key`, and G4ip reads its context in `fmt` order.
     """
 
     __slots__ = ()

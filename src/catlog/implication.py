@@ -47,8 +47,8 @@ class Implication:
         """The G4ip step of `derives`: yes with the compiled proof when it
         fits `budget.proof_length`; unknown when G4ip fails and the calculus
         has nothing else, for then the sequent is not derivable (but no
-        countermodel is built to certify that); else None, and search goes
-        on."""
+        countermodel is built to certify that); else None, and proof search
+        goes on."""
         proof = self.proof(gamma, phi)
         if proof is None:
             return Verdict.unknown(reason=_NOT_DERIVABLE) if self.pure else None
@@ -131,8 +131,8 @@ def find_implication(calculus: Calculus) -> Implication | None:
     """The first binary connective, in name order, for which the calculus
     has axioms equal to K and S up to renaming and a rule equal to modus
     ponens; the first of each where they repeat.  None also when a rule is
-    not modus ponens for any connective: search may find a shorter proof
-    through it (a congruential closure's replacement rules derive x0→x0 in
+    not modus ponens for any connective: proof search may find a shorter
+    proof through it (a congruential closure's replacement rules derive x0→x0 in
     2 steps, where the compiled proof takes 5)."""
     rules = [_modus_ponens(rule) for rule in calculus.rules]
     if None in rules:

@@ -39,7 +39,7 @@ ENV = corpus.standard_env()
 CPL1 = ENV.logic("CPL1")
 CPL2 = ENV.logic("CPL2")
 SIG = CPL1.signature
-FAST = Budget(proof_length=10, enumeration_complexity=3)
+FAST = Budget(proof_length=10)
 
 
 def p(text, sig=SIG):
@@ -257,7 +257,7 @@ def test_criterion_06_consequence_axioms():
     substitution_pool = enumerate_formulas(SIG, 2, 2)
     queries = 0
     yeses = 0
-    short = Budget(proof_length=5, enumeration_complexity=2)
+    short = Budget(proof_length=5)
     while queries < 220:
         logic = logics[rng.randrange(len(logics))]
         pool = enumerate_formulas(logic.signature, 2, 2)
@@ -292,7 +292,7 @@ def test_criterion_07_image_condition_equivalences():
     failures = 0
     sampled_pairs = 0
     pool = enumerate_formulas(SIG, 2, 2)
-    short = Budget(proof_length=6, enumeration_complexity=2)
+    short = Budget(proof_length=6)
     while sampled_pairs < 100:
         h = random_flexible(rng, SIG, CPL2.signature, 3)
         if h is None:

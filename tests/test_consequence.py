@@ -38,7 +38,7 @@ def p(text, sig=SIG):
 
 
 def test_budget_parsing():
-    assert Budget.parse("40,6,4,2") == Budget(40, 6, 4, 2)
+    assert Budget.parse("40,6,4,2") == Budget(40)
     assert Budget.parse("12") == Budget(proof_length=12)
     with pytest.raises(ValueError):
         Budget.parse("1,2")
@@ -360,7 +360,7 @@ def test_generated_join_neutral_and_mixed():
     assert joined.axioms == frag_a.axioms and joined.rules == frag_a.rules
 
     goal = parse("imp(x0, x0)", sig)
-    short = Budget(proof_length=7, enumeration_complexity=3)
+    short = Budget(proof_length=7)
     assert derives(Logic("A", sig, calculus=frag_a), [], goal, short).is_unknown
     assert derives(Logic("B", sig, calculus=frag_b), [], goal, short).is_unknown
     both = Logic("AB", sig, calculus=generated_join([frag_a, frag_b]))
@@ -507,7 +507,7 @@ def test_saturation_agrees_with_search_on_samples():
     sig = SIG
     pool = enumerate_formulas(sig, 1, 2)
     sat = Saturation(CPL1.calculus, pool)
-    budget = Budget(proof_length=10, enumeration_complexity=3)
+    budget = Budget(proof_length=10)
     rng = random.Random(4)
     for _ in range(20):
         phi = pool[rng.randrange(len(pool))]
@@ -651,7 +651,7 @@ IMP_LOGICS = {name: ENV.logic(name) for name in ("IMPFRAG", "IMP", "CPL1")}
 # formulas of complexity <= 2 in x0, x1
 IMP_POOLS = {name: enumerate_formulas(logic.signature, 2, 2)
              for name, logic in IMP_LOGICS.items()}
-SMALL = Budget(5, 2, 1, 2)
+SMALL = Budget(5)
 
 
 @st.composite
@@ -679,7 +679,7 @@ def test_g4ip_step_against_search(sequent):
     if name != "CPL1":
         # K, S and modus ponens alone: a failed G4ip is never a searched yes
         assert implication.pure
-        if search_proof(logic.calculus, gamma, phi, SMALL) is not None:
+        if search_proof(logic.calculus, gamma, phi, SMALL).is_yes:
             assert proof is not None
         assert (step is not None and step.is_unknown) == (proof is None)
 
@@ -716,13 +716,14 @@ def test_decided_proofs_do_not_depend_on_the_hash_seed():
     assert [json.loads(line)["verdict"] for line in output.splitlines()] == ["yes"] * 3
 
 
-# the check before search ends the first three and passes its cap on the
-# others, so where it stops must not depend on the hash seed, nor the order
-# in which it takes several hypotheses
+# the prover rules out every tree of the first three, proves the next two
+# and passes its cap on the last, so where it stops, and the proofs it
+# writes, must not depend on the hash seed, nor the order in which it takes
+# several hypotheses
 CHECK_UNDER_A_HASH_SEED = """
 import json
 from catlog import corpus
-from catlog.consequence import Budget, _Skeletons, derives
+from catlog.consequence import Budget, _Skeletons
 from catlog.formulas import parse
 cpl1 = corpus.standard_env().logic("CPL1")
 sig = cpl1.signature
@@ -730,13 +731,13 @@ for hyps, goal, budget in [(["x0"], "neg(neg(x0))", "5,6,4,2"),
                            ([], "imp(neg(neg(x0)), x0)", "5,6,4,2"),
                            (["neg(neg(x0))"], "x0", "5,6,4,2"),
                            (["neg(neg(x0))"], "x0", "40,8,2,1"),
-                           (["neg(x1)", "imp(x0, x1)", "neg(neg(x0))"], "x1", "40,8,2,1")]:
+                           (["neg(x1)", "imp(x0, x1)", "neg(neg(x0))"], "x1", "40,8,2,1"),
+                           (["x0"], "neg(neg(x0))", "40,8,2,1")]:
     hyps, goal, budget = [parse(h, sig) for h in hyps], parse(goal, sig), Budget.parse(budget)
-    check = _Skeletons(cpl1.calculus, frozenset(hyps))
-    out = {"reach": check.reach(goal, budget.proof_length), "attempts": check.attempts,
-           "levels": [[str(c) for c in level] for level in check.levels]}
-    if budget.proof_length < 40:
-        out["verdict"] = derives(cpl1, hyps, goal, budget).to_json()
+    prover = _Skeletons(cpl1.calculus, frozenset(hyps))
+    out = {"verdict": prover.prove(goal, budget.proof_length).to_json(),
+           "attempts": prover.attempts,
+           "levels": [[str(c) for c in level] for level in prover.levels]}
     print(json.dumps(out, sort_keys=True))
 """
 
@@ -750,7 +751,8 @@ def test_the_check_before_search_does_not_depend_on_the_hash_seed():
                              capture_output=True, text=True, check=True)
         outputs.add(run.stdout)
     [output] = outputs
-    runs = [json.loads(line) for line in output.splitlines()]
-    assert [run["reach"] for run in runs] == [False, False, False, True, True]
-    assert [run.get("verdict") for run in runs[:3]] == [
-        {"verdict": "unknown", "reason": "proof search budget exhausted"}] * 3
+    verdicts = [json.loads(line)["verdict"] for line in output.splitlines()]
+    assert verdicts[:3] == [
+        {"verdict": "unknown", "reason": "no proof tree within 5 nodes"}] * 3
+    assert [verdict["verdict"] for verdict in verdicts[3:5]] == ["yes"] * 2
+    assert verdicts[5] == {"verdict": "unknown", "reason": "unification cap (20,000) reached"}

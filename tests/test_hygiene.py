@@ -454,7 +454,6 @@ def test_hygiene_check_sees_caught_classes():
 # Exceptions that signal inside the package rather than report bad input:
 # (module, enclosing function, what its `raise` names).
 INTERNAL_SIGNALS = {
-    ("consequence", "_Searcher.prove", "_SearchBudget"),
     ("formulas", "extend", "_head_error"),  # returns a StructuralError
     ("formulas", "check_formula", "_head_error"),
     ("formulas", "Formula.__setattr__", "AttributeError"),

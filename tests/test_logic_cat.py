@@ -32,7 +32,7 @@ CPL2 = ENV.logic("CPL2")
 H = ENV.morphism("h")
 K = ENV.morphism("k")
 SIG = CPL1.signature
-FAST = Budget(proof_length=10, enumeration_complexity=3)
+FAST = Budget(proof_length=10)
 
 
 def p(text, sig=SIG):
@@ -165,7 +165,7 @@ def test_direct_image_minimality_for_verified_translation():
     rng = random.Random(2)
     from catlog.formulas import enumerate_formulas
     pool = enumerate_formulas(SIG, 2, 2)
-    short = Budget(proof_length=4, enumeration_complexity=2)
+    short = Budget(proof_length=4)
     checked = 0
     for _ in range(25):
         gamma = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(0, 2))]
@@ -480,7 +480,7 @@ def test_product_with_matching_arity_factor():
     from catlog.formulas import enumerate_formulas
     pool = enumerate_formulas(sig, 2, 2)
     pr = t1.morphism
-    short = Budget(proof_length=4, enumeration_complexity=2)
+    short = Budget(proof_length=4)
     for _ in range(12):
         phi = pool[rng.randrange(len(pool))]
         gamma = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(0, 1))]

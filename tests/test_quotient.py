@@ -29,7 +29,7 @@ NC3 = ENV.logic("NC3")
 H = ENV.morphism("h")
 K = ENV.morphism("k")
 SIG = CPL1.signature
-FAST = Budget(proof_length=8, enumeration_complexity=3)
+FAST = Budget(proof_length=8)
 
 
 def p(text, sig=SIG):

@@ -1,30 +1,37 @@
-"""The proof-search kernel (`match`, `unify`, `_ground`) against reference
-copies of its earlier closure-based versions; the check that ends a search
-with no tree within its length bound, against the search it ends; pinned
-searched proofs, and pinned proofs that `derives` decides before search.
+"""The unification kernel (`match`, `unify`) against reference copies of
+its earlier closure-based versions; the backward prover (condensed
+detachment, `search_proof`) against `_Searcher`, the backward search it
+replaced, kept here as the reference; pinned searched proofs, and pinned
+proofs that `derives` decides before the prover runs.
 
 The references are kept here on purpose: the kernel may get faster, but the
 bindings it returns, including the order of their keys, decide which
-instantiations the search tries and so which proofs it finds.
+unifiers the prover keeps and so which proofs it finds.
 """
 
 import hashlib
+import itertools
 import json
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from catlog import consequence, corpus
+from catlog import corpus
 from catlog.consequence import (
-    _FREE_OFFSET, _RENAME_OFFSET, Budget, Calculus, Verdict, _ground, _Searcher,
-    _SearchBudget, _Skeletons, derives, interderivable, search_proof, unify,
+    _RENAME_OFFSET, _UNIFY_CAP, AxiomInstance, Budget, Calculus, Hypothesis, Rule,
+    RuleInstance, Verdict, _Skeletons, derives, interderivable, search_proof, unify,
+    verify_proof,
 )
 from catlog.formulas import (
-    App, Substitution, Var, enumerate_formulas, match, parse, sort_key, substitute,
-    variables,
+    App, Formula, Substitution, Var, complexity, enumerate_formulas, match, parse,
+    sort_key, subformulas, substitute, variables,
 )
 from catlog.logic_cat import fibring_unconstrained
+
+# the offset `_Searcher` shifts rule variables to while it harvests
+_FREE_OFFSET = 20_000
 
 OBJECT = [0, 1, 2]
 RENAMED = [_RENAME_OFFSET, _RENAME_OFFSET + 1]
@@ -99,23 +106,6 @@ def reference_unify(a, b, binding):
             return None
         stack.extend(zip(left.args, right.args))
     return binding
-
-
-def reference_ground(phi, binding):
-    """The full rebuild: every node is built again."""
-    if isinstance(phi, Var):
-        if phi.index in binding:
-            return reference_ground(binding[phi.index], binding)
-        if phi.index >= _RENAME_OFFSET:
-            return None
-        return phi
-    args = []
-    for a in phi.args:
-        g = reference_ground(a, binding)
-        if g is None:
-            return None
-        args.append(g)
-    return App(phi.connective, tuple(args))
 
 
 # --- strategies --------------------------------------------------------------
@@ -221,7 +211,7 @@ def test_match_keeps_unbindable_variables_fixed():
     assert match(pattern, parse("g(x1, x1)"), None, only_free) is None
 
 
-# --- unify and _ground -------------------------------------------------------
+# --- unify -------------------------------------------------------------------
 
 
 @given(unify_cases(), acyclic_bindings(OBJECT + RENAMED + FREE))
@@ -251,20 +241,306 @@ def test_unify_runs_the_occurs_check_through_the_binding():
         0: renamed, _RENAME_OFFSET: App("f", (Var(1),))}
 
 
-@given(terms(OBJECT + RENAMED + FREE), acyclic_bindings(OBJECT + RENAMED + FREE))
-def test_ground_agrees_with_a_full_rebuild(phi, binding):
-    assert _ground(phi, binding) is reference_ground(phi, binding)
+# --- the reference: the backward search the prover replaced ------------------
 
 
-@given(unify_cases())
-def test_ground_of_a_unifier_agrees_with_a_full_rebuild(case):
-    binding = unify(*case, {})
-    if binding is not None:
-        for v in sorted(binding):
-            assert _ground(Var(v), binding) is reference_ground(Var(v), binding)
+@dataclass(frozen=True)
+class SearchBounds:
+    """`_Searcher`'s bounds: proof-tree nodes, substitution-image
+    complexity, candidate enumeration complexity, candidate variable count."""
+
+    proof_length: int
+    instance_complexity: int
+    enumeration_complexity: int
+    variable_count: int
 
 
-# --- the size-bounded check before search ------------------------------------
+def _ground(phi: Formula, binding: dict[int, Formula]) -> Formula | None:
+    """Fully resolve a unification result; None if foreign variables remain."""
+    vs = variables(phi)
+    if vs.isdisjoint(binding):
+        # nothing to replace: phi itself, unless a renamed variable remains
+        for i in vs:
+            if i >= _RENAME_OFFSET:
+                return None
+        return phi
+    if type(phi) is Var:
+        return _ground(binding[phi.index], binding)
+    args = []
+    for a in phi.args:
+        g = _ground(a, binding)
+        if g is None:
+            return None
+        args.append(g)
+    return App(phi.connective, tuple(args))
+
+
+class _Node:
+    __slots__ = ("formula", "justification", "children", "size")
+
+    def __init__(self, formula, justification, children):
+        self.formula = formula
+        self.justification = justification
+        self.children = children
+        self.size = 1 + sum(c.size for c in children)
+
+
+# hard cap on search-tree nodes per query; exceeding it means Unknown
+_NODE_CAP = 300_000
+
+
+class _SearchBudget(Exception):
+    pass
+
+
+class _Searcher:
+    """Backward search for one goal, bounded by proof size and node count.
+
+    `prove` tries, in order: a memoized proof, a hypothesis, the first
+    axiom that matches, then each rule whose conclusion matches, premises
+    proved under every instantiation `_instantiations` yields.  `rules`
+    holds per rule, computed once: its premise variables in sorted order
+    and the order its premises are proved in.  `axioms` pairs each axiom
+    with its head connective (None for a variable), so an axiom whose head
+    differs from the goal's is passed over without a match.
+
+    Object-level variable indices are assumed to stay below
+    `_RENAME_OFFSET`; rule variables are shifted into [_FREE_OFFSET, ...)
+    while harvesting.
+    """
+
+    def __init__(self, calculus: Calculus, hypotheses: frozenset[Formula],
+                 goal: Formula, budget: SearchBounds):
+        self.calculus = calculus
+        self.hypotheses = hypotheses
+        self.budget = budget
+        self.success: dict[Formula, _Node] = {}
+        self.failed_at: dict[Formula, int] = {}
+        self.sub_pool = self._subformula_pool(goal)
+        self.pool = self._candidate_pool(goal)
+        self.shallow_pool = [f for f in self.pool if complexity(f) <= 2]
+        self.max_depth = min(16, budget.proof_length)
+        self.axioms = [(a, a.connective if type(a) is App else None)
+                       for a in calculus.axioms]
+        self.shifted_axioms = [substitute(lambda i: Var(i + _RENAME_OFFSET), a)
+                               for a in calculus.axioms]
+        self.ground_axioms = [a for a in calculus.axioms if not variables(a)]
+        self.nodes = 0
+        # keep the total work roughly constant: rich rule sets get fewer nodes
+        self.node_cap = max(8_000, _NODE_CAP // max(1, len(calculus.rules)))
+        # per rule: its premise variables, sorted, and its premises in the
+        # order they are proved: structurally richer patterns first, as
+        # they prune harder
+        self.rules = [(rule, sorted(set().union(*map(variables, rule.premises))),
+                       sorted(range(len(rule.premises)),
+                              key=lambda i: -complexity(rule.premises[i])))
+                      for rule in calculus.rules]
+        self.fewest_premises = min((len(r.premises) for r in calculus.rules), default=1)
+        # rules indexed by the head of their conclusion; variable-headed
+        # conclusions apply to every goal
+        self.rules_by_head: dict[str, list[int]] = {}
+        self.var_conclusion_rules: list[int] = []
+        for ridx, rule in enumerate(calculus.rules):
+            if isinstance(rule.conclusion, Var):
+                self.var_conclusion_rules.append(ridx)
+            else:
+                self.rules_by_head.setdefault(
+                    rule.conclusion.connective, []).append(ridx)
+
+    def _subformula_pool(self, goal: Formula) -> list[Formula]:
+        base = subformulas(goal)
+        for f in self.hypotheses:
+            base |= subformulas(f)
+        return sorted((f for f in base
+                       if complexity(f) <= self.budget.instance_complexity),
+                      key=complexity)
+
+    def _candidate_pool(self, goal: Formula) -> list[Formula]:
+        occurring = variables(goal)
+        for f in self.hypotheses:
+            occurring |= variables(f)
+        indices = sorted(occurring)[: self.budget.variable_count]
+        if not indices:
+            indices = [0]
+        span = min(max(indices) + 1, max(self.budget.variable_count, 1))
+        enumerated = enumerate_formulas(
+            self.calculus.signature, span, self.budget.enumeration_complexity)
+        pool = list(self.sub_pool)
+        seen = set(pool)
+        for phi in enumerated:
+            if phi not in seen and variables(phi) <= set(indices):
+                pool.append(phi)
+                seen.add(phi)
+        return pool
+
+    def prove(self, goal: Formula, allowed: int, stack: frozenset[Formula]
+              ) -> tuple[_Node | None, bool]:
+        """Returns (proof tree, cycle_flag); cycle failures are not memoized."""
+        self.nodes += 1
+        if self.nodes > self.node_cap:
+            raise _SearchBudget
+        cached = self.success.get(goal)
+        if cached is not None and cached.size <= allowed:
+            return cached, False
+        if allowed <= 0:
+            return None, False
+        if goal in stack:
+            return None, True
+        if len(stack) >= self.max_depth:
+            # depth-pruned, so the failure is path-dependent: no memo entry
+            return None, True
+        if self.failed_at.get(goal, -1) >= allowed:
+            return None, False
+        if goal in self.hypotheses:
+            node = _Node(goal, Hypothesis(), [])
+            self.success[goal] = node
+            return node, False
+        head = goal.connective if type(goal) is App else None
+        for idx, (axiom, axiom_head) in enumerate(self.axioms):
+            if axiom_head is not None and axiom_head != head:
+                continue
+            sigma = match(axiom, goal)
+            if sigma is not None:
+                node = _Node(goal, AxiomInstance(idx, sigma), [])
+                self.success[goal] = node
+                return node, False
+        cycle_seen = False
+        # a rule step takes a node for each premise and one for itself
+        if allowed > self.fewest_premises:
+            inner = stack | {goal}
+            depth = len(stack)
+            applicable = self.rules_by_head.get(head, [])
+            for ridx in itertools.chain(applicable, self.var_conclusion_rules):
+                made, cyc = self._try_rule(ridx, goal, allowed, inner, depth)
+                cycle_seen = cycle_seen or cyc
+                if made is not None:
+                    self.success[goal] = made
+                    return made, cycle_seen
+        if not cycle_seen:
+            # no call below records a failure for goal, which is on its stack
+            self.failed_at[goal] = allowed
+        return None, cycle_seen
+
+    def _try_rule(self, ridx: int, goal: Formula, allowed: int,
+                  stack: frozenset[Formula], depth: int) -> tuple[_Node | None, bool]:
+        rule, rule_vars, order = self.rules[ridx]
+        if allowed < 1 + len(rule.premises):
+            return None, False
+        base = match(rule.conclusion, goal)
+        if base is None:
+            return None, False
+        free = [v for v in rule_vars if v not in base.mapping]
+        cycle_seen = False
+        for sigma in self._instantiations(rule, base, free, depth):
+            # prove returns only nodes that fit their allowance, so this one fits
+            children: list[_Node | None] = [None] * len(rule.premises)
+            remaining = allowed - 1
+            for i in order:
+                node, cyc = self.prove(substitute(sigma, rule.premises[i]),
+                                       remaining, stack)
+                cycle_seen = cycle_seen or cyc
+                if node is None:
+                    break
+                children[i] = node
+                remaining -= node.size
+            else:  # indices set later
+                return _Node(goal, RuleInstance(ridx, sigma, ()), children), cycle_seen
+        return None, cycle_seen
+
+    def _instantiations(self, rule: Rule, base: Substitution, free: list[int],
+                        depth: int):
+        if not free:
+            yield base
+            return
+        harvested = self._harvest(rule, base, free)
+        seen = {tuple(sigma(v) for v in free) for sigma in harvested}
+        yield from harvested
+        # fall back to bounded enumeration for anything not harvested; blind
+        # candidates branch too widely to allow at depth, so the pool shrinks
+        # from full enumeration (root) to small formulas to subformulas only,
+        # and the number of blind attempts per node is capped
+        if depth == 0:
+            pool, cap = self.pool, 160
+        elif depth == 1:
+            pool, cap = self.shallow_pool, 40
+        else:
+            pool, cap = self.sub_pool, len(self.sub_pool)
+        tried = 0
+        pools = [pool] * len(free)
+        for combo in itertools.product(*pools):
+            key = tuple(combo)
+            if key in seen:
+                continue
+            tried += 1
+            if tried > cap:
+                return
+            mapping = dict(base.mapping)
+            mapping.update(zip(free, combo))
+            yield Substitution(mapping)
+
+    def _harvest(self, rule: Rule, base: Substitution, free: list[int]
+                 ) -> list[Substitution]:
+        """Ground candidates read off hypotheses and axiom unifiers."""
+        harvested: list[Substitution] = []
+        seen: set[tuple] = set()
+        bound = self.budget.instance_complexity
+
+        def consider(binding: dict[int, Formula]):
+            images = []
+            for v in free:
+                img = binding.get(v + _FREE_OFFSET)
+                if img is None:
+                    return
+                img = _ground(img, binding)
+                if img is None or complexity(img) > bound:
+                    return
+                images.append(img)
+            key = tuple(images)
+            if key in seen:
+                return
+            seen.add(key)
+            mapping = dict(base.mapping)
+            mapping.update(zip(free, images))
+            harvested.append(Substitution(mapping))
+
+        shifted = Substitution({**base.mapping,
+                                **{v: Var(v + _FREE_OFFSET) for v in free}})
+        wanted = {v + _FREE_OFFSET for v in free}
+        for premise in rule.premises:
+            pattern = substitute(shifted, premise)
+            if not wanted <= variables(pattern):
+                continue  # `consider` needs every free variable bound
+            for hyp in self.hypotheses:
+                # bindable: i >= _FREE_OFFSET
+                m = match(pattern, hyp, None, bindable=_FREE_OFFSET.__le__)
+                if m is not None:
+                    consider(m.mapping)
+            # a bare variable unifies with the whole axiom, a ground image
+            # only when the axiom has no variables
+            axioms = self.ground_axioms if type(pattern) is Var else self.shifted_axioms
+            for axiom in axioms:
+                binding = unify(pattern, axiom, {})
+                if binding is not None:
+                    consider(binding)
+        return harvested
+
+
+def reference_search(calculus, hypotheses, goal, bounds, node_cap):
+    """The backward search as `search_proof` ran it: `_Searcher` through the
+    deepening schedule, with its node cap set to `node_cap`.  The proof
+    tree's root, or None; `_SearchBudget` passes the cap on to the caller."""
+    searcher = _Searcher(calculus, hypotheses, goal, bounds)
+    searcher.node_cap = node_cap
+    schedule = [1, 2, 3, 5, 8, 13, 21, 34]
+    limits = [s for s in schedule if s < bounds.proof_length] + [bounds.proof_length]
+    for limit in limits:
+        node, _ = searcher.prove(goal, limit, frozenset())
+        if node is not None:
+            return node
+    return None
+
+
+# --- the prover against the reference ----------------------------------------
 
 ENV = corpus.standard_env()
 
@@ -275,21 +551,6 @@ CHECKED_POOLS = {name: enumerate_formulas(logic.signature, 2, 2)
                  for name, logic in CHECKED.items()}
 
 
-def reference_search(calculus, hypotheses, goal, budget, node_cap):
-    """`search_proof` without the check: `_Searcher` through the deepening
-    schedule, with its node cap set to `node_cap`.  The proof tree's root,
-    or None; `_SearchBudget` passes the cap on to the caller."""
-    searcher = _Searcher(calculus, hypotheses, goal, budget)
-    searcher.node_cap = node_cap
-    schedule = [1, 2, 3, 5, 8, 13, 21, 34]
-    limits = [s for s in schedule if s < budget.proof_length] + [budget.proof_length]
-    for limit in limits:
-        node, _ = searcher.prove(goal, limit, frozenset())
-        if node is not None:
-            return node
-    return None
-
-
 @st.composite
 def checked_sequents(draw):
     name = draw(st.sampled_from(sorted(CHECKED)))
@@ -298,21 +559,29 @@ def checked_sequents(draw):
             draw(st.integers(min_value=3, max_value=8)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(checked_sequents())
-def test_check_rules_out_only_sequents_that_search_cannot_prove(sequent):
+def test_the_prover_proves_every_sequent_the_reference_search_proves(sequent):
     name, gamma, phi, length = sequent
-    calculus = CHECKED[name].calculus
-    if _Skeletons(calculus, gamma).reach(phi, length):
-        return
-    # run to its end, the search of a ruled-out sequent takes seconds at
-    # length 7 or 8; iterative deepening finds a short proof early, so a
-    # search that passes 5,000 nodes says nothing either way
+    logic = CHECKED[name]
+    verdict = search_proof(logic.calculus, gamma, phi, Budget(length))
+    # run to its end, the reference's search of an underivable sequent takes
+    # seconds at length 7 or 8; iterative deepening finds a short proof
+    # early, so a search that passes 5,000 nodes says nothing either way
     try:
-        found = reference_search(calculus, gamma, phi, Budget(length, 2, 1, 2), 5_000)
+        found = reference_search(logic.calculus, gamma, phi,
+                                 SearchBounds(length, 2, 1, 2), 5_000)
     except _SearchBudget:
-        return
-    assert found is None
+        found = None
+    if found is not None:
+        # the prover's tree is a smallest one
+        assert verdict.is_yes and len(verdict.proof) <= found.size
+    if verdict.is_yes:
+        assert verify_proof(logic, gamma, phi, verdict.proof)
+        assert len(verdict.proof) <= length
+    else:
+        # every tree within the bound was tried, and none concludes phi
+        assert verdict.reason == f"no proof tree within {length} nodes"
 
 
 def forward_derivation(calculus, hypotheses, rng, steps):
@@ -352,15 +621,14 @@ def _fits(premises, derived, binding, size):
        st.integers(min_value=2, max_value=16), st.integers(min_value=0, max_value=2))
 def test_check_never_rules_out_a_derived_goal(sequent, rng, steps, slack):
     name, gamma, _, _ = sequent
-    calculus = CHECKED[name].calculus
-    derived = forward_derivation(calculus, gamma, rng, steps)
+    logic = CHECKED[name]
+    derived = forward_derivation(logic.calculus, gamma, rng, steps)
     # the largest tree drawn: the one most likely to need rules
     goal, size = max(derived, key=lambda entry: entry[1])
-    assert _Skeletons(calculus, gamma).reach(goal, size + slack)
-
-
-def _no_search(*_):
-    raise AssertionError("the check should have ended this search")
+    verdict = search_proof(logic.calculus, gamma, goal, Budget(size + slack))
+    # the prover finds a smallest tree, and the drawn one has `size` nodes
+    assert verdict.is_yes and len(verdict.proof) <= size
+    assert verify_proof(logic, gamma, goal, verdict.proof)
 
 
 @pytest.mark.parametrize("hyps, goal", [
@@ -368,24 +636,48 @@ def _no_search(*_):
     ([], "imp(neg(neg(x0)), x0)"),
     (["neg(neg(x0))"], "x0"),
 ], ids=["dni_cpl1", "dne_thm_cpl1", "dne_cpl1"])
-def test_check_ends_searches_with_no_tree_within_the_bound(monkeypatch, hyps, goal):
-    monkeypatch.setattr(consequence, "_Searcher", _no_search)
-    sig = CHECKED["CPL1"].signature
-    assert search_proof(CHECKED["CPL1"].calculus, frozenset(parse(h, sig) for h in hyps),
-                        parse(goal, sig), Budget.parse("5,6,4,2")) is None
+def test_check_ends_searches_with_no_tree_within_the_bound(hyps, goal):
+    cpl1 = CHECKED["CPL1"]
+    verdict = derives(cpl1, [parse(h, cpl1.signature) for h in hyps],
+                      parse(goal, cpl1.signature), Budget.parse("5,6,4,2"))
+    assert verdict == Verdict.unknown(reason="no proof tree within 5 nodes")
 
 
-def test_check_ends_a_search_in_an_empty_calculus(monkeypatch):
-    monkeypatch.setattr(consequence, "_Searcher", _no_search)
+def test_check_ends_a_search_in_an_empty_calculus():
     empty = Calculus(CHECKED["CPL1"].signature, [], [])
-    assert search_proof(empty, frozenset([Var(0)]), Var(1)) is None
-    assert _Skeletons(empty, frozenset([Var(0)])).reach(Var(0), 1)
+    assert search_proof(empty, frozenset([Var(0)]), Var(1)) == Verdict.unknown(
+        reason="no proof tree within 40 nodes")
+    assert search_proof(empty, frozenset([Var(0)]), Var(0), Budget(1)).is_yes
+
+
+def test_the_unification_cap_ends_a_deep_goal():
+    # a 100-deep right-nested implication over x0 -> x0: a theorem whose
+    # smallest proof has far more than 40 steps
+    impfrag = ENV.logic("IMPFRAG")
+    goal = parse("imp(x0, x0)", impfrag.signature)
+    for depth in range(100):
+        goal = App("imp", (Var(depth % 3), goal))
+    cap = Verdict.unknown(reason=f"unification cap ({_UNIFY_CAP:,}) reached")
+    assert derives(impfrag, [], goal) == cap
+    prover = _Skeletons(impfrag.calculus, frozenset())
+    assert prover.prove(goal, Budget().proof_length) == cap
+    assert prover.attempts <= _UNIFY_CAP
+
+
+def test_every_tree_of_a_fibred_query_is_ruled_out_below_the_cap():
+    # criterion 12's query before its congruential closure
+    fibred = fibring_unconstrained(ENV.logic("IMPFRAG"), ENV.logic("NEGFRAG"))[0]
+    hyp = parse("neg_1(x0)", fibred.signature)
+    goal = parse("neg_1(imp_0(imp_0(x0, x0), x0))", fibred.signature)
+    prover = _Skeletons(fibred.calculus, frozenset([hyp]))
+    assert prover.prove(goal, 10) == Verdict.unknown(reason="no proof tree within 10 nodes")
+    assert prover.attempts == 913
 
 
 # --- searched proofs, pinned -------------------------------------------------
 
-# sha256 of each verdict's JSON (sorted keys); a change to the search order
-# or to the shape of a proof changes them
+# sha256 of each verdict's JSON (sorted keys); a change to the order in
+# which the prover builds its levels, or to the shape of a proof, changes them
 PINNED = [
     pytest.param("CPL1", ["imp(x0, x0)"], None,
                  "de2606caae1aa35d039306987e5afcf2399956117fdfac64fd29eb131ec3a5b3",
@@ -394,7 +686,7 @@ PINNED = [
                  "861beaad2a73c70c94d92454f816a4b4b25c055b6be7b383a11259da3ffac07c",
                  id="mp_imp"),
     pytest.param("CPL1", ["neg(neg(x0))", "x0"], "40,8,2,1",
-                 "7cb236576d340439797ab1f193273aebbba6b19610f80fc34801230708c117ae",
+                 "29975f136969fcd9caa4c6ebd92090fe10405500c42738e845a999b4e2d9550b",
                  id="dne_cpl1_wide"),
     pytest.param("IMPFRAG", ["imp(x0, x1)", "imp(x1, x2)", "imp(x0, x2)"], "7,4,2,3",
                  "045aa4f1ed97d49567053aab2af69087bba886e42de94b7dba2917134688f39a",
@@ -403,10 +695,10 @@ PINNED = [
 
 
 def _searched(logic, hyps, goal, budget=Budget()) -> Verdict:
-    """The verdict `derives` gives for a proof that search finds."""
-    found = search_proof(logic.calculus, frozenset(hyps), goal, budget)
-    assert found is not None
-    return Verdict.yes(proof=found, used=found.used_hypotheses())
+    """The verdict of a proof that the prover finds."""
+    verdict = search_proof(logic.calculus, frozenset(hyps), goal, budget)
+    assert verdict.is_yes
+    return verdict
 
 
 @pytest.mark.parametrize("logic, texts, budget, digest", PINNED)
@@ -428,7 +720,7 @@ def test_searched_interderivability_is_pinned():
 
 
 # `derives` answers these with G4ip's proofs, compiled to K, S and modus
-# ponens, before search runs; they are the proofs search finds, step for step
+# ponens, before the prover runs; they are the proofs it finds, step for step
 DECIDED = [
     pytest.param("CPL1", ["imp(x0, x0)"], None, 5,
                  "de2606caae1aa35d039306987e5afcf2399956117fdfac64fd29eb131ec3a5b3",
