@@ -836,7 +836,8 @@ class _Skeletons:
     Size 1 holds each axiom with its variables made schematic (at or above
     `_RENAME_OFFSET`) and each hypothesis as it is: the hypotheses' and the
     goal's variables are fixed symbols, so a unifier that binds one of them
-    is rejected.  Size s holds, for each rule with k premises and each
+    is rejected; they must lie below `_RENAME_OFFSET`, which `search_proof`
+    sees to.  Size s holds, for each rule with k premises and each
     split of s - 1 into k positive sizes, the rule's conclusion under the
     unifier of its premises with one conclusion of each size.  A conclusion
     is kept once up to renaming, at the smallest size that reaches it: a
@@ -896,6 +897,8 @@ class _Skeletons:
                 origins.append(origin)
                 if match(conclusion, goal, bindable=schematic) is not None:
                     proof = self._proof(size, len(level) - 1, goal)
+                    if proof is None:
+                        return Verdict.unknown(reason="a proof tree that does not rebuild")
                     return Verdict.yes(proof=proof, used=proof.used_hypotheses())
                 if len(variables(conclusion)) >= _RENAME_OFFSET:
                     return Verdict.unknown(
@@ -951,14 +954,21 @@ class _Skeletons:
                 _renamed(c, offset) for c in self.levels[size]]
         return copies
 
-    def _proof(self, size: int, index: int, goal: Formula) -> Proof:
+    def _proof(self, size: int, index: int, goal: Formula) -> Proof | None:
         """The tree of levels[size][index], rebuilt with fresh variables for
         each axiom and rule instance, its premises unified with the roots of
         its subtrees and its root with goal; schematic variables still free
         become x0.  The unifications succeed, as they did for the entries,
-        and bind no fixed variable."""
+        and bind no fixed variable, so each step is an instance of its axiom
+        or rule and the root is goal; None, not a proof of something else,
+        if the rebuild breaks this."""
         binding: dict[int, Formula] = {}
         fresh = itertools.count(_RENAME_OFFSET)
+        unified = True
+
+        def join(scheme: Formula, formula: Formula) -> None:
+            nonlocal unified
+            unified = unified and unify(scheme, formula, binding) is not None
 
         def renaming(*schemes) -> Substitution:
             return Substitution({v: Var(next(fresh)) for v in sorted(
@@ -976,12 +986,14 @@ class _Skeletons:
             sigma = renaming(rule.conclusion, *rule.premises)
             premises = tuple(rebuild(*entry) for entry in origin.premises)
             for pattern, (formula, _, _) in zip(rule.premises, premises):
-                unify(substitute(sigma, pattern), formula, binding)
+                join(substitute(sigma, pattern), formula)
             return (substitute(sigma, rule.conclusion), RuleInstance(origin.rule, sigma, ()),
                     premises)
 
         root = rebuild(size, index)
-        unify(root[0], goal, binding)
+        join(root[0], goal)
+        if not unified or not all(k >= _RENAME_OFFSET for k in binding):
+            return None
 
         def ground(phi: Formula) -> Formula:
             return substitute(lambda i: Var(0 if i >= _RENAME_OFFSET else i),
@@ -1029,8 +1041,27 @@ def search_proof(calculus: Calculus, hypotheses: frozenset[Formula],
                  goal: Formula, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Backward proof search by condensed detachment (`_Skeletons`): yes
     with a proof from a smallest proof tree, of at most `budget.proof_length`
-    nodes; else unknown with the bound that stopped the search."""
-    return _Skeletons(calculus, hypotheses).prove(goal, budget.proof_length)
+    nodes; else unknown with the bound that stopped the search.
+
+    `_Skeletons` takes the variables at or above `_RENAME_OFFSET` for its
+    own schematic ones, so the sequent's variables up there are first
+    renamed to the lowest indices it leaves free, and a proof found is
+    renamed back."""
+    occurring = set().union(variables(goal), *map(variables, hypotheses))
+    high = sorted(i for i in occurring if i >= _RENAME_OFFSET)
+    if not high:
+        return _Skeletons(calculus, hypotheses).prove(goal, budget.proof_length)
+    free = (i for i in itertools.count() if i not in occurring)
+    low = [next(free) for _ in high]
+    if low[-1] >= _RENAME_OFFSET:
+        return Verdict.unknown(reason=f"a sequent with {_RENAME_OFFSET:,} variables or more")
+    rename = Substitution({i: Var(j) for i, j in zip(high, low)})
+    verdict = _Skeletons(calculus, frozenset(substitute(rename, h) for h in hypotheses)
+                         ).prove(substitute(rename, goal), budget.proof_length)
+    if not verdict.is_yes:
+        return verdict
+    proof = transform_proof(verdict.proof, Substitution({j: Var(i) for i, j in zip(high, low)}))
+    return Verdict.yes(proof=proof, used=proof.used_hypotheses())
 
 
 # ---------------------------------------------------------------------------

@@ -650,6 +650,48 @@ def test_check_ends_a_search_in_an_empty_calculus():
     assert search_proof(empty, frozenset([Var(0)]), Var(0), Budget(1)).is_yes
 
 
+def test_variables_at_the_rename_offset_stay_fixed():
+    # the prover's schematic variables start at _RENAME_OFFSET; a sequent's
+    # variables up there are fixed symbols all the same
+    negfrag = CHECKED["NEGFRAG"]
+    x10000, x5 = Var(_RENAME_OFFSET), Var(5)
+    assert not derives(negfrag, [x10000], x5).is_yes
+    assert search_proof(negfrag.calculus, frozenset([x10000]), x5) == Verdict.unknown(
+        reason="no proof tree within 40 nodes")
+    for texts in (["x10000", "imp(x10000, x5)", "x5"],
+                  ["imp(neg(x0), neg(x10000))", "imp(x10000, x0)"],
+                  ["x10000", "imp(neg(x10001), neg(x10000))", "x10001"],
+                  ["imp(imp(neg(x3), neg(x20000)), imp(x20000, x3))"]):
+        *hyps, goal = [parse(t, negfrag.signature) for t in texts]
+        verdict = derives(negfrag, hyps, goal)
+        assert verdict.is_yes and verdict.proof.conclusion() == goal
+        assert verify_proof(negfrag, hyps, goal, verdict.proof)
+
+
+def test_a_tree_rebuilt_against_another_goal_gives_no_proof():
+    negfrag = CHECKED["NEGFRAG"]
+    hyps = frozenset([Var(0), parse("imp(x0, x1)", negfrag.signature)])
+    prover = _Skeletons(negfrag.calculus, hyps)
+    assert prover.prove(Var(1), 3).is_yes
+    index = prover.levels[3].index(Var(1))
+    assert prover._proof(3, index, Var(1)).conclusion() == Var(1)
+    assert prover._proof(3, index, Var(2)) is None
+
+
+@pytest.mark.parametrize("logic, imp, links, length", [
+    ("NEGFRAG", "imp", 6, 13),
+    ("IMPFRAG+NEGFRAG", "imp_1", 5, 11),
+], ids=["negfrag_6", "fibred_5"])
+def test_a_chain_of_hypotheses_is_proved_at_the_default_budget(logic, imp, links, length):
+    # x0, imp(x0, x1), ..., imp(x_{n-1}, x_n) |- x_n, with no G4ip step to
+    # take it; the reference search passes its node cap on both
+    logic = CHECKED[logic]
+    hyps = [Var(0)] + [App(imp, (Var(i), Var(i + 1))) for i in range(links)]
+    verdict = derives(logic, hyps, Var(links))
+    assert verdict.is_yes and len(verdict.proof) == length
+    assert verify_proof(logic, hyps, Var(links), verdict.proof)
+
+
 def test_the_unification_cap_ends_a_deep_goal():
     # a 100-deep right-nested implication over x0 -> x0: a theorem whose
     # smallest proof has far more than 40 steps
