@@ -1,9 +1,12 @@
-"""Propositional formula trees, substitution, parsing and bounded enumeration.
+"""Propositional formula trees, substitution, parsing, and bounded
+enumeration, counting and unranking.
 
 Formulas are built from variables x0, x1, ... and prefix applications of
 named connectives.  The slice of all formulas whose variable set is exactly
 {x0, ..., x_{n-1}} plays the role of an arity-n "derived connective" and is
-the raw material for flexible signature morphisms.
+the raw material for flexible signature morphisms.  A slice can be listed
+(`enumerate_slice`), or counted and indexed without being built
+(`slice_size`, `slice_formula`).
 
 Formulas are hash-consed (Filliatre & Conchon, "Type-Safe Modular
 Hash-Consing", 2006): `Var` and `App` look each new node up in a
@@ -447,6 +450,21 @@ def _head_error(phi: App, arity: int | None) -> StructuralError:
 
 # ---------------------------------------------------------------------------
 # Bounded enumeration of formulas and slices
+#
+# Enumerations list formulas in `sort_key` order: by complexity, then by head
+# name, then by arguments compared left to right as (c1, a1, c2, a2, ...),
+# each argument by its complexity first and then by its own place in this
+# order; variables, the formulas of complexity 0, by index.
+#
+# `slice_size` and `slice_formula` count and unrank a slice in this order
+# without building it (the recursive method: Nijenhuis & Wilf, "Combinatorial
+# Algorithms", 1978).  Unranking skips whole blocks of the order, and to do
+# so it must count each block.  A slice asks for an exact variable set, which
+# no single argument decides: it depends on the union of the arguments' sets.
+# So formulas are counted by complexity and by variable-set bitmask.  The
+# number of ways to finish a head's argument list after a prefix then depends
+# only on the prefix's mask, so each block is a weighted sum over masks, and
+# a weight vector over masks carries the constraint down into the arguments.
 
 
 @lru_cache(maxsize=4096)
@@ -494,3 +512,161 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """The ways to write total as an ordered sum of `parts` non-negative parts."""
     return [split for split in itertools.product(range(total + 1), repeat=parts)
             if sum(split) == total]
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _or_product(a: list[int], b: list[int]) -> list[int]:
+    """Counts of pairs by the union of their masks, from counts by mask."""
+    out = [0] * len(a)
+    for m1, x in enumerate(a):
+        if x:
+            for m2, y in enumerate(b):
+                if y:
+                    out[m1 | m2] += x * y
+    return out
+
+
+class _SliceCounts:
+    """Formula counts for one shape: the arities of a signature's connectives
+    in name order, and n variables.  Counts grow to higher complexities on
+    demand and do not depend on the connectives' names.
+
+    `level[c][m]` counts the formulas of complexity c whose variable set is
+    the bitmask m; `_tuples[j][r][m]` counts the j-tuples of formulas whose
+    complexities add up to r and whose variable sets have union m.  A weight
+    vector gives each mask a weight: a formula of mask m counts weight[m]
+    times.  The slice's own weight, `target`, is 1 on the full mask.
+    """
+
+    def __init__(self, arities: tuple[int, ...], n: int):
+        self.arities = arities
+        self.n = n
+        self.masks = 1 << n
+        self.full = self.masks - 1
+        self.target = tuple(int(m == self.full) for m in range(self.masks))
+        first = [0] * self.masks
+        for i in range(n):
+            first[1 << i] = 1
+        self.level = [first]
+        empty = [1] + [0] * self.full
+        self._tuples = [[empty]] + [[] for _ in range(max(arities, default=0))]
+        self._heads: dict = {}
+        self._branches: dict = {}
+
+    def upto(self, compl: int) -> list[list[int]]:
+        """`level`, grown to at least complexity `compl`."""
+        while len(self.level) <= compl:
+            c = len(self.level)
+            counts = [0] * self.masks
+            for k in self.arities:
+                if k:
+                    counts = [x + y for x, y in zip(counts, self.tuples(k, c - 1))]
+                elif c == 1:
+                    counts[0] += 1
+            self.level.append(counts)
+        return self.level
+
+    def tuples(self, j: int, rest: int) -> list[int]:
+        """`_tuples[j][rest]`, grown as needed."""
+        row = self._tuples[j]
+        while len(row) <= rest:
+            r = len(row)
+            counts = [0] * self.masks
+            if j:
+                level = self.upto(r)
+                for c in range(r + 1):
+                    part = _or_product(level[c], self.tuples(j - 1, r - c))
+                    counts = [x + y for x, y in zip(counts, part)]
+            row.append(counts)
+        return row[rest]
+
+    def sizes(self, max_compl: int) -> list[int]:
+        """The slice's number of formulas at each complexity up to `max_compl`."""
+        return [level[self.full] for level in self.upto(max_compl)[:max_compl + 1]]
+
+    def heads(self, compl: int, weight: tuple[int, ...]) -> list[tuple[int, int]]:
+        """(position, weighted count) of each head with formulas of
+        complexity `compl` >= 1, in name order."""
+        key = (compl, weight)
+        found = self._heads.get(key)
+        if found is None:
+            found = self._heads[key] = [
+                (pos, _dot(self.tuples(k, compl - 1), weight) if k else weight[0])
+                for pos, k in enumerate(self.arities) if k or compl == 1]
+        return found
+
+    def branches(self, j: int, rest: int, mask: int, weight: tuple[int, ...]) -> list:
+        """The choices for the next argument of a head, where `j` arguments
+        follow it, the arguments left add up to complexity `rest`, and those
+        before it have the variable mask `mask`: (complexity, weighted count,
+        weight by the argument's own mask) for each complexity it can take."""
+        key = (j, rest, mask, weight)
+        found = self._branches.get(key)
+        if found is None:
+            found = []
+            level = self.upto(rest)
+            for c in range(rest + 1):
+                after = self.tuples(j, rest - c)
+                inner = tuple(sum(x * weight[mask | m | m2] for m2, x in enumerate(after))
+                              for m in range(self.masks))
+                found.append((c, _dot(level[c], inner), inner))
+            self._branches[key] = found
+        return found
+
+    def unrank(self, names: list[str], compl: int, weight: tuple[int, ...], index: int
+               ) -> tuple[Formula, int, int]:
+        """The formula at `index` among those of complexity `compl` in
+        `sort_key` order, each counted by its weight; with its mask and
+        `index`'s offset into the formula's weight."""
+        if compl == 0:
+            for i in range(self.n):
+                w = weight[1 << i]
+                if index < w:
+                    return Var(i), 1 << i, index
+                index -= w
+        for pos, count in self.heads(compl, weight):
+            if index >= count:
+                index -= count
+                continue
+            args: list[Formula] = []
+            mask, rest = 0, compl - 1
+            for j in range(self.arities[pos] - 1, -1, -1):
+                for c, size, inner in self.branches(j, rest, mask, weight):
+                    if index < size:
+                        break
+                    index -= size
+                arg, arg_mask, index = self.unrank(names, c, inner, index)
+                args.append(arg)
+                mask |= arg_mask
+                rest -= c
+            return App(names[pos], tuple(args)), mask, index
+
+
+@lru_cache(maxsize=1024)
+def _slice_counts(arities: tuple[int, ...], n: int) -> _SliceCounts:
+    return _SliceCounts(arities, n)
+
+
+def _counts_for(sig, n: int) -> tuple[list[str], _SliceCounts]:
+    names = sorted(sig.connectives)
+    return names, _slice_counts(tuple(map(sig.connectives.__getitem__, names)), n)
+
+
+def slice_size(sig, n: int, max_compl: int) -> int:
+    """`len(enumerate_slice(sig, n, max_compl))`, counted without building it."""
+    return sum(_counts_for(sig, n)[1].sizes(max_compl))
+
+
+def slice_formula(sig, n: int, max_compl: int, index: int) -> Formula:
+    """`enumerate_slice(sig, n, max_compl)[index]` for 0 <= index < the
+    slice's size, built without building the slice."""
+    names, counts = _counts_for(sig, n)
+    if index >= 0:
+        for compl, size in enumerate(counts.sizes(max_compl)):
+            if index < size:
+                return counts.unrank(names, compl, counts.target, index)[0]
+            index -= size
+    raise InputError(f"slice index out of range for {n} variables, complexity <= {max_compl}")

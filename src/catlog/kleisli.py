@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .formulas import (
     App, Formula, InputError, Var, check_formula, complexity, enumerate_slice,
-    extend, fmt, variables,
+    extend, fmt, slice_formula, slice_size, variables,
 )
 from .signatures import (
     Morphism, Signature, StrictMorphism, identity_morphism, strict_extension,
@@ -146,7 +149,29 @@ def truncate_slices(base: Signature, compl_bound: int, var_bound: int,
 
     `extra` forces additional slice formulas (e.g. images under a morphism),
     keyed by their text, into the truncation so that morphisms out of a
-    truncation stay total.
+    truncation stay total.  The plain truncation is built once per
+    (connectives, bounds) and shared; each call copies it, adds the extras
+    it lacks, and takes the base and the signature's name from `base`.
+    """
+    connectives, decode = map(dict, _plain_truncation(base, compl_bound, var_bound))
+    for ident, phi in (extra or {}).items():
+        if ident not in connectives:
+            check_formula(base, phi)
+            connectives[ident] = len(variables(phi))
+            decode[ident] = phi
+    sig = Signature(f"T({base.name})<= {compl_bound}", connectives)
+    return SliceTruncation(base, compl_bound, var_bound, sig, decode)
+
+
+@lru_cache(maxsize=256)
+def _plain_truncation(base: Signature, compl_bound: int, var_bound: int
+                      ) -> tuple[Mapping[str, int], Mapping[str, Formula]]:
+    """The arity and the formula of each slice head of the truncation,
+    read-only: every caller shares them.
+
+    Signatures compare by their connectives alone, so the cache may hand
+    this to a base of another name: it holds nothing of `base` but its
+    connectives.
     """
     connectives: dict[str, int] = {}
     decode: dict[str, Formula] = {}
@@ -155,13 +180,7 @@ def truncate_slices(base: Signature, compl_bound: int, var_bound: int,
             ident = fmt(phi)
             connectives[ident] = n
             decode[ident] = phi
-    for ident, phi in (extra or {}).items():
-        if ident not in connectives:
-            check_formula(base, phi)
-            connectives[ident] = len(variables(phi))
-            decode[ident] = phi
-    sig = Signature(f"T({base.name})<= {compl_bound}", connectives)
-    return SliceTruncation(base, compl_bound, var_bound, sig, decode)
+    return MappingProxyType(connectives), MappingProxyType(decode)
 
 
 def minus_functor(h: Morphism, compl_bound: int, var_bound: int
@@ -388,10 +407,17 @@ def random_signature(rng: random.Random, name: str) -> Signature:
 
 def random_formula_in_slice(rng: random.Random, sig: Signature, n: int,
                             max_compl: int) -> Formula | None:
-    pool = enumerate_slice(sig, n, max_compl)
-    if not pool:
+    """A uniform draw from `enumerate_slice(sig, n, max_compl)`, or None when
+    the slice is empty.
+
+    The draw makes exactly one `rng.randrange(size)` call and takes the
+    formula at that index of the slice in `enumerate_slice` order; the
+    formula is unranked from counts, so no slice is built or kept.
+    """
+    size = slice_size(sig, n, max_compl)
+    if not size:
         return None
-    return pool[rng.randrange(len(pool))]
+    return slice_formula(sig, n, max_compl, rng.randrange(size))
 
 
 def random_flexible(rng: random.Random, source: Signature, target: Signature,

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from catlog.formulas import (
-    _APPS, _VARS, _VARSETS, App, ParseError, StructuralError, Substitution, Var,
-    _Building, app, check_formula, complexity, compose_substitutions,
-    enumerate_formulas, enumerate_slice, extend, fmt, match, parse, sort_key,
-    substitute, subformulas, var, variables,
+    _APPS, _VARS, _VARSETS, App, InputError, ParseError, StructuralError,
+    Substitution, Var, _Building, app, check_formula, complexity,
+    compose_substitutions, enumerate_formulas, enumerate_slice, extend, fmt,
+    match, parse, slice_formula, slice_size, sort_key, substitute, subformulas,
+    var, variables,
 )
 from catlog.signatures import Signature
 
@@ -168,6 +169,38 @@ def test_enumeration_is_sorted_and_duplicate_free():
     out = enumerate_formulas(sig, 2, 3)
     assert out == sorted(out, key=sort_key)
     assert len(out) == len(set(out))
+
+
+# Shapes for the counting kernel: every single head of arity 0-3, every pair
+# of heads of arity 0-2, a ternary head beside a unary one, and names that
+# sort differently from their insertion order.
+KERNEL_SHAPES = (
+    [{"g": a} for a in range(4)]
+    + [{"g0": a, "g1": b} for a in range(3) for b in range(a, 3)]
+    + [{"u": 1, "t": 3}, {"zz": 2, "a": 1, "m": 0}, {"e": 0, "u": 1, "b": 2}]
+)
+
+
+@pytest.mark.parametrize("conn", KERNEL_SHAPES, ids=lambda c: ",".join(
+    f"{name}/{arity}" for name, arity in c.items()))
+def test_counting_kernel_matches_enumeration_at_every_index(conn):
+    sig = Signature("S", conn)
+    for n in range(4):
+        for bound in range(4):
+            reference = enumerate_slice(sig, n, bound)
+            assert slice_size(sig, n, bound) == len(reference), (n, bound)
+            for index, phi in enumerate(reference):
+                assert slice_formula(sig, n, bound, index) is phi, (n, bound, index)
+
+
+def test_counting_kernel_rejects_an_index_outside_the_slice():
+    sig = Signature("S", {"zz": 2, "a": 1, "m": 0})
+    size = slice_size(sig, 2, 2)
+    assert size == len(enumerate_slice(sig, 2, 2)) > 0
+    for index in (-1, size):
+        with pytest.raises(InputError):
+            slice_formula(sig, 2, 2, index)
+    assert slice_size(Signature("U", {"u": 1}), 2, 3) == 0
 
 
 # --- hash-consed kernel ------------------------------------------------------

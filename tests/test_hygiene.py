@@ -139,6 +139,71 @@ def test_hygiene_check_sees_random_imports():
     assert not _imports_random(ast.parse("import randomness\nx = random\n"))
 
 
+CACHES = {"lru_cache", "cache"}
+
+
+def _unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines that use functools' `lru_cache` or `cache` without a finite
+    integer `maxsize` written out: bare, unbounded or computed."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in CACHES}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+
+    def is_cache(node):
+        return (isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in CACHES
+                and isinstance(node.value, ast.Name) and node.value.id in modules)
+
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and is_cache(node.func):
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            size = sizes[0] if sizes else None
+            if not (isinstance(size, ast.Constant) and type(size.value) is int
+                    and size.value > 0):
+                found.append(node.lineno)
+        elif is_cache(node) and id(node) not in called:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_every_cache_has_a_finite_maxsize(path):
+    # module-level caches live as long as the process, so an unbounded one
+    # grows the peak memory of every long run
+    lines = _unbounded_caches(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: caches without a finite integer maxsize at " \
+        f"lines {lines}"
+
+
+def test_hygiene_check_sees_unbounded_caches():
+    tree = ast.parse(
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import lru_cache, cache as memo, reduce\n"
+        "@lru_cache(maxsize=64)\n"
+        "def a(): pass\n"
+        "@lru_cache\n"
+        "def b(): pass\n"
+        "@lru_cache(maxsize=None)\n"
+        "def c(): pass\n"
+        "@memo\n"
+        "def d(): pass\n"
+        "@functools.lru_cache(32)\n"
+        "def e(): pass\n"
+        "@ft.cache\n"
+        "def f(): pass\n"
+        "g = functools.lru_cache(maxsize=SIZE)(len)\n"
+        "cache = {}\n"
+        "h = cache.get(1)\n"
+        "i = reduce(max, [1])\n")
+    assert _unbounded_caches(tree) == [6, 8, 10, 14, 16]
+
+
 MATRIX_INTERNALS = {"_flat", "_flatten", "_designated_at"}
 
 

@@ -14,7 +14,9 @@ from catlog.kleisli import (
     check_kleisli_theorem, counit, directed_colimit_signatures, flat,
     flexible_extension, is_regular, is_weak_terminal, kleisli_compose,
     kleisli_identity, lift_strict, minus_functor, random_composable_pair,
-    sharp, slice_colimit_comparison, slice_inhabitant, suite_adjunction,
+    random_composable_triple, random_flexible, random_formula_in_slice,
+    random_signature, sharp, slice_colimit_comparison, slice_inhabitant,
+    suite_adjunction,
     suite_category_laws, suite_kleisli_theorem, suite_monad_laws,
     suite_regularity, t_on_strict, truncate_slices, unit,
     weak_terminal_witness,
@@ -581,3 +583,170 @@ def test_morphism_enumerations_are_empty_without_candidates(source):
     no_constants = Signature("T", {"m": 1, "c": 2})
     assert all_strict_morphisms(source, no_constants) == []
     assert all_flexible_morphisms(source, no_constants, 3) == []
+
+
+# --- seeded draws: counted and unranked, as if enumerated ------------------
+
+
+def reference_formula_in_slice(rng, sig, n, max_compl):
+    """A draw made by building the slice and indexing it."""
+    pool = enumerate_slice(sig, n, max_compl)
+    return pool[rng.randrange(len(pool))] if pool else None
+
+
+def reference_flexible(rng, source, target, max_compl):
+    assignment = {}
+    for c, arity in source.connectives.items():
+        phi = reference_formula_in_slice(rng, target, arity, max_compl)
+        if phi is None:
+            return None
+        assignment[c] = phi
+    return FlexibleMorphism(source, target, assignment)
+
+
+def reference_composable_pair(rng, max_compl):
+    while True:
+        a, b, c = (random_signature(rng, name) for name in "abc")
+        h1 = reference_flexible(rng, a, b, max_compl)
+        if h1 is None:
+            continue
+        h2 = reference_flexible(rng, b, c, max_compl)
+        if h2 is not None:
+            return h1, h2
+
+
+def reference_composable_triple(rng, max_compl):
+    while True:
+        h1, h2 = reference_composable_pair(rng, max_compl)
+        h3 = reference_flexible(rng, h2.target, random_signature(rng, "d"), max_compl)
+        if h3 is not None:
+            return h1, h2, h3
+
+
+def _same_morphisms(got, want):
+    return len(got) == len(want) and all(
+        g == w and g.name == w.name and g.source.name == w.source.name
+        and g.target.name == w.target.name for g, w in zip(got, want))
+
+
+# Seeds 1, 2 and 3 are the benchmark's suite seeds; each draws as its suite.
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_formula_draws_match_the_enumerating_reference(seed):
+    shapes, rng, ref = random.Random(seed + 100), random.Random(seed), random.Random(seed)
+    for _ in range(300):
+        # at most one ternary head, which keeps the reference's slices small
+        sig = Signature("s", {f"s{i}": shapes.randint(0, 3 if i == 0 else 2)
+                              for i in range(shapes.randint(1, 3))})
+        n, bound = shapes.randrange(4), shapes.randrange(4)
+        got = random_formula_in_slice(rng, sig, n, bound)
+        assert got is reference_formula_in_slice(ref, sig, n, bound)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_morphism_draws_match_the_enumerating_reference(seed):
+    # the category suite's triples at bound 3
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert _same_morphisms(random_composable_triple(rng, 3),
+                               reference_composable_triple(ref, 3))
+        assert rng.getstate() == ref.getstate()
+    # the Kleisli-theorem suite's pairs at bound 3
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(60):
+        assert _same_morphisms(random_composable_pair(rng, 3),
+                               reference_composable_pair(ref, 3))
+        assert rng.getstate() == ref.getstate()
+    # the regularity and adjunction suites' single morphisms at bound 2
+    rng, ref = random.Random(seed), random.Random(seed)
+    for _ in range(60):
+        src, tgt = random_signature(rng, "r"), random_signature(rng, "q")
+        assert (src, tgt) == (random_signature(ref, "r"), random_signature(ref, "q"))
+        got, want = random_flexible(rng, src, tgt, 2), reference_flexible(ref, src, tgt, 2)
+        assert (got is None and want is None) or _same_morphisms([got], [want])
+        assert rng.getstate() == ref.getstate()
+
+
+# --- shared truncations ------------------------------------------------------
+
+
+def reference_truncation(base, compl_bound, var_bound, extra=None):
+    """The truncation's signature and decoding, built from scratch."""
+    connectives, decode = {}, {}
+    for n in range(var_bound + 1):
+        for phi in enumerate_slice(base, n, compl_bound):
+            connectives[fmt(phi)] = n
+            decode[fmt(phi)] = phi
+    for ident, phi in (extra or {}).items():
+        if ident not in connectives:
+            connectives[ident] = len(variables(phi))
+            decode[ident] = phi
+    return Signature(f"T({base.name})<= {compl_bound}", connectives), decode
+
+
+def assert_built_from_scratch(trunc, base, compl_bound, var_bound, extra=None):
+    sig, decode = reference_truncation(base, compl_bound, var_bound, extra)
+    assert trunc.base is base
+    assert (trunc.compl_bound, trunc.var_bound) == (compl_bound, var_bound)
+    assert trunc.signature.name == sig.name
+    assert list(trunc.signature.connectives.items()) == list(sig.connectives.items())
+    assert list(trunc.decode.items()) == list(decode.items())
+
+
+def test_truncations_of_equal_bases_keep_their_own_base_and_name():
+    left = Signature("Left", {"u": 1, "b": 2})
+    right = Signature("Right", {"b": 2, "u": 1})
+    assert left == right
+    for base in (left, right, left):
+        trunc = truncate_slices(base, 2, 2)
+        assert trunc.signature.name == f"T({base.name})<= 2"
+        assert_built_from_scratch(trunc, base, 2, 2)
+
+
+def test_changing_a_truncation_does_not_leak_into_the_next():
+    base = Signature("Leak", {"u": 1, "b": 2})
+    first = truncate_slices(base, 2, 2)
+    first.decode.clear()
+    first.decode["junk"] = Var(0)
+    extra = {"u(u(u(x0)))": parse("u(u(u(x0)))", base)}
+    grown = truncate_slices(base, 2, 2, extra=extra)
+    assert_built_from_scratch(grown, base, 2, 2, extra)
+    grown.signature.connectives.clear()
+    again = truncate_slices(base, 2, 2)
+    assert "u(u(u(x0)))" not in again.decode and "junk" not in again.decode
+    assert_built_from_scratch(again, base, 2, 2)
+
+
+def test_t_on_strict_pairs_equals_the_truncations_built_from_scratch():
+    f1 = Signature("F1", {"n": 1, "b": 2})
+    f2 = Signature("F2", {"n": 1, "m": 1, "b": 2, "c": 2})
+    f3 = Signature("F3", {"u": 1, "v": 1, "b": 2})
+    pairs = [(f, g) for f in all_strict_morphisms(f1, f2)
+             for g in all_strict_morphisms(f2, f3)]
+    assert len(pairs) == 16
+    for f, g in pairs:
+        for h in (f, g, compose_strict(g, f)):
+            strict, src, tgt = minus_functor(h, 3, 2)
+            assert_built_from_scratch(src, h.source, 3, 2)
+            images = [strict_extension(h, phi) for phi in src.decode.values()]
+            texts = [fmt(image) for image in images]
+            assert_built_from_scratch(tgt, h.target, 3, 2, dict(zip(texts, images)))
+            assert list(strict.images.items()) == list(zip(src.decode, texts))
+            assert (strict.source, strict.target) == (src.signature, tgt.signature)
+
+
+def test_sharp_equals_the_truncation_built_from_scratch():
+    rng = random.Random(5)
+    done = 0
+    while done < 50:
+        h = random_flexible(rng, random_signature(rng, "s"), random_signature(rng, "t"), 2)
+        if h is None:
+            continue
+        done += 1
+        f, trunc = sharp(h)
+        mapping = {c: fmt(phi) for c, phi in h.assignment.items()}
+        bound = max(max(map(complexity, h.assignment.values()), default=1), 1)
+        var_bound = max(h.source.arities(), default=0)
+        assert_built_from_scratch(trunc, h.target, bound, var_bound,
+                                  dict(zip(mapping.values(), h.assignment.values())))
+        assert f.images == mapping and f.target is trunc.signature
