@@ -8,9 +8,10 @@ exact matrix, the oracle, the matrix as refuter, G4ip for calculi with K, S
 and modus ponens (module `implication`), and proof search.  Proof search is
 condensed detachment (`_Skeletons`): it builds the most general conclusions
 of all proof trees, size by size up to `proof_length` nodes, and rebuilds
-the first tree whose conclusion has the goal as an instance.  Its unknown
-says which bound stopped it.  Lattice operations (meet, generated join,
-directed sup) combine providers without ever inventing an uncertified No.
+the first tree whose conclusion has the goal as an instance; its schematic
+variables are the negative ones.  Its unknown says which bound stopped it.
+Lattice operations (meet, generated join, directed sup) combine providers
+without ever inventing an uncertified No.
 
 `Matrix.apply` is the only code that applies a matrix table, and
 `ProofWriter` the only code that writes proof steps, for proof search,
@@ -670,12 +671,14 @@ def derives(logic: Logic, gamma, phi: Formula,
     where the calculus has K, S and modus ponens (`Implication.decide`);
     then proof search by condensed detachment (`search_proof`).
 
+    The sequent is checked (`check_formula`) before proof search can run.
     Yes from a calculus carries a proof no longer than
     `budget.proof_length`; No carries a countervaluation (or a membership
     certificate from decidable oracles); Unknown says what stopped the
     answer: no proof tree within `budget.proof_length` nodes, the
-    unification cap of proof search, or G4ip showed a sequent of K, S and
-    modus ponens alone underivable without a countermodel to certify it.
+    unification cap of proof search, a proof tree that does not rebuild,
+    or G4ip showed a sequent of K, S and modus ponens alone underivable
+    without a countermodel to certify it.
     """
     gamma = frozenset(gamma)
     matrix = exact_matrix(logic, proof)
@@ -740,9 +743,6 @@ def refutation_sweep(checks) -> tuple[object, Verdict]:
 # Condensed detachment: proof trees by size, each rebuilt by unification
 
 
-_RENAME_OFFSET = 10_000
-
-
 def unify(a: Formula, b: Formula, binding: dict[int, Formula]) -> dict[int, Formula] | None:
     """Syntactic unification; both sides may contain variables.
 
@@ -766,8 +766,8 @@ def unify(a: Formula, b: Formula, binding: dict[int, Formula]) -> dict[int, Form
             continue
         if type(left) is Var:
             if type(right) is Var:
-                # prefer binding template variables, keeping object variables free
-                if left.index >= _RENAME_OFFSET:
+                # prefer binding a schematic variable, keeping the sequent's free
+                if left.index < 0:
                     binding[left.index] = right
                 else:
                     binding[right.index] = left
@@ -802,6 +802,12 @@ def _occurs(idx: int, phi: Formula, binding: dict[int, Formula]) -> bool:
     return False
 
 
+def _schematic_unifier(a: Formula, b: Formula, binding: dict[int, Formula]):
+    """unify(a, b, binding) if it binds only schematic (negative) variables."""
+    found = unify(a, b, binding)
+    return None if found is None or any(k >= 0 for k in found) else found
+
+
 # the most unifications `_Skeletons.prove` tries before it answers unknown
 _UNIFY_CAP = 20_000
 
@@ -833,18 +839,20 @@ class _Skeletons:
     inference", Studia Logica 42, 1983; Hindley & Meredith, "Principal
     type-schemes and condensed detachment", JSL 55, 1990).
 
-    Size 1 holds each axiom with its variables made schematic (at or above
-    `_RENAME_OFFSET`) and each hypothesis as it is: the hypotheses' and the
-    goal's variables are fixed symbols, so a unifier that binds one of them
-    is rejected; they must lie below `_RENAME_OFFSET`, which `search_proof`
-    sees to.  Size s holds, for each rule with k premises and each
-    split of s - 1 into k positive sizes, the rule's conclusion under the
-    unifier of its premises with one conclusion of each size.  A conclusion
-    is kept once up to renaming, at the smallest size that reaches it: a
-    larger tree that uses it could use the smaller one instead.  Levels are
-    built in a fixed order (axioms, hypotheses by `sort_key`, then rules in
-    order), so the proof found, and where `_UNIFY_CAP` ends the search, do
-    not depend on the hash seed.
+    The sequent's variables are fixed symbols: a unifier that binds one is
+    rejected.  Schematic variables have negative indices, which no formula
+    of a signature has (`check_formula`), in `lanes` interleaved lanes: the
+    k-th of lane l is x_{-1-l-lanes*k}.  Rules and level entries take lane
+    0, the copies of a level unified with premise position p lane p + 1.
+
+    Size 1 holds each axiom and each hypothesis.  Size s holds, for each
+    rule with k premises and each split of s - 1 into k positive sizes, the
+    rule's conclusion under the unifier of its premises with one conclusion
+    of each size.  A conclusion is kept once up to renaming, at the
+    smallest size that reaches it: a larger tree that uses it could use the
+    smaller one instead.  Levels are built in a fixed order (axioms,
+    hypotheses by `sort_key`, then rules in order), so the proof found, and
+    where `_UNIFY_CAP` ends the search, do not depend on the hash seed.
 
     Each entry keeps how it was made (`origins`: `Hypothesis`, `_ByAxiom` or
     `_ByRule`), so the first entry with the goal as an instance gives a
@@ -852,8 +860,11 @@ class _Skeletons:
     """
 
     def __init__(self, calculus: Calculus, hypotheses: frozenset[Formula]):
+        self.widest = max((len(r.premises) for r in calculus.rules), default=0)
+        self.lanes = 1 + self.widest
+
         def shift(i):
-            return Var(i + _RENAME_OFFSET)
+            return Var(-1 - self.lanes * i)
 
         self.calculus = calculus
         self.first: list[tuple[Formula, object]] = [
@@ -867,7 +878,6 @@ class _Skeletons:
             self.rules.append((premises, substitute(shift, rule.conclusion),
                                sorted(range(len(premises)),
                                       key=lambda i: -complexity(premises[i]))))
-        self.widest = max((len(r.premises) for r in calculus.rules), default=0)
         # levels[s]: the conclusions first reached by trees of s nodes, and
         # origins[s] how each was made
         self.levels: list[list[Formula]] = [[]]
@@ -881,7 +891,6 @@ class _Skeletons:
         """Yes with a proof of goal from a tree of at most `length` nodes;
         else unknown with the bound that stopped the search: no such tree
         exists, or `_UNIFY_CAP` ended the search first."""
-        schematic = _RENAME_OFFSET.__le__
         highest = 0
         for size in range(1, length + 1):
             level: list[Formula] = []
@@ -890,19 +899,16 @@ class _Skeletons:
             self.origins.append(origins)
             made = self.first if size == 1 else self._made(size)
             for conclusion, origin in made:
-                conclusion = _renamed(conclusion, _RENAME_OFFSET)
+                conclusion = _renamed(conclusion, 0, self.lanes)
                 if conclusion in self.seen:
                     continue
                 level.append(conclusion)
                 origins.append(origin)
-                if match(conclusion, goal, bindable=schematic) is not None:
+                if _schematic_unifier(conclusion, goal, {}) is not None:
                     proof = self._proof(size, len(level) - 1, goal)
                     if proof is None:
                         return Verdict.unknown(reason="a proof tree that does not rebuild")
                     return Verdict.yes(proof=proof, used=proof.used_hypotheses())
-                if len(variables(conclusion)) >= _RENAME_OFFSET:
-                    return Verdict.unknown(
-                        reason=f"a conclusion with {_RENAME_OFFSET:,} variables or more")
                 self.seen.add(conclusion)
             if self.attempts >= _UNIFY_CAP:
                 return Verdict.unknown(reason=f"unification cap ({_UNIFY_CAP:,}) reached")
@@ -938,20 +944,19 @@ class _Skeletons:
                 if self.attempts >= _UNIFY_CAP:
                     return
                 self.attempts += 1
-                found = unify(premises[slot], conclusion, dict(binding))
-                if found is not None and all(k >= _RENAME_OFFSET for k in found):
+                found = _schematic_unifier(premises[slot], conclusion, dict(binding))
+                if found is not None:
                     picks[slot] = (size, index)
                     yield from self._unifiers(premises, order, pos + 1,
                                               left - size, found, picks)
 
     def _copies(self, size: int, slot: int) -> list[Formula]:
         """levels[size] renamed apart from the rules and the other premise
-        positions; made once per level and position."""
+        positions, into lane slot + 1; made once per level and position."""
         copies = self.copies.get((size, slot))
         if copies is None:
-            offset = _RENAME_OFFSET * (slot + 2)
             copies = self.copies[size, slot] = [
-                _renamed(c, offset) for c in self.levels[size]]
+                _renamed(c, slot + 1, self.lanes) for c in self.levels[size]]
         return copies
 
     def _proof(self, size: int, index: int, goal: Formula) -> Proof | None:
@@ -963,12 +968,12 @@ class _Skeletons:
         or rule and the root is goal; None, not a proof of something else,
         if the rebuild breaks this."""
         binding: dict[int, Formula] = {}
-        fresh = itertools.count(_RENAME_OFFSET)
+        fresh = itertools.count(-1, -1)
         unified = True
 
         def join(scheme: Formula, formula: Formula) -> None:
             nonlocal unified
-            unified = unified and unify(scheme, formula, binding) is not None
+            unified = unified and _schematic_unifier(scheme, formula, binding) is not None
 
         def renaming(*schemes) -> Substitution:
             return Substitution({v: Var(next(fresh)) for v in sorted(
@@ -992,12 +997,11 @@ class _Skeletons:
 
         root = rebuild(size, index)
         join(root[0], goal)
-        if not unified or not all(k >= _RENAME_OFFSET for k in binding):
+        if not unified:
             return None
 
         def ground(phi: Formula) -> Formula:
-            return substitute(lambda i: Var(0 if i >= _RENAME_OFFSET else i),
-                              _resolved(phi, binding))
+            return substitute(lambda i: Var(0 if i < 0 else i), _resolved(phi, binding))
 
         def why(node):
             formula, justification, premises = node
@@ -1021,17 +1025,18 @@ def _resolved(phi: Formula, binding: dict[int, Formula]) -> Formula:
     return App(phi.connective, tuple([_resolved(a, binding) for a in phi.args]))
 
 
-def _renamed(phi: Formula, offset: int) -> Formula:
-    """phi with its schematic variables numbered from `offset` in order of
-    first occurrence; fixed variables stay."""
+def _renamed(phi: Formula, lane: int, lanes: int) -> Formula:
+    """phi with its schematic variables renamed, in order of first
+    occurrence, to those of `lane`: the k-th to x_{-1-lane-lanes*k}; fixed
+    variables stay."""
     names: dict[int, Formula] = {}
 
     def name(i: int) -> Formula:
-        if i < _RENAME_OFFSET:
+        if i >= 0:
             return Var(i)
         renamed = names.get(i)
         if renamed is None:
-            renamed = names[i] = Var(offset + len(names))
+            renamed = names[i] = Var(-1 - lane - lanes * len(names))
         return renamed
 
     return substitute(name, phi)
@@ -1041,27 +1046,9 @@ def search_proof(calculus: Calculus, hypotheses: frozenset[Formula],
                  goal: Formula, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Backward proof search by condensed detachment (`_Skeletons`): yes
     with a proof from a smallest proof tree, of at most `budget.proof_length`
-    nodes; else unknown with the bound that stopped the search.
-
-    `_Skeletons` takes the variables at or above `_RENAME_OFFSET` for its
-    own schematic ones, so the sequent's variables up there are first
-    renamed to the lowest indices it leaves free, and a proof found is
-    renamed back."""
-    occurring = set().union(variables(goal), *map(variables, hypotheses))
-    high = sorted(i for i in occurring if i >= _RENAME_OFFSET)
-    if not high:
-        return _Skeletons(calculus, hypotheses).prove(goal, budget.proof_length)
-    free = (i for i in itertools.count() if i not in occurring)
-    low = [next(free) for _ in high]
-    if low[-1] >= _RENAME_OFFSET:
-        return Verdict.unknown(reason=f"a sequent with {_RENAME_OFFSET:,} variables or more")
-    rename = Substitution({i: Var(j) for i, j in zip(high, low)})
-    verdict = _Skeletons(calculus, frozenset(substitute(rename, h) for h in hypotheses)
-                         ).prove(substitute(rename, goal), budget.proof_length)
-    if not verdict.is_yes:
-        return verdict
-    proof = transform_proof(verdict.proof, Substitution({j: Var(i) for i, j in zip(high, low)}))
-    return Verdict.yes(proof=proof, used=proof.used_hypotheses())
+    nodes; else unknown with the bound that stopped the search.  The
+    sequent's variable indices must be at least 0 (`check_formula`)."""
+    return _Skeletons(calculus, hypotheses).prove(goal, budget.proof_length)
 
 
 # ---------------------------------------------------------------------------

@@ -307,31 +307,28 @@ def compose_substitutions(sigma2: Substitution, sigma1: Substitution) -> Substit
     return Substitution({i: substitute(sigma2, sigma1(i)) for i in support})
 
 
-def match(pattern: Formula, concrete: Formula, binding: dict[int, Formula] | None = None,
-          bindable=None) -> Substitution | None:
+def match(pattern: Formula, concrete: Formula,
+          binding: dict[int, Formula] | None = None) -> Substitution | None:
     """One-sided match: a substitution s with substitute(s, pattern) == concrete.
 
-    `bindable` restricts which pattern variables may be bound; the others act
-    as fixed symbols that must literally reappear in `concrete`.  `binding`
-    gains its keys in the order the variables first occur in `pattern`, and
-    becomes the map of the substitution returned.
+    Every variable of `pattern` may be bound.  `binding` gains its keys in
+    the order the variables first occur in `pattern`, and becomes the map of
+    the substitution returned.
     """
     binding = {} if binding is None else binding
-    if _match(pattern, concrete, binding, bindable):
+    if _match(pattern, concrete, binding):
         return Substitution(binding)
     return None
 
 
-def _match(p: Formula, c: Formula, binding: dict[int, Formula], bindable) -> bool:
+def _match(p: Formula, c: Formula, binding: dict[int, Formula]) -> bool:
     """`match`'s walk: depth first, arguments left to right."""
     if type(p) is Var:
-        if bindable is not None and not bindable(p.index):
-            return p is c
         return binding.setdefault(p.index, c) is c
     if type(c) is not App or c.connective != p.connective or len(c.args) != len(p.args):
         return False
     for pa, ca in zip(p.args, c.args):
-        if not _match(pa, ca, binding, bindable):
+        if not _match(pa, ca, binding):
             return False
     return True
 
@@ -430,8 +427,12 @@ def json_value(value):
 
 
 def check_formula(sig, phi: Formula) -> None:
-    """Raise StructuralError unless phi is well-formed over sig."""
+    """Raise StructuralError unless phi is well-formed over sig.  Variable
+    indices must be at least 0: the prover's schematic variables are the
+    negative ones (`consequence._Skeletons`)."""
     if isinstance(phi, Var):
+        if phi.index < 0:
+            raise StructuralError(f"variable index {phi.index} is negative")
         return
     arity = sig.connectives.get(phi.connective)
     if arity != len(phi.args):

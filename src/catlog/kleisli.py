@@ -348,7 +348,8 @@ def directed_colimit_signatures(chain: list[StrictMorphism]
 
     Connectives are identified when some chain map merges them; the vertex
     keeps one representative per class, named after the class member at the
-    last stage.
+    last stage.  The vertex is named after every stage, so two chains that
+    end in one signature build two vertices of different names.
     """
     if not chain:
         raise InputError("empty chain")
@@ -361,7 +362,8 @@ def directed_colimit_signatures(chain: list[StrictMorphism]
             mapping = {c: f(d) for c, d in mapping.items()}
         to_top.append(mapping)
     top = stages[-1]
-    vertex = Signature(f"colim({top.name})", dict(top.connectives))
+    vertex = Signature("colim(" + ",".join(s.name for s in stages) + ")",
+                       dict(top.connectives))
     cocone = [
         StrictMorphism(stages[i], vertex, dict(to_top[i]), name=f"{vertex.name}_stage{i}")
         for i in range(len(stages))

@@ -583,15 +583,16 @@ def qfc_directed_colimit(stages: list[Logic], maps: list[Translation]
                          ) -> tuple[Logic, list[Translation]]:
     """Directed colimit in the congruential-quotient setting, for chains.
 
-    The vertex signature is the tagged coproduct of all stage signatures; a
-    sequent holds when some late enough stage derives its stage translation,
-    where tagged connectives unfold through the chain's extensions.  Only
-    the stages answer: a sequent no stage settles is unknown.
+    The vertex signature is the tagged coproduct of all stage signatures,
+    named, like the vertex, after the stage logics; a sequent holds when
+    some late enough stage derives its stage translation, where tagged
+    connectives unfold through the chain's extensions.  Only the stages
+    answer: a sequent no stage settles is unknown.
     """
     check_chain(stages, maps)
     sigs = [l.signature for l in stages]
-    vertex_sig, injections = signature_coproduct(
-        sigs, name="qfc_colim(" + ",".join(s.name for s in sigs) + ")")
+    name = "qfc_colim(" + ",".join(l.name for l in stages) + ")"
+    vertex_sig, injections = signature_coproduct(sigs, name=name)
     n = len(stages)
     stage_of = {inj(c): i for i, inj in enumerate(injections)
                 for c in sigs[i].connectives}
@@ -630,9 +631,7 @@ def qfc_directed_colimit(stages: list[Logic], maps: list[Translation]
                               reason="refuted at the top stage")
         return Verdict.unknown(reason="no stage settled the translation")
 
-    vertex = Logic("qfc_colim(" + ",".join(l.name for l in stages) + ")",
-                   vertex_sig, oracle=oracle,
-                   decides=all(l.decides for l in stages))
+    vertex = Logic(name, vertex_sig, oracle=oracle, decides=all(l.decides for l in stages))
     cocone = []
     for i, inj in enumerate(injections):
         cocone.append(Translation(inj, stages[i], vertex, VERIFIED,

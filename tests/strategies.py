@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared across the test modules."""
+"""Hypothesis strategies, and small fixed inputs, shared across the test
+modules."""
 
 import hypothesis.strategies as st
 
@@ -8,6 +9,19 @@ from catlog.signatures import Signature
 CPL1_SIG = Signature("SigCPL1", {"neg": 1, "imp": 2})
 CPL2_SIG = Signature("SigCPL2", {"negp": 1, "orp": 2})
 MIXED_SIG = Signature("Mixed", {"e": 0, "u": 1, "b": 2})
+
+# a calculus whose rules have three and four premises, for the prover's lanes
+UT_SPEC = """
+signature UT { u/1 t/3 q/1 p/2 }
+logic UT {
+  signature UT
+  axiom u(x0)
+  axiom p(x0, u(x0))
+  rule u(x0), u(x1), u(x2) => t(x0, x1, x2)
+  rule p(x0, x1), p(x1, x2), p(x2, x0), u(x1) => q(x0)
+  rule x0, p(x0, x1) => x1
+}
+"""
 
 
 def signatures(max_connectives=3, max_arity=2):

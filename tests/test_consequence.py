@@ -24,7 +24,7 @@ from catlog.formulas import (
 from catlog.logic_cat import bottom
 from catlog.signatures import Signature
 
-from strategies import formulas
+from strategies import UT_SPEC, formulas
 
 ENV = corpus.standard_env()
 CPL1 = ENV.logic("CPL1")
@@ -716,25 +716,28 @@ def test_decided_proofs_do_not_depend_on_the_hash_seed():
     assert [json.loads(line)["verdict"] for line in output.splitlines()] == ["yes"] * 3
 
 
-# the prover rules out every tree of the first three, proves the next two
-# and passes its cap on the last, so where it stops, and the proofs it
-# writes, must not depend on the hash seed, nor the order in which it takes
-# several hypotheses
-CHECK_UNDER_A_HASH_SEED = """
+# the prover rules out every tree of the first three, proves the next two,
+# passes its cap on the sixth and proves the last with a four-premise rule,
+# so where it stops, and the proofs it writes, must not depend on the hash
+# seed, nor the order in which it takes several hypotheses
+CHECK_UNDER_A_HASH_SEED = f"UT_SPEC = {UT_SPEC!r}\n" + """
 import json
-from catlog import corpus
+from catlog import corpus, dsl
 from catlog.consequence import Budget, _Skeletons
 from catlog.formulas import parse
 cpl1 = corpus.standard_env().logic("CPL1")
-sig = cpl1.signature
-for hyps, goal, budget in [(["x0"], "neg(neg(x0))", "5,6,4,2"),
-                           ([], "imp(neg(neg(x0)), x0)", "5,6,4,2"),
-                           (["neg(neg(x0))"], "x0", "5,6,4,2"),
-                           (["neg(neg(x0))"], "x0", "40,8,2,1"),
-                           (["neg(x1)", "imp(x0, x1)", "neg(neg(x0))"], "x1", "40,8,2,1"),
-                           (["x0"], "neg(neg(x0))", "40,8,2,1")]:
+ut = dsl.loads(UT_SPEC).logic("UT")
+for logic, hyps, goal, budget in [
+        (cpl1, ["x0"], "neg(neg(x0))", "5,6,4,2"),
+        (cpl1, [], "imp(neg(neg(x0)), x0)", "5,6,4,2"),
+        (cpl1, ["neg(neg(x0))"], "x0", "5,6,4,2"),
+        (cpl1, ["neg(neg(x0))"], "x0", "40,8,2,1"),
+        (cpl1, ["neg(x1)", "imp(x0, x1)", "neg(neg(x0))"], "x1", "40,8,2,1"),
+        (cpl1, ["x0"], "neg(neg(x0))", "40,8,2,1"),
+        (ut, ["p(x0, x1)", "p(x1, x2)", "p(x2, x0)"], "q(x0)", "12")]:
+    sig = logic.signature
     hyps, goal, budget = [parse(h, sig) for h in hyps], parse(goal, sig), Budget.parse(budget)
-    prover = _Skeletons(cpl1.calculus, frozenset(hyps))
+    prover = _Skeletons(logic.calculus, frozenset(hyps))
     out = {"verdict": prover.prove(goal, budget.proof_length).to_json(),
            "attempts": prover.attempts,
            "levels": [[str(c) for c in level] for level in prover.levels]}
@@ -756,3 +759,4 @@ def test_the_check_before_search_does_not_depend_on_the_hash_seed():
         {"verdict": "unknown", "reason": "no proof tree within 5 nodes"}] * 3
     assert [verdict["verdict"] for verdict in verdicts[3:5]] == ["yes"] * 2
     assert verdicts[5] == {"verdict": "unknown", "reason": "unification cap (20,000) reached"}
+    assert verdicts[6]["verdict"] == "yes" and verdicts[6]["proof"]["length"] == 5

@@ -539,18 +539,19 @@ def test_qfc_colimit_refutes_at_a_deciding_top_stage():
 
 
 def test_qfc_colimits_of_different_chains_load_from_one_spec():
-    # each vertex signature, and so each injection, is named after its
-    # stages' signatures
+    # each vertex signature, and so each injection, is named after its stage
+    # logics, so CPL1 and L3, both over SigCPL1, give two names
     text = corpus.STANDARD_DSL
     names = []
-    for stage in (CPL1, CPL2):
+    for stage in (CPL1, CPL2, ENV.logic("L3")):
         colim, cocone = qfc_directed_colimit([stage], [])
-        assert colim.signature.name == f"qfc_colim({stage.signature.name})"
+        assert colim.signature.name == f"qfc_colim({stage.name})"
         text += dsl.signature_to_dsl(colim.signature) + dsl.morphism_to_dsl(cocone[0].morphism)
         names.append(dsl.dsl_name(cocone[0].morphism.name))
     env = dsl.loads(text)
-    assert names == ["qfc_colim_SigCPL1__in0", "qfc_colim_SigCPL2__in0"]
-    assert [env.morphism(n).source for n in names] == [CPL1.signature, CPL2.signature]
+    assert names == ["qfc_colim_CPL1__in0", "qfc_colim_CPL2__in0", "qfc_colim_L3__in0"]
+    assert [env.morphism(n).source for n in names] == [
+        CPL1.signature, CPL2.signature, CPL1.signature]
 
 
 @pytest.mark.parametrize("error, message, stages, maps", [

@@ -18,23 +18,26 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from catlog import corpus
+from catlog import corpus, dsl
 from catlog.consequence import (
-    _RENAME_OFFSET, _UNIFY_CAP, AxiomInstance, Budget, Calculus, Hypothesis, Rule,
-    RuleInstance, Verdict, _Skeletons, derives, interderivable, search_proof, unify,
-    verify_proof,
+    _UNIFY_CAP, AxiomInstance, Budget, Calculus, Hypothesis, Logic, Rule, RuleInstance,
+    Verdict, _Skeletons, derives, interderivable, search_proof, unify, verify_proof,
 )
 from catlog.formulas import (
-    App, Formula, Substitution, Var, complexity, enumerate_formulas, match, parse,
-    sort_key, subformulas, substitute, variables,
+    App, Formula, ParseError, StructuralError, Substitution, Var, check_formula,
+    complexity, enumerate_formulas, match, parse, sort_key, subformulas, substitute,
+    variables,
 )
 from catlog.logic_cat import fibring_unconstrained
+from strategies import UT_SPEC
 
-# the offset `_Searcher` shifts rule variables to while it harvests
-_FREE_OFFSET = 20_000
+# the offsets `_Searcher` shifts axiom and rule variables by: negative, so
+# that `unify` binds them first, as it does the prover's schematic variables
+_AXIOM_OFFSET = -10_000
+_FREE_OFFSET = -20_000
 
 OBJECT = [0, 1, 2]
-RENAMED = [_RENAME_OFFSET, _RENAME_OFFSET + 1]
+RENAMED = [-1, -2]
 FREE = [_FREE_OFFSET, _FREE_OFFSET + 1]
 
 
@@ -87,7 +90,7 @@ def reference_unify(a, b, binding):
         if left == right:
             continue
         if isinstance(left, Var) and isinstance(right, Var):
-            if left.index >= _RENAME_OFFSET:
+            if left.index < 0:
                 binding[left.index] = right
             else:
                 binding[right.index] = left
@@ -135,13 +138,6 @@ def acyclic_bindings(draw, keys, values=OBJECT + RENAMED + FREE):
     return binding
 
 
-bindables = st.one_of(
-    st.none(),
-    st.frozensets(st.sampled_from(OBJECT)).map(lambda s: s.__contains__),
-    st.just(_FREE_OFFSET.__le__),
-)
-
-
 @st.composite
 def match_cases(draw):
     """A pattern and a concrete formula; half the time an instance of the
@@ -171,19 +167,18 @@ def unify_cases(draw):
 # --- match -------------------------------------------------------------------
 
 
-@given(match_cases(), acyclic_bindings(OBJECT + FREE), bindables)
-def test_match_agrees_with_reference(case, seed, bindable):
+@given(match_cases(), acyclic_bindings(OBJECT + FREE))
+def test_match_agrees_with_reference(case, seed):
     pattern, concrete = case
     got_binding, want_binding = dict(seed), dict(seed)
-    got = match(pattern, concrete, got_binding, bindable)
-    want = reference_match(pattern, concrete, want_binding, bindable)
+    got = match(pattern, concrete, got_binding)
+    want = reference_match(pattern, concrete, want_binding)
     assert (got is None) == (want is None)
     # same keys in the same order, also what a failed match leaves behind
     assert list(got_binding.items()) == list(want_binding.items())
     if got is not None:
         assert list(got.mapping.items()) == list(want.mapping.items())
-        if bindable is None:
-            assert substitute(got, pattern) is concrete
+        assert substitute(got, pattern) is concrete
 
 
 def test_match_binds_in_order_of_first_occurrence():
@@ -203,14 +198,6 @@ def test_match_rejects_an_arity_mismatch_under_one_head():
     assert match(App("f", (Var(0), Var(1))), App("f", (Var(0),))) is None
 
 
-def test_match_keeps_unbindable_variables_fixed():
-    only_free = _FREE_OFFSET.__le__
-    pattern = App("g", (Var(_FREE_OFFSET), Var(0)))
-    assert match(pattern, parse("g(x1, x0)"), None, only_free).mapping == {
-        _FREE_OFFSET: Var(1)}
-    assert match(pattern, parse("g(x1, x1)"), None, only_free) is None
-
-
 # --- unify -------------------------------------------------------------------
 
 
@@ -225,20 +212,20 @@ def test_unify_agrees_with_reference(case, seed):
 
 
 def test_unify_prefers_binding_template_variables():
-    renamed = Var(_RENAME_OFFSET)
-    assert unify(Var(0), renamed, {}) == {_RENAME_OFFSET: Var(0)}
-    assert unify(renamed, Var(0), {}) == {_RENAME_OFFSET: Var(0)}
+    renamed = Var(-1)
+    assert unify(Var(0), renamed, {}) == {-1: Var(0)}
+    assert unify(renamed, Var(0), {}) == {-1: Var(0)}
     # two object variables: the right one is bound
     assert unify(Var(0), Var(1), {}) == {1: Var(0)}
 
 
 def test_unify_runs_the_occurs_check_through_the_binding():
-    renamed = Var(_RENAME_OFFSET)
+    renamed = Var(-1)
     assert unify(renamed, App("f", (renamed,)), {}) is None
     # x0 is already bound to renamed, so renamed occurs in f(x0)
     assert unify(renamed, App("f", (Var(0),)), {0: renamed}) is None
     assert unify(renamed, App("f", (Var(1),)), {0: renamed}) == {
-        0: renamed, _RENAME_OFFSET: App("f", (Var(1),))}
+        0: renamed, -1: App("f", (Var(1),))}
 
 
 # --- the reference: the backward search the prover replaced ------------------
@@ -259,9 +246,9 @@ def _ground(phi: Formula, binding: dict[int, Formula]) -> Formula | None:
     """Fully resolve a unification result; None if foreign variables remain."""
     vs = variables(phi)
     if vs.isdisjoint(binding):
-        # nothing to replace: phi itself, unless a renamed variable remains
+        # nothing to replace: phi itself, unless a shifted variable remains
         for i in vs:
-            if i >= _RENAME_OFFSET:
+            if i < 0:
                 return None
         return phi
     if type(phi) is Var:
@@ -304,9 +291,8 @@ class _Searcher:
     with its head connective (None for a variable), so an axiom whose head
     differs from the goal's is passed over without a match.
 
-    Object-level variable indices are assumed to stay below
-    `_RENAME_OFFSET`; rule variables are shifted into [_FREE_OFFSET, ...)
-    while harvesting.
+    While harvesting, axiom variables are shifted by `_AXIOM_OFFSET` and
+    rule variables by `_FREE_OFFSET`.
     """
 
     def __init__(self, calculus: Calculus, hypotheses: frozenset[Formula],
@@ -322,7 +308,7 @@ class _Searcher:
         self.max_depth = min(16, budget.proof_length)
         self.axioms = [(a, a.connective if type(a) is App else None)
                        for a in calculus.axioms]
-        self.shifted_axioms = [substitute(lambda i: Var(i + _RENAME_OFFSET), a)
+        self.shifted_axioms = [substitute(lambda i: Var(i + _AXIOM_OFFSET), a)
                                for a in calculus.axioms]
         self.ground_axioms = [a for a in calculus.axioms if not variables(a)]
         self.nodes = 0
@@ -511,8 +497,8 @@ class _Searcher:
             if not wanted <= variables(pattern):
                 continue  # `consider` needs every free variable bound
             for hyp in self.hypotheses:
-                # bindable: i >= _FREE_OFFSET
-                m = match(pattern, hyp, None, bindable=_FREE_OFFSET.__le__)
+                # bindable: the shifted rule variables
+                m = reference_match(pattern, hyp, None, bindable=lambda i: i < 0)
                 if m is not None:
                     consider(m.mapping)
             # a bare variable unifies with the whole axiom, a ground image
@@ -650,11 +636,62 @@ def test_check_ends_a_search_in_an_empty_calculus():
     assert search_proof(empty, frozenset([Var(0)]), Var(0), Budget(1)).is_yes
 
 
+def test_the_goal_test_keeps_the_sequents_variables_fixed():
+    # a conclusion proves the goal only through a unifier that binds
+    # schematic variables alone, so a hypothesis is not instantiated
+    negfrag = CHECKED["NEGFRAG"]
+    empty = Logic("E", negfrag.signature, Calculus(negfrag.signature, [], []))
+    hyp = parse("imp(x0, x1)", negfrag.signature)
+    verdict = search_proof(empty.calculus, frozenset([hyp]), hyp)
+    assert verdict.is_yes and len(verdict.proof) == 1
+    assert verify_proof(empty, [hyp], hyp, verdict.proof)
+    for text in ("imp(x1, x1)", "imp(x0, x2)", "imp(x0, x0)"):
+        goal = parse(text, negfrag.signature)
+        assert search_proof(empty.calculus, frozenset([hyp]), goal) == Verdict.unknown(
+            reason="no proof tree within 40 nodes")
+
+
+UT = dsl.loads(UT_SPEC).logic("UT")
+
+
+@pytest.mark.parametrize("hyps, goal, answer", [
+    ([], "t(x0, x1, x0)", 3),
+    ([], "t(u(x0), x1, t(x0, x0, x0))", 4),
+    (["p(x0, x1)", "p(x1, x2)", "p(x2, x0)"], "q(x0)", 5),
+    (["p(x0, x1)", "p(x1, x0)"], "q(x0)", "no proof tree within 12 nodes"),
+], ids=["t_3", "t_nested", "q_cycle_3", "q_cycle_2"])
+def test_rules_of_three_and_four_premises(hyps, goal, answer):
+    # premise positions 0-3 each unify with their own copies of the levels
+    hyps = [parse(h, UT.signature) for h in hyps]
+    goal = parse(goal, UT.signature)
+    verdict = derives(UT, hyps, goal, Budget(12))
+    if isinstance(answer, str):
+        assert verdict == Verdict.unknown(reason=answer)
+    else:
+        assert verdict.is_yes and len(verdict.proof) == answer
+        assert verify_proof(UT, hyps, goal, verdict.proof)
+
+
+def test_negative_variable_indices_are_refused():
+    # the prover's schematic variables are the negative ones, so no formula
+    # of a sequent, an axiom or a rule may hold one
+    negfrag = CHECKED["NEGFRAG"]
+    with pytest.raises(StructuralError):
+        check_formula(negfrag.signature, Var(-1))
+    with pytest.raises(StructuralError):
+        Calculus(negfrag.signature, [Var(-1)], [])
+    with pytest.raises(StructuralError):
+        derives(negfrag, [Var(-1)], Var(5))
+    # nor can formula text name one
+    with pytest.raises(ParseError):
+        parse("x-1")
+
+
 def test_variables_at_the_rename_offset_stay_fixed():
-    # the prover's schematic variables start at _RENAME_OFFSET; a sequent's
+    # the prover's schematic variables once started at 10,000; a sequent's
     # variables up there are fixed symbols all the same
     negfrag = CHECKED["NEGFRAG"]
-    x10000, x5 = Var(_RENAME_OFFSET), Var(5)
+    x10000, x5 = Var(10_000), Var(5)
     assert not derives(negfrag, [x10000], x5).is_yes
     assert search_proof(negfrag.calculus, frozenset([x10000]), x5) == Verdict.unknown(
         reason="no proof tree within 40 nodes")

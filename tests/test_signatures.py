@@ -226,10 +226,13 @@ def test_generated_legs_are_named_after_the_signature_they_build():
     _, po_left, po_right = signature_pushout(StrictMorphism(shared, left, {"n": "neg"}),
                                              StrictMorphism(shared, right, {"n": "sim"}))
     _, cocone = directed_colimit_signatures([StrictMorphism(shared, left, {"n": "neg"})])
+    # a second chain into L: its vertex is named after its own stages
+    other, _ = directed_colimit_signatures([StrictMorphism(right, left, {"sim": "neg"})])
     assert [m.name for m in injections] == ["L+R_in0", "L+R_in1"]
     assert [m.name for m in projections] == ["LxR_proj0", "LxR_proj1"]
     assert [po_left.name, po_right.name] == ["L+[S]+R_po_left", "L+[S]+R_po_right"]
-    assert [m.name for m in cocone] == ["colim(L)_stage0", "colim(L)_stage1"]
+    assert [m.name for m in cocone] == ["colim(S,L)_stage0", "colim(S,L)_stage1"]
+    assert other.name == "colim(R,L)"
 
 
 # --- pushouts ---------------------------------------------------------------
