@@ -8,11 +8,16 @@ line or in a spec, nests its connectives at most `formulas.MAX_DEPTH` (256)
 deep; a deeper one is bad input.  Reports are JSON with sorted keys; given
 the same inputs the bytes are identical.  `--seed` steers only the random
 cases of `laws`; every other command is deterministic without it.
+
+A process builds its argument parser once, on the first `main` call, and
+every later call reuses it; a report does not depend on how many commands
+ran before it in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -85,7 +90,9 @@ def _count(text: str) -> int:
     return value
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The one argument parser of the process, built by the first `main`."""
     parser = _Parser(
         prog="catlog",
         description="categorical toolkit for propositional logics")
@@ -103,8 +110,12 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(command, help=help_line)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         budget = args.budget
         return run(args, budget if isinstance(budget, Budget) else Budget.parse(budget))
     except (InputError, OSError) as exc:

@@ -268,6 +268,12 @@ def transform_proof(proof: Proof, sigma: Substitution) -> Proof:
 # ---------------------------------------------------------------------------
 # Finite matrices
 
+# The most cells (columns times rows) a matrix's column table holds before
+# a query empties it, about 0.6 MB with the formulas it keeps alive.  No
+# command of the analysis benchmark passes 14,000 cells; `rigidity --logic
+# L3 --bound 3` reaches 141,000 and empties the table four times.
+_COLUMN_CELLS = 1 << 15
+
 
 class Matrix:
     """Finite set of truth values with designated subset and total tables.
@@ -276,7 +282,10 @@ class Matrix:
     The queries below use `columns` instead, which evaluates a list of
     formulas at every valuation at once and must agree with `evaluate`.
     Columns hold value indices, and `apply`, the table kernel, is the only
-    code that applies a table to them; `designation` reads them.
+    code that applies a table to them; `designation` reads them.  The
+    matrix keeps the columns it has computed in one table, keyed by the
+    variables they range over, so a sweep of queries computes each distinct
+    subterm once per matrix and key.
     """
 
     def __init__(self, values: list, designated: list, tables: dict[str, dict[tuple, object]]):
@@ -293,6 +302,9 @@ class Matrix:
         self._designated_at = tuple(v in self.designated for v in self.values)
         self._flat: dict[str, list[int]] = {}
         self._var_columns: dict[int, list[tuple[int, ...]]] = {}
+        # tuple(occurring) -> formula -> column, and the cells it holds
+        self._column_table: dict[tuple, dict[Formula, tuple[int, ...]]] = {}
+        self._column_cells = 0
 
     def validate_for(self, sig: Signature) -> None:
         for c, arity in sig.connectives.items():
@@ -320,12 +332,25 @@ class Matrix:
         Valuations run in `itertools.product(self.values, repeat=k)` order
         (`valuation(occurring, t)` is the t-th); values are given by their
         index in `self.values`.  Each distinct subterm is computed once per
-        call, a column at a time, through `apply`.  Every column is a tuple,
-        so equal columns compare equal whichever path made them.
+        matrix and key `tuple(occurring)`, a column at a time, through
+        `apply`: the matrix's column table keeps every column it computes,
+        under the key seeded with the variable columns.  A query that finds
+        the table holding more than `_COLUMN_CELLS` cells (columns times
+        rows) empties it first.  Every column is a tuple, so equal columns
+        compare equal whichever path made them.  A variable outside
+        `occurring` raises `KeyError`.
         """
-        rows = len(self.values) ** len(occurring)
-        memo: dict[Formula, tuple[int, ...]] = dict(
-            zip(map(Var, occurring), self._columns_of_variables(len(occurring))))
+        if self._column_cells > _COLUMN_CELLS:
+            self._column_table.clear()
+            self._column_cells = 0
+        key = tuple(occurring)
+        rows = len(self.values) ** len(key)
+        memo = self._column_table.get(key)
+        if memo is None:
+            memo = self._column_table[key] = dict(
+                zip(map(Var, key), self._columns_of_variables(len(key))))
+            self._column_cells += len(memo) * rows
+        known = len(memo)
 
         def column(phi: Formula) -> tuple[int, ...]:
             col = memo.get(phi)
@@ -336,7 +361,10 @@ class Matrix:
                     phi.connective, [column(a) for a in phi.args], rows)
             return col
 
-        return [column(phi) for phi in formulas]
+        try:
+            return [column(phi) for phi in formulas]
+        finally:
+            self._column_cells += (len(memo) - known) * rows
 
     def apply(self, connective: str, args: list, rows: int) -> tuple[int, ...]:
         """The table kernel: the connective's table applied row by row to

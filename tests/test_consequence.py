@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from catlog import corpus
+from catlog import consequence, corpus
 from catlog.consequence import (
     AxiomInstance, Budget, Calculus, Hypothesis, Logic, Matrix, Proof, Rule,
     RuleInstance, Saturation, SignatureMismatch, Step, Verdict, derives,
@@ -19,9 +19,9 @@ from catlog.consequence import (
     verify_proof,
 )
 from catlog.formulas import (
-    Substitution, Var, enumerate_formulas, fmt, parse, substitute, variables,
+    App, Substitution, Var, enumerate_formulas, fmt, parse, substitute, variables,
 )
-from catlog.logic_cat import bottom
+from catlog.logic_cat import bottom, reduct
 from catlog.signatures import Signature
 
 from strategies import UT_SPEC, formulas
@@ -173,6 +173,96 @@ def test_equal_columns_compare_equal_whichever_path_made_them():
     [imp] = m.columns([p("imp(x0, x1)")], [0, 1])
     assert imp == m.apply("imp", m.columns([p("x0"), p("x1")], [0, 1]), 4)
     assert type(imp) is tuple
+
+
+# variable tuples the column table is keyed by, some not of the form range(k)
+OCCURRING = [(0,), (0, 1), (1, 3), (3, 1), (2,), (0, 1, 2)]
+
+
+def _column_cases():
+    """Fresh matrices, so each sweep starts from an empty column table: CPL1,
+    L3, NC3 and CPL2's reduct along h, over SigCPL1."""
+    env = corpus.fresh_env()
+    cases = [(env.logic(name).matrix, env.logic(name).signature)
+             for name in ("CPL1", "L3", "NC3")]
+    h = env.morphism("h")
+    return cases + [(reduct(env.logic("CPL2").matrix, h), h.source)]
+
+
+def _reference_column(matrix, phi, occurring):
+    return tuple(matrix.values.index(matrix.evaluate(phi, valuation))
+                 for valuation in _valuations(matrix, occurring))
+
+
+def _column_sweep(matrix, sig, rng, queries=80) -> list[int]:
+    """Interleaved queries on one matrix, each answer checked row by row
+    against `evaluate`; the table's cell count after each query."""
+    pools = {occ: [substitute(Substitution({i: Var(v) for i, v in enumerate(occ)}), phi)
+                   for phi in enumerate_formulas(sig, len(occ), 2)]
+             for occ in OCCURRING}
+    cells = []
+    for _ in range(queries):
+        occurring = rng.choice(OCCURRING)
+        pool = pools[occurring]
+        kind = rng.choice(["columns", "consequence", "interderivable", "truth", "outside"])
+        if kind == "columns":
+            batch = rng.sample(pool, 5)
+            assert matrix.columns(batch, occurring) == [
+                _reference_column(matrix, phi, occurring) for phi in batch]
+        elif kind == "consequence":
+            gamma, phi = rng.sample(pool, 2), rng.choice(pool)
+            assert matrix_consequence(matrix, gamma, phi) == \
+                _reference_consequence(matrix, gamma, phi)
+        elif kind == "interderivable":
+            phi, psi = rng.choice(pool), rng.choice(pool)
+            assert matrix_interderivable(matrix, phi, psi) == \
+                _reference_interderivable(matrix, phi, psi)
+        elif kind == "truth":
+            phi = rng.choice(pools[(0, 1, 2)])
+            assert truth_function(matrix, phi, 3) == tuple(
+                matrix.evaluate(phi, valuation) for valuation in _valuations(matrix, range(3)))
+        else:
+            # a variable outside `occurring`, after a subterm that is inside
+            c, arity = rng.choice([ca for ca in sorted(sig.connectives.items()) if ca[1]])
+            outside = App(c, (rng.choice(pool),) * (arity - 1) + (Var(7),))
+            with pytest.raises(KeyError):
+                matrix.columns([rng.choice(pool), outside], occurring)
+        cells.append(matrix._column_cells)
+    return cells
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_column_table_agrees_with_evaluate(seed):
+    rng = random.Random(seed)
+    for matrix, sig in _column_cases():
+        _column_sweep(matrix, sig, rng)
+
+
+def test_a_repeated_query_reads_the_column_table(monkeypatch):
+    matrix, _ = _column_cases()[1]
+    phi, psi = p("imp(neg(x1), imp(x3, x1))"), p("neg(imp(x1, x3))")
+    first = matrix.columns([phi, psi], (1, 3))
+    matrix.columns([p("neg(x1)")], range(2))
+    applied = []
+    monkeypatch.setattr(matrix, "apply", lambda *args: applied.append(args))
+    # every query keyed (1, 3) or (0, 1) finds its columns in the table
+    assert matrix.columns([phi, psi], [1, 3]) == first
+    assert matrix_interderivable(matrix, phi, psi)[0] is False
+    assert matrix_consequence(matrix, [psi], phi)[0] is True
+    assert truth_function(matrix, p("neg(x1)"), 2) == ("1", "h", "0") * 3
+    assert applied == []
+    # another key is another table entry: psi and its subterm again
+    matrix.columns([psi], (3, 1))
+    assert len(applied) == 2
+
+
+def test_a_full_column_table_empties_itself(monkeypatch):
+    monkeypatch.setattr(consequence, "_COLUMN_CELLS", 200)
+    rng = random.Random(0)
+    for matrix, sig in _column_cases():
+        cells = _column_sweep(matrix, sig, rng)
+        # some query found the table full and started it over
+        assert any(later < earlier for earlier, later in zip(cells, cells[1:]))
 
 
 # --- derives -----------------------------------------------------------------

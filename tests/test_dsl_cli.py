@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -615,3 +616,62 @@ def test_cli_rigidity_without_the_identity_is_undecided(capsys):
     out = capsys.readouterr().out
     assert out.startswith("CPL1: undecided")
     assert '"identity_enumerated": false' in out and '"rigid": null' in out
+
+
+# --- one parser per process ----------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fresh_cli(argv: list[str], report: Path) -> tuple[int, str, bytes]:
+    """`python -m catlog.cli --json report argv` in a new interpreter: exit
+    code, stdout and report bytes."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "catlog.cli", "--json", str(report), *argv],
+                          env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout, report.read_bytes()
+
+
+def _bench_commands() -> dict[str, list[str]]:
+    """The analysis benchmark's command lines by id, read from
+    bench/workloads.py without importing it."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    [value] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["COMMANDS"]]
+    return {op_id: argv for op_id, _, argv in ast.literal_eval(value)}
+
+
+def test_cli_hypotheses_do_not_carry_over_to_the_next_call(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["--json", str(out), "prove", "--logic", "CPL1", "--goal", "x1",
+                     "--hyp", "x0", "--hyp", "imp(x0, x1)"]) == 0
+    assert json.loads(out.read_text())["hypotheses"] == ["x0", "imp(x0, x1)"]
+    assert cli.main(["--json", str(out), "prove", "--logic", "CPL1",
+                     "--goal", "imp(x0, x0)"]) == 0
+    assert json.loads(out.read_text())["hypotheses"] == []
+
+
+def test_cli_a_usage_error_leaves_the_next_call_as_it_is_alone(tmp_path, capsys):
+    argv = ["prove", "--logic", "CPL1", "--goal", "x1", "--hyp", "x0"]
+    alone = _fresh_cli(argv, tmp_path / "alone.json")
+    assert cli.main(["prove", "--logic", "CPL1", "--hyp", "x0"]) == 3
+    assert cli.main(["prove", "--logic", "CPL1", "--goal", "x1", "--hyp", "x0(("]) == 3
+    capsys.readouterr()
+    after = tmp_path / "after.json"
+    code = cli.main(["--json", str(after), *argv])
+    assert (code, capsys.readouterr().out, after.read_bytes()) == alone
+
+
+def test_cli_in_process_reports_match_a_fresh_process(tmp_path, capsys):
+    # the cheaper analysis commands, exits 0 and 1 among them, each run twice
+    commands = _bench_commands()
+    op_ids = ["rigidity.BotNeg", "congruential.NC3", "lindenbaum.half", "translate.h",
+              "fibre.goal"]
+    fresh = {op_id: _fresh_cli(commands[op_id], tmp_path / f"{op_id}.fresh.json")
+             for op_id in op_ids}
+    for round_ in range(2):
+        for op_id in op_ids:
+            report = tmp_path / f"{op_id}.{round_}.json"
+            code = cli.main(["--json", str(report), *commands[op_id]])
+            assert (code, capsys.readouterr().out, report.read_bytes()) == fresh[op_id], \
+                f"{op_id}, round {round_}"

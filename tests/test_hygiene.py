@@ -204,12 +204,13 @@ def test_hygiene_check_sees_unbounded_caches():
     assert _unbounded_caches(tree) == [6, 8, 10, 14, 16]
 
 
-MATRIX_INTERNALS = {"_flat", "_flatten", "_designated_at"}
+MATRIX_INTERNALS = {"_flat", "_flatten", "_designated_at", "_column_table"}
 
 
 def _format_leaks(tree: ast.Module, tables_reader: str = "") -> list[tuple[int, str]]:
-    """Lines that build a proof `Step`, touch a matrix's flattened tables or
-    designation, or read `.tables` outside the function `tables_reader`."""
+    """Lines that build a proof `Step`, touch a matrix's flattened tables,
+    designation or column table, or read `.tables` outside the function
+    `tables_reader`."""
     allowed = {id(node) for f in tree.body if isinstance(f, ast.FunctionDef)
                and f.name == tables_reader for node in ast.walk(f)}
     found = []
@@ -226,8 +227,9 @@ def _format_leaks(tree: ast.Module, tables_reader: str = "") -> list[tuple[int, 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "consequence.py"],
                          ids=lambda p: p.stem)
 def test_matrix_tables_and_proof_steps_only_in_consequence(path):
-    # matrix tables are applied by Matrix.apply and proof steps written by
-    # ProofWriter; only the DSL writer prints tables
+    # matrix tables are applied by Matrix.apply, columns kept by
+    # Matrix.columns and proof steps written by ProofWriter; only the DSL
+    # writer prints tables
     found = _format_leaks(ast.parse(path.read_text(), filename=str(path)),
                           "logic_to_dsl" if path.name == "dsl.py" else "")
     assert not found, f"{path.name} handles formats that belong to consequence: " + \
@@ -243,10 +245,11 @@ def test_hygiene_check_sees_format_leaks():
         "row = pulled.tables[c]\n"
         "def logic_to_dsl(m):\n"
         "    return m.tables\n"
-        "Steps, x = Step, m.table(c)\n")
+        "Steps, x = Step, m.table(c)\n"
+        "col = m._column_table[key][phi]\n")
     assert _format_leaks(tree, "logic_to_dsl") == [
         (1, "Step"), (2, "Step"), (3, "_flat"), (3, "_flatten"),
-        (4, "_designated_at"), (5, "tables")]
+        (4, "_designated_at"), (5, "tables"), (9, "_column_table")]
     assert (7, "tables") in _format_leaks(tree)
 
 
