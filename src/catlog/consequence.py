@@ -20,9 +20,7 @@ saturation, G4ip and the proofs `logic_cat` moves or builds.
 
 from __future__ import annotations
 
-import copy
 import itertools
-from collections import ChainMap
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from typing import TYPE_CHECKING
@@ -1084,69 +1082,119 @@ def search_proof(calculus: Calculus, hypotheses: frozenset[Formula],
 # construction (every element carries its justification); used where many
 # related queries over one hypothesis set must be answered at once.
 
-# the most complex conclusion a saturation derives
+# the most complex conclusion a saturation derives; an axiom instance over
+# it is never built (`_capped_product`), a rule conclusion over it is built
+# and dropped
 _CONCLUSION_CAP = 12
+
+
+def _occurrences(phi: Formula, counts: dict[int, int]) -> dict[int, int]:
+    """Add to `counts` how often each variable occurs in phi."""
+    if type(phi) is Var:
+        counts[phi.index] = counts.get(phi.index, 0) + 1
+    else:
+        for arg in phi.args:
+            _occurrences(arg, counts)
+    return counts
+
+
+def _capped_product(pool: list, costs: list[int], weights: list[int], room: int):
+    """The tuples of `itertools.product(pool, repeat=len(weights))`, in its
+    order, whose weighted cost is at most `room`: the sum over positions i
+    of `weights[i]` times the cost of the item at i, `costs` running
+    parallel to `pool`.  Costs are never negative, so a prefix already over
+    `room` is cut whole."""
+    if room < 0:
+        return
+    if not weights:
+        yield ()
+        return
+    for phi, cost in zip(pool, costs):
+        for tail in _capped_product(pool, costs, weights[1:], room - weights[0] * cost):
+            yield (phi, *tail)
 
 
 class Saturation:
     """Derivations reachable from seed axiom instances by forward joins.
 
-    Axiom schemes are instantiated with images drawn from a finite pool;
-    rules fire whenever all premises are already derived and the conclusion
-    complexity stays within `_CONCLUSION_CAP`.  Two-premise rules join
-    through an index on their shared variables; longer rules scan.
+    Axiom schemes are instantiated with images drawn from a finite pool.
+    An instance's complexity is the axiom's plus, for each variable, its
+    occurrences times its image's complexity, so instances over
+    `_CONCLUSION_CAP` are never built.  Rules fire whenever all premises are
+    already derived and the conclusion complexity stays within the cap.
+    Two-premise rules join through an index on their shared variables;
+    longer rules scan.
 
-    `fork` explores one more hypothesis set against this saturation without
-    copying it: `derived` and each join index are `ChainMap`s whose first
-    map is the fork's own layer and whose other maps are the base's, read
-    by reference.  A fork copies a join bucket before its first append to
-    it, so the base never changes, and iterates base entries first, then
-    its own, in the order a full copy would have.
+    Derivations and join indices sit in two layers of plain dicts: this
+    saturation's own (`added`, `join_index`) and its base's, read by
+    reference and never written; a saturation built by `__init__` has an
+    empty base.  Membership is a test of the own dict, then the base's.
+    `derived` reads base entries first, then own ones, in the order a full
+    copy would have.
     """
 
     def __init__(self, calculus: Calculus, seed_pool: list[Formula]):
         self.calculus = calculus
-        # each derived formula with its justification and premise formulas
-        self.derived: ChainMap[Formula, tuple] = ChainMap()
+        # each formula derived here with its justification and premise
+        # formulas; `_base` holds the base's, empty but in a fork
+        self.added: dict[Formula, tuple] = {}
+        self._base: dict[Formula, tuple] = {}
         self.queue: list[Formula] = []
         # per rule: premise variable sets and, for 2-premise rules, the join
-        # variables plus an index per position keyed by the join images
+        # variables plus an index per position keyed by the join images, in
+        # an own layer and a base layer as for `added` and `_base`
         self.rule_vars = []
         self.join_vars = []
-        self.join_index: list[list[ChainMap[tuple, list[Substitution]]]] = []
+        self.join_index: list[list[dict[tuple, list[Substitution]]]] = []
         for rule in calculus.rules:
             pvars = [variables(p) for p in rule.premises]
             self.rule_vars.append(pvars)
             if len(rule.premises) == 2:
                 self.join_vars.append(tuple(sorted(pvars[0] & pvars[1])))
-                self.join_index.append([ChainMap(), ChainMap()])
+                self.join_index.append([{}, {}])
             else:
                 self.join_vars.append(())
                 self.join_index.append([])
+        self._base_index = [[{} for _ in per_rule] for per_rule in self.join_index]
+        costs = [complexity(phi) for phi in seed_pool]
         for aidx, axiom in enumerate(calculus.axioms):
-            free = sorted(variables(axiom))
-            for combo in itertools.product(seed_pool, repeat=len(free)):
+            occurs = _occurrences(axiom, {})
+            free = sorted(occurs)
+            for combo in _capped_product(seed_pool, costs, [occurs[v] for v in free],
+                                         _CONCLUSION_CAP - complexity(axiom)):
                 sigma = Substitution(dict(zip(free, combo)))
                 self._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma))
         self._run()
 
     def fork(self) -> "Saturation":
-        other = copy.copy(self)
-        other.derived = self.derived.new_child()
-        other.queue = []
-        other.join_index = [[idx.new_child() for idx in per_rule]
-                            for per_rule in self.join_index]
+        """A saturation to extend with more hypotheses, with no copy of this
+        one: its base layer is this saturation's `derived` and join indices,
+        by reference, and it starts with empty own dicts.  It copies a base
+        join bucket into its own layer before its first append to it, so
+        the base never changes; this saturation must not be extended while
+        its forks are in use.  A fork of a fork takes its parent's two
+        layers merged into one as its base."""
+        if self._base:
+            base_index = [[{**base, **own} for base, own in zip(*layers)]
+                          for layers in zip(self._base_index, self.join_index)]
+        else:
+            base_index = self.join_index
+        other = object.__new__(Saturation)
+        vars(other).update(vars(self), added={}, queue=[], _base=self.derived,
+                           _base_index=base_index,
+                           join_index=[[{} for _ in per_rule] for per_rule in self.join_index])
         return other
 
     @property
-    def added(self) -> dict[Formula, tuple]:
-        """What this saturation derived itself; for a fork, beyond its base."""
-        return self.derived.maps[0]
+    def derived(self) -> dict[Formula, tuple]:
+        """Each derived formula with its justification and premise formulas,
+        base entries first; for a fork, a merged copy."""
+        return {**self._base, **self.added} if self._base else self.added
 
     def _add(self, phi: Formula, justification, premises: tuple[Formula, ...] = ()) -> None:
-        if phi in self.derived or complexity(phi) > _CONCLUSION_CAP:
+        if phi in self.added or phi in self._base or complexity(phi) > _CONCLUSION_CAP:
             return
-        self.derived[phi] = (justification, premises)
+        self.added[phi] = (justification, premises)
         self.queue.append(phi)
 
     def _run(self) -> None:
@@ -1172,47 +1220,54 @@ class Saturation:
 
     def _join2(self, ridx: int, rule: Rule, j: int, sigma: Substitution,
                d: Formula) -> None:
+        added, base = self.added, self._base
         join = self.join_vars[ridx]
         key = tuple(sigma(v) for v in join)
-        index = self.join_index[ridx][j]
-        own = index.maps[0]
+        own = self.join_index[ridx][j]
         bucket = own.get(key)
         if bucket is None:
-            bucket = own[key] = list(index.get(key, ()))
+            bucket = own[key] = list(self._base_index[ridx][j].get(key, ()))
         bucket.append(sigma)
         other = 1 - j
         other_vars = self.rule_vars[ridx][other]
         if other_vars <= set(sigma.mapping):
             # the partner instance is fully determined: membership test
             partner = substitute(sigma, rule.premises[other])
-            if partner in self.derived:
+            if partner in added or partner in base:
                 pair = (d, partner) if j == 0 else (partner, d)
                 self._conclude(ridx, rule, sigma, pair)
             return
-        for sigma2 in self.join_index[ridx][other].get(key, []):
+        partners = self.join_index[ridx][other].get(key)
+        if partners is None:
+            partners = self._base_index[ridx][other].get(key, ())
+        for sigma2 in partners:
             merged = dict(sigma2.mapping)
             merged.update(sigma.mapping)
             full = Substitution(merged)
             inst = tuple(substitute(full, p) for p in rule.premises)
-            if all(p in self.derived for p in inst):
+            if all(p in added or p in base for p in inst):
                 self._conclude(ridx, rule, full, inst)
 
     def _join_scan(self, ridx: int, rule: Rule, j: int, sigma: Substitution) -> None:
+        added, base = self.added, self._base
         positions = [k for k in range(len(rule.premises)) if k != j]
 
         def go(pos: int, sub: Substitution):
             if pos == len(positions):
                 inst = tuple(substitute(sub, p) for p in rule.premises)
-                if all(p in self.derived for p in inst):
+                if all(p in added or p in base for p in inst):
                     self._conclude(ridx, rule, sub, inst)
                 return
             k = positions[pos]
             missing = self.rule_vars[ridx][k] - set(sub.mapping)
             if not missing:
-                if substitute(sub, rule.premises[k]) in self.derived:
+                premise = substitute(sub, rule.premises[k])
+                if premise in added or premise in base:
                     go(pos + 1, sub)
                 return
-            for candidate in list(self.derived):
+            # the base never changes; the own entries are taken as they
+            # stand before the walk, which can add to them
+            for candidate in itertools.chain(base, list(added)):
                 ext = match(rule.premises[k], candidate, dict(sub.mapping))
                 if ext is not None:
                     go(pos + 1, ext)
@@ -1225,14 +1280,14 @@ class Saturation:
         self._run()
 
     def __contains__(self, phi: Formula) -> bool:
-        return phi in self.derived
+        return phi in self.added or phi in self._base
 
     def proof_of(self, phi: Formula) -> Proof | None:
         """Rebuild a checkable proof from the recorded justifications."""
-        if phi not in self.derived:
+        if phi not in self:
             return None
         writer = ProofWriter()
-        writer.derivation(phi, lambda f: (f, *self.derived[f]))
+        writer.derivation(phi, lambda f: (f, *(self.added.get(f) or self._base[f])))
         return writer.proof()
 
 

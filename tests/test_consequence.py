@@ -19,9 +19,10 @@ from catlog.consequence import (
     verify_proof,
 )
 from catlog.formulas import (
-    App, Substitution, Var, enumerate_formulas, fmt, parse, substitute, variables,
+    App, Substitution, Var, complexity, enumerate_formulas, fmt, match, parse, substitute,
+    variables,
 )
-from catlog.logic_cat import bottom, reduct
+from catlog.logic_cat import bottom, fibring_unconstrained, reduct
 from catlog.signatures import Signature
 
 from strategies import UT_SPEC, formulas
@@ -567,13 +568,17 @@ def test_fork_leaves_its_base_unchanged():
     assert list(base.derived.items()) == derived
     assert _join_snapshot(base) == joins
     assert x0 in fork and x0 not in base
-    # the fork appended to buckets the base has too, and the base kept its own
+    # the fork appended to buckets the base has too, each in a copy in its
+    # own layer that starts with the base's bucket; the base kept its own
     grown = [(key, r, j) for r, per_rule in enumerate(joins)
              for j, index in enumerate(per_rule) for key in index
-             if len(fork.join_index[r][j][key]) > len(index[key])]
+             if key in fork.join_index[r][j]]
     assert grown
     for key, r, j in grown:
-        assert fork.join_index[r][j][key][:len(joins[r][j][key])] == joins[r][j][key]
+        bucket = fork.join_index[r][j][key]
+        assert len(bucket) > len(joins[r][j][key])
+        assert bucket[:len(joins[r][j][key])] == joins[r][j][key]
+        assert bucket is not base.join_index[r][j][key]
     # base entries first, then the fork's own, as a full copy would have them
     assert list(fork.derived)[:len(derived)] == [phi for phi, _ in derived]
     for phi in fork.added:
@@ -590,6 +595,21 @@ def test_sibling_forks_are_isolated():
     assert p("neg(x0)") in right and p("neg(x0)") not in left
     assert p("x0") not in right
     assert not any(phi in base for phi in [*left.added, *right.added])
+
+
+def test_a_fork_of_a_fork_derives_what_one_fork_with_both_hypotheses_does():
+    from catlog.formulas import enumerate_formulas
+    base = Saturation(CPL1.calculus, enumerate_formulas(SIG, 1, 2))
+    left = base.fork()
+    left.extend([p("x0")])
+    grand = left.fork()
+    grand.extend([p("neg(x0)")])
+    both = base.fork()
+    both.extend([p("x0"), p("neg(x0)")])
+    assert grand.added and set(grand.derived) == set(both.derived)
+    assert list(grand.derived) == [*left.derived, *grand.added]
+    for phi in grand.added:
+        assert verify_proof(CPL1, {p("x0"), p("neg(x0)")}, phi, grand.proof_of(phi))
 
 
 def test_saturation_agrees_with_search_on_samples():
@@ -625,6 +645,137 @@ def test_saturation_joins_rules_with_three_premises():
     assert joined in fork and joined not in base
     assert verify_proof(logic, {hyp}, joined, fork.proof_of(joined))
     assert list(base.derived.items()) == derived
+
+
+def _plain(sat):
+    """`sat.derived` in order, each justification as its class name and
+    fields, with substitutions as their maps."""
+    def plain(just):
+        return type(just).__name__, {
+            k: v.mapping if isinstance(v, Substitution) else v for k, v in vars(just).items()}
+    return [(phi, plain(just), premises) for phi, (just, premises) in sat.derived.items()]
+
+
+def _unpruned_saturation(calc, pool):
+    """A saturation that builds every instance in the seed-pool product and
+    lets `_add` drop those over the cap, then runs the rules."""
+    ref = Saturation(Calculus(calc.signature, [], calc.rules), pool)
+    for aidx, axiom in enumerate(calc.axioms):
+        free = sorted(variables(axiom))
+        for combo in itertools.product(pool, repeat=len(free)):
+            sigma = Substitution(dict(zip(free, combo)))
+            ref._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma))
+    ref._run()
+    return ref
+
+
+@pytest.mark.parametrize("name, nvars", [
+    ("CPL1", 2), ("IMP", 2), ("IMPFRAG", 2), ("IMPFRAGN", 2), ("NEGFRAG", 2), ("fibring", 1)])
+def test_pruned_axiom_instances_match_the_full_product(name, nvars):
+    # the seed pools congruential_closure draws at bounds (4, 2), and for the
+    # fibring of IMPFRAG and NEGFRAG at (3, 1)
+    if name == "fibring":
+        logic = fibring_unconstrained(ENV.logic("IMPFRAG"), ENV.logic("NEGFRAG"))[0]
+    else:
+        logic = ENV.logic(name)
+    pool = enumerate_formulas(logic.signature, nvars, 2)
+    expected = _plain(_unpruned_saturation(logic.calculus, pool))
+    assert _plain(Saturation(logic.calculus, pool)) == expected
+
+
+NV = Signature("NV", {"n": 1, "c": 2})
+
+
+def _random_formula(rng, nvars, depth, leaf=0.3):
+    """A formula of depth at most `depth` over x0..x(nvars-1): a node above
+    depth 0 is a variable with probability `leaf`, else an n or a c node."""
+    if depth == 0 or rng.random() < leaf:
+        return Var(rng.randrange(nvars))
+    args = [_random_formula(rng, nvars, depth - 1, leaf)
+            for _ in range(rng.choice((1, 2)))]
+    return App("n" if len(args) == 1 else "c", tuple(args))
+
+
+def _random_calculus(rng):
+    """One to three axioms and a rule each with one, two and three premises;
+    a first premise may be a variable, later ones have one connective.  A
+    conclusion has depth at most one and uses only variables of its
+    premises."""
+    axioms = [_random_formula(rng, 2, 2) for _ in range(rng.randint(1, 3))]
+    rules = []
+    for size in (1, 2, 3):
+        premises = tuple(_random_formula(rng, 3, 1, leaf=0.5 if i == 0 else 0)
+                         for i in range(size))
+        bound = sorted(set().union(*map(variables, premises)))
+        shape = _random_formula(rng, 3, 1)
+        rename = {v: Var(rng.choice(bound)) for v in sorted(variables(shape))}
+        rules.append(Rule(premises, substitute(Substitution(rename), shape)))
+    return Calculus(NV, axioms, rules)
+
+
+def _naive_closure(calc, pool, hypotheses, cap):
+    """Every axiom instance over `pool` and every hypothesis, each within
+    `cap`, closed under every rule applied to every tuple of known formulas,
+    round after round, until a round finds nothing new within `cap`."""
+    known = set(hypotheses)
+    for axiom in calc.axioms:
+        free = sorted(variables(axiom))
+        for combo in itertools.product(pool, repeat=len(free)):
+            known.add(substitute(Substitution(dict(zip(free, combo))), axiom))
+    known = {phi for phi in known if complexity(phi) <= cap}
+    grown = True
+    while grown:
+        grown = False
+        facts = list(known)
+        for rule in calc.rules:
+            bindings = [{}]
+            for premise in rule.premises:
+                bindings = [ext.mapping for binding in bindings for phi in facts
+                            if (ext := match(premise, phi, dict(binding))) is not None]
+            for binding in bindings:
+                if not variables(rule.conclusion) <= set(binding):
+                    continue
+                phi = substitute(Substitution(binding), rule.conclusion)
+                if complexity(phi) <= cap and phi not in known:
+                    known.add(phi)
+                    grown = True
+    return known
+
+
+def test_saturation_and_its_forks_match_a_naive_closure(monkeypatch):
+    cap = 3
+    monkeypatch.setattr(consequence, "_CONCLUSION_CAP", cap)
+    pool = enumerate_formulas(NV, 2, 1)
+    fired = set()  # (premise count, layer) of every rule instance derived
+    for seed in range(20):
+        rng = random.Random(seed)
+        calc = _random_calculus(rng)
+        logic = Logic("NV", NV, calculus=calc)
+        left_hyps, right_hyps, grand_hyps = (
+            [_random_formula(rng, 2, 2) for _ in range(2)] for _ in range(3))
+        base = Saturation(calc, pool)
+        before = list(base.derived.items())
+        left, right = base.fork(), base.fork()
+        left.extend(left_hyps)
+        right.extend(right_hyps)
+        grand = left.fork()  # a fork of a fork
+        grand.extend(grand_hyps)
+        assert list(base.derived.items()) == before
+        for layer, sat, hyps in [("base", base, []), ("left", left, left_hyps),
+                                 ("right", right, right_hyps),
+                                 ("grand", grand, left_hyps + grand_hyps)]:
+            assert set(sat.derived) == _naive_closure(calc, pool, hyps, cap), (seed, layer)
+            for phi in sat.derived:
+                assert phi in sat
+                assert verify_proof(logic, set(hyps), phi, sat.proof_of(phi)), (seed, phi)
+            fired |= {(len(calc.rules[just.rule].premises), layer)
+                      for just, _ in sat.added.values() if isinstance(just, RuleInstance)}
+        # each layer reads its base's entries first, then its own
+        for sat, parent in [(left, base), (right, base), (grand, left)]:
+            assert list(sat.derived) == [*parent.derived, *sat.added]
+            assert not any(phi in parent for phi in sat.added)
+    # every premise count fired in the base and in a fork of a fork
+    assert {(k, layer) for k in (1, 2, 3) for layer in ("base", "grand")} <= fired
 
 
 # --- the provider rule --------------------------------------------------------

@@ -1,6 +1,6 @@
 import copy
+import hashlib
 import itertools
-from collections import ChainMap
 
 import pytest
 
@@ -209,14 +209,17 @@ def test_closure_is_monotone_on_queries(fibred_and_closure):
 
 
 def _copying_fork(sat):
-    """A fork that copies `derived` and every join bucket in full."""
+    """A fork that copies `derived` and every join bucket in full into its
+    own layer and reads no base."""
     other = copy.copy(sat)
-    other.derived = ChainMap(dict(sat.derived))
+    other.added = dict(sat.derived)
+    other._base = {}
     other.queue = []
     other.join_index = [
-        [ChainMap({key: list(bucket) for key, bucket in index.items()})
-         for index in per_rule]
-        for per_rule in sat.join_index]
+        [{key: list(bucket) for key, bucket in {**base, **own}.items()}
+         for base, own in zip(*layers)]
+        for layers in zip(sat._base_index, sat.join_index)]
+    other._base_index = [[{} for _ in per_rule] for per_rule in sat.join_index]
     return other
 
 
@@ -281,6 +284,29 @@ def test_closure_matches_copying_all_pairs_reference(name, bounds):
     logic = ENV.logic(name)
     closed = congruential_closure(logic, bounds)
     assert closed.calculus.rules == _reference_closure_rules(logic, bounds)
+
+
+# sha256 of the closure's rules, one a line as "premise, ... / conclusion",
+# with its rule count: any change to which rules the closure finds, or to
+# their order or text, shows here
+CLOSURE_DIGESTS = [
+    ("NEGFRAG", (4, 2), 1, "73fcfd6d46362498dcf8110da29ec45970649cd8b51052897b9bb9350783538d"),
+    ("IMPFRAG", (4, 2), 1159, "71def34f48ed982a1d92b4a1443b1b6d2844e90851ada5322eb8840ac5dd349b"),
+    ("fibring", (3, 1), 190, "e4ab6b7acf3b4cd2f85ec3f76b7dd4f434be8e8fef90d8e7dc31ce38858758d3"),
+]
+
+
+@pytest.mark.parametrize("name, bounds, count, digest", CLOSURE_DIGESTS,
+                         ids=[name for name, *_ in CLOSURE_DIGESTS])
+def test_closure_rules_are_pinned(name, bounds, count, digest):
+    if name == "fibring":
+        logic = fibring_unconstrained(ENV.logic("IMPFRAG"), ENV.logic("NEGFRAG"))[0]
+    else:
+        logic = ENV.logic(name)
+    rules = congruential_closure(logic, bounds).calculus.rules
+    text = "\n".join(", ".join(map(fmt, rule.premises)) + " / " + fmt(rule.conclusion)
+                     for rule in rules)
+    assert (len(rules), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
 # --- weak equivalence -----------------------------------------------------------
