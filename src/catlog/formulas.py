@@ -24,6 +24,15 @@ slot once with a plain store before the node is entered in the table, and
 reads the new node's complexity and variable set off its arguments by
 arity.  Once published, a node is immutable; only its cached `str` and
 `sort_key` are filled in later, on first use.
+
+Every morphism, composite and law check translates through `extend`, so its
+hot path pays for each interpreter frame: `extend`, `substitute` and the
+template instantiation `_instantiate` spell out arities 1 and 2 with no
+per-node comprehension, and pass a variable argument or leaf through in
+the parent's frame instead of a call.  Most template leaves are variables,
+so `_instantiate` reads them straight off the translated argument tuple.
+`Morphism.extension` probes its memo before it calls `extend` at all, as
+most translations in a law sweep are of formulas already translated.
 """
 
 from __future__ import annotations
@@ -58,12 +67,13 @@ class Formula:
     they are asked for; setting an attribute raises.  Variable sets are
     shared: a unary node reuses its argument's set, a binary node the larger
     of its arguments' sets when one contains the other, and every other set
-    comes from one table of interned frozensets.  Hash values are fixed
-    on purpose to `hash((1, index))` for a variable and
-    `hash((connective, args))` for an application, so a set of formulas
-    iterates in the same order under every `PYTHONHASHSEED`.  The proof
-    engines do not lean on that order: proof search takes hypotheses by
-    `sort_key`, and G4ip reads its context in `fmt` order.
+    comes from one table of interned frozensets.  A variable hashes to
+    `hash((1, index))`, the same under every `PYTHONHASHSEED`; an
+    application hashes to `hash((connective, args))`, which takes in the
+    salted hash of the connective's name, so a set that holds applications
+    iterates in an order that changes with the hash seed.  No engine leans
+    on set order: proof search takes hypotheses by `sort_key`, G4ip reads
+    its context in `fmt` order, and answers are the same under every seed.
     """
 
     __slots__ = ()
@@ -221,14 +231,6 @@ def variables(phi: Formula) -> frozenset[int]:
     return phi._vars
 
 
-def subformulas(phi: Formula) -> set[Formula]:
-    out = {phi}
-    if isinstance(phi, App):
-        for a in phi.args:
-            out |= subformulas(a)
-    return out
-
-
 def sort_key(phi: Formula):
     """Canonical order: complexity first, then head/argument lexicographic."""
     key = phi._key
@@ -271,7 +273,36 @@ def substitute(sigma: Substitution, phi: Formula) -> Formula:
     """
     if type(phi) is Var:
         return sigma(phi.index)
-    return App(phi.connective, tuple([substitute(sigma, a) for a in phi.args]))
+    args = phi.args
+    arity = len(args)
+    if arity == 1:
+        a = args[0]
+        return App(phi.connective, (
+            sigma(a.index) if type(a) is Var else substitute(sigma, a),))
+    if arity == 2:
+        a, b = args
+        return App(phi.connective, (
+            sigma(a.index) if type(a) is Var else substitute(sigma, a),
+            sigma(b.index) if type(b) is Var else substitute(sigma, b)))
+    return App(phi.connective, tuple([substitute(sigma, a) for a in args]))
+
+
+def _instantiate(template: App, args) -> Formula:
+    """`substitute(args.__getitem__, template)`: args[i] put for x_i in an
+    App template, with the tuple indexed in place of a call per leaf."""
+    targs = template.args
+    arity = len(targs)
+    if arity == 1:
+        a = targs[0]
+        return App(template.connective, (
+            args[a.index] if type(a) is Var else _instantiate(a, args),))
+    if arity == 2:
+        a, b = targs
+        return App(template.connective, (
+            args[a.index] if type(a) is Var else _instantiate(a, args),
+            args[b.index] if type(b) is Var else _instantiate(b, args)))
+    return App(template.connective, tuple([
+        args[a.index] if type(a) is Var else _instantiate(a, args) for a in targs]))
 
 
 def extend(heads: dict[str, Formula], phi: Formula, memo: dict[Formula, Formula]
@@ -294,10 +325,20 @@ def extend(heads: dict[str, Formula], phi: Formula, memo: dict[Formula, Formula]
     if image is None:
         template = heads.get(phi.connective)
         arity = None if template is None else len(template._vars)
-        if arity != len(phi.args):
+        args = phi.args
+        if arity != len(args):
             raise _head_error(phi, arity)
-        args = [extend(heads, a, memo) for a in phi.args]
-        image = memo[phi] = substitute(args.__getitem__, template)
+        if arity == 1:
+            a = args[0]
+            args = (a if type(a) is Var else extend(heads, a, memo),)
+        elif arity == 2:
+            a, b = args
+            args = (a if type(a) is Var else extend(heads, a, memo),
+                    b if type(b) is Var else extend(heads, b, memo))
+        elif arity:
+            args = [extend(heads, a, memo) for a in args]
+        image = memo[phi] = (args[template.index] if type(template) is Var
+                             else _instantiate(template, args))
     return image
 
 

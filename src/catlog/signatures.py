@@ -94,7 +94,10 @@ class Morphism:
 
         Raises StructuralError unless phi is well-formed over the source.
         """
-        return extend(self.assignment, phi, self._memo)
+        image = self._memo.get(phi)
+        if image is None:
+            image = extend(self.assignment, phi, self._memo)
+        return image
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -24,6 +24,15 @@ logic UT {
 """
 
 
+def subformulas(phi):
+    """The set of phi's subformulas, phi among them."""
+    out = {phi}
+    if isinstance(phi, App):
+        for a in phi.args:
+            out |= subformulas(a)
+    return out
+
+
 def signatures(max_connectives=3, max_arity=2):
     def build(arities):
         return Signature("S", {f"c{i}": a for i, a in enumerate(arities)})

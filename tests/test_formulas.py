@@ -9,12 +9,12 @@ from catlog.formulas import (
     _APPS, _VARS, _VARSETS, App, InputError, ParseError, StructuralError,
     Substitution, Var, _Building, app, check_formula, complexity,
     compose_substitutions, enumerate_formulas, enumerate_slice, extend, fmt,
-    match, parse, slice_formula, slice_size, sort_key, substitute, subformulas,
-    var, variables,
+    match, parse, slice_formula, slice_size, sort_key, substitute, var,
+    variables,
 )
 from catlog.signatures import Signature
 
-from strategies import CPL1_SIG, MIXED_SIG, formulas, substitutions
+from strategies import CPL1_SIG, MIXED_SIG, formulas, subformulas, substitutions
 
 
 def test_parse_basic():
@@ -405,3 +405,118 @@ def test_match_hands_back_its_binding():
     sigma = match(parse("u(x0)", TERNARY_SIG), parse("u(e)", TERNARY_SIG), binding)
     assert sigma.mapping is binding
     assert binding == {0: App("e", ())}
+
+
+# ---------------------------------------------------------------------------
+# The translation kernel against from-scratch references
+
+# each connective's templates: the slice of its arity over TERNARY_SIG, so
+# that a unary head may be sent to the bare variable x0
+_TEMPLATES = {k: enumerate_slice(TERNARY_SIG, k, 2) for k in range(4)}
+
+
+def _heads():
+    return st.fixed_dictionaries({c: st.sampled_from(_TEMPLATES[k])
+                                  for c, k in TERNARY_SIG.connectives.items()})
+
+
+def _substitute_reference(sigma, phi):
+    if isinstance(phi, Var):
+        return sigma(phi.index)
+    return App(phi.connective, tuple(_substitute_reference(sigma, a) for a in phi.args))
+
+
+def _extend_reference(heads, phi):
+    """extend from scratch: recursive, with no memo, through substitute."""
+    if isinstance(phi, Var):
+        return phi
+    args = [_extend_reference(heads, a) for a in phi.args]
+    return substitute(Substitution(dict(enumerate(args))), heads[phi.connective])
+
+
+def _head_message(heads, phi):
+    """The message for the first node of phi, in pre-order, that heads
+    does not fit, or None."""
+    if isinstance(phi, Var):
+        return None
+    c, k = phi.connective, len(phi.args)
+    if c not in heads:
+        return f"unknown connective {c!r} in {phi}"
+    arity = len(variables(heads[c]))
+    if arity != k:
+        return f"connective {c!r} has arity {arity}, applied to {k} in {phi}"
+    for a in phi.args:
+        message = _head_message(heads, a)
+        if message is not None:
+            return message
+    return None
+
+
+# nodes of arity 0 to 3, with variable and compound arguments at each arity
+_EVERY_ARITY = ["e", "u(x0)", "u(b(x1, e))", "b(x0, x1)", "b(u(x0), x1)",
+                "t(x0, x1, x2)", "t(b(x0, e), u(x1), t(x2, x0, e))"]
+
+
+@settings(max_examples=300)
+@given(formulas(TERNARY_SIG, max_vars=4), _heads())
+def test_extend_matches_a_reference_without_memo(phi, heads):
+    memo = {}
+    image = extend(heads, phi, memo)
+    assert image is _extend_reference(heads, phi)
+    assert extend(heads, phi, memo) is image
+    assert all(type(node) is App for node in memo)
+    for node, node_image in memo.items():
+        assert node_image is _extend_reference(heads, node)
+
+
+@pytest.mark.parametrize("text", _EVERY_ARITY)
+def test_extend_passes_bare_variable_templates_through(text):
+    phi = parse(text, TERNARY_SIG)
+    heads = {"e": parse("u(e)", TERNARY_SIG), "u": Var(0),
+             "b": parse("b(x1, x0)", TERNARY_SIG), "t": parse("t(x2, u(x0), x1)", TERNARY_SIG)}
+    memo = {}
+    assert extend(heads, phi, memo) is _extend_reference(heads, phi)
+    assert extend(heads, parse("u(u(x3))", TERNARY_SIG), memo) is Var(3)
+    assert extend(heads, parse("u(e)", TERNARY_SIG), memo) is heads["e"]
+
+
+@settings(max_examples=300)
+@given(formulas(TERNARY_SIG, max_vars=4), _heads(),
+       st.sampled_from(sorted(TERNARY_SIG.connectives)), st.booleans())
+def test_extend_raises_the_reference_message_on_a_cold_and_a_warm_memo(phi, heads, bad, drop):
+    if drop:
+        del heads[bad]
+    else:
+        heads[bad] = _TEMPLATES[(TERNARY_SIG.connectives[bad] + 1) % 4][0]
+    message = _head_message(heads, phi)
+    if message is None:
+        assert extend(heads, phi, {}) is _extend_reference(heads, phi)
+        return
+    with pytest.raises(StructuralError) as cold:
+        extend(heads, phi, {})
+    assert str(cold.value) == message
+    # warm: every subformula that heads fits is translated first
+    memo = {}
+    for node in subformulas(phi):
+        if _head_message(heads, node) is None:
+            extend(heads, node, memo)
+    with pytest.raises(StructuralError) as warm:
+        extend(heads, phi, memo)
+    assert str(warm.value) == message
+
+
+@settings(max_examples=300)
+@given(formulas(TERNARY_SIG, max_vars=4), substitutions(TERNARY_SIG, max_vars=4))
+def test_substitute_matches_a_reference(phi, sigma):
+    mixed = (lambda i: sigma(i) if i % 2 else Var(i + 5))
+    table = tuple(sigma(i) for i in range(4))
+    for images in (sigma, mixed, table.__getitem__):
+        assert substitute(images, phi) is _substitute_reference(images, phi)
+
+
+@pytest.mark.parametrize("text", _EVERY_ARITY)
+def test_substitute_handles_every_arity(text):
+    phi = parse(text, TERNARY_SIG)
+    sigma = Substitution({0: parse("t(x3, x3, e)", TERNARY_SIG), 2: Var(0)})
+    for images in (sigma, lambda i: Var(i + 1), (Var(2), App("e", ()), Var(0)).__getitem__):
+        assert substitute(images, phi) is _substitute_reference(images, phi)

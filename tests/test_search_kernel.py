@@ -25,11 +25,10 @@ from catlog.consequence import (
 )
 from catlog.formulas import (
     App, Formula, ParseError, StructuralError, Substitution, Var, check_formula,
-    complexity, enumerate_formulas, match, parse, sort_key, subformulas, substitute,
-    variables,
+    complexity, enumerate_formulas, match, parse, sort_key, substitute, variables,
 )
 from catlog.logic_cat import fibring_unconstrained
-from strategies import UT_SPEC
+from strategies import UT_SPEC, subformulas
 
 # the offsets `_Searcher` shifts axiom and rule variables by: negative, so
 # that `unify` binds them first, as it does the prover's schematic variables
