@@ -25,14 +25,13 @@ reads the new node's complexity and variable set off its arguments by
 arity.  Once published, a node is immutable; only its cached `str` and
 `sort_key` are filled in later, on first use.
 
-Every morphism, composite and law check translates through `extend`, so its
-hot path pays for each interpreter frame: `extend`, `substitute` and the
-template instantiation `_instantiate` spell out arities 1 and 2 with no
-per-node comprehension, and pass a variable argument or leaf through in
-the parent's frame instead of a call.  Most template leaves are variables,
-so `_instantiate` reads them straight off the translated argument tuple.
-`Morphism.extension` probes its memo before it calls `extend` at all, as
-most translations in a law sweep are of formulas already translated.
+Every morphism, composite and law check translates through `extend`, which
+puts the translated arguments into its head's template with `substitute`,
+so this hot path pays for each interpreter frame: both spell out arities 1
+and 2 with no per-node comprehension, and handle a variable argument or
+leaf in the parent's frame instead of a recursive call.  Most template
+leaves are variables, so most of `substitute`'s work is then a direct
+`sigma` call.
 """
 
 from __future__ import annotations
@@ -287,24 +286,6 @@ def substitute(sigma: Substitution, phi: Formula) -> Formula:
     return App(phi.connective, tuple([substitute(sigma, a) for a in args]))
 
 
-def _instantiate(template: App, args) -> Formula:
-    """`substitute(args.__getitem__, template)`: args[i] put for x_i in an
-    App template, with the tuple indexed in place of a call per leaf."""
-    targs = template.args
-    arity = len(targs)
-    if arity == 1:
-        a = targs[0]
-        return App(template.connective, (
-            args[a.index] if type(a) is Var else _instantiate(a, args),))
-    if arity == 2:
-        a, b = targs
-        return App(template.connective, (
-            args[a.index] if type(a) is Var else _instantiate(a, args),
-            args[b.index] if type(b) is Var else _instantiate(b, args)))
-    return App(template.connective, tuple([
-        args[a.index] if type(a) is Var else _instantiate(a, args) for a in targs]))
-
-
 def extend(heads: dict[str, Formula], phi: Formula, memo: dict[Formula, Formula]
            ) -> Formula:
     """Homomorphic extension of a head assignment applied to phi.
@@ -337,8 +318,7 @@ def extend(heads: dict[str, Formula], phi: Formula, memo: dict[Formula, Formula]
                     b if type(b) is Var else extend(heads, b, memo))
         elif arity:
             args = [extend(heads, a, memo) for a in args]
-        image = memo[phi] = (args[template.index] if type(template) is Var
-                             else _instantiate(template, args))
+        image = memo[phi] = substitute(args.__getitem__, template)
     return image
 
 

@@ -94,10 +94,7 @@ class Morphism:
 
         Raises StructuralError unless phi is well-formed over the source.
         """
-        image = self._memo.get(phi)
-        if image is None:
-            image = extend(self.assignment, phi, self._memo)
-        return image
+        return extend(self.assignment, phi, self._memo)
 
     def __eq__(self, other):
         if type(other) is not type(self):
