@@ -10,8 +10,9 @@ condensed detachment (`_Skeletons`): it builds the most general conclusions
 of all proof trees, size by size up to `proof_length` nodes, and rebuilds
 the first tree whose conclusion has the goal as an instance; its schematic
 variables are the negative ones.  Its unknown says which bound stopped it.
-Lattice operations (meet, generated join, directed sup) combine providers
-without ever inventing an uncertified No.
+Forward saturation (`Saturation`) closes seed axiom instances under the
+rules in one fixpoint for the base and every hypothesis world at once, each
+fact labelled with the bitset of the worlds it holds in.
 
 `Matrix.apply` is the only code that applies a matrix table, and
 `ProofWriter` the only code that writes proof steps, for proof search,
@@ -1080,7 +1081,7 @@ def search_proof(calculus: Calculus, hypotheses: frozenset[Formula],
 # ---------------------------------------------------------------------------
 # Forward saturation: a second, join-based derivability engine.  Sound by
 # construction (every element carries its justification); used where many
-# related queries over one hypothesis set must be answered at once.
+# related queries over many hypothesis sets must be answered at once.
 
 # the most complex conclusion a saturation derives; an axiom instance over
 # it is never built (`_capped_product`), a rule conclusion over it is built
@@ -1115,7 +1116,8 @@ def _capped_product(pool: list, costs: list[int], weights: list[int], room: int)
 
 
 class Saturation:
-    """Derivations reachable from seed axiom instances by forward joins.
+    """Derivations reachable from seed axiom instances by forward joins, in
+    the base and in any number of worlds at once.
 
     Axiom schemes are instantiated with images drawn from a finite pool.
     An instance's complexity is the axiom's plus, for each variable, its
@@ -1125,37 +1127,40 @@ class Saturation:
     Two-premise rules join through an index on their shared variables;
     longer rules scan.
 
-    Derivations and join indices sit in two layers of plain dicts: this
-    saturation's own (`added`, `join_index`) and its base's, read by
-    reference and never written; a saturation built by `__init__` has an
-    empty base.  Membership is a test of the own dict, then the base's.
-    `derived` reads base entries first, then own ones, in the order a full
-    copy would have.
+    A world is a list of hypotheses given to `extend`; a fact's `bits` hold
+    bit k when it is derived in world k, and every bit (-1) in the base.  A
+    rule instance gives its conclusion the AND of its premises' bits, and a
+    fact that gains bits fires its rules again with the gain alone.  A proof
+    in a world follows, from each formula, its first justification that
+    delivered the world's bit: a premise got the bit before its conclusion.
     """
 
     def __init__(self, calculus: Calculus, seed_pool: list[Formula]):
         self.calculus = calculus
-        # each formula derived here with its justification and premise
-        # formulas; `_base` holds the base's, empty but in a fork
-        self.added: dict[Formula, tuple] = {}
-        self._base: dict[Formula, tuple] = {}
+        # each derived formula's worlds, and its justifications, each with
+        # its premise formulas and the bits it delivered
+        self.bits: dict[Formula, int] = {}
+        self.why: dict[Formula, list[tuple]] = {}
+        # facts to fire, last in first out, with the bits each gained since
+        # it was last fired
         self.queue: list[Formula] = []
-        # per rule: premise variable sets and, for 2-premise rules, the join
-        # variables plus an index per position keyed by the join images, in
-        # an own layer and a base layer as for `added` and `_base`
-        self.rule_vars = []
+        self.pending: dict[Formula, int] = {}
+        self.worlds = 0
+        # per 2-premise rule: the join variables, and an index per position
+        # keyed by the join images, holding each fact that matches the premise
+        # there; None where a match at the other position binds all the
+        # premise's variables, so that the partner is found by a membership test
         self.join_vars = []
-        self.join_index: list[list[dict[tuple, list[Substitution]]]] = []
+        self.join_index: list[list[dict[tuple, list[Formula]] | None]] = []
         for rule in calculus.rules:
             pvars = [variables(p) for p in rule.premises]
-            self.rule_vars.append(pvars)
             if len(rule.premises) == 2:
                 self.join_vars.append(tuple(sorted(pvars[0] & pvars[1])))
-                self.join_index.append([{}, {}])
+                self.join_index.append([None if pvars[j] <= pvars[1 - j] else {}
+                                        for j in (0, 1)])
             else:
                 self.join_vars.append(())
                 self.join_index.append([])
-        self._base_index = [[{} for _ in per_rule] for per_rule in self.join_index]
         costs = [complexity(phi) for phi in seed_pool]
         for aidx, axiom in enumerate(calculus.axioms):
             occurs = _occurrences(axiom, {})
@@ -1163,158 +1168,125 @@ class Saturation:
             for combo in _capped_product(seed_pool, costs, [occurs[v] for v in free],
                                          _CONCLUSION_CAP - complexity(axiom)):
                 sigma = Substitution(dict(zip(free, combo)))
-                self._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma))
+                self._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma), (), -1)
         self._run()
 
-    def fork(self) -> "Saturation":
-        """A saturation to extend with more hypotheses, with no copy of this
-        one: its base layer is this saturation's `derived` and join indices,
-        by reference, and it starts with empty own dicts.  It copies a base
-        join bucket into its own layer before its first append to it, so
-        the base never changes; this saturation must not be extended while
-        its forks are in use.  A fork of a fork takes its parent's two
-        layers merged into one as its base."""
-        if self._base:
-            base_index = [[{**base, **own} for base, own in zip(*layers)]
-                          for layers in zip(self._base_index, self.join_index)]
-        else:
-            base_index = self.join_index
-        other = object.__new__(Saturation)
-        vars(other).update(vars(self), added={}, queue=[], _base=self.derived,
-                           _base_index=base_index,
-                           join_index=[[{} for _ in per_rule] for per_rule in self.join_index])
-        return other
-
-    @property
-    def derived(self) -> dict[Formula, tuple]:
-        """Each derived formula with its justification and premise formulas,
-        base entries first; for a fork, a merged copy."""
-        return {**self._base, **self.added} if self._base else self.added
-
-    def _add(self, phi: Formula, justification, premises: tuple[Formula, ...] = ()) -> None:
-        if phi in self.added or phi in self._base or complexity(phi) > _CONCLUSION_CAP:
+    def _add(self, phi: Formula, justification, premises: tuple[Formula, ...],
+             bits: int) -> None:
+        old = self.bits.get(phi, 0)  # never 0 for a derived formula
+        if not old and complexity(phi) > _CONCLUSION_CAP:
             return
-        self.added[phi] = (justification, premises)
-        self.queue.append(phi)
+        gain = bits & ~old if old else bits  # a new fact keeps `bits`, uncopied
+        if gain:
+            self.bits[phi] = old | gain if old else gain
+            self.why.setdefault(phi, []).append((justification, premises, gain))
+            if phi not in self.pending:
+                self.queue.append(phi)
+            self.pending[phi] = self.pending.get(phi, 0) | gain
 
     def _run(self) -> None:
         while self.queue:
             d = self.queue.pop()
+            delta = self.pending.pop(d)
+            # a fact enters the join indices when it is first fired
+            first = delta == self.bits[d]
             for ridx, rule in enumerate(self.calculus.rules):
                 for j, premise in enumerate(rule.premises):
                     sigma = match(premise, d)
                     if sigma is None:
                         continue
                     if len(rule.premises) == 1:
-                        self._conclude(ridx, rule, sigma, (d,))
+                        self._conclude(ridx, rule, sigma, (d,), delta)
                     elif len(rule.premises) == 2:
-                        self._join2(ridx, rule, j, sigma, d)
+                        self._join2(ridx, rule, j, sigma, d, delta, first)
                     else:
-                        self._join_scan(ridx, rule, j, sigma)
+                        self._join_scan(ridx, rule, j, sigma, delta)
 
     def _conclude(self, ridx: int, rule: Rule, sigma: Substitution,
-                  premises: tuple[Formula, ...]) -> None:
-        if not variables(rule.conclusion) <= set(sigma.mapping):
+                  premises: tuple[Formula, ...], bits: int) -> None:
+        if not bits or not variables(rule.conclusion) <= set(sigma.mapping):
             return
-        self._add(substitute(sigma, rule.conclusion), RuleInstance(ridx, sigma, ()), premises)
+        self._add(substitute(sigma, rule.conclusion), RuleInstance(ridx, sigma, ()),
+                  premises, bits)
 
     def _join2(self, ridx: int, rule: Rule, j: int, sigma: Substitution,
-               d: Formula) -> None:
-        added, base = self.added, self._base
-        join = self.join_vars[ridx]
-        key = tuple(sigma(v) for v in join)
-        own = self.join_index[ridx][j]
-        bucket = own.get(key)
-        if bucket is None:
-            bucket = own[key] = list(self._base_index[ridx][j].get(key, ()))
-        bucket.append(sigma)
+               d: Formula, delta: int, first: bool) -> None:
+        bits = self.bits
+        key = tuple(sigma(v) for v in self.join_vars[ridx])
+        index = self.join_index[ridx]
+        if first and index[j] is not None:
+            index[j].setdefault(key, []).append(d)
         other = 1 - j
-        other_vars = self.rule_vars[ridx][other]
-        if other_vars <= set(sigma.mapping):
-            # the partner instance is fully determined: membership test
-            partner = substitute(sigma, rule.premises[other])
-            if partner in added or partner in base:
-                pair = (d, partner) if j == 0 else (partner, d)
-                self._conclude(ridx, rule, sigma, pair)
+        premise = rule.premises[other]
+        if index[other] is None:
+            partner = substitute(sigma, premise)
+            pair = (d, partner) if j == 0 else (partner, d)
+            self._conclude(ridx, rule, sigma, pair, delta & bits.get(partner, 0))
             return
-        partners = self.join_index[ridx][other].get(key)
-        if partners is None:
-            partners = self._base_index[ridx][other].get(key, ())
-        for sigma2 in partners:
-            merged = dict(sigma2.mapping)
-            merged.update(sigma.mapping)
-            full = Substitution(merged)
-            inst = tuple(substitute(full, p) for p in rule.premises)
-            if all(p in added or p in base for p in inst):
-                self._conclude(ridx, rule, full, inst)
+        for partner in index[other].get(key, ()):
+            both = delta & bits[partner]
+            if both:
+                full = match(premise, partner, dict(sigma.mapping))
+                pair = (d, partner) if j == 0 else (partner, d)
+                self._conclude(ridx, rule, full, pair, both)
 
-    def _join_scan(self, ridx: int, rule: Rule, j: int, sigma: Substitution) -> None:
-        added, base = self.added, self._base
+    def _join_scan(self, ridx: int, rule: Rule, j: int, sigma: Substitution,
+                   delta: int) -> None:
+        bits = self.bits
         positions = [k for k in range(len(rule.premises)) if k != j]
 
-        def go(pos: int, sub: Substitution):
+        def go(pos: int, sub: Substitution, both: int):
             if pos == len(positions):
                 inst = tuple(substitute(sub, p) for p in rule.premises)
-                if all(p in added or p in base for p in inst):
-                    self._conclude(ridx, rule, sub, inst)
+                self._conclude(ridx, rule, sub, inst, both)
                 return
             k = positions[pos]
-            missing = self.rule_vars[ridx][k] - set(sub.mapping)
-            if not missing:
-                premise = substitute(sub, rule.premises[k])
-                if premise in added or premise in base:
-                    go(pos + 1, sub)
+            if variables(rule.premises[k]) <= set(sub.mapping):
+                go(pos + 1, sub, both & bits.get(substitute(sub, rule.premises[k]), 0))
                 return
-            # the base never changes; the own entries are taken as they
-            # stand before the walk, which can add to them
-            for candidate in itertools.chain(base, list(added)):
-                ext = match(rule.premises[k], candidate, dict(sub.mapping))
-                if ext is not None:
-                    go(pos + 1, ext)
+            # the facts as they stand before the walk, which can add to them
+            for candidate in list(bits):
+                common = both & bits[candidate]
+                if common:
+                    ext = match(rule.premises[k], candidate, dict(sub.mapping))
+                    if ext is not None:
+                        go(pos + 1, ext, common)
 
-        go(0, sigma)
+        go(0, sigma, delta)
 
-    def extend(self, hypotheses) -> None:
-        for h in hypotheses:
-            self._add(h, Hypothesis())
+    def extend(self, worlds: list[list[Formula]]) -> range:
+        """Close each list of hypotheses as a new world; their numbers."""
+        first = self.worlds
+        self.worlds += len(worlds)
+        hypothesis = Hypothesis()
+        for k, hypotheses in enumerate(worlds, first):
+            for h in hypotheses:
+                self._add(h, hypothesis, (), 1 << k)
         self._run()
+        return range(first, self.worlds)
 
     def __contains__(self, phi: Formula) -> bool:
-        return phi in self.added or phi in self._base
+        """Whether phi is derived in the base."""
+        return self.bits.get(phi, 0) == -1
 
-    def proof_of(self, phi: Formula) -> Proof | None:
-        """Rebuild a checkable proof from the recorded justifications."""
-        if phi not in self:
+    def proof_of(self, phi: Formula, world: int | None = None) -> Proof | None:
+        """Rebuild a checkable proof of phi in a world, or in the base, from
+        the recorded justifications; only base facts hold the base's bit."""
+        bit = 1 << (self.worlds if world is None else world)
+        if not self.bits.get(phi, 0) & bit:
             return None
+
+        def why(f: Formula):
+            return next((f, justification, premises)
+                        for justification, premises, gain in self.why[f] if gain & bit)
+
         writer = ProofWriter()
-        writer.derivation(phi, lambda f: (f, *(self.added.get(f) or self._base[f])))
+        writer.derivation(phi, why)
         return writer.proof()
 
 
 # ---------------------------------------------------------------------------
 # Lattice operations on consequence relations
-
-
-def meet(l1: Logic, l2: Logic) -> Logic:
-    """Infimum: derivable when both components derive."""
-    if l1.signature != l2.signature:
-        raise SignatureMismatch("meet needs a shared signature")
-
-    def oracle(gamma, phi, budget):
-        v1 = derives(l1, gamma, phi, budget)
-        if v1.is_no:
-            return Verdict.no(counter=v1.counter, reason=f"refuted in {l1.name}")
-        v2 = derives(l2, gamma, phi, budget)
-        if v2.is_no:
-            return Verdict.no(counter=v2.counter, reason=f"refuted in {l2.name}")
-        if v1.is_yes and v2.is_yes:
-            return Verdict.yes(proof=v1.proof or v2.proof,
-                               used=(v1.used or frozenset()) | (v2.used or frozenset()),
-                               detail={"left": v1.status, "right": v2.status})
-        return Verdict.unknown(reason="one component undecided")
-
-    return Logic(f"meet({l1.name},{l2.name})", l1.signature,
-                 oracle=oracle, decides=l1.decides and l2.decides)
 
 
 def generated_join(presentations: list[Calculus]) -> Calculus:
@@ -1330,29 +1302,3 @@ def generated_join(presentations: list[Calculus]) -> Calculus:
         axioms.extend(calc.axioms)
         rules.extend(calc.rules)
     return Calculus(sig, axioms, rules)
-
-
-def directed_sup(chain: list[Logic]) -> Logic:
-    """Supremum of a chain ordered by strength: first stage that derives wins."""
-    if not chain:
-        raise InputError("empty chain")
-    sig = chain[0].signature
-    if any(l.signature != sig for l in chain):
-        raise SignatureMismatch("directed sup needs a shared signature")
-
-    def oracle(gamma, phi, budget):
-        unknown = False
-        for i, logic in enumerate(chain):
-            v = derives(logic, gamma, phi, budget)
-            if v.is_yes:
-                return Verdict.yes(proof=v.proof, stage=i, used=v.used,
-                                   reason=f"witnessed at stage {i}")
-            if v.is_unknown:
-                unknown = True
-        if unknown:
-            return Verdict.unknown(reason="no stage settled the query")
-        # v is the top stage's refutation
-        return Verdict.no(counter=v.counter, reason="refuted at every stage")
-
-    return Logic("sup(" + ",".join(l.name for l in chain) + ")", sig,
-                 oracle=oracle, decides=all(l.decides for l in chain))

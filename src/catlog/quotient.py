@@ -219,16 +219,18 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1)) -> Logi
     pool = enumerate_formulas(sig, var_bound, compl_bound)
     pool_set = set(pool)
     seed_pool = enumerate_formulas(sig, var_bound, 2)
-    base = Saturation(logic.calculus, seed_pool)
-    # the pool formulas derivable from phi are the base theorems in the pool
-    # plus reach[phi], those its fork derived beyond the base; each fork is
-    # dropped once read, so only one is alive at a time
-    theorems = [phi for phi in pool if phi in base]
-    reach: dict[Formula, set[Formula]] = {}
-    for phi in pool:
-        fork = base.fork()
-        fork.extend([phi])
-        reach[phi] = pool_set.intersection(fork.added)
+    sat = Saturation(logic.calculus, seed_pool)
+    theorems = [phi for phi in pool if phi in sat]
+    # world k holds pool[k] alone; reach[phi] is the pool formulas derivable
+    # from phi beyond the base theorems (bits -1), read off the set bits
+    sat.extend([[phi] for phi in pool])
+    reach: dict[Formula, set[Formula]] = {phi: set() for phi in pool}
+    for psi in pool:
+        bits = sat.bits.get(psi, 0)
+        while bits > 0:
+            low = bits & -bits
+            reach[pool[low.bit_length() - 1]].add(psi)
+            bits ^= low
     # two base theorems are interderivable, a base theorem and another
     # formula never, two other formulas when each is in the other's reach;
     # a class is named by its sort_key minimum

@@ -13,9 +13,9 @@ import hypothesis.strategies as st
 from catlog import consequence, corpus
 from catlog.consequence import (
     AxiomInstance, Budget, Calculus, Hypothesis, Logic, Matrix, Proof, Rule,
-    RuleInstance, Saturation, SignatureMismatch, Step, Verdict, derives,
-    directed_sup, exact_matrix, generated_join, interderivable, matrix_consequence,
-    matrix_interderivable, meet, search_proof, transform_proof, truth_function,
+    RuleInstance, Saturation, Step, Verdict, derives,
+    exact_matrix, generated_join, interderivable, matrix_consequence,
+    matrix_interderivable, search_proof, transform_proof, truth_function,
     verify_proof,
 )
 from catlog.formulas import (
@@ -404,41 +404,6 @@ def test_structurality_transformer():
 # --- lattice operations -------------------------------------------------------
 
 
-def test_meet_is_idempotent_on_queries():
-    both = meet(CPL2, CPL2)
-    for text in ("orp(x0, negp(x0))", "x0", "orp(x0, x1)"):
-        phi = p(text, CPL2.signature)
-        assert derives(both, [], phi).status == derives(CPL2, [], phi).status
-
-
-def test_meet_with_bottom_absorbs():
-    from catlog.logic_cat import bottom
-    bot = bottom(SIG)
-    low = meet(CPL1, bot)
-    assert derives(low, [p("x0")], p("x0")).is_yes
-    assert derives(low, [], p("imp(x0, x0)")).is_no
-    assert derives(low, [p("x0")], p("x1")).is_no
-
-
-def test_meet_of_classical_and_l3():
-    low = meet(CPL1, L3)
-    assert derives(low, [], p("imp(x0, x0)")).is_yes
-    peirce = p("imp(imp(imp(x0, x1), x0), x0)")
-    # the three-valued component refutes Peirce even though the classical
-    # matrix validates it; keep the classical search short
-    v = derives(low, [], peirce, Budget(proof_length=5))
-    assert v.is_no
-    holds, _ = matrix_consequence(CPL1.matrix, [], peirce)
-    assert holds
-    holds, _ = matrix_consequence(L3.matrix, [], peirce)
-    assert not holds
-
-
-def test_meet_requires_shared_signature():
-    with pytest.raises(SignatureMismatch):
-        meet(CPL1, CPL2)
-
-
 def test_generated_join_neutral_and_mixed():
     sig = Signature("S", {"imp": 2})
     a1 = parse("imp(x0, imp(x1, x0))", sig)
@@ -470,24 +435,6 @@ def test_generated_join_idempotent_on_queries():
     twice = Logic("twice", sig, calculus=doubled)
     for text in ("imp(x0, x0)", "imp(x0, imp(x1, x0))"):
         assert derives(twice, [], p(text)).is_yes == derives(CPL1, [], p(text)).is_yes
-
-
-def test_directed_sup_examples():
-    single = directed_sup([CPL1])
-    assert derives(single, [], p("imp(x0, x0)")).is_yes
-    from catlog.logic_cat import bottom
-    chain = directed_sup([bottom(SIG), CPL1])
-    v = derives(chain, [], p("imp(x0, x0)"))
-    assert v.is_yes and v.stage == 1
-    v = derives(chain, [p("x0")], p("x0"))
-    assert v.is_yes and v.stage == 0
-    assert derives(chain, [], p("x0")).status in ("no", "unknown")
-
-
-def test_directed_sup_is_unknown_when_no_stage_settles():
-    undecided = Logic("undecided", SIG, oracle=lambda gamma, phi, budget: Verdict.unknown())
-    v = derives(directed_sup([bottom(SIG), undecided]), [], p("x0"))
-    assert v.is_unknown and v.reason == "no stage settled the query"
 
 
 def test_interderivable_uses_matrix():
@@ -526,19 +473,23 @@ def test_interderivable_asks_backward_only_when_forward_is_not_no(answers, queri
 # --- forward saturation -------------------------------------------------------
 
 
+def _facts(sat, world=None):
+    """The formulas derived in a world, base facts included, or in the base."""
+    return {phi for phi, bits in sat.bits.items()
+            if (bits == -1 if world is None else bits >> world & 1)}
+
+
 def test_saturation_proofs_verify():
-    from catlog.formulas import enumerate_formulas
-    sig = SIG
-    pool = enumerate_formulas(sig, 1, 2)
+    pool = enumerate_formulas(SIG, 1, 2)
     sat = Saturation(CPL1.calculus, pool)
     goal = p("imp(x0, x0)")
     assert goal in sat
     proof = sat.proof_of(goal)
     assert verify_proof(CPL1, set(), goal, proof)
-    fork = sat.fork()
-    fork.extend([p("neg(x0)")])
-    assert p("neg(x0)") in fork
-    assert goal in sat  # the fork does not leak back
+    [world] = sat.extend([[p("neg(x0)")]])
+    assert p("neg(x0)") in _facts(sat, world) and p("neg(x0)") not in sat
+    assert sat.proof_of(p("neg(x0)")) is None  # the world does not leak into the base
+    assert goal in sat and sat.proof_of(goal, world).to_json() == proof.to_json()
 
 
 def test_saturation_fires_one_premise_rules_with_bound_conclusions():
@@ -548,74 +499,77 @@ def test_saturation_fires_one_premise_rules_with_bound_conclusions():
         # x1 is free in the conclusion only, so the rule never fires
         Rule((p("p(x0)", sig),), p("r(x0, x1)", sig))])
     sat = Saturation(calc, [Var(0), Var(1)])
-    assert set(sat.derived) == {p(t, sig) for t in ("p(x0)", "p(x1)", "q(x0)", "q(x1)")}
+    assert set(sat.bits) == {p(t, sig) for t in ("p(x0)", "p(x1)", "q(x0)", "q(x1)")}
     assert verify_proof(Logic("PQR", sig, calculus=calc), [], p("q(x1)", sig),
                         sat.proof_of(p("q(x1)", sig)))
 
 
 def _join_snapshot(sat):
-    return [[{key: list(bucket) for key, bucket in index.items()} for index in per_rule]
+    return [[{key: list(bucket) for key, bucket in (index or {}).items()} for index in per_rule]
             for per_rule in sat.join_index]
 
 
 def test_fork_leaves_its_base_unchanged():
-    from catlog.formulas import enumerate_formulas
-    base = Saturation(CPL1.calculus, enumerate_formulas(SIG, 1, 2))
-    derived, joins = list(base.derived.items()), _join_snapshot(base)
-    fork = base.fork()
+    # a world reads the base in place: extending keeps the base facts, their
+    # order, justifications and join entries, and only appends after them
+    sat = Saturation(CPL1.calculus, enumerate_formulas(SIG, 1, 2))
+    base, joins = [(phi, list(why)) for phi, why in sat.why.items()], _join_snapshot(sat)
     x0 = p("x0")
-    fork.extend([x0])
-    assert list(base.derived.items()) == derived
-    assert _join_snapshot(base) == joins
-    assert x0 in fork and x0 not in base
-    # the fork appended to buckets the base has too, each in a copy in its
-    # own layer that starts with the base's bucket; the base kept its own
-    grown = [(key, r, j) for r, per_rule in enumerate(joins)
-             for j, index in enumerate(per_rule) for key in index
-             if key in fork.join_index[r][j]]
+    [world] = sat.extend([[x0]])
+    assert list(sat.why.items())[:len(base)] == base
+    assert all(sat.bits[phi] == -1 for phi, _ in base)
+    assert x0 in _facts(sat, world) and x0 not in sat
+    grown = 0
+    for r, per_rule in enumerate(joins):
+        for j, index in enumerate(per_rule):
+            for key, bucket in index.items():
+                now = sat.join_index[r][j][key]
+                assert now[:len(bucket)] == bucket
+                grown += len(now) > len(bucket)
     assert grown
-    for key, r, j in grown:
-        bucket = fork.join_index[r][j][key]
-        assert len(bucket) > len(joins[r][j][key])
-        assert bucket[:len(joins[r][j][key])] == joins[r][j][key]
-        assert bucket is not base.join_index[r][j][key]
-    # base entries first, then the fork's own, as a full copy would have them
-    assert list(fork.derived)[:len(derived)] == [phi for phi, _ in derived]
-    for phi in fork.added:
-        assert verify_proof(CPL1, {x0}, phi, fork.proof_of(phi))
+    new = _facts(sat, world) - _facts(sat)
+    assert new and all(sat.bits[phi] == 1 << world for phi in new)
+    for phi in new:
+        assert verify_proof(CPL1, {x0}, phi, sat.proof_of(phi, world))
 
 
 def test_sibling_forks_are_isolated():
-    from catlog.formulas import enumerate_formulas
-    base = Saturation(CPL1.calculus, enumerate_formulas(SIG, 1, 2))
-    left, right = base.fork(), base.fork()
-    left.extend([p("x0")])
-    assert left.added and not any(phi in right for phi in left.added)
-    right.extend([p("neg(x0)")])
-    assert p("neg(x0)") in right and p("neg(x0)") not in left
-    assert p("x0") not in right
-    assert not any(phi in base for phi in [*left.added, *right.added])
+    # sibling worlds of one call each derive what a saturation with that
+    # world alone does
+    pool = enumerate_formulas(SIG, 1, 2)
+    sat = Saturation(CPL1.calculus, pool)
+    base = _facts(sat)
+    left, right = sat.extend([[p("x0")], [p("neg(x0)")]])
+    for world, hyps in [(left, [p("x0")]), (right, [p("neg(x0)")])]:
+        alone = Saturation(CPL1.calculus, pool)
+        [only] = alone.extend([hyps])
+        assert _facts(sat, world) == _facts(alone, only)
+    assert p("neg(x0)") in _facts(sat, right) - _facts(sat, left)
+    assert p("x0") in _facts(sat, left) - _facts(sat, right)
+    assert _facts(sat) == base
 
 
 def test_a_fork_of_a_fork_derives_what_one_fork_with_both_hypotheses_does():
-    from catlog.formulas import enumerate_formulas
-    base = Saturation(CPL1.calculus, enumerate_formulas(SIG, 1, 2))
-    left = base.fork()
-    left.extend([p("x0")])
-    grand = left.fork()
-    grand.extend([p("neg(x0)")])
-    both = base.fork()
-    both.extend([p("x0"), p("neg(x0)")])
-    assert grand.added and set(grand.derived) == set(both.derived)
-    assert list(grand.derived) == [*left.derived, *grand.added]
-    for phi in grand.added:
-        assert verify_proof(CPL1, {p("x0"), p("neg(x0)")}, phi, grand.proof_of(phi))
+    # a world with two hypotheses, numbered after the worlds of an earlier
+    # call, derives what each one-hypothesis world does, as a saturation with
+    # that world alone does
+    pool = enumerate_formulas(SIG, 1, 2)
+    sat = Saturation(CPL1.calculus, pool)
+    hyps = [p("x0"), p("neg(x0)")]
+    left, right = sat.extend([hyps[:1], hyps[1:]])
+    [both] = sat.extend([hyps])
+    assert both == 2
+    alone = Saturation(CPL1.calculus, pool)
+    [only] = alone.extend([hyps])
+    assert only == 0 and _facts(sat, both) == _facts(alone, only)
+    assert _facts(sat, left) | _facts(sat, right) <= _facts(sat, both)
+    assert _facts(sat, both) - _facts(sat, left)
+    for phi in _facts(sat, both) - _facts(sat):
+        assert verify_proof(CPL1, set(hyps), phi, sat.proof_of(phi, both))
 
 
 def test_saturation_agrees_with_search_on_samples():
-    from catlog.formulas import enumerate_formulas
-    sig = SIG
-    pool = enumerate_formulas(sig, 1, 2)
+    pool = enumerate_formulas(SIG, 1, 2)
     sat = Saturation(CPL1.calculus, pool)
     budget = Budget(proof_length=10)
     rng = random.Random(4)
@@ -637,23 +591,23 @@ def test_saturation_joins_rules_with_three_premises():
     assert goal in base
     proof = base.proof_of(goal)
     assert len(proof) == 3 and verify_proof(logic, set(), goal, proof)
-    derived = list(base.derived.items())
-    fork = base.fork()
+    derived = list(base.bits)
     hyp = p("u(t(x0, x0, x0))", sig)
-    fork.extend([hyp])
+    [world] = base.extend([[hyp]])
     joined = p("t(x1, t(x0, x0, x0), x0)", sig)
-    assert joined in fork and joined not in base
-    assert verify_proof(logic, {hyp}, joined, fork.proof_of(joined))
-    assert list(base.derived.items()) == derived
+    assert joined in _facts(base, world) and joined not in base
+    assert verify_proof(logic, {hyp}, joined, base.proof_of(joined, world))
+    assert [phi for phi in base.bits if base.bits[phi] == -1] == derived
 
 
 def _plain(sat):
-    """`sat.derived` in order, each justification as its class name and
-    fields, with substitutions as their maps."""
+    """`sat.why` in order, each justification as its class name and fields,
+    with substitutions as their maps, beside its premises and bits."""
     def plain(just):
         return type(just).__name__, {
             k: v.mapping if isinstance(v, Substitution) else v for k, v in vars(just).items()}
-    return [(phi, plain(just), premises) for phi, (just, premises) in sat.derived.items()]
+    return [(phi, plain(just), premises, bits)
+            for phi, why in sat.why.items() for just, premises, bits in why]
 
 
 def _unpruned_saturation(calc, pool):
@@ -664,7 +618,7 @@ def _unpruned_saturation(calc, pool):
         free = sorted(variables(axiom))
         for combo in itertools.product(pool, repeat=len(free)):
             sigma = Substitution(dict(zip(free, combo)))
-            ref._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma))
+            ref._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma), (), -1)
     ref._run()
     return ref
 
@@ -743,6 +697,8 @@ def _naive_closure(calc, pool, hypotheses, cap):
 
 
 def test_saturation_and_its_forks_match_a_naive_closure(monkeypatch):
+    # the base and each world of one call against a naive closure: sibling
+    # worlds, and a world with several hypotheses
     cap = 3
     monkeypatch.setattr(consequence, "_CONCLUSION_CAP", cap)
     pool = enumerate_formulas(NV, 2, 1)
@@ -751,31 +707,27 @@ def test_saturation_and_its_forks_match_a_naive_closure(monkeypatch):
         rng = random.Random(seed)
         calc = _random_calculus(rng)
         logic = Logic("NV", NV, calculus=calc)
-        left_hyps, right_hyps, grand_hyps = (
+        left_hyps, right_hyps, more_hyps = (
             [_random_formula(rng, 2, 2) for _ in range(2)] for _ in range(3))
-        base = Saturation(calc, pool)
-        before = list(base.derived.items())
-        left, right = base.fork(), base.fork()
-        left.extend(left_hyps)
-        right.extend(right_hyps)
-        grand = left.fork()  # a fork of a fork
-        grand.extend(grand_hyps)
-        assert list(base.derived.items()) == before
-        for layer, sat, hyps in [("base", base, []), ("left", left, left_hyps),
-                                 ("right", right, right_hyps),
-                                 ("grand", grand, left_hyps + grand_hyps)]:
-            assert set(sat.derived) == _naive_closure(calc, pool, hyps, cap), (seed, layer)
-            for phi in sat.derived:
-                assert phi in sat
-                assert verify_proof(logic, set(hyps), phi, sat.proof_of(phi)), (seed, phi)
+        sat = Saturation(calc, pool)
+        before = [(phi, list(why)) for phi, why in sat.why.items()]
+        layers = {"left": left_hyps, "right": right_hyps, "several": left_hyps + more_hyps}
+        worlds = sat.extend(list(layers.values()))
+        # extending keeps the base facts, in order, with their justifications
+        assert list(sat.why.items())[:len(before)] == before
+        assert [phi for phi, _ in before] == [phi for phi in sat.bits if sat.bits[phi] == -1]
+        for (layer, hyps), world in [(("base", []), None), *zip(layers.items(), worlds)]:
+            facts = _facts(sat, world)
+            assert facts == _naive_closure(calc, pool, hyps, cap), (seed, layer)
+            bit = 1 << (len(worlds) if world is None else world)
+            for phi in facts:
+                assert verify_proof(logic, set(hyps), phi, sat.proof_of(phi, world)), (seed, phi)
             fired |= {(len(calc.rules[just.rule].premises), layer)
-                      for just, _ in sat.added.values() if isinstance(just, RuleInstance)}
-        # each layer reads its base's entries first, then its own
-        for sat, parent in [(left, base), (right, base), (grand, left)]:
-            assert list(sat.derived) == [*parent.derived, *sat.added]
-            assert not any(phi in parent for phi in sat.added)
-    # every premise count fired in the base and in a fork of a fork
-    assert {(k, layer) for k in (1, 2, 3) for layer in ("base", "grand")} <= fired
+                      for phi in facts - (set() if world is None else _facts(sat))
+                      for just, _, bits in sat.why[phi]
+                      if bits & bit and isinstance(just, RuleInstance)}
+    # every premise count fired in the base and in a world of several hypotheses
+    assert {(k, layer) for k in (1, 2, 3) for layer in ("base", "several")} <= fired
 
 
 # --- the provider rule --------------------------------------------------------
