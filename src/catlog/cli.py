@@ -295,22 +295,19 @@ def _overall(statuses) -> str:
 def _equipollent(env, args, budget):
     source, target = env.logic(args.source), env.logic(args.target)
     via, back = env.morphism(args.via), env.morphism(args.back)
-    forward = weak_equivalence(via, source, target, n_max=args.nvars,
-                               target_compl=args.bound, budget=budget)
-    backward = weak_equivalence(back, target, source, n_max=args.nvars,
-                                target_compl=args.bound, budget=budget)
-    round_src = morphisms_equivalent(
-        kleisli_compose(as_flexible(back), as_flexible(via)),
-        kleisli_identity(source.signature), source, budget)
-    round_tgt = morphisms_equivalent(
-        kleisli_compose(as_flexible(via), as_flexible(back)),
-        kleisli_identity(target.signature), target, budget)
-    overall = _overall([forward.status, backward.status,
-                        round_src.status, round_tgt.status])
+    bounds = {"n_max": args.nvars, "target_compl": args.bound, "budget": budget}
+
+    def round_trip(first, then, logic):
+        return morphisms_equivalent(kleisli_compose(as_flexible(then), as_flexible(first)),
+                                    kleisli_identity(logic.signature), logic, budget)
+
+    parts = {"forward": weak_equivalence(via, source, target, **bounds),
+             "backward": weak_equivalence(back, target, source, **bounds),
+             "back_after_via": round_trip(via, back, source),
+             "via_after_back": round_trip(back, via, target)}
+    overall = _overall([part.status for part in parts.values()])
     report = {"command": "equipollent", "status": overall,
-              "forward": forward.to_json(), "backward": backward.to_json(),
-              "back_after_via": round_src.to_json(),
-              "via_after_back": round_tgt.to_json()}
+              **{name: part.to_json() for name, part in parts.items()}}
     return report, f"equipollence: {overall}", overall
 
 

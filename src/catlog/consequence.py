@@ -290,6 +290,9 @@ class Matrix:
     def __init__(self, values: list, designated: list, tables: dict[str, dict[tuple, object]]):
         if not values:
             raise InputError("matrix needs at least one value")
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise InputError(f"matrix repeats the value {v!r}")
         if not designated:
             raise InputError("matrix needs a nonempty designated subset")
         self.values = tuple(values)
@@ -879,7 +882,8 @@ class _Skeletons:
     smallest size that reaches it: a larger tree that uses it could use the
     smaller one instead.  Levels are built in a fixed order (axioms,
     hypotheses by `sort_key`, then rules in order), so the proof found, and
-    where `_UNIFY_CAP` ends the search, do not depend on the hash seed.
+    where `_UNIFY_CAP` ends the search, do not depend on the hash seed or on
+    memory layout.
 
     Each entry keeps how it was made (`origins`: `Hypothesis`, `_ByAxiom` or
     `_ByRule`), so the first entry with the goal as an instance gives a

@@ -29,7 +29,7 @@ import re
 from contextlib import contextmanager
 
 from .consequence import Calculus, Logic, Matrix, Rule
-from .formulas import Formula, InputError, ParseError, Var, fmt, parse
+from .formulas import Formula, InputError, ParseError, Var, fmt, parse, tokenize
 from .kleisli import FlexibleMorphism
 from .logic_cat import bottom, top
 from .signatures import Signature, StrictMorphism
@@ -167,9 +167,14 @@ def _read_signature(env: Environment, head: re.Match, stream: _Stream, at: int) 
             if not m:
                 raise SpecError(f"expected conn/arity, found {item!r}", lineno)
             ident, arity = m.group(1), int(m.group(2))
-            if re.fullmatch(r"x[0-9]+", ident):
-                raise SpecError(
-                    f"connective {ident!r} would collide with a variable", lineno)
+            try:
+                kinds = [kind for kind, _, _ in tokenize(ident)]
+            except ParseError:
+                kinds = []
+            if kinds != ["ident"]:
+                problem = ("would collide with a variable" if kinds[:1] == ["var"]
+                           else "is not a name a formula can use")
+                raise SpecError(f"connective {ident!r} {problem}", lineno)
             if ident in connectives:
                 raise SpecError(f"duplicate connective {ident!r}", lineno)
             connectives[ident] = arity
@@ -276,6 +281,9 @@ def _read_matrix(stream: _Stream, at: int) -> Matrix:
             if conn in tables:
                 raise SpecError(f"second table for {conn!r}", lineno)
             entries = tables[conn] = {}
+            stray = _TABLE_ENTRY.sub(" ", parts[2]).split()
+            if stray:
+                raise SpecError(f"table {conn!r} has stray text {' '.join(stray)!r}", lineno)
             for m in _TABLE_ENTRY.finditer(parts[2]):
                 args = tuple(a.strip() for a in m.group(1).split(",") if a.strip())
                 if args in entries:

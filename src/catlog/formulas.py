@@ -11,12 +11,14 @@ the raw material for flexible signature morphisms.  A slice can be listed
 Formulas are hash-consed (Filliatre & Conchon, "Type-Safe Modular
 Hash-Consing", 2006): `Var` and `App` look each new node up in a
 module-level table, keyed by its index or by its connective and argument
-tuple, so two equal formulas are the same object and `==` is identity.
+tuple, so two equal formulas are the same object, and formulas compare and
+hash by identity with `object`'s methods: no value hash is needed.
 Translations and law checks rebuild the same subterms many times over;
-interning turns each rebuild into a table lookup, stores each distinct
-formula once, and lets memos keyed by formulas compare keys by identity.
-The `App` table holds its nodes weakly, as in the paper, so a formula that
-nothing else refers to is freed and leaves the table; variables stay.
+interning turns each rebuild into a table lookup and stores each distinct
+formula once.  The `App` table holds its nodes weakly, as in the paper, so
+a formula that nothing else refers to is freed and leaves the table;
+variables stay.  A live entry's key holds its arguments, so their
+identities are not reused while the entry exists.
 
 Proof search builds many formulas that are new and soon dropped, so a table
 miss is made cheap: `App.__new__` builds the node in one pass, setting each
@@ -61,27 +63,24 @@ class StructuralError(InputError):
 class Formula:
     """Immutable, hash-consed tree: equal formulas are identical objects.
 
-    Each node stores its hash, complexity and variable set when built, before
+    Each node stores its complexity and variable set when built, before
     any other code can see it, and its `str` and `sort_key` the first time
     they are asked for; setting an attribute raises.  Variable sets are
     shared: a unary node reuses its argument's set, a binary node the larger
     of its arguments' sets when one contains the other, and every other set
-    comes from one table of interned frozensets.  A variable hashes to
-    `hash((1, index))`, the same under every `PYTHONHASHSEED`; an
-    application hashes to `hash((connective, args))`, which takes in the
-    salted hash of the connective's name, so a set that holds applications
-    iterates in an order that changes with the hash seed.  No engine leans
-    on set order: proof search takes hypotheses by `sort_key`, G4ip reads
-    its context in `fmt` order, and answers are the same under every seed.
+    comes from one table of interned frozensets.  No class defines its own
+    equality or hash, so formulas compare and hash by identity: a set that
+    holds formulas iterates in an order that follows memory layout and
+    changes from process to process.  No engine leans on set order: proof
+    search takes hypotheses by `sort_key`, G4ip reads its context in `fmt`
+    order, saturation and partitions keep facts in dicts and name classes
+    by `sort_key`, and answers are the same in every process.
     """
 
     __slots__ = ()
 
     def __setattr__(self, *_):
         raise AttributeError("formulas are immutable")
-
-    def __hash__(self):
-        return self._hash
 
 
 _VARS: dict[int, "Var"] = {}
@@ -93,14 +92,13 @@ _new = object.__new__
 
 
 class Var(Formula):
-    __slots__ = ("index", "_hash", "_compl", "_vars", "_str", "_key")
+    __slots__ = ("index", "_compl", "_vars", "_str", "_key")
 
     def __new__(cls, index: int):
         node = _VARS.get(index)
         if node is None:
             node = object.__new__(cls)
             _init(node, "index", index)
-            _init(node, "_hash", hash((1, index)))
             _init(node, "_compl", 0)
             vs = frozenset((index,))
             _init(node, "_vars", _VARSETS.setdefault(vs, vs))
@@ -136,8 +134,7 @@ class App(Formula):
     it in the table, so no other code sees a half-built node.
     """
 
-    __slots__ = ("connective", "args", "_hash", "_compl", "_vars", "_str", "_key",
-                 "__weakref__")
+    __slots__ = ("connective", "args", "_compl", "_vars", "_str", "_key", "__weakref__")
 
     def __new__(cls, connective: str, args: tuple[Formula, ...]):
         table = _APPS.get(connective)
@@ -151,7 +148,6 @@ class App(Formula):
         node = _new(_Building)
         node.connective = connective
         node.args = args
-        node._hash = hash((connective, args))
         node._str = node._key = None
         arity = len(args)
         if arity == 1:
@@ -360,22 +356,18 @@ def _match(p: Formula, c: Formula, binding: dict[int, Formula]) -> bool:
 # The deepest connective nesting `parse` accepts: formula code recurses per level
 MAX_DEPTH = 256
 
-_TOKEN = re.compile(r"\s*(?:(?P<var>x[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<punct>[(),]))")
+# a token, or any other character as `bad`, after the whitespace before it
+_TOKEN = re.compile(r"\s*(?:(?P<var>x[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
+                    r"|(?P<punct>[(),])|(?P<bad>\S))")
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].strip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())
+        tokens.append((kind, m.group(kind), m.start(kind)))
     return tokens
 
 

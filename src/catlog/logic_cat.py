@@ -284,9 +284,7 @@ def compose_translations(outer: Translation, inner: Translation) -> Translation:
     """Composite translation; Verified composes without re-search."""
     if inner.target is not outer.source and inner.target.signature != outer.source.signature:
         raise SignatureMismatch("translations not composable")
-    m_inner = as_flexible(inner.morphism)
-    m_outer = as_flexible(outer.morphism)
-    composite = kleisli_compose(m_outer, m_inner)
+    composite = kleisli_compose(as_flexible(outer.morphism), as_flexible(inner.morphism))
     if inner.verified and outer.verified:
         return Translation(composite, inner.source, outer.target, VERIFIED,
                            evidence=["composed from verified parts"])
@@ -412,7 +410,12 @@ def check_chain(stages: list[Logic], maps: list[Translation]) -> None:
 
 def directed_colimit_logics(stages: list[Logic], maps: list[Translation]
                             ) -> tuple[Logic, list[Translation]]:
-    """Colimit of a chain: union of the pushed-forward presentations."""
+    """Colimit of a chain: union of the pushed-forward presentations.
+
+    Repeats stay: the union concatenates the stages' presentations in
+    order, so a shared axiom or rule appears once per stage, and the
+    cocone's proofs cite each image at its first occurrence (`list.index`).
+    """
     if not all(isinstance(t.morphism, StrictMorphism) for t in maps):
         raise UnsupportedConstruction("colimit chains must be strict")
     check_chain(stages, maps)

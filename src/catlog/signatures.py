@@ -218,9 +218,7 @@ def signature_product(factors: list[Signature]) -> tuple[Signature, list[StrictM
     if not factors:
         raise UnsupportedConstruction(
             "empty product is the terminal signature, which has infinite support")
-    arities = set()
-    for sig in factors:
-        arities |= sig.arities()
+    arities = set().union(*[sig.arities() for sig in factors])
     connectives: dict[str, int] = {}
     components: dict[str, tuple[str, ...]] = {}
     for arity in sorted(arities):
@@ -235,11 +233,10 @@ def signature_product(factors: list[Signature]) -> tuple[Signature, list[StrictM
             connectives[ident] = arity
             components[ident] = combo
     result = Signature("x".join(s.name for s in factors), connectives)
-    projections = []
-    for i, sig in enumerate(factors):
-        projections.append(StrictMorphism(
-            result, sig, {ident: components[ident][i] for ident in connectives},
-            name=f"{result.name}_proj{i}"))
+    projections = [StrictMorphism(result, sig,
+                                  {ident: components[ident][i] for ident in connectives},
+                                  name=f"{result.name}_proj{i}")
+                   for i, sig in enumerate(factors)]
     return result, projections
 
 
@@ -252,9 +249,7 @@ def product_pairing(projections: list[StrictMorphism],
     if any(leg.source != source for leg in cone):
         raise InputError("cone legs disagree on source")
     product = projections[0].source
-    reverse: dict[tuple[str, ...], str] = {}
-    for ident in product.connectives:
-        reverse[tuple(pi(ident) for pi in projections)] = ident
+    reverse = {tuple(pi(ident) for pi in projections): ident for ident in product.connectives}
     mapping = {}
     for c in source.connectives:
         images = tuple(leg(c) for leg in cone)

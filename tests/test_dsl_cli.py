@@ -246,6 +246,9 @@ _L = _S + "logic L {\n  signature S\n"
     (_S + "signature S { imp/2 }\n", 2, "duplicate signature 'S'"),
     ("signature S {\n  neg/1\n  neg/2\n}\n", 3, "duplicate connective 'neg'"),
     ("signature S {\n  x0/1\n}\n", 2, "connective 'x0' would collide with a variable"),
+    ("signature S {\n  x1y/1 a/0\n}\n", 2, "connective 'x1y' would collide with a variable"),
+    ("signature S {\n  1a/1\n}\n", 2, "connective '1a' is not a name a formula can use"),
+    ("signature S {\n  \u00e9/0\n}\n", 2, "connective '\u00e9' is not a name a formula can use"),
     ("signature S {\n  neg/1 imp\n}\n", 2, "expected conn/arity, found 'imp'"),
     ("logic L {\n}\n", 2, "logic 'L' declares no signature"),
     ("logic L {\n  axiom x0\n}\n", 2, "declare the signature before formulas"),
@@ -275,17 +278,23 @@ _L = _S + "logic L {\n  signature S\n"
      "second table for 'neg'"),
     (_L + "  matrix {\n    table neg (0)=1 (1)=0 ( 0 )=0\n  }\n}\n", 5,
      "table 'neg' gives cell (0) twice"),
+    (_L + "  matrix {\n    table neg (0)=1 junk (1)=0 (0\n  }\n}\n", 5,
+     "table 'neg' has stray text 'junk (0'"),
+    (_L + "  matrix {\n    values 0 1 0\n    designated 1\n    table neg (0)=1 (1)=0\n"
+     "  }\n}\n", 8, "matrix repeats the value '0'"),
     (_L + "  matrix {\n    values 0 1\n    values 0 1 2\n  }\n}\n", 6, "second 'values' line"),
     (_L + "  matrix {\n    designated 1\n    values 0 1\n    designated 0\n  }\n}\n", 7,
      "second 'designated' line"),
 ], ids=["open-signature", "open-logic", "open-matrix", "open-morphism", "no-brace",
         "no-brace-at-end", "bad-declaration", "duplicate-signature",
-        "duplicate-connective", "variable-connective", "no-arity", "no-signature",
+        "duplicate-connective", "variable-connective", "variable-prefix-connective",
+        "digit-connective", "non-ascii-connective", "no-arity", "no-signature",
         "formula-before-signature", "no-provider", "rule-no-arrow", "rule-no-premise",
         "bad-logic-entry", "bad-formula", "logic-unknown-signature", "bad-matrix-entry",
         "empty-table", "matrix-error", "logic-error", "duplicate-morphism",
         "morphism-unknown-signature", "no-image", "morphism-unknown-connective",
         "morphism-error", "second-signature", "second-table", "repeated-cell",
+        "table-stray-text", "repeated-value",
         "second-values", "second-designated"])
 def test_spec_errors_name_their_line(text, line, message):
     with pytest.raises(dsl.SpecError) as err:

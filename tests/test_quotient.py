@@ -1,5 +1,9 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +297,26 @@ def test_closure_rules_are_pinned(name, bounds, count, digest):
     text = "\n".join(", ".join(map(fmt, rule.premises)) + " / " + fmt(rule.conclusion)
                      for rule in rules)
     assert (len(rules), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
+
+
+# formulas hash by identity, so a set of formulas iterates in an order that
+# follows memory layout and changes from process to process; the closure
+# must find the pinned rules in every fresh interpreter
+CLOSURE_IN_A_FRESH_PROCESS = """
+from test_quotient import CLOSURE_DIGESTS, test_closure_rules_are_pinned
+for pin in CLOSURE_DIGESTS:
+    test_closure_rules_are_pinned(*pin)
+"""
+
+
+def test_closure_rules_do_not_depend_on_the_process():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    for seed in "01":
+        run = subprocess.run([sys.executable, "-c", CLOSURE_IN_A_FRESH_PROCESS],
+                             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 # --- weak equivalence -----------------------------------------------------------
