@@ -286,6 +286,9 @@ def _read_matrix(stream: _Stream, at: int) -> Matrix:
                 raise SpecError(f"table {conn!r} has stray text {' '.join(stray)!r}", lineno)
             for m in _TABLE_ENTRY.finditer(parts[2]):
                 args = tuple(a.strip() for a in m.group(1).split(",") if a.strip())
+                if "(" in m.group(2):  # a value runs into the next entry
+                    raise SpecError(f"table {conn!r} glues entries {m.group(0)!r}; "
+                                    "separate them with a space", lineno)
                 if args in entries:
                     raise SpecError(f"table {conn!r} gives cell ({','.join(args)}) twice",
                                     lineno)

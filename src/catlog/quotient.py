@@ -17,6 +17,7 @@ writer.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, fields
 
 from .consequence import (
@@ -29,8 +30,7 @@ from .formulas import (
     enumerate_slice, extend, fmt, json_value, sort_key, substitute, variables,
 )
 from .kleisli import (
-    FlexibleMorphism, all_flexible_morphisms, flexible_extension,
-    kleisli_compose, kleisli_identity,
+    FlexibleMorphism, flexible_extension, kleisli_compose, kleisli_identity,
 )
 from .logic_cat import (
     Translation, as_flexible, check_chain, check_translation, matrix_inclusion, reduct,
@@ -442,63 +442,83 @@ def rigidity_probe(logic: Logic, bound: int = 3,
     so whether it is congruential is tested once, at the first verified
     endo-translation.
 
-    When `exact_matrix(logic, proof=False)` gives a matrix M, that is the
-    provider `check_translation(semantic=True)` consults, through `derives`
-    and through `matrix_inclusion` alike, and M |= h(G) |- h(p) exactly
-    when the reduct M^h |= G |- p.  Whether h is a translation thus depends
-    only on the truth functions of its images, so endomorphisms are keyed
-    by their images' columns in M (sorted source connectives, each over
-    x0..x_{n-1}, read from one `Matrix.columns` call per arity over the
-    slice that `all_flexible_morphisms` draws from), and `check_translation`
-    runs once per key, on its first endomorphism, whose status the others
-    reuse.  Without such a matrix every endomorphism is checked.  Slice
-    images keep each formula's variables, so equal keys give equal columns
-    row for row, and equal verdicts, counters included.  A key's first
-    endomorphism comes first in enumeration order, so an exception surfaces
-    at the same endomorphism as when each is checked; the verified count,
-    the undecided flag and each verified endomorphism's comparison with the
-    identity stay per endomorphism, so the report is the same too.
+    The endomorphisms are those of `all_flexible_morphisms(sig, sig, bound)`:
+    each sorted source connective takes an image from its arity's slice.
+    They are walked by class, not one by one.  When `exact_matrix(logic,
+    proof=False)` gives a matrix M, each slice is grouped by the images'
+    columns in M, and a class picks one group per connective.  M is the
+    provider that `check_translation(semantic=True)` consults, through
+    `derives` and `matrix_inclusion` alike, and M |= h(G) |- h(p) exactly
+    when the reduct M^h |= G |- p; `morphisms_equivalent` asks M too, on
+    the images themselves at the generators and on their extensions in the
+    bounded sweep, and an extension's column is fixed by the images'
+    columns.  Slice images keep each formula's variables, so equal columns
+    agree row for row, and every member of a class has the same statuses.
+    Each check thus runs once per class, on its first member, and a
+    verified class adds its size to the verified count.  A refuted class is
+    walked member by member all the same: a generator witness names the
+    member's own image text.  Witnesses are listed in enumeration order.
+    Without a matrix every group is one formula, every class one
+    endomorphism, and each is checked on its own.
+
+    Groups are ordered by their first formula, so classes come up in the
+    order in which enumeration first meets a member of each, and a class's
+    first member is the one met: `check_translation` sees the same
+    endomorphisms in the same order as when each is checked, and an
+    exception surfaces at the same one.
     """
     sig = logic.signature
     ident = kleisli_identity(sig)
-    endos = all_flexible_morphisms(sig, sig, bound)
     matrix = exact_matrix(logic, proof=False)
     connectives = sorted(sig.connectives.items())
-    columns: dict[int, dict[Formula, tuple[int, ...]]] = {}  # arity -> image -> column
-    if matrix is not None:
-        for arity in sig.arities():
-            pool = enumerate_slice(sig, arity, bound)
-            columns[arity] = dict(zip(pool, matrix.columns(pool, range(arity))))
-    statuses: dict = {}  # key -> check_translation's status
+    pools: dict[int, list[Formula]] = {}  # arity -> slice
+    groups: dict[int, list[list[int]]] = {}  # arity -> slice positions by column
+    for arity in sig.arities():
+        pool = pools[arity] = enumerate_slice(sig, arity, bound)
+        keys = pool if matrix is None else matrix.columns(pool, range(arity))
+        by_key: dict = {}
+        for position, key in enumerate(keys):
+            by_key.setdefault(key, []).append(position)
+        groups[arity] = list(by_key.values())
+
+    def endomorphism(positions) -> FlexibleMorphism:
+        # slice images are well formed with exactly the right variables
+        return FlexibleMorphism._unchecked(sig, sig, {
+            c: pools[arity][i] for (c, arity), i in zip(connectives, positions)})
+
     verified = 0
     undecided = False
-    non_rigid = []
+    non_rigid = {}  # slice positions -> witness entry; sorted, in enumeration order
     bounds = (3, 2)  # morphisms_equivalent's default
     congruential = None
-    for h in endos:
-        key = h if matrix is None else tuple(
-            columns[arity][h.assignment[c]] for c, arity in connectives)
-        status = statuses.get(key)
-        if status is None:
-            status = statuses[key] = check_translation(
-                h, logic, logic, budget, semantic=True).status
+    for cls in itertools.product(*(groups[arity] for _, arity in connectives)):
+        first = tuple(group[0] for group in cls)
+        h = endomorphism(first)
+        status = check_translation(h, logic, logic, budget, semantic=True).status
         if status == VERIFIED:
-            verified += 1
+            verified += math.prod(map(len, cls))
             if congruential is None:
                 congruential = _known_congruential(logic, bounds, budget)
             cert = morphisms_equivalent(h, ident, logic, budget, bounds,
                                         target_congruential=congruential)
             status = cert.status
             if status == REFUTED:
-                non_rigid.append({"morphism": h.to_json(), "witness": cert.witness})
+                for positions in itertools.product(*cls):
+                    member = endomorphism(positions)
+                    if positions != first:
+                        cert = morphisms_equivalent(member, ident, logic, budget, bounds,
+                                                    target_congruential=congruential)
+                    non_rigid[positions] = {"morphism": member.to_json(),
+                                            "witness": cert.witness}
         undecided = undecided or status == UNKNOWN
-    undecided = undecided or ident not in endos
+    identity_enumerated = all(ident(c) in pools[arity] for c, arity in connectives)
+    undecided = undecided or not identity_enumerated
     return {
-        "endomorphisms": len(endos),
+        "endomorphisms": math.prod(len(pools[arity]) for _, arity in connectives),
         "verified_translations": verified,
-        "identity_enumerated": ident in endos,
+        "identity_enumerated": identity_enumerated,
         "rigid": False if non_rigid else None if undecided else True,
-        "non_rigid_witnesses": non_rigid,
+        "non_rigid_witnesses": [non_rigid[positions] for positions in sorted(non_rigid)],
         "bound": bound,
     }
 

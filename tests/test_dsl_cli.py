@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -280,6 +281,8 @@ _L = _S + "logic L {\n  signature S\n"
      "table 'neg' gives cell (0) twice"),
     (_L + "  matrix {\n    table neg (0)=1 junk (1)=0 (0\n  }\n}\n", 5,
      "table 'neg' has stray text 'junk (0'"),
+    (_L + "  matrix {\n    values 0 1\n    designated 1\n    table neg (0)=1(1)=0\n"
+     "  }\n}\n", 7, "table 'neg' glues entries '(0)=1(1)=0'; separate them with a space"),
     (_L + "  matrix {\n    values 0 1 0\n    designated 1\n    table neg (0)=1 (1)=0\n"
      "  }\n}\n", 8, "matrix repeats the value '0'"),
     (_L + "  matrix {\n    values 0 1\n    values 0 1 2\n  }\n}\n", 6, "second 'values' line"),
@@ -294,7 +297,7 @@ _L = _S + "logic L {\n  signature S\n"
         "empty-table", "matrix-error", "logic-error", "duplicate-morphism",
         "morphism-unknown-signature", "no-image", "morphism-unknown-connective",
         "morphism-error", "second-signature", "second-table", "repeated-cell",
-        "table-stray-text", "repeated-value",
+        "table-stray-text", "table-glued-entries", "repeated-value",
         "second-values", "second-designated"])
 def test_spec_errors_name_their_line(text, line, message):
     with pytest.raises(dsl.SpecError) as err:
@@ -684,3 +687,27 @@ def test_cli_in_process_reports_match_a_fresh_process(tmp_path, capsys):
             code = cli.main(["--json", str(report), *commands[op_id]])
             assert (code, capsys.readouterr().out, report.read_bytes()) == fresh[op_id], \
                 f"{op_id}, round {round_}"
+
+
+# --- pinned rigidity reports ----------------------------------------------------
+
+# sha256 of the --json report and the exit code of `--bound 3 rigidity --logic X`,
+# as checking each endomorphism on its own writes them, under every hash seed
+RIGIDITY_REPORTS = [
+    ("CPL1", 0, "742ec5815a7ac885f64648261519789639db959e382c7be017fba0077cc1adba"),
+    ("CPL2", 0, "900d894a5e9a733d46ad6d296ded4e6f37e334ad426bc1568b3380ef211ee2c8"),
+    ("L3", 2, "519cbd22b7b15ce339e5d026c7c68ec6fcb3fecc77e8d8ea876c82e5965e23be"),
+    ("NC3", 1, "653e361f0e9f69694fdb1ae83b5fb76a95fb55cdfd47ce2e57e27a88bc8add48"),
+]
+
+
+@pytest.mark.parametrize("seed", "01")
+def test_cli_rigidity_reports_are_pinned(tmp_path, seed):
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(ROOT / "src")}
+    for logic, code, digest in RIGIDITY_REPORTS:
+        report = tmp_path / f"{logic}.json"
+        done = subprocess.run([sys.executable, "-m", "catlog.cli", "--json", str(report),
+                               "--bound", "3", "rigidity", "--logic", logic],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, hashlib.sha256(report.read_bytes()).hexdigest()) == \
+            (code, digest), f"{logic}: {done.stderr}"

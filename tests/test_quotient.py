@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from catlog import corpus, dsl, quotient
+from catlog import corpus, dsl, kleisli, quotient
 from catlog.consequence import (
     Budget, Calculus, Logic, Matrix, Rule, Saturation, SignatureMismatch, UNKNOWN, Verdict,
     derives, matrix_consequence, matrix_interderivable, truth_function,
@@ -397,7 +397,7 @@ def _reference_rigidity(logic, bound):
     one translation check each, and one comparison with the identity, which
     tests the target's congruentiality every time, for each verified one."""
     sig = logic.signature
-    endos = quotient.all_flexible_morphisms(sig, sig, bound)
+    endos = kleisli.all_flexible_morphisms(sig, sig, bound)
     ident = kleisli_identity(sig)
     verified, undecided, non_rigid = 0, ident not in endos, []
     for h in endos:
@@ -453,7 +453,10 @@ logic BotImp {
     (CPL1, 2, True, 0), (CPL2, 2, True, 0), (NC3, 2, False, 16),
     (ENV.logic("L3"), 2, None, 0), (ENV.logic("BotNeg"), 2, False, 2),
     (BOT_IMP, 2, True, 0), (BOT_IMP, 3, True, 0),
-], ids=["CPL1", "CPL2", "NC3", "L3", "BotNeg", "BotImp", "BotImp-3"])
+    (CPL1, 0, None, 0), (CPL1, 1, True, 0), (CPL1, 3, True, 0), (CPL2, 3, True, 0),
+    (NC3, 3, False, 64), (ENV.logic("L3"), 3, None, 0),
+], ids=["CPL1", "CPL2", "NC3", "L3", "BotNeg", "BotImp", "BotImp-3",
+        "CPL1-0", "CPL1-1", "CPL1-3", "CPL2-3", "NC3-3", "L3-3"])
 def test_rigidity_probe_agrees_with_checking_each_endomorphism(logic, bound, rigid,
                                                                 witnesses):
     report = rigidity_probe(logic, bound=bound)
@@ -477,7 +480,7 @@ def _counting_translation_checks(monkeypatch):
 def test_rigidity_checks_each_reduct_once(monkeypatch):
     calls = _counting_translation_checks(monkeypatch)
     rigidity_probe(CPL1, bound=2)
-    endos = quotient.all_flexible_morphisms(SIG, SIG, 2)
+    endos = kleisli.all_flexible_morphisms(SIG, SIG, 2)
     reducts = [tuple(truth_function(CPL1.matrix, h.assignment[c], arity)
                      for c, arity in sorted(SIG.connectives.items())) for h in endos]
     # the first endomorphism of each distinct reduct, in enumeration order
@@ -489,7 +492,36 @@ def test_rigidity_without_a_matrix_checks_every_endomorphism(monkeypatch):
     calls = _counting_translation_checks(monkeypatch)
     bot = ENV.logic("BotNeg")
     rigidity_probe(bot, bound=3)
-    assert calls == quotient.all_flexible_morphisms(bot.signature, bot.signature, 3)
+    assert calls == kleisli.all_flexible_morphisms(bot.signature, bot.signature, 3)
+
+
+@pytest.mark.parametrize("logic, classes, verified_classes, compared, verified", [
+    (CPL1, 56, 1, 1, 192), (NC3, 9, 5, 65, 113),
+], ids=["CPL1", "NC3"])
+def test_rigidity_compares_each_verified_class_once(monkeypatch, logic, classes,
+                                                    verified_classes, compared, verified):
+    checked = _counting_translation_checks(monkeypatch)
+    calls = []
+    real = quotient.morphisms_equivalent
+
+    def counting(h, *args, **kwargs):
+        calls.append(h)
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(quotient, "morphisms_equivalent", counting)
+    report = rigidity_probe(logic, bound=3)
+    firsts = [h for h in checked
+              if check_translation(h, logic, logic, semantic=True).status == VERIFIED]
+    # a verified class is compared once, on its first member; a refuted one
+    # then compares each further member for that member's own witness
+    witnessed = [w["morphism"] for w in report["non_rigid_witnesses"]]
+    refuted = [h for h in firsts if h.to_json() in witnessed]
+    further = [h for h in calls if h not in firsts]
+    assert [h for h in calls if h in firsts] == firsts
+    assert sorted(map(str, [h.to_json() for h in refuted + further])) == \
+        sorted(map(str, witnessed))
+    assert (len(checked), len(firsts), len(calls), report["verified_translations"]) == \
+        (classes, verified_classes, compared, verified)
 
 
 def test_bottom_logic_is_not_rigid():
