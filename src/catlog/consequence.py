@@ -1137,17 +1137,18 @@ class Saturation:
     fact that gains bits fires its rules again with the gain alone.  A proof
     in a world follows, from each formula, its first justification that
     delivered the world's bit: a premise got the bit before its conclusion.
+    A record keeps the justification and the bits it delivered; a rule
+    step's premises are rebuilt from the rule and the substitution.
     """
 
     def __init__(self, calculus: Calculus, seed_pool: list[Formula]):
         self.calculus = calculus
         # each derived formula's worlds, and its justifications, each with
-        # its premise formulas and the bits it delivered
+        # the bits it delivered
         self.bits: dict[Formula, int] = {}
         self.why: dict[Formula, list[tuple]] = {}
-        # facts to fire, last in first out, with the bits each gained since
-        # it was last fired
-        self.queue: list[Formula] = []
+        # facts to fire, popped last in first out, with the bits each gained
+        # since it was last fired
         self.pending: dict[Formula, int] = {}
         self.worlds = 0
         # per 2-premise rule: the join variables, and an index per position
@@ -1172,26 +1173,22 @@ class Saturation:
             for combo in _capped_product(seed_pool, costs, [occurs[v] for v in free],
                                          _CONCLUSION_CAP - complexity(axiom)):
                 sigma = Substitution(dict(zip(free, combo)))
-                self._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma), (), -1)
+                self._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma), -1)
         self._run()
 
-    def _add(self, phi: Formula, justification, premises: tuple[Formula, ...],
-             bits: int) -> None:
+    def _add(self, phi: Formula, justification, bits: int) -> None:
         old = self.bits.get(phi, 0)  # never 0 for a derived formula
         if not old and complexity(phi) > _CONCLUSION_CAP:
             return
         gain = bits & ~old if old else bits  # a new fact keeps `bits`, uncopied
         if gain:
             self.bits[phi] = old | gain if old else gain
-            self.why.setdefault(phi, []).append((justification, premises, gain))
-            if phi not in self.pending:
-                self.queue.append(phi)
+            self.why.setdefault(phi, []).append((justification, gain))
             self.pending[phi] = self.pending.get(phi, 0) | gain
 
     def _run(self) -> None:
-        while self.queue:
-            d = self.queue.pop()
-            delta = self.pending.pop(d)
+        while self.pending:
+            d, delta = self.pending.popitem()
             # a fact enters the join indices when it is first fired
             first = delta == self.bits[d]
             for ridx, rule in enumerate(self.calculus.rules):
@@ -1200,18 +1197,16 @@ class Saturation:
                     if sigma is None:
                         continue
                     if len(rule.premises) == 1:
-                        self._conclude(ridx, rule, sigma, (d,), delta)
+                        self._conclude(ridx, rule, sigma, delta)
                     elif len(rule.premises) == 2:
                         self._join2(ridx, rule, j, sigma, d, delta, first)
                     else:
                         self._join_scan(ridx, rule, j, sigma, delta)
 
-    def _conclude(self, ridx: int, rule: Rule, sigma: Substitution,
-                  premises: tuple[Formula, ...], bits: int) -> None:
+    def _conclude(self, ridx: int, rule: Rule, sigma: Substitution, bits: int) -> None:
         if not bits or not variables(rule.conclusion) <= set(sigma.mapping):
             return
-        self._add(substitute(sigma, rule.conclusion), RuleInstance(ridx, sigma, ()),
-                  premises, bits)
+        self._add(substitute(sigma, rule.conclusion), RuleInstance(ridx, sigma, ()), bits)
 
     def _join2(self, ridx: int, rule: Rule, j: int, sigma: Substitution,
                d: Formula, delta: int, first: bool) -> None:
@@ -1223,16 +1218,14 @@ class Saturation:
         other = 1 - j
         premise = rule.premises[other]
         if index[other] is None:
-            partner = substitute(sigma, premise)
-            pair = (d, partner) if j == 0 else (partner, d)
-            self._conclude(ridx, rule, sigma, pair, delta & bits.get(partner, 0))
+            self._conclude(ridx, rule, sigma,
+                           delta & bits.get(substitute(sigma, premise), 0))
             return
         for partner in index[other].get(key, ()):
             both = delta & bits[partner]
             if both:
                 full = match(premise, partner, dict(sigma.mapping))
-                pair = (d, partner) if j == 0 else (partner, d)
-                self._conclude(ridx, rule, full, pair, both)
+                self._conclude(ridx, rule, full, both)
 
     def _join_scan(self, ridx: int, rule: Rule, j: int, sigma: Substitution,
                    delta: int) -> None:
@@ -1241,8 +1234,7 @@ class Saturation:
 
         def go(pos: int, sub: Substitution, both: int):
             if pos == len(positions):
-                inst = tuple(substitute(sub, p) for p in rule.premises)
-                self._conclude(ridx, rule, sub, inst, both)
+                self._conclude(ridx, rule, sub, both)
                 return
             k = positions[pos]
             if variables(rule.premises[k]) <= set(sub.mapping):
@@ -1265,7 +1257,7 @@ class Saturation:
         hypothesis = Hypothesis()
         for k, hypotheses in enumerate(worlds, first):
             for h in hypotheses:
-                self._add(h, hypothesis, (), 1 << k)
+                self._add(h, hypothesis, 1 << k)
         self._run()
         return range(first, self.worlds)
 
@@ -1279,10 +1271,12 @@ class Saturation:
         bit = 1 << (self.worlds if world is None else world)
         if not self.bits.get(phi, 0) & bit:
             return None
+        rules = self.calculus.rules
 
         def why(f: Formula):
-            return next((f, justification, premises)
-                        for justification, premises, gain in self.why[f] if gain & bit)
+            just = next(just for just, gain in self.why[f] if gain & bit)
+            premises = rules[just.rule].premises if isinstance(just, RuleInstance) else ()
+            return f, just, tuple(substitute(just.substitution, p) for p in premises)
 
         writer = ProofWriter()
         writer.derivation(phi, why)

@@ -379,8 +379,6 @@ def parse(text: str, sig=None) -> Formula:
     result, pos = _parse_at(tokens, 0, text, sig)
     if pos != len(tokens):
         raise ParseError(f"trailing input {tokens[pos][1]!r}", tokens[pos][2])
-    if sig is not None:
-        check_formula(sig, result)
     return result
 
 

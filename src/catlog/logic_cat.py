@@ -281,15 +281,17 @@ def push_proof(translation: Translation, proof: Proof) -> Proof:
 
 
 def compose_translations(outer: Translation, inner: Translation) -> Translation:
-    """Composite translation; Verified composes without re-search."""
+    """Composite translation: verified without re-search when both parts
+    are, unknown otherwise."""
     if inner.target is not outer.source and inner.target.signature != outer.source.signature:
         raise SignatureMismatch("translations not composable")
     composite = kleisli_compose(as_flexible(outer.morphism), as_flexible(inner.morphism))
     if inner.verified and outer.verified:
         return Translation(composite, inner.source, outer.target, VERIFIED,
                            evidence=["composed from verified parts"])
-    status = REFUTED if REFUTED in (inner.status, outer.status) else UNKNOWN
-    return Translation(composite, inner.source, outer.target, status)
+    # a refuted part does not refute the composite: the other leg can map
+    # the broken images to theorems
+    return Translation(composite, inner.source, outer.target, UNKNOWN)
 
 
 # ---------------------------------------------------------------------------

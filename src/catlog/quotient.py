@@ -221,26 +221,23 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1)) -> Logi
     seed_pool = enumerate_formulas(sig, var_bound, 2)
     sat = Saturation(logic.calculus, seed_pool)
     theorems = [phi for phi in pool if phi in sat]
-    # world k holds pool[k] alone; reach[phi] is the pool formulas derivable
-    # from phi beyond the base theorems (bits -1), read off the set bits
-    sat.extend([[phi] for phi in pool])
-    reach: dict[Formula, set[Formula]] = {phi: set() for phi in pool}
-    for psi in pool:
-        bits = sat.bits.get(psi, 0)
-        while bits > 0:
-            low = bits & -bits
-            reach[pool[low.bit_length() - 1]].add(psi)
-            bits ^= low
+    # world worlds[i] holds pool[i] alone, and a formula holds there when
+    # that bit of its label is set
+    worlds = sat.extend([[phi] for phi in pool])
     # two base theorems are interderivable, a base theorem and another
-    # formula never, two other formulas when each is in the other's reach;
-    # a class is named by its sort_key minimum
+    # formula never, two other formulas when each holds in the other's
+    # world; a class is named by its sort_key minimum
     classes = Partition(pool, key=sort_key)
     for a, b in zip(theorems, theorems[1:]):
         classes.union(a, b)
-    for a in pool:
-        for b in reach[a]:
-            if a in reach[b]:
+    for world, b in zip(worlds, pool):
+        label = sat.bits.get(b, 0)
+        while label > 0:  # a base theorem's label is -1
+            low = label & -label
+            a = pool[worlds.index(low.bit_length() - 1)]
+            if sat.bits[a] >> world & 1:
                 classes.union(a, b)
+            label ^= low
     # context fixpoint inside the pool: equivalent arguments make contexts
     # equivalent, which can merge further classes
     changed = True

@@ -602,12 +602,11 @@ def test_saturation_joins_rules_with_three_premises():
 
 def _plain(sat):
     """`sat.why` in order, each justification as its class name and fields,
-    with substitutions as their maps, beside its premises and bits."""
+    with substitutions as their maps, beside its bits."""
     def plain(just):
         return type(just).__name__, {
             k: v.mapping if isinstance(v, Substitution) else v for k, v in vars(just).items()}
-    return [(phi, plain(just), premises, bits)
-            for phi, why in sat.why.items() for just, premises, bits in why]
+    return [(phi, plain(just), bits) for phi, why in sat.why.items() for just, bits in why]
 
 
 def _unpruned_saturation(calc, pool):
@@ -618,7 +617,7 @@ def _unpruned_saturation(calc, pool):
         free = sorted(variables(axiom))
         for combo in itertools.product(pool, repeat=len(free)):
             sigma = Substitution(dict(zip(free, combo)))
-            ref._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma), (), -1)
+            ref._add(substitute(sigma, axiom), AxiomInstance(aidx, sigma), -1)
     ref._run()
     return ref
 
@@ -724,7 +723,7 @@ def test_saturation_and_its_forks_match_a_naive_closure(monkeypatch):
                 assert verify_proof(logic, set(hyps), phi, sat.proof_of(phi, world)), (seed, phi)
             fired |= {(len(calc.rules[just.rule].premises), layer)
                       for phi in facts - (set() if world is None else _facts(sat))
-                      for just, _, bits in sat.why[phi]
+                      for just, bits in sat.why[phi]
                       if bits & bit and isinstance(just, RuleInstance)}
     # every premise count fired in the base and in a world of several hypotheses
     assert {(k, layer) for k in (1, 2, 3) for layer in ("base", "several")} <= fired

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from catlog import kleisli
 from catlog.formulas import (
     App, StructuralError, Substitution, Var, check_formula, complexity,
     enumerate_slice, fmt, parse, substitute, variables,
@@ -367,6 +368,52 @@ def test_kleisli_theorem_on_lifted_strict():
 def test_kleisli_suite_clean():
     report = suite_kleisli_theorem(120, seed=2)
     assert report["failures"] == []
+
+
+# --- the law suites report a broken kernel ------------------------------------
+
+
+def _failing_cases(report):
+    """The case numbers of a report's failures, each checked for the record
+    keys."""
+    assert report["failures"]
+    assert all(set(f) == {"case", "inputs", "lhs", "rhs"} for f in report["failures"])
+    return sorted({f["case"] for f in report["failures"]})
+
+
+def test_category_suite_reports_a_broken_composition(monkeypatch):
+    monkeypatch.setattr(kleisli, "kleisli_compose", lambda outer, inner: inner)
+    assert _failing_cases(suite_category_laws(5, seed=1)) == [0, 1, 2, 3, 4]
+
+
+def test_kleisli_suite_reports_a_broken_flatten(monkeypatch):
+    # flattening nothing leaves encoded heads in place; cases 2, 3 and 5 send
+    # each connective to a variable or to a constant, whose encoding is itself
+    monkeypatch.setattr(kleisli, "flatten", lambda phi, decode: phi)
+    assert _failing_cases(suite_kleisli_theorem(6, seed=2)) == [0, 1, 4]
+
+
+def test_adjunction_suite_reports_a_broken_flatten(monkeypatch):
+    monkeypatch.setattr(kleisli, "flatten", lambda phi, decode: phi)
+    assert _failing_cases(suite_adjunction(4, seed=9)) == [1, 2, 3, 4]
+
+
+def test_monad_suite_reports_a_broken_flatten(monkeypatch):
+    monkeypatch.setattr(kleisli, "flatten", lambda phi, decode: phi)
+    assert _failing_cases(suite_monad_laws(6, seed=7)) == [1, 2, 3, 4, 5, 6]
+
+
+def test_regularity_suite_reports_a_criterion_that_always_says_regular(monkeypatch):
+    # the suite fails exactly the cases that the true criterion calls irregular
+    verdicts = []
+
+    def always_regular(h):
+        verdicts.append(is_regular(h)[0])
+        return True, None
+
+    monkeypatch.setattr(kleisli, "is_regular", always_regular)
+    failing = _failing_cases(suite_regularity(20, seed=3))
+    assert failing == [case for case, regular in enumerate(verdicts, 1) if not regular]
 
 
 # --- reflection of isomorphisms, monomorphisms, epimorphisms ----------------

@@ -290,6 +290,18 @@ def test_compose_translations_stays_verified():
     assert composite.verified
 
 
+def test_a_refuted_part_leaves_the_composite_unknown():
+    # IMPFRAG does not translate into L3, and L3 into top is unknown at the
+    # default budget, but their composite IMPFRAG -> top translates
+    impfrag, l3, t = ENV.logic("IMPFRAG"), ENV.logic("L3"), top(SIG)
+    inner = check_translation(ENV.morphism("inclImp"), impfrag, l3)
+    outer = check_translation(kleisli_identity(SIG), l3, t)
+    assert (inner.status, outer.status) == (REFUTED, UNKNOWN)
+    composite = compose_translations(outer, inner)
+    assert composite.status == UNKNOWN and composite.witness is None
+    assert check_translation(composite.morphism, impfrag, t).verified
+
+
 def _identity_translation(logic):
     return check_translation(kleisli_identity(logic.signature), logic, logic,
                              FAST)

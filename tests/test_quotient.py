@@ -60,6 +60,22 @@ def test_swapped_negations_image_refuted():
     assert cert.witness["counter"]
 
 
+def test_agreeing_generators_are_refuted_by_the_bounded_sweep():
+    # NC3 is not congruential: bump(x0) and x0 are interderivable, so the
+    # generators agree, but peek tells bump(x0) from x0
+    sig = NC3.signature
+    g = FlexibleMorphism(sig, sig, {"bump": p("x0", sig), "peek": p("peek(x0)", sig)})
+    cert = morphisms_equivalent(kleisli_identity(sig), g, NC3)
+    assert cert.status == REFUTED and cert.scope == "bounded-enumeration"
+    assert cert.witness == {"formula": "peek(bump(x0))", "counter": {"x0": "h"}}
+    counter = {int(x[1:]): v for x, v in cert.witness["counter"].items()}
+    m = NC3.matrix
+    theta = p(cert.witness["formula"], sig)
+    left, right = (m.evaluate(flexible_extension(f, theta), counter)
+                   for f in (kleisli_identity(sig), g))
+    assert m.is_designated(left) != m.is_designated(right)
+
+
 def test_equivalence_into_a_logic_over_another_signature_is_refused():
     # h maps into CPL2's signature, not CPL1's
     with pytest.raises(SignatureMismatch):
@@ -343,6 +359,18 @@ def test_weak_equivalence_of_k():
 def test_weak_equivalence_of_identity():
     cert = weak_equivalence(kleisli_identity(SIG), CPL1, CPL1)
     assert cert.holds
+
+
+def test_a_failed_translation_refutes_weak_equivalence_forward():
+    # the S axiom is a CPL1 theorem that L3's matrix does not designate
+    l3 = ENV.logic("L3")
+    cert = weak_equivalence(kleisli_identity(SIG), CPL1, l3)
+    assert cert.status == REFUTED and cert.witness["direction"] == "forward"
+    s_axiom = "imp(imp(x0, imp(x1, x2)), imp(imp(x0, x1), imp(x0, x2)))"
+    assert cert.witness["axiom"] == cert.witness["image"] == s_axiom
+    assert cert.witness["counter"] == {"x0": "h", "x1": "h", "x2": "0"}
+    counter = {int(x[1:]): v for x, v in cert.witness["counter"].items()}
+    assert not l3.matrix.is_designated(l3.matrix.evaluate(p(s_axiom), counter))
 
 
 def test_inclusion_of_implication_fragment_fails_denseness():
