@@ -153,7 +153,8 @@ def truncate_slices(base: Signature, compl_bound: int, var_bound: int,
     (connectives, bounds) and shared; each call copies it, adds the extras
     it lacks, and takes the base and the signature's name from `base`.
     """
-    connectives, decode = map(dict, _plain_truncation(base, compl_bound, var_bound))
+    connectives, decode = (
+        proxy.copy() for proxy in _plain_truncation(base, compl_bound, var_bound))
     for ident, phi in (extra or {}).items():
         if ident not in connectives:
             check_formula(base, phi)

@@ -302,9 +302,9 @@ def weak_equivalence(h, source: Logic, target: Logic,
     each matrix as its logic's whole consequence, an assumption, not a
     check, and false for a matrix that is only sound, such as IMP's.
     Without two matrices both are "unchecked" and the certificate is at best
-    unknown.  Denseness searches source formulas by image truth function
-    (breadth-first over functions, so every realizable class is found
-    regardless of formula size).
+    unknown.  Denseness searches source formulas breadth-first over their
+    columns in the target matrix's reduct along h, so every realizable class
+    is found regardless of formula size.
     """
     hf = as_flexible(h)
     if hf.source != source.signature or hf.target != target.signature:
@@ -367,7 +367,12 @@ def _denseness_search(hf, target: Logic, n: int, target_compl: int, budget: Budg
 
 def _denseness_by_functions(hf, matrix: Matrix, n: int, targets):
     """Breadth-first over image truth functions of source slice formulas,
-    their columns in the target matrix's reduct along h."""
+    their columns in the target matrix's reduct along h, each state a
+    variable set and column kept with the first formula found for it.
+    A round combines only state tuples holding a state the last round
+    added (semi-naive): older tuples were combined a round before, into the
+    same formula, giving a known state or a formula over the cap.
+    """
     pulled = reduct(matrix, hf)
     rows = len(matrix.values) ** n
     # state: (frozen varset, image column over n variables)
@@ -376,10 +381,11 @@ def _denseness_by_functions(hf, matrix: Matrix, n: int, targets):
         App(c, ()) for c, arity in sorted(hf.source.connectives.items()) if arity == 0]
     for phi, col in zip(seeds, pulled.columns(seeds, range(n))):
         best.setdefault((variables(phi), col), phi)
+    old = 0  # states known before the last round
     for _ in range(_SOURCE_COMPLEXITY):
         states = list(best.items())
         for c, arity in sorted(hf.source.connectives.items()):
-            for combo in itertools.product(states, repeat=arity) if arity else ():
+            for combo in _touching(states, old, arity):
                 varset = frozenset().union(*[s[0][0] for s in combo])
                 func = pulled.apply(c, [s[0][1] for s in combo], rows)
                 state = (varset, func)
@@ -389,6 +395,7 @@ def _denseness_by_functions(hf, matrix: Matrix, n: int, targets):
                         best[state] = formula
         if len(best) == len(states):
             break
+        old = len(states)
     full = frozenset(range(n))
     by_designation: dict[tuple, Formula] = {}
     for (varset, func), formula in best.items():
@@ -408,6 +415,15 @@ def _denseness_by_functions(hf, matrix: Matrix, n: int, targets):
                            "mode": "function-search"}, classes
         found[fmt(tprime)] = fmt(theta)
     return found, None, classes
+
+
+def _touching(states: list, old: int, arity: int):
+    """The `arity`-tuples of `states` that hold a state past the first
+    `old`, in `itertools.product` order."""
+    for i, state in enumerate(states if arity else ()):
+        tails = (itertools.product(states, repeat=arity - 1) if i >= old
+                 else _touching(states, old, arity - 1))
+        yield from ((state, *tail) for tail in tails)
 
 
 def compose_weak_equivalences(outer: WeakEquivalenceCertificate,
@@ -525,7 +541,13 @@ def lindenbaum_delta_check(logic: Logic, delta: list[Formula],
                            bounds: tuple[int, int] = (2, 2)) -> dict:
     """Check the five conditions on a candidate equivalence set of binary
     formulas: reflexivity, symmetry, transitivity, replacement, and the
-    biconditional tying provable equivalence to interderivability."""
+    biconditional tying provable equivalence to interderivability.
+
+    (e) sweeps the bounded pool's pairs.  An exact matrix answers from the
+    pool's columns: interderivable when their designations agree, delta
+    provable when each head of the reduct along delta, applied to the two
+    columns, is designated on every row.  Otherwise each pair is queried.
+    """
     sig = logic.signature
     full = frozenset((0, 1))
     for d in delta:
@@ -576,16 +598,33 @@ def lindenbaum_delta_check(logic: Logic, delta: list[Formula],
     # sweep; a pair refutes when the two disagree, with no one counter
     compl_bound, var_bound = bounds
     pool = enumerate_formulas(sig, var_bound, compl_bound)
+    matrix = exact_matrix(logic)
+    if matrix is None:
+        def answers(phi, psi) -> list[bool | None]:
+            """Interderivable, and delta provable, as queries; None for unknown."""
+            inter = interderivable(logic, phi, psi, budget)
+            _, provable = refutation_sweep((None, run([], inst(d, phi, psi))) for d in delta)
+            return [None if v.is_unknown else v.is_yes for v in (inter, provable)]
+    else:
+        heads = {fmt(d): d for d in delta}
+        pulled = reduct(matrix, FlexibleMorphism(
+            Signature("delta", dict.fromkeys(heads, 2)), sig, heads))
+        columns = dict(zip(pool, matrix.columns(pool, range(var_bound))))
+
+        def answers(phi, psi) -> list[bool | None]:
+            a, b = columns[phi], columns[psi]
+            return [matrix.designation(a) == matrix.designation(b),
+                    all(all(matrix.designation(pulled.apply(head, [a, b], len(a))))
+                        for head in heads)]
 
     def agreements():
         for phi, psi in itertools.combinations(pool, 2):
-            inter = interderivable(logic, phi, psi, budget)
-            _, provable = refutation_sweep((None, run([], inst(d, phi, psi))) for d in delta)
-            if inter.is_unknown or provable.is_unknown:
+            inter, provable = answers(phi, psi)
+            if inter is None or provable is None:
                 yield None, Verdict.unknown()
-            elif inter.is_yes != provable.is_yes:
+            elif inter != provable:
                 yield {"pair": [fmt(phi), fmt(psi)], "direction": "inter->delta"
-                       if inter.is_yes else "delta->inter"}, Verdict.no()
+                       if inter else "delta->inter"}, Verdict.no()
             else:
                 yield None, Verdict.yes()
 

@@ -711,3 +711,33 @@ def test_cli_rigidity_reports_are_pinned(tmp_path, seed):
                               env=env, capture_output=True, text=True)
         assert (done.returncode, hashlib.sha256(report.read_bytes()).hexdigest()) == \
             (code, digest), f"{logic}: {done.stderr}"
+
+
+# --- pinned Lindenbaum and equipollence reports ----------------------------------
+
+# sha256 of the --json report and the exit code, as asking each pool pair's
+# queries and recombining every denseness state each round write them, under
+# every hash seed
+SWEEP_REPORTS = [
+    (["lindenbaum", "--logic", "CPL1", "--delta", "imp(x0, x1); imp(x1, x0)"], 0,
+     "f433904c599aedfcf6365c3aff56581ea6658416c422717bb84f72cc71da9e4a"),
+    (["lindenbaum", "--logic", "CPL1", "--delta", "imp(x0, x1)"], 1,
+     "43c9c5e154d13db2ebd7031285a95e2ce2499d8216647a3b0dab4c48b487eae5"),
+    (["lindenbaum", "--logic", "CPL1", "--delta", "imp(x0, imp(x1, x1))"], 1,
+     "d6851dd7ac98333d8d3ec0dd6495e17420467130fd233fa95051c22d5d6511cf"),
+    (["lindenbaum", "--logic", "L3", "--delta", "imp(x0, x1); imp(x1, x0)"], 0,
+     "2ba7a9d6906f57140219fbe7c3900491ea6c1034f6b43fd181f9483f97bb65af"),
+    (["equipollent", "--source", "CPL1", "--target", "CPL2", "--via", "h", "--back", "k"], 0,
+     "0211489f274f3e58c9db0e396b7c7345b220ec62122c0823f85481ae4c677949"),
+]
+
+
+@pytest.mark.parametrize("seed", "01")
+def test_cli_lindenbaum_and_equipollence_reports_are_pinned(tmp_path, seed):
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(ROOT / "src")}
+    report = tmp_path / "report.json"
+    for argv, code, digest in SWEEP_REPORTS:
+        done = subprocess.run([sys.executable, "-m", "catlog.cli", "--json", str(report),
+                               *argv], env=env, capture_output=True, text=True)
+        assert (done.returncode, hashlib.sha256(report.read_bytes()).hexdigest()) == \
+            (code, digest), f"{argv}: {done.stderr}"

@@ -10,9 +10,13 @@ import pytest
 from catlog import corpus, dsl, kleisli, quotient
 from catlog.consequence import (
     Budget, Calculus, Logic, Matrix, Rule, Saturation, SignatureMismatch, UNKNOWN, Verdict,
-    derives, matrix_consequence, matrix_interderivable, truth_function,
+    derives, interderivable, matrix_consequence, matrix_interderivable, refutation_sweep,
+    truth_function,
 )
-from catlog.formulas import InputError, complexity, enumerate_formulas, fmt, parse, sort_key
+from catlog.formulas import (
+    InputError, Substitution, complexity, enumerate_formulas, enumerate_slice, fmt, parse,
+    sort_key, substitute,
+)
 from catlog.kleisli import (
     FlexibleMorphism, flexible_extension, kleisli_compose, kleisli_identity,
 )
@@ -385,6 +389,54 @@ def test_inclusion_of_implication_fragment_fails_denseness():
     assert cert.witness["class"] == "10"
 
 
+# morphisms with a matrix at both ends, and their composites
+DENSENESS_CASES = {
+    "h": (H, CPL2), "k": (K, CPL1), "inclImp": (ENV.morphism("inclImp"), CPL1),
+    "k.h": (kleisli_compose(K, H), CPL1), "h.k": (kleisli_compose(H, K), CPL2),
+    "h.inclImp": (kleisli_compose(H, ENV.morphism("inclImp")), CPL2),
+}
+
+
+@pytest.mark.parametrize("name", DENSENESS_CASES)
+def test_denseness_over_new_states_matches_recombining_every_state(monkeypatch, name):
+    h, target = DENSENESS_CASES[name]
+
+    def search(n):
+        return quotient._denseness_by_functions(
+            h, target.matrix, n, enumerate_slice(target.signature, n, 4))
+
+    searched = [search(n) for n in range(3)]
+    # the naive fixpoint: every round combines every known state again
+    monkeypatch.setattr(quotient, "_touching", lambda states, old, arity: (
+        itertools.product(states, repeat=arity) if arity else ()))
+    assert searched == [search(n) for n in range(3)]
+    if name == "inclImp":
+        assert searched[1][1]["class"] == "10"
+
+
+def test_denseness_applies_tables_to_new_state_tuples_only(monkeypatch):
+    env = corpus.fresh_env()  # matrices with empty column tables
+    calls, at = [0], {}
+    apply, by_functions = Matrix.apply, quotient._denseness_by_functions
+
+    def counting(self, *args):
+        calls[0] += 1
+        return apply(self, *args)
+
+    def counted(hf, matrix, n, targets):
+        before = calls[0]
+        try:
+            return by_functions(hf, matrix, n, targets)
+        finally:
+            at[n] = calls[0] - before
+
+    monkeypatch.setattr(Matrix, "apply", counting)
+    monkeypatch.setattr(quotient, "_denseness_by_functions", counted)
+    assert weak_equivalence(env.morphism("h"), env.logic("CPL1"), env.logic("CPL2")).holds
+    # 2,935 when every round combines every known state again
+    assert at[2] == 1925
+
+
 def test_weak_equivalences_compose():
     forward = weak_equivalence(H, CPL1, CPL2)
     backward = weak_equivalence(K, CPL2, CPL1)
@@ -613,6 +665,68 @@ def test_lindenbaum_pass_implies_congruential_verdicts_agree():
     report = lindenbaum_delta_check(CPL1, delta)
     verdict = is_congruential(CPL1, (3, 2))
     assert report["passed"] and verdict.status == CONFIRMED
+
+
+def _reference_lindenbaum_e(logic, delta, bounds):
+    """Condition (e) of lindenbaum_delta_check asked pair by pair: one
+    `interderivable` and one `derives` per delta formula, on every pool pair."""
+    compl_bound, var_bound = bounds
+
+    def agreements():
+        for phi, psi in itertools.combinations(
+                enumerate_formulas(logic.signature, var_bound, compl_bound), 2):
+            inter = interderivable(logic, phi, psi)
+            _, provable = refutation_sweep(
+                (None, derives(logic, [], substitute(Substitution({0: phi, 1: psi}), d),
+                               proof=False)) for d in delta)
+            if inter.is_unknown or provable.is_unknown:
+                yield None, Verdict.unknown()
+            elif inter.is_yes != provable.is_yes:
+                yield {"pair": [fmt(phi), fmt(psi)], "direction": "inter->delta"
+                       if inter.is_yes else "delta->inter"}, Verdict.no()
+            else:
+                yield None, Verdict.yes()
+
+    witness, v = refutation_sweep(agreements())
+    entry = {"status": v.outcome(CONFIRMED)}
+    if v.is_no:
+        entry["witness"] = witness
+    return entry
+
+
+def _queried(logic):
+    """The same consequence with no matrix of its own: every query goes to an
+    oracle that asks `logic` without a proof."""
+    return Logic(logic.name, logic.signature,
+                 oracle=lambda gamma, phi, budget: derives(logic, gamma, phi, budget,
+                                                           proof=False))
+
+
+@pytest.mark.parametrize("logic, deltas", [
+    (CPL1, ["imp(x0, x1); imp(x1, x0)", "imp(x0, x1)", "imp(x0, imp(x1, x1))",
+            "neg(imp(x0, neg(x1)))"]),
+    (ENV.logic("L3"), ["imp(x0, x1); imp(x1, x0)", "imp(x0, x1)", "imp(x0, imp(x1, x1))"]),
+    (ENV.logic("IMP"), ["imp(x0, x1); imp(x1, x0)", "imp(x0, x1)", "imp(x1, imp(x0, x0))"]),
+    (CPL2, ["orp(negp(x0), x1); orp(negp(x1), x0)", "orp(x0, x1)",
+            "orp(negp(x0), orp(x1, negp(x1)))"]),
+], ids=["CPL1", "L3", "IMP", "CPL2"])
+@pytest.mark.parametrize("bounds", [(2, 2), (1, 2), (2, 1), (0, 2)])
+def test_lindenbaum_from_columns_matches_asking_each_pair(logic, deltas, bounds):
+    for text in deltas:
+        delta = [p(t, logic.signature) for t in text.split(";")]
+        report = lindenbaum_delta_check(logic, delta, bounds=bounds)
+        assert report["conditions"]["e_lindenbaum"] == \
+            _reference_lindenbaum_e(logic, delta, bounds), text
+        assert report == lindenbaum_delta_check(_queried(logic), delta, bounds=bounds), text
+
+
+def test_lindenbaum_from_columns_refutes_delta_to_interderivable():
+    # imp(x0, imp(x1, x1)) is a theorem for every pair: (a)-(d) hold, and
+    # (e) fails at the first pair that is not interderivable
+    report = lindenbaum_delta_check(CPL1, [p("imp(x0, imp(x1, x1))")])
+    assert [v["status"] for v in report["conditions"].values()] == [CONFIRMED] * 4 + [REFUTED]
+    assert report["conditions"]["e_lindenbaum"]["witness"] == {
+        "pair": ["x0", "x1"], "direction": "delta->inter"}
 
 
 # --- directed colimits in the congruential quotient -------------------------------
