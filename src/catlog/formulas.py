@@ -28,12 +28,15 @@ arity.  Once published, a node is immutable; only its cached `str` and
 `sort_key` are filled in later, on first use.
 
 Every morphism, composite and law check translates through `extend`, which
-puts the translated arguments into its head's template with `substitute`,
-so this hot path pays for each interpreter frame: both spell out arities 1
-and 2 with no per-node comprehension, and handle a variable argument or
-leaf in the parent's frame instead of a recursive call.  Most template
-leaves are variables, so most of `substitute`'s work is then a direct
-`sigma` call.
+puts the translated arguments into its head's template with `substitute`.
+Its memo is the morphism's own, except that equal composites share one
+(`signatures.composite_memo`): hash-consed templates make a head
+assignment an exact key, so a composite reached from many factor pairs
+translates each formula once.  This hot path pays for each interpreter
+frame: `extend` and `substitute` spell out arities 1 and 2 with no
+per-node comprehension, and handle a variable argument or leaf in the
+parent's frame instead of a recursive call.  Most template leaves are
+variables, so most of `substitute`'s work is then a direct `sigma` call.
 """
 
 from __future__ import annotations

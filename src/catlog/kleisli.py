@@ -69,13 +69,19 @@ flexible_extension = Morphism.extension
 
 
 def kleisli_compose(h2: FlexibleMorphism, h1: FlexibleMorphism) -> FlexibleMorphism:
-    """h2 after h1: each assignment of h1 is pushed through h2's extension."""
+    """h2 after h1: each assignment of h1 is pushed through h2's extension.
+
+    The composite translates through the memo that every composite with its
+    head assignment shares (`signatures.composite_memo`), so factor pairs
+    with one composite translate each formula once.  That is exact because
+    an extension depends on the assignment alone.
+    """
     if h1.target != h2.source:
         raise InputError("flexible morphisms not composable")
     assignment = {c: flexible_extension(h2, h1(c)) for c in h1.source.connectives}
     # every template of h2 is a slice formula over h2's target, so each image
     # is well formed there and keeps exactly h1(c)'s variables: no re-check
-    return FlexibleMorphism._unchecked(h1.source, h2.target, assignment)
+    return FlexibleMorphism._composite(h1.source, h2.target, assignment)
 
 
 def is_regular(h: FlexibleMorphism) -> tuple[bool, Formula | None]:
@@ -199,7 +205,9 @@ def minus_functor(h: Morphism, compl_bound: int, var_bound: int
     texts = [fmt(image) for image in images]
     tgt = truncate_slices(h.target, compl_bound, var_bound, extra=dict(zip(texts, images)))
     mapping = dict(zip(src.decode, texts))
-    return StrictMorphism(src.signature, tgt.signature, mapping), src, tgt
+    # each image is a head of the target truncation, and translation keeps a
+    # slice formula's variables, so the arities agree: no re-check
+    return StrictMorphism._unchecked(src.signature, tgt.signature, mapping), src, tgt
 
 
 t_on_strict = minus_functor

@@ -99,13 +99,21 @@ def check_translation(morphism, source: Logic, target: Logic,
       counter) refutes and whose pass verifies.  It answers unknown where
       a matrix beside another provider would have to be its whole logic,
       unless `semantic=True` reads it so.
-    - Anything else: unknown.
+    - Anything else: verified when the target derives x0 from no premises
+      (it then derives everything), with that verdict as evidence; else
+      unknown.
     """
     h = morphism
     if h.source != source.signature or h.target != target.signature:
         raise SignatureMismatch("morphism endpoints do not match the logics")
     if source.calculus is None:
         if source.matrix is None or target.matrix is None:
+            # a target deriving x0 from nothing derives every sequent, by
+            # substitution, so every morphism into it is a translation
+            v = derives(target, [], Var(0), budget, proof=not semantic)
+            if v.is_yes:
+                return Translation(h, source, target, VERIFIED,
+                                   evidence=[{"derives_x0": v.to_json()}])
             return Translation(h, source, target, UNKNOWN,
                                evidence=["neither a presentation nor two matrices"])
         v, sequent = matrix_inclusion(h, source, target, semantic)

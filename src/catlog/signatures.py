@@ -64,11 +64,14 @@ class Morphism:
     The images are connectives for a strict morphism and slice formulas for
     a flexible one.  Either kind acts on formulas by `extension`, which puts
     each head's template (`assignment`) in place of the head.  `_memo` maps
-    each formula already translated to its image; it lives and dies with the
-    morphism and takes no part in equality or hashing.
+    each formula already translated to its image and is made on the first
+    `extension`.  A morphism's memo is its own and lives and dies with it,
+    except a composite's (`_composite`): equal composites share one memo
+    from `composite_memo`.  The memo takes no part in equality or hashing.
     """
 
     kind = ""
+    _shares_memo = False
 
     def __init__(self, source: Signature, target: Signature, images: dict,
                  name: str = ""):
@@ -76,7 +79,6 @@ class Morphism:
         self.target = target
         self.images = {c: images[c] for c in source.connectives}
         self.name = name
-        self._memo: dict[Formula, Formula] = {}
 
     @classmethod
     def _unchecked(cls, source: Signature, target: Signature, images: dict):
@@ -84,6 +86,18 @@ class Morphism:
         morphism = cls.__new__(cls)
         Morphism.__init__(morphism, source, target, images)
         return morphism
+
+    @classmethod
+    def _composite(cls, source: Signature, target: Signature, images: dict):
+        """`_unchecked`, for a composite: it translates through the memo
+        that every composite with its head assignment shares."""
+        morphism = cls._unchecked(source, target, images)
+        morphism._shares_memo = True
+        return morphism
+
+    @cached_property
+    def _memo(self) -> dict[Formula, Formula]:
+        return composite_memo(self.assignment) if self._shares_memo else {}
 
     def __call__(self, connective: str):
         return self.images[connective]
@@ -160,9 +174,41 @@ def identity_morphism(sig: Signature) -> StrictMorphism:
 
 
 def compose_strict(g: StrictMorphism, f: StrictMorphism) -> StrictMorphism:
+    """g after f.  The composite translates through the memo shared by every
+    composite with its head assignment (`composite_memo`), which is exact
+    because an extension depends on the assignment alone."""
     if f.target != g.source:
         raise InputError("strict morphisms not composable")
-    return StrictMorphism(f.source, g.target, {c: g(f(c)) for c in f.source.connectives})
+    # g(f(c)) is a connective of g's target with f(c)'s arity, which is c's:
+    # no re-check
+    return StrictMorphism._composite(f.source, g.target,
+                                     {c: g(f(c)) for c in f.source.connectives})
+
+
+# Most memos that `composite_memo` hands out; a request for a new one when
+# the table holds this many empties it first.  The associativity sweep of
+# the benchmark's `laws` workload builds 136 distinct composites.
+_COMPOSITE_MEMOS = 256
+_composite_memos: dict[frozenset, dict[Formula, Formula]] = {}
+
+
+def composite_memo(assignment: dict[str, Formula]) -> dict[Formula, Formula]:
+    """The extension memo shared by every composite with this head
+    assignment.
+
+    Sharing is exact: `extend` reads nothing of a morphism but its head
+    assignment, and equal assignments have the same heads and arities, so
+    a memo warmed by one composite holds only formulas checked under the
+    other's heads.  Templates are hash-consed, so the key compares them by
+    identity.
+    """
+    key = frozenset(assignment.items())
+    memo = _composite_memos.get(key)
+    if memo is None:
+        if len(_composite_memos) >= _COMPOSITE_MEMOS:
+            _composite_memos.clear()
+        memo = _composite_memos[key] = {}
+    return memo
 
 
 strict_extension = Morphism.extension

@@ -741,3 +741,31 @@ def test_cli_lindenbaum_and_equipollence_reports_are_pinned(tmp_path, seed):
                                *argv], env=env, capture_output=True, text=True)
         assert (done.returncode, hashlib.sha256(report.read_bytes()).hexdigest()) == \
             (code, digest), f"{argv}: {done.stderr}"
+
+
+# --- pinned law-suite reports ----------------------------------------------------
+
+# sha256 of the --json report and the exit code of `--seed K laws --suite S
+# --cases N`, at the benchmark's case counts and seeds where it runs the suite,
+# as translating through a memo of each composite's own writes them, under
+# every hash seed
+LAWS_REPORTS = [
+    ("category", 20, 1, 0, "12dd7205a72eed8376205c83b177c1e6fa9d9a418d5943536bab7abfefebaea5"),
+    ("kleisli", 60, 2, 0, "c4fc57fe0df8de944d254a93057750a9d8927179ab04eb5ad386f3660266b782"),
+    ("regularity", 20, 3, 0, "317214e38a53956a3bc437fff965a4e12ffbf0b896c40fb44f5ffa1c79d56f1b"),
+    ("monad", 200, 4, 0, "e345432329079273c9b3042f414d91172349a47a9cdc4978373f1a1cd1f71038"),
+    ("adjunction", 20, 5, 0, "f11aff88b5f416314180b4689539344f0503323028fe7da58e42e3e030a6bb74"),
+]
+
+
+@pytest.mark.parametrize("seed", "01")
+def test_cli_law_reports_are_pinned(tmp_path, seed):
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(ROOT / "src")}
+    report = tmp_path / "report.json"
+    for suite, cases, suite_seed, code, digest in LAWS_REPORTS:
+        done = subprocess.run([sys.executable, "-m", "catlog.cli", "--json", str(report),
+                               "--seed", str(suite_seed), "laws", "--suite", suite,
+                               "--cases", str(cases)],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, hashlib.sha256(report.read_bytes()).hexdigest()) == \
+            (code, digest), f"{suite}: {done.stderr}"

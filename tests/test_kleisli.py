@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from catlog import kleisli
+from catlog import kleisli, signatures
 from catlog.formulas import (
     App, StructuralError, Substitution, Var, check_formula, complexity,
     enumerate_slice, fmt, parse, substitute, variables,
@@ -118,6 +118,12 @@ def test_warm_memo_still_rejects_bad_formulas():
     h = FlexibleMorphism(CPL1_SIG, CPL2_SIG, dict(H.assignment))
     good = parse("imp(x0, neg(x1))", CPL1_SIG)
     image = parse("orp(negp(x0), negp(x1))", CPL2_SIG)
+    # a composite whose shared memo an equal composite from another factor
+    # pair has warmed
+    warm = kleisli_compose(kleisli_identity(CPL2_SIG), h)
+    assert flexible_extension(warm, good) == image
+    shared = kleisli_compose(h, kleisli_identity(CPL1_SIG))
+    assert shared._memo is warm._memo and good in shared._memo
     assert flexible_extension(h, good) == image
     bad_formulas = [
         App("conj", (Var(0),)),                  # unknown head
@@ -130,11 +136,61 @@ def test_warm_memo_still_rejects_bad_formulas():
     for bad in bad_formulas:
         with pytest.raises(StructuralError) as expected:
             check_formula(CPL1_SIG, bad)
-        with pytest.raises(StructuralError) as got:
-            flexible_extension(h, bad)
-        assert str(got.value) == str(expected.value)
-    # the failures left the memo consistent
-    assert flexible_extension(h, good) == image
+        for morphism in (h, shared):
+            with pytest.raises(StructuralError) as got:
+                flexible_extension(morphism, bad)
+            assert str(got.value) == str(expected.value)
+    # the failures left the memos consistent
+    assert flexible_extension(h, good) == flexible_extension(shared, good) == image
+
+
+def _sweep_pools():
+    """The two pools of the benchmark's A2 -> A3 -> A2 associativity sweep,
+    and the slice formulas it extends along each composite."""
+    a2, a3 = Signature("A2", {"b": 2}), Signature("A3", {"n": 1, "b": 2})
+    slices = [phi for n in range(3) for phi in enumerate_slice(a2, n, 2)]
+    return all_flexible_morphisms(a2, a3, 2), all_flexible_morphisms(a3, a2, 2), slices
+
+
+def test_equal_composites_share_one_memo():
+    first, second, slices = _sweep_pools()
+    by_value = {}
+    for h2, h3 in itertools.product(first[:4], second):
+        composite = kleisli_compose(h3, h2)
+        by_value.setdefault(composite, []).append(composite)
+    # groups of equal composites from different factor pairs
+    shared = [group for group in by_value.values() if len(group) > 1]
+    assert shared and len(by_value) > 1
+    for group in by_value.values():
+        assert all(comp._memo is group[0]._memo for comp in group)
+    memos = [group[0]._memo for group in by_value.values()]
+    assert len({id(memo) for memo in memos}) == len(memos)
+    # a memo warmed through one composite serves the other
+    one, other = shared[0][:2]
+    flexible_extension(one, slices[-1])
+    assert slices[-1] in other._memo
+    # other morphisms, equal ones among them, keep a memo of their own
+    again = FlexibleMorphism(one.source, one.target, dict(one.assignment))
+    pooled = first[0]
+    assert again == one and again._memo is not one._memo
+    assert pooled._memo is not all_flexible_morphisms(pooled.source, pooled.target, 2)[0]._memo
+    strict = StrictMorphism(CPL1_SIG, CPL2_SIG, {"neg": "negp", "imp": "orp"})
+    assert strict._memo is not compose_strict(identity_morphism(CPL2_SIG), strict)._memo
+
+
+def test_a_full_composite_memo_table_empties_itself(monkeypatch):
+    monkeypatch.setattr(signatures, "_COMPOSITE_MEMOS", 5)
+    monkeypatch.setattr(signatures, "_composite_memos", {})
+    first, second, slices = _sweep_pools()
+    sizes = []
+    for h2, h3 in itertools.product(first[:3], second[:20]):
+        composite = kleisli_compose(h3, h2)
+        for phi in slices:
+            assert flexible_extension(composite, phi) is _extension_reference(composite, phi)
+            sizes.append(len(signatures._composite_memos))
+    assert max(sizes) == 5
+    # some composite found the table full and started it over
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
 def test_flexible_morphism_equality_ignores_memo():

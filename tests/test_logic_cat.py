@@ -291,12 +291,13 @@ def test_compose_translations_stays_verified():
 
 
 def test_a_refuted_part_leaves_the_composite_unknown():
-    # IMPFRAG does not translate into L3, and L3 into top is unknown at the
-    # default budget, but their composite IMPFRAG -> top translates
+    # IMPFRAG does not translate into L3, and L3 translates into top, but
+    # the refuted leg leaves their composite IMPFRAG -> top unknown, though
+    # it translates
     impfrag, l3, t = ENV.logic("IMPFRAG"), ENV.logic("L3"), top(SIG)
     inner = check_translation(ENV.morphism("inclImp"), impfrag, l3)
     outer = check_translation(kleisli_identity(SIG), l3, t)
-    assert (inner.status, outer.status) == (REFUTED, UNKNOWN)
+    assert (inner.status, outer.status) == (REFUTED, VERIFIED)
     composite = compose_translations(outer, inner)
     assert composite.status == UNKNOWN and composite.witness is None
     assert check_translation(composite.morphism, impfrag, t).verified
@@ -575,6 +576,10 @@ def test_matrix_only_source_verified_only_into_a_sole_matrix():
         "negp": p("imp(x0, x0)", impfrag.signature),
         "orp": p("imp(x0, x1)", impfrag.signature)})
     assert check_translation(to_frag, CPL2, impfrag).status == UNKNOWN
+    # unless the target derives x0 from nothing, and with it every sequent
+    t = check_translation(kleisli_identity(SIG), l3, top(SIG))
+    assert t.verified
+    assert t.evidence == [{"derives_x0": derives(top(SIG), [], p("x0")).to_json()}]
 
 
 def test_a_source_matrix_beside_another_provider_does_not_refute():

@@ -101,7 +101,14 @@ def test_memoized_extension_matches_reference(phis):
 def test_warm_memo_still_rejects_bad_formulas():
     f = StrictMorphism(CPL1_SIG, CPL2_SIG, {"neg": "negp", "imp": "orp"})
     good = parse("imp(x0, neg(x1))", CPL1_SIG)
-    assert strict_extension(f, good) == parse("orp(x0, negp(x1))", CPL2_SIG)
+    image = parse("orp(x0, negp(x1))", CPL2_SIG)
+    # a composite whose shared memo an equal composite from another factor
+    # pair has warmed
+    warm = compose_strict(identity_morphism(CPL2_SIG), f)
+    assert strict_extension(warm, good) == image
+    shared = compose_strict(f, identity_morphism(CPL1_SIG))
+    assert shared._memo is warm._memo and good in shared._memo
+    assert strict_extension(f, good) == image
     bad_formulas = [
         App("conj", (good, Var(0))),             # unknown head over a good subterm
         App("neg", (good, good)),                # wrong arity over good subterms
@@ -111,11 +118,12 @@ def test_warm_memo_still_rejects_bad_formulas():
     for bad in bad_formulas:
         with pytest.raises(StructuralError) as expected:
             _strict_reference(f, bad)
-        with pytest.raises(StructuralError) as got:
-            strict_extension(f, bad)
-        assert str(got.value) == str(expected.value)
-    # the failures left the memo consistent
-    assert strict_extension(f, good) == parse("orp(x0, negp(x1))", CPL2_SIG)
+        for morphism in (f, shared):
+            with pytest.raises(StructuralError) as got:
+                strict_extension(morphism, bad)
+            assert str(got.value) == str(expected.value)
+    # the failures left the memos consistent
+    assert strict_extension(f, good) == strict_extension(shared, good) == image
 
 
 def test_strict_morphism_equality_ignores_memo():
