@@ -12,7 +12,8 @@ the first tree whose conclusion has the goal as an instance; its schematic
 variables are the negative ones.  Its unknown says which bound stopped it.
 Forward saturation (`Saturation`) closes seed axiom instances under the
 rules in one fixpoint for the base and every hypothesis world at once, each
-fact labelled with the bitset of the worlds it holds in.
+fact labelled with the bitset of the worlds it holds in; a fired fact joins
+a rule through one precomputed, indexed plan per premise it matches.
 
 `Matrix.apply` is the only code that applies a matrix table, and
 `ProofWriter` the only code that writes proof steps, for proof search,
@@ -1128,8 +1129,10 @@ class Saturation:
     occurrences times its image's complexity, so instances over
     `_CONCLUSION_CAP` are never built.  Rules fire whenever all premises are
     already derived and the conclusion complexity stays within the cap.
-    Two-premise rules join through an index on their shared variables;
-    longer rules scan.
+    A fired fact joins a rule through the plan of each premise it matches:
+    the other premises in order, each found by a membership test once its
+    variables are bound and otherwise in an index of the fired facts that
+    match it, keyed by the images of its variables bound so far.
 
     A world is a list of hypotheses given to `extend`; a fact's `bits` hold
     bit k when it is derived in world k, and every bit (-1) in the base.  A
@@ -1151,21 +1154,27 @@ class Saturation:
         # since it was last fired
         self.pending: dict[Formula, int] = {}
         self.worlds = 0
-        # per 2-premise rule: the join variables, and an index per position
-        # keyed by the join images, holding each fact that matches the premise
-        # there; None where a match at the other position binds all the
-        # premise's variables, so that the partner is found by a membership test
-        self.join_vars = []
-        self.join_index: list[list[dict[tuple, list[Formula]] | None]] = []
+        # per rule, per premise: the premise, the indices a fact matching it
+        # enters when first fired (key variables -> index), and the plan of
+        # a join from it (per other premise: the premise, the key variables
+        # and its index, None for a membership test); a rule whose
+        # conclusion has a variable no premise has never fires, and has none
+        self.joins: list[list[tuple]] = []
         for rule in calculus.rules:
             pvars = [variables(p) for p in rule.premises]
-            if len(rule.premises) == 2:
-                self.join_vars.append(tuple(sorted(pvars[0] & pvars[1])))
-                self.join_index.append([None if pvars[j] <= pvars[1 - j] else {}
-                                        for j in (0, 1)])
-            else:
-                self.join_vars.append(())
-                self.join_index.append([])
+            entered: list[dict[tuple, dict]] = [{} for _ in pvars]
+            joins = []
+            for j, premise in enumerate(rule.premises):
+                bound, plan = set(pvars[j]), []
+                for k, other in enumerate(rule.premises):
+                    if k != j:
+                        key = tuple(sorted(pvars[k] & bound))
+                        plan.append((other, key, None if pvars[k] <= bound
+                                     else entered[k].setdefault(key, {})))
+                        bound |= pvars[k]
+                joins.append((premise, entered[j], plan))
+            fires = variables(rule.conclusion) <= set().union(*pvars)
+            self.joins.append(joins if fires else [])
         costs = [complexity(phi) for phi in seed_pool]
         for aidx, axiom in enumerate(calculus.axioms):
             occurs = _occurrences(axiom, {})
@@ -1191,64 +1200,35 @@ class Saturation:
             d, delta = self.pending.popitem()
             # a fact enters the join indices when it is first fired
             first = delta == self.bits[d]
-            for ridx, rule in enumerate(self.calculus.rules):
-                for j, premise in enumerate(rule.premises):
+            for ridx, joins in enumerate(self.joins):
+                for premise, entered, plan in joins:
                     sigma = match(premise, d)
                     if sigma is None:
                         continue
-                    if len(rule.premises) == 1:
-                        self._conclude(ridx, rule, sigma, delta)
-                    elif len(rule.premises) == 2:
-                        self._join2(ridx, rule, j, sigma, d, delta, first)
-                    else:
-                        self._join_scan(ridx, rule, j, sigma, delta)
+                    if first:
+                        for key, index in entered.items():
+                            index.setdefault(tuple(map(sigma, key)), []).append(d)
+                    self._join(ridx, plan, 0, sigma, delta)
 
-    def _conclude(self, ridx: int, rule: Rule, sigma: Substitution, bits: int) -> None:
-        if not bits or not variables(rule.conclusion) <= set(sigma.mapping):
+    def _join(self, ridx: int, plan: list[tuple], step: int, sigma: Substitution,
+              bits: int) -> None:
+        """Bind the premises of `plan` from `step` on to partners holding
+        some of `bits`, then add the rule's conclusion with the bits left."""
+        if step == len(plan):
+            conclusion = self.calculus.rules[ridx].conclusion
+            self._add(substitute(sigma, conclusion), RuleInstance(ridx, sigma, ()), bits)
             return
-        self._add(substitute(sigma, rule.conclusion), RuleInstance(ridx, sigma, ()), bits)
-
-    def _join2(self, ridx: int, rule: Rule, j: int, sigma: Substitution,
-               d: Formula, delta: int, first: bool) -> None:
-        bits = self.bits
-        key = tuple(sigma(v) for v in self.join_vars[ridx])
-        index = self.join_index[ridx]
-        if first and index[j] is not None:
-            index[j].setdefault(key, []).append(d)
-        other = 1 - j
-        premise = rule.premises[other]
-        if index[other] is None:
-            self._conclude(ridx, rule, sigma,
-                           delta & bits.get(substitute(sigma, premise), 0))
-            return
-        for partner in index[other].get(key, ()):
-            both = delta & bits[partner]
+        premise, key, index = plan[step]
+        if index is None:
+            both = bits & self.bits.get(substitute(sigma, premise), 0)
             if both:
-                full = match(premise, partner, dict(sigma.mapping))
-                self._conclude(ridx, rule, full, both)
-
-    def _join_scan(self, ridx: int, rule: Rule, j: int, sigma: Substitution,
-                   delta: int) -> None:
-        bits = self.bits
-        positions = [k for k in range(len(rule.premises)) if k != j]
-
-        def go(pos: int, sub: Substitution, both: int):
-            if pos == len(positions):
-                self._conclude(ridx, rule, sub, both)
-                return
-            k = positions[pos]
-            if variables(rule.premises[k]) <= set(sub.mapping):
-                go(pos + 1, sub, both & bits.get(substitute(sub, rule.premises[k]), 0))
-                return
-            # the facts as they stand before the walk, which can add to them
-            for candidate in list(bits):
-                common = both & bits[candidate]
-                if common:
-                    ext = match(rule.premises[k], candidate, dict(sub.mapping))
-                    if ext is not None:
-                        go(pos + 1, ext, common)
-
-        go(0, sigma, delta)
+                self._join(ridx, plan, step + 1, sigma, both)
+            return
+        for partner in index.get(tuple(map(sigma, key)), ()):
+            both = bits & self.bits[partner]
+            if both:
+                self._join(ridx, plan, step + 1,
+                           match(premise, partner, dict(sigma.mapping)), both)
 
     def extend(self, worlds: list[list[Formula]]) -> range:
         """Close each list of hypotheses as a new world; their numbers."""

@@ -47,6 +47,11 @@ class _Certificate:
                 if getattr(self, f.name) is not None}
 
 
+# (complexity, variables): the bounds of `morphisms_equivalent`'s whole-formula
+# sweep and congruentiality test, unless its caller gives others
+EQUIVALENCE_BOUNDS = (3, 2)
+
+
 @dataclass
 class EquivalenceCertificate(_Certificate):
     """Interderivability of two parallel morphisms, connective by connective."""
@@ -54,7 +59,7 @@ class EquivalenceCertificate(_Certificate):
     left: FlexibleMorphism
     right: FlexibleMorphism
     status: str
-    scope: str = ""  # "generator-sufficient" | "bounded-enumeration"
+    scope: str = ""  # "generator" | "generator-sufficient" | "bounded-enumeration"
     per_connective: dict = field(default_factory=dict)
     witness: dict | None = None
     bounds: tuple | None = None
@@ -66,7 +71,7 @@ class EquivalenceCertificate(_Certificate):
 
 def morphisms_equivalent(f, g, target: Logic,
                          budget: Budget = DEFAULT_BUDGET,
-                         bounds: tuple[int, int] = (3, 2),
+                         bounds: tuple[int, int] = EQUIVALENCE_BOUNDS,
                          target_congruential: bool | None = None
                          ) -> EquivalenceCertificate:
     """Do f and g induce the same map into the interderivability quotient
@@ -277,7 +282,9 @@ def congruential_closure(logic: Logic, bounds: tuple[int, int] = (3, 1)) -> Logi
 class WeakEquivalenceCertificate(_Certificate):
     morphism: FlexibleMorphism
     status: str
-    conservativity: str = ""   # "connective-tables" | "unchecked"
+    # "connective-tables" | "unchecked", or for a composite (from
+    # `compose_weak_equivalences`) "composed(<inner's>,<outer's>)"
+    conservativity: str = ""
     denseness: dict = field(default_factory=dict)  # n -> {class: witness}
     witness: dict | None = None
     bounds: tuple | None = None
@@ -502,7 +509,6 @@ def rigidity_probe(logic: Logic, bound: int = 3,
     verified = 0
     undecided = False
     non_rigid = {}  # slice positions -> witness entry; sorted, in enumeration order
-    bounds = (3, 2)  # morphisms_equivalent's default
     congruential = None
     for cls in itertools.product(*(groups[arity] for _, arity in connectives)):
         first = tuple(group[0] for group in cls)
@@ -511,15 +517,15 @@ def rigidity_probe(logic: Logic, bound: int = 3,
         if status == VERIFIED:
             verified += math.prod(map(len, cls))
             if congruential is None:
-                congruential = _known_congruential(logic, bounds, budget)
-            cert = morphisms_equivalent(h, ident, logic, budget, bounds,
+                congruential = _known_congruential(logic, EQUIVALENCE_BOUNDS, budget)
+            cert = morphisms_equivalent(h, ident, logic, budget,
                                         target_congruential=congruential)
             status = cert.status
             if status == REFUTED:
                 for positions in itertools.product(*cls):
                     member = endomorphism(positions)
                     if positions != first:
-                        cert = morphisms_equivalent(member, ident, logic, budget, bounds,
+                        cert = morphisms_equivalent(member, ident, logic, budget,
                                                     target_congruential=congruential)
                     non_rigid[positions] = {"morphism": member.to_json(),
                                             "witness": cert.witness}

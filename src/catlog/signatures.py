@@ -218,19 +218,15 @@ strict_extension = Morphism.extension
 # Levelwise (co)limits
 
 
-def _tag(ident: str, index: int) -> str:
-    return f"{ident}_{index}"
-
-
 def signature_coproduct(summands: list[Signature], name: str = ""
                         ) -> tuple[Signature, list[StrictMorphism]]:
-    """Disjoint union; connectives are tagged by summand index."""
+    """Disjoint union; connective c of summand i is tagged c_i."""
     connectives: dict[str, int] = {}
     maps: list[dict[str, str]] = []
     for i, sig in enumerate(summands):
-        maps.append({c: _tag(c, i) for c in sig.connectives})
+        maps.append({c: f"{c}_{i}" for c in sig.connectives})
         for c, arity in sig.connectives.items():
-            connectives[_tag(c, i)] = arity
+            connectives[maps[i][c]] = arity
     result = Signature(name or "+".join(s.name for s in summands) or "empty", connectives)
     injections = [StrictMorphism(sig, result, maps[i], name=f"{result.name}_in{i}")
                   for i, sig in enumerate(summands)]
@@ -337,22 +333,19 @@ def signature_pushout(f: StrictMorphism, g: StrictMorphism
     if f.source != g.source:
         raise InputError("pushout legs must share their source")
     left, right = f.target, g.target
-    tagged: dict[str, int] = {}
-    for i, sig in enumerate((left, right)):
-        for c, arity in sig.connectives.items():
-            tagged[_tag(c, i)] = arity
-    classes = Partition(tagged)
+    coproduct, (inl, inr) = signature_coproduct([left, right])
+    classes = Partition(coproduct.connectives)
     for c in f.source.connectives:
-        classes.union(_tag(f(c), 0), _tag(g(c), 1))
+        classes.union(inl(f(c)), inr(g(c)))
 
     connectives = {}
-    for t, arity in tagged.items():
+    for t, arity in coproduct.connectives.items():
         connectives.setdefault(classes.find(t), arity)
     result = Signature(f"{left.name}+[{f.source.name}]+{right.name}", connectives)
     left_map = StrictMorphism(left, result,
-                              {c: classes.find(_tag(c, 0)) for c in left.connectives},
+                              {c: classes.find(inl(c)) for c in left.connectives},
                               name=f"{result.name}_po_left")
     right_map = StrictMorphism(right, result,
-                               {c: classes.find(_tag(c, 1)) for c in right.connectives},
+                               {c: classes.find(inr(c)) for c in right.connectives},
                                name=f"{result.name}_po_right")
     return result, left_map, right_map

@@ -504,9 +504,15 @@ def test_saturation_fires_one_premise_rules_with_bound_conclusions():
                         sat.proof_of(p("q(x1)", sig)))
 
 
+def _join_indices(sat):
+    """Every index of the saturation's join plans, each once, in rule and
+    premise order."""
+    return [index for joins in sat.joins for _, entered, _ in joins
+            for index in entered.values()]
+
+
 def _join_snapshot(sat):
-    return [[{key: list(bucket) for key, bucket in (index or {}).items()} for index in per_rule]
-            for per_rule in sat.join_index]
+    return [{key: list(bucket) for key, bucket in index.items()} for index in _join_indices(sat)]
 
 
 def test_fork_leaves_its_base_unchanged():
@@ -520,12 +526,11 @@ def test_fork_leaves_its_base_unchanged():
     assert all(sat.bits[phi] == -1 for phi, _ in base)
     assert x0 in _facts(sat, world) and x0 not in sat
     grown = 0
-    for r, per_rule in enumerate(joins):
-        for j, index in enumerate(per_rule):
-            for key, bucket in index.items():
-                now = sat.join_index[r][j][key]
-                assert now[:len(bucket)] == bucket
-                grown += len(now) > len(bucket)
+    for before, index in zip(joins, _join_indices(sat), strict=True):
+        for key, bucket in before.items():
+            now = index[key]
+            assert now[:len(bucket)] == bucket
+            grown += len(now) > len(bucket)
     assert grown
     new = _facts(sat, world) - _facts(sat)
     assert new and all(sat.bits[phi] == 1 << world for phi in new)
@@ -727,6 +732,44 @@ def test_saturation_and_its_forks_match_a_naive_closure(monkeypatch):
                       if bits & bit and isinstance(just, RuleInstance)}
     # every premise count fired in the base and in a world of several hypotheses
     assert {(k, layer) for k in (1, 2, 3) for layer in ("base", "several")} <= fired
+
+
+PQ = Signature("PQ", {"p": 2, "q": 1})
+
+
+def test_saturation_keys_a_later_premise_by_what_a_partner_binds(monkeypatch):
+    # a fact fired at the first premise of the chain rule binds x0 and x1
+    # only; the third premise is looked up by x2, which the second premise's
+    # partner binds.  The match count is pinned: a join that scans every
+    # derived fact for such a premise matches several times more.  Only the
+    # world, whose hypothesis links x0 and x1, derives new facts by the chain
+    cap = 4
+    monkeypatch.setattr(consequence, "_CONCLUSION_CAP", cap)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return match(*args)
+
+    monkeypatch.setattr(consequence, "match", counted)
+    calc = Calculus(PQ, [p("p(x0, q(x0))", PQ)], [
+        Rule((p("p(x0, x1)", PQ), p("p(x1, x2)", PQ), p("p(x2, x3)", PQ)), p("p(x0, x3)", PQ)),
+        Rule((p("p(x0, x1)", PQ),), p("p(x1, x0)", PQ))])
+    logic = Logic("PQ", PQ, calculus=calc)
+    pool = enumerate_formulas(PQ, 2, 1)
+    sat = Saturation(calc, pool)
+    hyp = p("p(x0, x1)", PQ)
+    [extended] = sat.extend([[hyp]])
+    assert len(calls) == 528
+    monkeypatch.setattr(consequence, "match", match)
+    for world, hyps in [(None, []), (extended, [hyp])]:
+        facts = _facts(sat, world)
+        assert facts == _naive_closure(calc, pool, hyps, cap)
+        for phi in facts:
+            assert verify_proof(logic, set(hyps), phi, sat.proof_of(phi, world)), fmt(phi)
+    chained = {phi for phi, why in sat.why.items()
+               for just, _ in why if isinstance(just, RuleInstance) and just.rule == 0}
+    assert chained & (_facts(sat, extended) - _facts(sat))
 
 
 # --- the provider rule --------------------------------------------------------
