@@ -3,14 +3,15 @@
 A translation is a signature morphism that preserves consequence, and
 `check_translation` alone decides it: on the generating presentation of a
 presented source (one `consequence.refutation_sweep` over the translated
-axioms and rules), by `matrix_inclusion` (`consequence.model_of` read
-under the provider rule) for a source given by a matrix alone.  Its
-status words (verified, refuted, unknown) are `consequence`'s.  Strict and
-flexible morphisms both act on formulas through `Morphism.extension`
-(`translate_formula`).  Combinations build the signature part first and
-then equip it with a delegating oracle or with the generated join of the
-components' presentations pushed forward along the cocone legs
-(`push_calculus`, in `_colimit_logic`); none builds along a refuted leg.
+axioms and rules), by `consequence.model_of` on the source matrix and
+the target's `reduct`, read under the provider rule, for a source given by
+a matrix alone.  Its status words (verified, refuted, unknown) are
+`consequence`'s.  Strict and flexible morphisms both act on formulas
+through `Morphism.extension` (`translate_formula`).  Combinations build
+the signature part first and then equip it with a delegating oracle or
+with the generated join of the components' presentations pushed forward
+along the cocone legs (`push_calculus`, in `_colimit_logic`); none builds
+along a refuted leg.
 """
 
 from __future__ import annotations
@@ -94,11 +95,12 @@ def check_translation(morphism, source: Logic, target: Logic,
       and every translated rule target-admissible; refuted, with the scheme
       as witness, when the target refutes an image.  `semantic=True` asks
       for no proofs, so a target matrix decides (`exact_matrix`).
-    - A matrix alone, into a target with a matrix: `matrix_inclusion`,
-      whose failing sequent (valid in the source, its image refuted by the
-      counter) refutes and whose pass verifies.  It answers unknown where
-      a matrix beside another provider would have to be its whole logic,
-      unless `semantic=True` reads it so.
+    - A matrix alone, into a target with a matrix: `model_of` on the
+      source matrix and the target's reduct along h, whose failing sequent
+      (valid in the source, its image refuted by the counter) refutes and
+      whose pass verifies.  A failure counts only when the source matrix
+      is all of its logic, a pass only when the target's is
+      (`exact_matrix`); else the answer is unknown.
     - Anything else: verified when the target derives x0 from no premises
       (it then derives everything), with that verdict as evidence; else
       unknown.
@@ -116,7 +118,11 @@ def check_translation(morphism, source: Logic, target: Logic,
                                    evidence=[{"derives_x0": v.to_json()}])
             return Translation(h, source, target, UNKNOWN,
                                evidence=["neither a presentation nor two matrices"])
-        v, sequent = matrix_inclusion(h, source, target, semantic)
+        v, sequent = model_of(h.source, source.matrix, reduct(target.matrix, h))
+        needed = source if v.is_no else target
+        if not v.is_unknown and exact_matrix(needed, proof=not semantic) is None:
+            v = Verdict.unknown(reason=f"{v.reason}, but {needed.name}'s matrix is "
+                                       "not its only provider")
         if v.is_no:
             premises, conclusion = sequent
             witness = {"premises": [*map(fmt, premises)], "conclusion": fmt(conclusion),
@@ -156,28 +162,6 @@ def check_translation(morphism, source: Logic, target: Logic,
         witness["counter"] = v.counter_json()
         return Translation(h, source, target, REFUTED, witness=witness)
     return Translation(h, source, target, v.outcome(VERIFIED), evidence=evidence)
-
-
-def matrix_inclusion(h, source: Logic, target: Logic, semantic: bool = False,
-                     converse: bool = False) -> tuple[Verdict, tuple | None]:
-    """Is source's consequence included in the preimage of target's along h
-    (h is a translation), or with `converse` the other way round (h is
-    conservative)?  `model_of` on source's matrix and target's `reduct`.
-
-    Every matrix is taken to be sound for its logic, and to be all of it
-    when `exact_matrix` says so, `semantic` asking for no proofs.  A
-    failing sequent counts only when the included side's matrix is all of
-    its logic (else the sequent need not be a consequence), a pass only
-    when the including side's is; otherwise the answer is unknown.
-    """
-    sides = [(source.matrix, source), (reduct(target.matrix, h), target)]
-    (a, a_logic), (b, b_logic) = sides[::-1] if converse else sides
-    v, sequent = model_of(h.source, a, b)
-    needed = a_logic if v.is_no else b_logic
-    if v.is_unknown or exact_matrix(needed, proof=not semantic) is not None:
-        return v, sequent
-    return Verdict.unknown(reason=f"{v.reason}, but {needed.name}'s matrix is not "
-                                  "its only provider"), None
 
 
 def reduct(matrix: Matrix, morphism) -> Matrix:
@@ -384,7 +368,8 @@ def fibring_constrained(left_leg: Translation, right_leg: Translation
 
 
 def product_logic(l1: Logic, l2: Logic) -> tuple[Logic, Translation, Translation]:
-    """Product: a sequent holds when both projected sequents hold."""
+    """Product: a sequent holds when both projected sequents hold; a yes
+    carries both projected verdicts, with their proofs."""
     sig, (p1, p2) = signature_product([l1.signature, l2.signature])
 
     def oracle(gamma, phi, budget):
@@ -397,7 +382,7 @@ def product_logic(l1: Logic, l2: Logic) -> tuple[Logic, Translation, Translation
         if v2.is_no:
             return Verdict.no(counter=v2.counter, reason=f"fails in {l2.name}")
         if v1.is_yes and v2.is_yes:
-            return Verdict.yes(detail={"left": v1.status, "right": v2.status})
+            return Verdict.yes(detail={"left": v1.to_json(), "right": v2.to_json()})
         return Verdict.unknown(reason="a projection is undecided")
 
     combined = Logic(f"product({l1.name},{l2.name})", sig,

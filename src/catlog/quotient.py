@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from .consequence import (
     Budget, CONFIRMED, DEFAULT_BUDGET, Logic, Matrix, REFUTED, Rule, Saturation,
     SignatureMismatch, UNKNOWN, VERIFIED, Verdict, can_refute, derives, exact_matrix,
-    interderivable, refutation_sweep,
+    interderivable, model_of, refutation_sweep,
 )
 from .formulas import (
     App, Formula, InputError, Substitution, Var, complexity, enumerate_formulas,
@@ -33,7 +33,7 @@ from .kleisli import (
     FlexibleMorphism, flexible_extension, kleisli_compose, kleisli_identity,
 )
 from .logic_cat import (
-    Translation, as_flexible, check_chain, check_translation, matrix_inclusion, reduct,
+    Translation, as_flexible, check_chain, check_translation, reduct,
 )
 from .signatures import Partition, Signature, identity_morphism, signature_coproduct
 
@@ -137,10 +137,11 @@ def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
     an exact matrix they are read off the columns: representatives of the
     value functions in each designation class, since only pairs whose value
     functions differ can refute.  Otherwise they are searched, and a logic
-    that cannot refute stops at its first unknown pair: nothing after it
-    could turn the answer into a yes or a no.  One sweep then puts every
-    pair into every one-connective context.  A no refutes; an unknown
-    interderivability or replacement query leaves the answer unknown.
+    that cannot refute stops at its first unknown pair, which the verdict
+    names with its query's reason: nothing after it could turn the answer
+    into a yes or a no.  One sweep then puts every pair into every
+    one-connective context.  A no refutes; an unknown interderivability or
+    replacement query leaves the answer unknown.
     """
     compl_bound, var_bound = bounds
     sig = logic.signature
@@ -161,7 +162,8 @@ def is_congruential(logic: Logic, bounds: tuple[int, int] = (4, 2),
                 pairs.append((a, b))
             elif v.is_unknown:
                 if not can_refute(logic):
-                    return CongruentialityVerdict(UNKNOWN, bounds)
+                    return CongruentialityVerdict(UNKNOWN, bounds, witness={
+                        "undecided": [fmt(a), fmt(b)], "reason": v.reason})
                 unknown = True
     item, v = refutation_sweep(
         ((checked, a, b, context), interderivable(logic, context[2], context[3], budget))
@@ -303,29 +305,32 @@ def weak_equivalence(h, source: Logic, target: Logic,
                      budget: Budget = DEFAULT_BUDGET) -> WeakEquivalenceCertificate:
     """Certify that h is a conservative and dense translation, or refute it.
 
-    With a matrix on both sides, translation-hood is `check_translation`
-    and conservativity the converse `matrix_inclusion`, both with
-    `semantic=True` ("connective-tables"): `consequence.exact_matrix` reads
-    each matrix as its logic's whole consequence, an assumption, not a
-    check, and false for a matrix that is only sound, such as IMP's.
-    Without two matrices both are "unchecked" and the certificate is at best
-    unknown.  Denseness searches source formulas breadth-first over their
-    columns in the target matrix's reduct along h, so every realizable class
-    is found regardless of formula size.
+    With a matrix on both sides, S and T, translation-hood is
+    `check_translation` with `semantic=True`, and conservativity is
+    `model_of(T's reduct along h, S)` ("connective-tables"):
+    `consequence.exact_matrix` reads each matrix as its logic's whole
+    consequence, an assumption, not a check, and false for a matrix that is
+    only sound, such as IMP's.  Without two matrices conservativity is
+    "unchecked" and the certificate is at best unknown.  Denseness searches
+    source formulas breadth-first over their columns in T's reduct along h,
+    so every realizable class is found regardless of formula size; without
+    a target matrix it is unchecked too and stays empty, and the
+    certificate, never refuted, is unknown.
     """
     hf = as_flexible(h)
     if hf.source != source.signature or hf.target != target.signature:
         raise SignatureMismatch("morphism endpoints do not match the logics")
     bounds = (n_max, target_compl, _SOURCE_COMPLEXITY)
     status, conservativity = UNKNOWN, "unchecked"
-    if exact_matrix(source) is not None and exact_matrix(target) is not None:
+    S, T = exact_matrix(source), exact_matrix(target)
+    if S is not None and T is not None:
         conservativity = "connective-tables"
         forward = check_translation(hf, source, target, budget, semantic=True)
         if forward.status == REFUTED:
             return WeakEquivalenceCertificate(
                 hf, REFUTED, conservativity=conservativity, bounds=bounds,
                 witness={"direction": "forward", **forward.witness})
-        v, sequent = matrix_inclusion(hf, source, target, semantic=True, converse=True)
+        v, sequent = model_of(hf.source, reduct(T, hf), S)
         if v.is_no:
             return WeakEquivalenceCertificate(
                 hf, REFUTED, conservativity=conservativity, bounds=bounds,
@@ -333,8 +338,9 @@ def weak_equivalence(h, source: Logic, target: Logic,
                          "sequent": [*map(fmt, sequent[0]), "|-", fmt(sequent[1])]})
         status = CONFIRMED if forward.verified and v.is_yes else UNKNOWN
     denseness: dict[int, dict] = {}
-    for n in range(n_max + 1):
-        found, missing, classes = _denseness_search(hf, target, n, target_compl, budget)
+    for n in range(n_max + 1) if T is not None else ():
+        found, missing, classes = _denseness_by_functions(
+            hf, T, n, enumerate_slice(target.signature, n, target_compl))
         if missing is not None:
             return WeakEquivalenceCertificate(
                 hf, REFUTED, conservativity=conservativity,
@@ -343,33 +349,6 @@ def weak_equivalence(h, source: Logic, target: Logic,
     return WeakEquivalenceCertificate(
         hf, status, conservativity=conservativity, denseness=denseness,
         bounds=bounds)
-
-
-def _denseness_search(hf, target: Logic, n: int, target_compl: int, budget: Budget):
-    """Find a source preimage (up to interderivability) for every bounded
-    target slice formula; also report every interderivability class the
-    images realize."""
-    targets = enumerate_slice(target.signature, n, target_compl)
-    matrix = exact_matrix(target)
-    if matrix is not None:
-        return _denseness_by_functions(hf, matrix, n, targets)
-    if not targets:
-        return {}, None, {}
-    # fall back to direct bounded search with derivability queries
-    found: dict[str, str] = {}
-    candidates = enumerate_slice(hf.source, n, min(_SOURCE_COMPLEXITY, 4))
-    images = [(theta, flexible_extension(hf, theta)) for theta in candidates]
-    for tprime in targets:
-        hit = None
-        for theta, image in images:
-            v = interderivable(target, tprime, image, budget)
-            if v.is_yes:
-                hit = theta
-                break
-        if hit is None:
-            return found, {"missing": fmt(tprime), "mode": "bounded-search"}, {}
-        found[fmt(tprime)] = fmt(hit)
-    return found, None, {}
 
 
 def _denseness_by_functions(hf, matrix: Matrix, n: int, targets):
@@ -468,7 +447,7 @@ def rigidity_probe(logic: Logic, bound: int = 3,
     proof=False)` gives a matrix M, each slice is grouped by the images'
     columns in M, and a class picks one group per connective.  M is the
     provider that `check_translation(semantic=True)` consults, through
-    `derives` and `matrix_inclusion` alike, and M |= h(G) |- h(p) exactly
+    `derives` and `model_of` alike, and M |= h(G) |- h(p) exactly
     when the reduct M^h |= G |- p; `morphisms_equivalent` asks M too, on
     the images themselves at the generators and on their extensions in the
     bounded sweep, and an extension's column is fixed by the images'

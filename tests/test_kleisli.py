@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from catlog import kleisli, signatures
 from catlog.formulas import (
     App, StructuralError, Substitution, Var, check_formula, complexity,
-    enumerate_slice, fmt, parse, substitute, variables,
+    enumerate_slice, extend, fmt, parse, substitute, variables,
 )
 from catlog.kleisli import (
     FlexibleMorphism, all_flexible_morphisms, all_strict_morphisms,
@@ -470,6 +470,82 @@ def test_regularity_suite_reports_a_criterion_that_always_says_regular(monkeypat
     monkeypatch.setattr(kleisli, "is_regular", always_regular)
     failing = _failing_cases(suite_regularity(20, seed=3))
     assert failing == [case for case, regular in enumerate(verdicts, 1) if not regular]
+
+
+def test_adjunction_suite_reports_a_flat_that_does_not_decode(monkeypatch):
+    # undecoded, flat(sharp(h)) lands on the slice heads; case 2's h sends
+    # its one constant to a constant, which is its own slice head
+    monkeypatch.setattr(kleisli, "flat", lambda f, trunc: lift_strict(f))
+    report = suite_adjunction(4, seed=9)
+    assert _failing_cases(report) == [1, 3, 4]
+    assert {(f["lhs"], f["rhs"]) for f in report["failures"]} == {("flat(sharp(h))", "h")}
+
+
+def test_adjunction_suite_reports_a_broken_first_triangle(monkeypatch):
+    # a counit that does not decode leaves the lifted unit as the composite;
+    # case 2's signature is one constant, its own slice truncation
+    monkeypatch.setattr(kleisli, "counit", lambda trunc: kleisli_identity(trunc.signature))
+    report = suite_adjunction(4, seed=9)
+    assert _failing_cases(report) == [1, 3, 4]
+    for failure in report["failures"]:
+        sig = Signature("s", {c["id"]: c["arity"]
+                              for c in failure["inputs"]["signature"]["connectives"]})
+        eta, trunc = unit(sig)
+        assert failure["lhs"] == repr(kleisli_compose(kleisli_identity(trunc.signature),
+                                                      lift_strict(eta)))
+        assert failure["rhs"] == "identity"
+
+
+def test_regularity_suite_reports_a_witness_without_a_complexity_drop(monkeypatch):
+    # x0 translates to itself, so it never witnesses irregularity
+    monkeypatch.setattr(kleisli, "is_regular", lambda h: (False, Var(0)))
+    report = suite_regularity(6, seed=3)
+    assert _failing_cases(report) == [1, 2, 3, 4, 5, 6]
+    assert {(f["lhs"], f["rhs"]) for f in report["failures"]} == {
+        ("witness", "no complexity drop")}
+
+
+def test_category_suite_reports_a_broken_associativity(monkeypatch):
+    # a composite given as the inner leg comes back unchanged: both unit laws
+    # still hold, and h3 . (h2 . h1) reads h2 . h1
+    compose, composites = kleisli.kleisli_compose, []
+
+    def forgetful(outer, inner):
+        if any(inner is c for c in composites):
+            return inner
+        composites.append(compose(outer, inner))
+        return composites[-1]
+
+    monkeypatch.setattr(kleisli, "kleisli_compose", forgetful)
+    report = suite_category_laws(5, seed=1)
+    assert _failing_cases(report) == [0, 1, 2, 3, 4]
+    rng = random.Random(1)  # the suite's draws, one triple per case
+    for failure in report["failures"]:
+        h1, h2, h3 = random_composable_triple(rng, 3)
+        assert failure["inputs"] == {"h1": h1.to_json(), "h2": h2.to_json(),
+                                     "h3": h3.to_json()}
+        assert failure["lhs"] == repr(compose(compose(h3, h2), h1))
+        assert failure["rhs"] == repr(compose(h2, h1))
+
+
+def test_monad_suite_reports_a_flatten_that_keeps_its_memo(monkeypatch):
+    # one memo across calls: every formula keeps its first image, so the
+    # unit laws still hold, but the outer-first path meets the two-level
+    # element psi again and gets it back flattened one level only.  Case 5's
+    # psi is a constant, the same at every level
+    memo, first = {}, {}
+
+    def stale(phi, decode):
+        image = extend(decode, phi, memo)
+        first.setdefault(fmt(phi), fmt(image))
+        return image
+
+    monkeypatch.setattr(kleisli, "flatten", stale)
+    report = suite_monad_laws(6, seed=7)
+    assert _failing_cases(report) == [1, 2, 3, 4, 6]
+    for failure in report["failures"]:
+        assert failure["lhs"] == first[failure["inputs"]["formula"]]
+        assert failure["rhs"] == first[failure["lhs"]]
 
 
 # --- reflection of isomorphisms, monomorphisms, epimorphisms ----------------

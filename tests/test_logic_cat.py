@@ -1,17 +1,21 @@
 import functools
 import itertools
+import json
 import random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from catlog import corpus
+from catlog import cli, corpus
 from catlog.consequence import (
-    Budget, Calculus, Logic, Matrix, Rule, SignatureMismatch, Verdict, derives,
-    matrix_consequence, model_of, verify_proof,
+    AxiomInstance, Budget, Calculus, Hypothesis, Logic, Matrix, Proof, Rule,
+    RuleInstance, SignatureMismatch, Step, Verdict, derives, matrix_consequence,
+    model_of, verify_proof,
 )
-from catlog.formulas import InputError, enumerate_formulas, enumerate_slice, fmt, parse
+from catlog.formulas import (
+    InputError, Substitution, enumerate_formulas, enumerate_slice, fmt, parse,
+)
 from catlog.kleisli import (
     FlexibleMorphism, kleisli_identity, lift_strict, random_flexible,
 )
@@ -481,6 +485,38 @@ def test_product_logic_asks_the_right_projection_after_the_left(answer, status, 
     combined, _, _ = product_logic(CPL1, right)
     v = derives(combined, [], parse("imp__b1(x0, x0)", combined.signature))
     assert (v.status, v.reason) == (status, reason)
+
+
+def _proof_from_json(data: dict, sig) -> Proof:
+    """A proof back from its report form, parsed over sig."""
+    steps = []
+    for step in data["steps"]:
+        sigma = Substitution({int(x[1:]): parse(t, sig)
+                              for x, t in step.get("substitution", {}).items()})
+        if step["by"] == "hypothesis":
+            why = Hypothesis()
+        elif step["by"] == "axiom":
+            why = AxiomInstance(step["axiom"], sigma)
+        else:
+            why = RuleInstance(step["rule"], sigma, tuple(step["premises"]))
+        steps.append(Step(parse(step["formula"], sig), why))
+    return Proof(steps)
+
+
+def test_a_product_yes_carries_a_proof_from_each_projection(tmp_path):
+    impfrag = ENV.logic("IMPFRAG")
+    out = tmp_path / "product.json"
+    assert cli.main(["--json", str(out), "product", "--left", "IMPFRAG", "--right",
+                     "IMPFRAG", "--goal", "imp__imp(x0, x0)"]) == 0
+    goal = json.loads(out.read_text())["goal"]
+    assert goal["verdict"] == "yes"
+    combined, t1, t2 = product_logic(impfrag, impfrag)
+    phi = parse(goal["formula"], combined.signature)
+    for side, projection in (("left", t1), ("right", t2)):
+        verdict = goal["detail"][side]
+        assert verdict["verdict"] == "yes"
+        proof = _proof_from_json(verdict["proof"], impfrag.signature)
+        assert verify_proof(impfrag, [], strict_extension(projection.morphism, phi), proof)
 
 
 def test_product_with_matching_arity_factor():

@@ -80,6 +80,20 @@ def test_agreeing_generators_are_refuted_by_the_bounded_sweep():
     assert m.is_designated(left) != m.is_designated(right)
 
 
+def test_equivalence_into_a_calculus_only_target_sweeps_bounded_formulas(monkeypatch):
+    # IMPFRAG has no matrix and does not decide, so the generators settle
+    # nothing and its congruentiality is not even tested
+    def untested(*args):
+        raise AssertionError("congruentiality tested for a calculus-only target")
+
+    monkeypatch.setattr(quotient, "is_congruential", untested)
+    impfrag = ENV.logic("IMPFRAG")
+    ident = kleisli_identity(impfrag.signature)
+    cert = morphisms_equivalent(ident, ident, impfrag, FAST, bounds=(1, 1))
+    assert (cert.status, cert.scope) == (CONFIRMED, "bounded-enumeration")
+    assert cert.per_connective == {"imp": "yes"}
+
+
 def test_equivalence_into_a_logic_over_another_signature_is_refused():
     # h maps into CPL2's signature, not CPL1's
     with pytest.raises(SignatureMismatch):
@@ -189,6 +203,36 @@ def test_an_unknown_replacement_leaves_congruentiality_unknown():
 
     verdict = is_congruential(Logic("Parity", sig, oracle=oracle), (2, 1))
     assert (verdict.status, verdict.pairs_checked) == (quotient.UNKNOWN, 1)
+
+
+def test_unknown_congruentiality_of_a_calculus_names_its_first_undecided_pair():
+    verdict = is_congruential(ENV.logic("IMPFRAG"))
+    assert verdict.to_json() == {
+        "status": "unknown", "bounds": [4, 2], "pairs_checked": 0,
+        "witness": {"undecided": ["x0", "x1"],
+                    "reason": "interderivability not settled within budget"}}
+
+
+def test_congruentiality_goes_on_past_an_unknown_pair_when_the_logic_can_refute():
+    # the oracle cannot settle x0 against n(x0), proves x0 -||- n(n(x0)),
+    # refutes other pairs of unlike parity, and refutes the replacement of
+    # that pair under n: n(x0) against n(n(n(x0)))
+    sig = Signature("N", {"n": 1})
+
+    def oracle(gamma, phi, budget):
+        [hyp] = gamma
+        depths = {complexity(hyp), complexity(phi)}
+        if depths == {0, 1}:
+            return Verdict.unknown()
+        if depths == {1, 3} or complexity(hyp) % 2 != complexity(phi) % 2:
+            return Verdict.no()
+        return Verdict.yes()
+
+    verdict = is_congruential(Logic("Parity", sig, oracle=oracle), (2, 1))
+    assert (verdict.status, verdict.pairs_checked) == (REFUTED, 1)
+    assert verdict.witness == {
+        "connective": "n", "position": 0, "left": "x0", "right": "n(n(x0))",
+        "context_left": "n(x0)", "context_right": "n(n(n(x0)))", "counter": None}
 
 
 # --- congruential closure -------------------------------------------------------
@@ -649,6 +693,23 @@ def test_lindenbaum_replacement_reads_past_an_undecided_connective():
         "status": REFUTED, "witness": {"connective": "b", "counter": None}}
 
 
+def test_lindenbaum_replacement_skips_a_nullary_connective():
+    # replacement under the constant t would ask for e(t, t) from nothing,
+    # which this oracle refutes; every other query it proves
+    sig = Signature("TE", {"t": 0, "e": 2})
+    asked = []
+
+    def oracle(gamma, phi, budget):
+        asked.append(phi)
+        return Verdict.no() if phi == p("e(t, t)", sig) else Verdict.yes()
+
+    report = lindenbaum_delta_check(Logic("TE", sig, oracle=oracle),
+                                    [p("e(x0, x1)", sig)], bounds=(1, 1))
+    assert report["conditions"]["d_replacement"] == {"status": CONFIRMED}
+    assert report["passed"]
+    assert p("e(t, t)", sig) not in asked
+
+
 def test_lindenbaum_fails_on_bottom():
     bot = bottom(SIG)
     report = lindenbaum_delta_check(bot, [p("imp(x0, x1)"), p("imp(x1, x0)")])
@@ -870,6 +931,18 @@ def test_weak_equivalence_without_two_matrices_is_unchecked():
                             n_max=1, target_compl=2, budget=FAST)
     assert cert.conservativity == "unchecked"
     assert cert.status != CONFIRMED
+
+
+@pytest.mark.parametrize("budget", [Budget(2), Budget(40)])
+def test_weak_equivalence_into_a_target_without_a_matrix_is_never_refuted(budget):
+    # dup(imp(x0, x0)) and imp(x0, x0) are both theorems, so a short budget
+    # that cannot prove them interderivable must not refute denseness
+    impfrag = ENV.logic("IMPFRAG")
+    sig = impfrag.signature
+    dup = FlexibleMorphism(sig, sig, {"imp": p("imp(x0, imp(x0, x1))", sig)})
+    cert = weak_equivalence(dup, impfrag, impfrag, n_max=2, target_compl=2, budget=budget)
+    assert (cert.status, cert.conservativity, cert.denseness) == (UNKNOWN, "unchecked", {})
+    assert cert.witness is None
 
 
 def test_weak_equivalence_checks_a_presented_source_on_its_presentation():
